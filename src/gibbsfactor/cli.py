@@ -1,11 +1,12 @@
 """Command-line surface: parse a system file, run one computation, emit a
 machine-readable report.
 
-Reports are deterministic given inputs, flags, and seed: JSON with sorted
-keys (default) or flat key,value CSV.  Measures are reported as natural-log
+Reports are deterministic given inputs and flags: JSON with sorted keys
+(default) or flat key,value CSV.  Measures are reported as natural-log
 values plus a decimal rendering, with an exact "p/q" field in exact mode.
 Exit codes: 0 success, 1 a checked mathematical property failed (never a
-usage problem), 2 usage or input errors.
+usage problem), 2 usage or input errors, 3 an unexpected internal error
+(reported as one "error:" line, never a traceback).
 """
 
 from __future__ import annotations
@@ -54,6 +55,7 @@ from .sysio import (
 
 USAGE_ERROR = 2
 PROPERTY_VIOLATION = 1
+INTERNAL_ERROR = 3
 
 
 def _sanitize(value):
@@ -399,9 +401,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help="exact rational arithmetic (weight-mode rational tables)")
     common.add_argument("--tol", type=float, default=1e-10,
                         help="comparison tolerance for verification commands")
-    common.add_argument("--seed", type=int, default=0, help="seed for randomized checks")
     common.add_argument("--budget", type=int, default=5_000_000,
-                        help="enumeration budget (words)")
+                        help="enumeration budget: nodes visited by a word sweep, "
+                             "counting every prefix and not only finished words")
     common.add_argument("--format", choices=("json", "csv"), default="json")
 
     parser = argparse.ArgumentParser(
@@ -470,6 +472,9 @@ def main(argv=None) -> int:
             EnumerationLimitError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return USAGE_ERROR
+    except Exception as e:
+        print(f"error: internal error: {type(e).__name__}: {e}", file=sys.stderr)
+        return INTERNAL_ERROR
     report = {
         "schema_version": 1,
         "command": args.command,
@@ -478,7 +483,6 @@ def main(argv=None) -> int:
         "diagnostics": {
             "exact": args.exact,
             "tol": args.tol,
-            "seed": args.seed,
             "budget": args.budget,
         },
     }

@@ -17,7 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EnumerationLimitError, ValidationError
+from .errors import ValidationError
+from .factor import walk_image_words
 from .sft import DEFAULT_MAX_WORDS
 
 
@@ -183,40 +184,19 @@ def contraction_profile(fs, n: int, max_words: int = DEFAULT_MAX_WORDS) -> Contr
     """Diameter delta of the block product for every admissible image word
     of N+1 block symbols; max_tau = tanh(max_delta/4) is the empirical
     contraction rate.  Infinite deltas flag words whose restricted product
-    is not strictly positive (fiber-wise mixing fails there)."""
+    is not strictly positive (fiber-wise mixing fails there).  The budget
+    counts nodes visited (every prefix, not only finished words)."""
     if n < 1:
         raise ValidationError("span must be >= 1")
-    succ: dict[int, list[int]] = {}
-    for (a, b) in fs.bool_blocks:
-        succ.setdefault(a, []).append(b)
-    for lst in succ.values():
-        lst.sort(key=lambda b: fs.image_block_words[b])
     per_word: dict = {}
-    budget = [max_words]
 
-    def delta_of(mat: np.ndarray) -> float:
+    def leaf(word, b, mat, scale):
         if (~(mat > 0).any(axis=0)).any():
-            return math.inf  # a dead column: image cone touches the boundary
-        return projective_diameter(mat)
+            per_word[word] = math.inf  # a dead column: image cone touches the boundary
+        else:
+            per_word[word] = projective_diameter(mat)
 
-    def walk(word, b, mat, scale, remaining):
-        budget[0] -= 1
-        if budget[0] < 0:
-            raise EnumerationLimitError("contraction profile exceeded budget")
-        if remaining == 0:
-            per_word[word] = delta_of(mat)
-            return
-        for b2 in succ.get(b, ()):
-            m2 = mat @ fs.blocks[(b, b2)]
-            top = m2.max()
-            if top > 0:
-                walk(word + (fs.image_block_words[b2][-1],), b2, m2 / top,
-                     scale + math.log(top), remaining - 1)
-
-    for b0 in sorted(range(len(fs.image_block_words)),
-                     key=lambda b: fs.image_block_words[b]):
-        eye = np.eye(len(fs.fibers[b0]))
-        walk(fs.image_block_words[b0], b0, eye, 0.0, n)
+    walk_image_words(fs, fs.blocks, n, lambda b: np.eye(len(fs.fibers[b])), leaf, max_words)
     deltas = list(per_word.values())
     max_delta = max(deltas) if deltas else 0.0
     max_tau = 1.0 if math.isinf(max_delta) else math.tanh(max_delta / 4.0)

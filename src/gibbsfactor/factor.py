@@ -17,6 +17,16 @@ serves as the independent oracle for the product formula.
 Image-word admissibility always goes through boolean block products (never a
 plain block adjacency): the image is sofic, so a word is admissible iff some
 lift exists, i.e. iff the product is nonzero.
+
+Every product of blocks along image words is carried one way.  The
+depth-first walker :func:`walk_image_words` is the single traversal of the
+image language: roots and successors in index order (lexicographic), a
+boolean, float or exact product carried along each branch, and one budget
+counting visited nodes.  Exact blocks are numpy ``object`` arrays of
+Fraction, so exact and float products share the same ``@`` code; the pair
+:func:`rescale_product` / :func:`finish_measure` is the only place where the
+two arithmetics differ (float products are renormalised by their largest
+entry and finished in log space, exact ones are kept whole).
 """
 
 from __future__ import annotations
@@ -51,20 +61,17 @@ class FactorSystem:
     fibers: tuple[tuple[int, ...], ...]      # per image block, domain block indices
     blocks: dict                             # (b, b') -> float ndarray
     bool_blocks: dict                        # (b, b') -> bool ndarray
-    exact_blocks: dict | None                # (b, b') -> Fraction rows
+    exact_blocks: dict | None                # (b, b') -> Fraction object ndarray
+    successors: tuple[tuple[int, ...], ...]  # per image block, ascending targets
 
     @property
     def block_length(self) -> int:
         return self.tm.recoding.block_length
 
-    def fiber_h(self, pd: PerronData, b: int):
-        if pd.exact:
-            return [pd.h[i] for i in self.fibers[b]]
+    def fiber_h(self, pd: PerronData, b: int) -> np.ndarray:
         return np.asarray(pd.h)[list(self.fibers[b])]
 
-    def fiber_nu(self, pd: PerronData, b: int):
-        if pd.exact:
-            return [pd.nu[i] for i in self.fibers[b]]
+    def fiber_nu(self, pd: PerronData, b: int) -> np.ndarray:
         return np.asarray(pd.nu)[list(self.fibers[b])]
 
 
@@ -96,30 +103,23 @@ def build_factor(tm: TransferMatrix, symbol_map, image_alphabet: Alphabet) -> Fa
     fibers: list[list[int]] = [[] for _ in image_words]
     for dom, img in enumerate(bsm):
         fibers[img].append(dom)
-    pos = {}
-    for img, members in enumerate(fibers):
-        for p, dom in enumerate(members):
-            pos[dom] = p
-    blocks: dict = {}
-    adj = rec.block_sft.adjacency
-    for i in range(rec.size):
-        for j in np.flatnonzero(adj[i]):
-            key = (bsm[i], bsm[int(j)])
-            if key not in blocks:
-                blocks[key] = np.zeros((len(fibers[key[0]]), len(fibers[key[1]])))
-            blocks[key][pos[i], pos[int(j)]] = tm.weights[i, j]
+    rows, cols = np.nonzero(rec.block_sft.adjacency)
+    keys = dict.fromkeys((bsm[i], bsm[j]) for i, j in zip(rows.tolist(), cols.tolist()))
+
+    def sliced(matrix) -> dict:
+        out = {(a, b): matrix[np.ix_(fibers[a], fibers[b])] for a, b in keys}
+        for m in out.values():
+            m.setflags(write=False)
+        return out
+
+    blocks = sliced(tm.weights)
     exact_blocks = None
     if tm.exact_weights is not None:
-        exact_blocks = {}
-        for (b0, b1), m in blocks.items():
-            rows = [[Fraction(0)] * m.shape[1] for _ in range(m.shape[0])]
-            for p, i in enumerate(fibers[b0]):
-                for q, j in enumerate(fibers[b1]):
-                    rows[p][q] = tm.exact_weights[i][j]
-            exact_blocks[(b0, b1)] = rows
+        exact_blocks = sliced(np.array(tm.exact_weights, dtype=object))
     bool_blocks = {key: m > 0 for key, m in blocks.items()}
-    for m in blocks.values():
-        m.setflags(write=False)
+    successors: list[list[int]] = [[] for _ in image_words]
+    for a, b in sorted(keys):
+        successors[a].append(b)
     return FactorSystem(
         tm=tm,
         image_alphabet=image_alphabet,
@@ -131,6 +131,7 @@ def build_factor(tm: TransferMatrix, symbol_map, image_alphabet: Alphabet) -> Fa
         blocks=blocks,
         bool_blocks=bool_blocks,
         exact_blocks=exact_blocks,
+        successors=tuple(tuple(t) for t in successors),
     )
 
 
@@ -178,6 +179,33 @@ def image_admissible(fs: FactorSystem, yword) -> bool:
     return True
 
 
+def rescale_product(x: np.ndarray, scale: float):
+    """One step of a product carried along an image word.
+
+    A float product is divided by its largest entry, whose log is added to
+    `scale`; boolean and exact (Fraction object) products are kept whole.
+    Returns the new (product, scale), or None when the product is zero.
+    """
+    if x.dtype != float:
+        return (x, scale) if x.any() else None
+    top = x.max()
+    if top <= 0:
+        return None
+    return x / top, scale + math.log(top)
+
+
+def finish_measure(total, scale: float, n_steps: int, pd: PerronData):
+    """Projected measure from total = nu . (product) . h, with the product's
+    log scale and its number of block transitions: exact mode returns the
+    Fraction total / lambda^n, float mode the log of total e^scale /
+    lambda^n (-inf for a zero total)."""
+    if pd.exact:
+        return total / pd.lam**n_steps
+    if total <= 0:
+        return -math.inf
+    return math.log(total) + scale - n_steps * pd.log_lam
+
+
 def block_product(fs: FactorSystem, yword):
     """Product of block operators along an admissible image word of length
     >= 2 (in block coordinates).
@@ -193,35 +221,15 @@ def block_product(fs: FactorSystem, yword):
     blocks = image_block_word(fs, w)
     if blocks is None:
         raise ValidationError("image word is not admissible")
-    if fs.exact_blocks is not None:
-        prod = None
-        for a, b in zip(blocks, blocks[1:]):
-            m = fs.exact_blocks.get((a, b))
-            if m is None:
-                raise ValidationError("image word is not admissible")
-            prod = m if prod is None else _fmat_mul(prod, m)
-        return prod, 0.0
-    prod = None
-    log_scale = 0.0
+    mats = fs.blocks if fs.exact_blocks is None else fs.exact_blocks
+    prod, scale = None, 0.0
     for a, b in zip(blocks, blocks[1:]):
-        m = fs.blocks.get((a, b))
-        if m is None:
+        m = mats.get((a, b))
+        step = None if m is None else rescale_product(m if prod is None else prod @ m, scale)
+        if step is None:
             raise ValidationError("image word is not admissible")
-        prod = m.copy() if prod is None else prod @ m
-        top = prod.max()
-        if top == 0:
-            raise ValidationError("image word is not admissible")
-        prod /= top
-        log_scale += math.log(top)
-    return prod, log_scale
-
-
-def _fmat_mul(a, b):
-    n, k, m = len(a), len(b), len(b[0])
-    return [
-        [sum((a[i][t] * b[t][j] for t in range(k)), Fraction(0)) for j in range(m)]
-        for i in range(n)
-    ]
+        prod, scale = step
+    return prod, scale
 
 
 def projected_measure(fs: FactorSystem, pd: PerronData, yword):
@@ -237,49 +245,20 @@ def projected_measure(fs: FactorSystem, pd: PerronData, yword):
     k = fs.block_length
     if len(w) < k:
         matching = [b for b, bw in enumerate(fs.image_block_words) if bw[:len(w)] == w]
-        if pd.exact:
-            total = Fraction(0)
-            for b in matching:
-                total += sum((pd.nu[i] * pd.h[i] for i in fs.fibers[b]), Fraction(0))
-            return total
-        total = sum(
-            float(np.dot(fs.fiber_nu(pd, b), fs.fiber_h(pd, b))) for b in matching
-        )
-        return math.log(total) if total > 0 else -math.inf
+        total = sum(fs.fiber_nu(pd, b) @ fs.fiber_h(pd, b) for b in matching)
+        return finish_measure(total, 0.0, 0, pd)
     blocks = image_block_word(fs, w)
     if blocks is None:
-        return Fraction(0) if pd.exact else -math.inf
-    n_steps = len(blocks) - 1
-    if pd.exact:
-        vec = fs.fiber_nu(pd, blocks[0])
-        for a, b in zip(blocks, blocks[1:]):
-            m = fs.exact_blocks.get((a, b))
-            if m is None:
-                return Fraction(0)
-            vec = [
-                sum((vec[i] * m[i][j] for i in range(len(vec))), Fraction(0))
-                for j in range(len(m[0]))
-            ]
-        total = sum(
-            (v * hh for v, hh in zip(vec, fs.fiber_h(pd, blocks[-1]))), Fraction(0)
-        )
-        return total / pd.lam**n_steps
-    vec = fs.fiber_nu(pd, blocks[0]).astype(float)
-    log_scale = 0.0
+        return finish_measure(0, 0.0, 0, pd)
+    mats = fs.exact_blocks if pd.exact else fs.blocks
+    vec, scale = fs.fiber_nu(pd, blocks[0]), 0.0
     for a, b in zip(blocks, blocks[1:]):
-        m = fs.blocks.get((a, b))
-        if m is None:
-            return -math.inf
-        vec = vec @ m
-        top = vec.max()
-        if top == 0:
-            return -math.inf
-        vec /= top
-        log_scale += math.log(top)
-    total = float(vec @ fs.fiber_h(pd, blocks[-1]))
-    if total <= 0:
-        return -math.inf
-    return math.log(total) + log_scale - n_steps * pd.log_lam
+        m = mats.get((a, b))
+        step = None if m is None else rescale_product(vec @ m, scale)
+        if step is None:
+            return finish_measure(0, 0.0, 0, pd)
+        vec, scale = step
+    return finish_measure(vec @ fs.fiber_h(pd, blocks[-1]), scale, len(blocks) - 1, pd)
 
 
 def projected_measure_bruteforce(fs: FactorSystem, pd: PerronData, yword,
@@ -380,11 +359,49 @@ def _logsum(logs: list[float]) -> float:
     return top + math.log(sum(math.exp(x - top) for x in logs))
 
 
+def walk_image_words(fs: FactorSystem, mats: dict, n_steps: int, start, leaf,
+                     max_words: int) -> None:
+    """Depth-first walk over the admissible image words of n_steps + 1 block
+    symbols, in lexicographic order, carrying a product of blocks.
+
+    Each root image block b starts from the array start(b); every step
+    multiplies by the block in `mats` (boolean, float or exact) and goes
+    through :func:`rescale_product`, which prunes the branch when the
+    product vanishes.  leaf(word, b, product, log_scale) is called at every
+    full-length word, with b its last image block.  The budget counts nodes
+    visited, i.e. every prefix and not only finished words; exceeding it
+    raises EnumerationLimitError.
+    """
+    words = fs.image_block_words
+    # per image block: (successor, its new image symbol, block operator)
+    edges = [[(b2, words[b2][-1], mats[(b, b2)]) for b2 in succ]
+             for b, succ in enumerate(fs.successors)]
+    budget = max_words
+
+    def walk(word, b, x, scale, remaining):
+        nonlocal budget
+        budget -= 1
+        if budget < 0:
+            raise EnumerationLimitError(
+                f"image word sweep exceeded its budget of {max_words} visited nodes")
+        if remaining == 0:
+            leaf(word, b, x, scale)
+            return
+        for b2, symbol, m in edges[b]:
+            step = rescale_product(x @ m, scale)
+            if step is not None:
+                walk(word + (symbol,), b2, *step, remaining - 1)
+
+    for b0, w0 in enumerate(words):
+        walk(w0, b0, *rescale_product(start(b0), 0.0), n_steps)
+
+
 def enumerate_image_words(fs: FactorSystem, n: int,
                           max_words: int = DEFAULT_MAX_WORDS) -> list[Word]:
     """All admissible image words of length n, lexicographic.  Enumeration
     runs over image blocks carrying the reachable domain-block set, so only
-    sofic-admissible words appear and dead branches are pruned early."""
+    sofic-admissible words appear and dead branches are pruned early.  The
+    budget counts nodes visited (every prefix, not only finished words)."""
     if n < 0:
         raise ValidationError("length must be >= 0")
     if n == 0:
@@ -392,32 +409,11 @@ def enumerate_image_words(fs: FactorSystem, n: int,
     k = fs.block_length
     if n < k:
         return sorted({bw[:n] for bw in fs.image_block_words})
-    succ: dict[int, list[int]] = {}
-    for (a, b) in fs.bool_blocks:
-        succ.setdefault(a, []).append(b)
-    for lst in succ.values():
-        lst.sort(key=lambda b: fs.image_block_words[b])
     out: list[Word] = []
-    budget = [max_words]
-
-    def walk(word: tuple[int, ...], b: int, reach: np.ndarray, remaining: int):
-        if remaining == 0:
-            out.append(word)
-            budget[0] -= 1
-            if budget[0] < 0:
-                raise EnumerationLimitError("image word enumeration exceeded budget")
-            return
-        for b2 in succ.get(b, ()):
-            m = fs.bool_blocks[(b, b2)]
-            r2 = (reach[:, None] & m).any(axis=0)
-            if r2.any():
-                walk(word + (fs.image_block_words[b2][-1],), b2, r2, remaining - 1)
-
-    for b0 in sorted(range(len(fs.image_block_words)),
-                     key=lambda b: fs.image_block_words[b]):
-        walk(fs.image_block_words[b0], b0,
-             np.ones(len(fs.fibers[b0]), dtype=bool), n - k)
-    return sorted(out)
+    walk_image_words(fs, fs.bool_blocks, n - k,
+                     lambda b: np.ones(len(fs.fibers[b]), dtype=bool),
+                     lambda word, b, reach, scale: out.append(word), max_words)
+    return out
 
 
 @dataclass(frozen=True)
@@ -440,47 +436,32 @@ def fwm_check(fs: FactorSystem, n: int, max_words: int = DEFAULT_MAX_WORDS,
     product (rows fiber of the first block, columns fiber of the last) must
     be all-positive: every prescribed pair of end symbols lifts.  Witnesses
     list failing (image word, first symbol, last symbol) triples, capped.
+    The budget counts nodes visited (every prefix, not only finished words).
     """
     if n < 1:
         raise ValidationError("fiber-wise mixing span must be >= 1")
-    succ: dict[int, list[int]] = {}
-    for (a, b) in fs.bool_blocks:
-        succ.setdefault(a, []).append(b)
-    for lst in succ.values():
-        lst.sort(key=lambda b: fs.image_block_words[b])
+    k = fs.block_length
     witnesses: list = []
     checked = 0
-    budget = [max_words]
-    holds = [True]
+    holds = True
 
-    def walk(word, b, mat, remaining):
-        budget[0] -= 1
-        if budget[0] < 0:
-            raise EnumerationLimitError("fiber-wise mixing check exceeded budget")
-        if remaining == 0:
-            nonlocal checked
-            checked += 1
-            if not mat.all():
-                holds[0] = False
-                if len(witnesses) < witness_cap:
-                    fiber0 = fs.fibers[fs.image_block_index[word[:fs.block_length]]]
-                    fiberN = fs.fibers[b]
-                    for i, j in zip(*np.nonzero(~mat)):
-                        if len(witnesses) >= witness_cap:
-                            break
-                        witnesses.append((word, fiber0[int(i)], fiberN[int(j)]))
+    def leaf(word, b, mat, scale):
+        nonlocal checked, holds
+        checked += 1
+        if mat.all():
             return
-        for b2 in succ.get(b, ()):
-            m2 = mat @ fs.bool_blocks[(b, b2)]
-            if m2.any():
-                walk(word + (fs.image_block_words[b2][-1],), b2, m2, remaining - 1)
+        holds = False
+        if len(witnesses) >= witness_cap:
+            return
+        fiber0 = fs.fibers[fs.image_block_index[word[:k]]]
+        for i, j in zip(*np.nonzero(~mat)):
+            if len(witnesses) >= witness_cap:
+                break
+            witnesses.append((word, fiber0[int(i)], fs.fibers[b][int(j)]))
 
-    k = fs.block_length
-    for b0 in sorted(range(len(fs.image_block_words)),
-                     key=lambda b: fs.image_block_words[b]):
-        eye = np.eye(len(fs.fibers[b0]), dtype=bool)
-        walk(fs.image_block_words[b0], b0, eye, n)
-    return FwmReport(n=n, holds=holds[0], witnesses=tuple(witnesses),
+    walk_image_words(fs, fs.bool_blocks, n,
+                     lambda b: np.eye(len(fs.fibers[b]), dtype=bool), leaf, max_words)
+    return FwmReport(n=n, holds=holds, witnesses=tuple(witnesses),
                      words_checked=checked, recoded=k > 1)
 
 

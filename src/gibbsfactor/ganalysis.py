@@ -21,8 +21,14 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import EnumerationLimitError, ValidationError
-from .factor import FactorSystem, projected_measure
+from .errors import ValidationError
+from .factor import (
+    FactorSystem,
+    finish_measure,
+    projected_measure,
+    rescale_product,
+    walk_image_words,
+)
 from .potential import PerronData
 from .sft import DEFAULT_MAX_WORDS, Word
 
@@ -87,8 +93,7 @@ class _PeriodicWordEngine:
 
         self.pre_blocks = [window(t) for t in range(a)]
         self.cycle_blocks = [window(a + s) for s in range(c)]
-        self.exact = pd.exact
-        mats = fs.exact_blocks if self.exact else fs.blocks
+        mats = fs.exact_blocks if pd.exact else fs.blocks
 
         def trans(b0, b1):
             m = mats.get((b0, b1))
@@ -117,24 +122,14 @@ class _PeriodicWordEngine:
                 self.partial, self.partial_scale, self.cycle_mats[s])
         self.min_reps = max(self.ucorr, math.ceil((k + 1 - a) / c), 1)
 
-    def _mul(self, acc, scale, m):
+    @staticmethod
+    def _mul(acc, scale, m):
         if acc is None:
-            if self.exact:
-                return [row[:] for row in m], 0.0
-            return np.array(m, dtype=float), scale
-        if self.exact:
-            n, kk, mm = len(acc), len(m), len(m[0])
-            out = [
-                [sum((acc[i][t] * m[t][j] for t in range(kk)), Fraction(0))
-                 for j in range(mm)]
-                for i in range(n)
-            ]
-            return out, 0.0
-        out = acc @ m
-        top = out.max()
-        if top == 0:
+            return m, scale
+        step = rescale_product(acc @ m, scale)
+        if step is None:
             raise ValidationError("point is not admissible (zero product)")
-        return out / top, scale + math.log(top)
+        return step
 
     def measure(self, reps: int):
         """Projected measure of prefix . tail^reps (log or exact Fraction)."""
@@ -147,27 +142,11 @@ class _PeriodicWordEngine:
         powed, pscale = self._cycle_power_tracked(u)
         prod, scale = self._chain(prod, scale, powed, pscale)
         prod, scale = self._chain(prod, scale, self.partial, self.partial_scale)
-        n_steps = a + c * reps - k
         start = self.pre_blocks[0] if a else self.cycle_blocks[0]
         nu = self.fs.fiber_nu(self.pd, start)
         h = self.fs.fiber_h(self.pd, self.end_block)
-        if self.exact:
-            if prod is None:
-                total = sum((x * y for x, y in zip(nu, h)), Fraction(0))
-            else:
-                vec = [
-                    sum((nu[i] * prod[i][j] for i in range(len(nu))), Fraction(0))
-                    for j in range(len(prod[0]))
-                ]
-                total = sum((x * y for x, y in zip(vec, h)), Fraction(0))
-            return total / self.pd.lam**n_steps
-        if prod is None:
-            total = float(np.dot(nu, h))
-            return math.log(total) - n_steps * self.pd.log_lam
-        total = float(nu @ prod @ h)
-        if total <= 0:
-            return -math.inf
-        return math.log(total) + scale - n_steps * self.pd.log_lam
+        total = nu @ h if prod is None else nu @ prod @ h
+        return finish_measure(total, scale, a + c * reps - k, self.pd)
 
     def _chain(self, acc, scale, m, mscale):
         if m is None:
@@ -270,41 +249,22 @@ def g_limit(fs: FactorSystem, pd: PerronData, prefix, tail,
 def image_log_measure_map(fs: FactorSystem, pd: PerronData, length: int,
                           max_words: int = DEFAULT_MAX_WORDS) -> dict:
     """log projected measure for every admissible image word of `length`,
-    via one depth-first sweep carrying the renormalized row vector."""
+    via one depth-first sweep carrying the renormalized float row vector.
+    The budget counts nodes visited (every prefix, not only finished words)."""
     k = fs.block_length
     if length < k:
         raise ValidationError(f"length must be >= block length {k}")
-    succ: dict[int, list[int]] = {}
-    for (a, b) in fs.blocks:
-        succ.setdefault(a, []).append(b)
-    for lst in succ.values():
-        lst.sort(key=lambda b: fs.image_block_words[b])
     out: dict = {}
-    budget = [max_words]
     log_lam = pd.log_lam
     n_steps = length - k
 
-    def walk(word, b, vec, scale, remaining):
-        budget[0] -= 1
-        if budget[0] < 0:
-            raise EnumerationLimitError("image measure sweep exceeded budget")
-        if remaining == 0:
-            total = float(vec @ fs.fiber_h(pd, b))
-            if total > 0:
-                out[word] = math.log(total) + scale - n_steps * log_lam
-            return
-        for b2 in succ.get(b, ()):
-            v2 = vec @ fs.blocks[(b, b2)]
-            top = v2.max()
-            if top > 0:
-                walk(word + (fs.image_block_words[b2][-1],), b2, v2 / top,
-                     scale + math.log(top), remaining - 1)
+    def leaf(word, b, vec, scale):
+        total = float(vec @ fs.fiber_h(pd, b))
+        if total > 0:
+            out[word] = math.log(total) + scale - n_steps * log_lam
 
-    for b0 in sorted(range(len(fs.image_block_words)),
-                     key=lambda b: fs.image_block_words[b]):
-        nu = np.asarray(fs.fiber_nu(pd, b0), dtype=float)
-        top = nu.max()
-        walk(fs.image_block_words[b0], b0, nu / top, math.log(top), n_steps)
+    walk_image_words(fs, fs.blocks, n_steps,
+                     lambda b: np.asarray(fs.fiber_nu(pd, b), dtype=float), leaf, max_words)
     return out
 
 

@@ -1,7 +1,8 @@
 """Small exact linear-algebra kernel over fractions.Fraction.
 
 Matrices are lists of lists of Fraction, vectors are lists of Fraction.
-Only what the exact Perron path needs: products, transpose, RREF nullspace.
+Only what the exact Perron path needs: matrix-vector products, transpose,
+RREF nullspace.
 """
 
 from __future__ import annotations
@@ -13,10 +14,6 @@ def fvec(xs) -> list[Fraction]:
     return [Fraction(x) for x in xs]
 
 
-def fmat(rows) -> list[list[Fraction]]:
-    return [[Fraction(x) for x in row] for row in rows]
-
-
 def mat_vec(m, x):
     return [sum((row[j] * x[j] for j in range(len(x))), Fraction(0)) for row in m]
 
@@ -24,14 +21,6 @@ def mat_vec(m, x):
 def vec_mat(x, m):
     n = len(m[0])
     return [sum((x[i] * m[i][j] for i in range(len(x))), Fraction(0)) for j in range(n)]
-
-
-def mat_mul(a, b):
-    n, k, m = len(a), len(b), len(b[0])
-    return [
-        [sum((a[i][t] * b[t][j] for t in range(k)), Fraction(0)) for j in range(m)]
-        for i in range(n)
-    ]
 
 
 def transpose(m):

@@ -59,12 +59,6 @@ class Sft:
     def size(self) -> int:
         return self.alphabet.size
 
-    def successors(self, i: int) -> np.ndarray:
-        return np.flatnonzero(self.adjacency[i])
-
-    def predecessors(self, j: int) -> np.ndarray:
-        return np.flatnonzero(self.adjacency[:, j])
-
 
 def build_sft(alphabet: Alphabet, adjacency) -> Sft:
     """Validate and freeze an SFT.
@@ -166,10 +160,6 @@ def word_matrix(sft: Sft, n: int, max_words: int = DEFAULT_MAX_WORDS) -> np.ndar
 def enumerate_words(sft: Sft, n: int, max_words: int = DEFAULT_MAX_WORDS) -> list[Word]:
     """All admissible words of length n, lexicographic, no duplicates."""
     return [tuple(row) for row in word_matrix(sft, n, max_words).tolist()]
-
-
-def count_words(sft: Sft, n: int, max_words: int = DEFAULT_MAX_WORDS) -> int:
-    return word_matrix(sft, n, max_words).shape[0]
 
 
 @dataclass(frozen=True, eq=False)

@@ -15,13 +15,15 @@ A system description is a single JSON document:
 Unknown fields are rejected.  Table keys are words: comma-separated symbol
 names, with bare concatenation accepted when every name is a single
 character.  Weight-mode values may be rational literals "p/q" (kept exact)
-or numbers; phi-mode values are numbers.
+or numbers; phi-mode values are numbers.  Booleans and non-finite numbers
+(NaN, Infinity) are rejected in both modes.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -118,6 +120,10 @@ def parse_system_dict(doc: dict) -> SystemDescription:
     table = {}
     for key, value in raw_table.items():
         word = parse_word(key, alphabet)
+        if isinstance(value, bool):
+            raise ValidationError(f"potential.table[{key!r}]: bad value type")
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValidationError(f"potential.table[{key!r}]: non-finite value {value!r}")
         if mode == WEIGHT_MODE:
             if isinstance(value, str):
                 try:
@@ -137,7 +143,7 @@ def parse_system_dict(doc: dict) -> SystemDescription:
             ):
                 raise ValidationError(f"potential.table[{key!r}]: non-positive weight")
         else:
-            if not isinstance(value, (int, float)) or isinstance(value, bool):
+            if not isinstance(value, (int, float)):
                 raise ValidationError(f"potential.table[{key!r}]: bad value type")
             parsed = float(value)
         table[word] = parsed
@@ -226,12 +232,6 @@ class Pipeline:
     tm: TransferMatrix
     pd: PerronData
     factor: FactorSystem | None
-
-    @property
-    def image_alphabet(self) -> Alphabet:
-        if self.factor is None:
-            raise ValidationError("description declares no factor map")
-        return self.factor.image_alphabet
 
 
 def build_system(desc: SystemDescription) -> tuple[Sft, Potential]:

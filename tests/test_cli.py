@@ -3,7 +3,7 @@ import json
 import pytest
 
 from gibbsfactor import fixtures, parse_system, parse_system_dict
-from gibbsfactor.cli import main
+from gibbsfactor.cli import INTERNAL_ERROR, main
 from gibbsfactor.errors import ValidationError
 from gibbsfactor.sysio import emit_system
 
@@ -67,6 +67,27 @@ class TestParseEmit:
         doc["schema_version"] = 99
         with pytest.raises(ValidationError, match="schema_version"):
             parse_system_dict(doc)
+
+    @pytest.mark.parametrize("mode, value", [
+        ("weight", True),
+        ("weight", float("nan")),
+        ("weight", float("inf")),
+        ("phi", float("nan")),
+        ("phi", float("inf")),
+        ("phi", float("-inf")),
+    ])
+    def test_bool_and_non_finite_values_rejected(self, capsys, tmp_path, mode, value):
+        doc = emit_system(fixtures.example2())
+        table = doc["potential"]["table"]
+        if mode == "phi":
+            doc["potential"]["mode"] = "phi"
+            table.update((key, 0.0) for key in table)
+        table["0,0"] = value
+        with pytest.raises(ValidationError, match="potential.table"):
+            parse_system_dict(doc)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        assert main(["validate", str(path)]) == 2
 
     def test_parse_error_carries_position(self, tmp_path):
         path = tmp_path / "broken.json"
@@ -232,6 +253,22 @@ class TestExitCodes:
 
         monkeypatch.setattr(cli, "projected_measure_bruteforce", skewed)
         assert main(["project", example2_file, "--word", "0,0", "--oracle"]) == 1
+
+    def test_unexpected_exception_has_its_own_exit_code(self, capsys, tmp_path):
+        # exp(800) overflows a float while the potential is built
+        doc = emit_system(fixtures.example2())
+        doc["potential"]["mode"] = "phi"
+        table = doc["potential"]["table"]
+        table.update((key, 0.0) for key in table)
+        table["0,0"] = 800.0
+        path = tmp_path / "overflow.json"
+        path.write_text(json.dumps(doc))
+        assert INTERNAL_ERROR not in (0, 1, 2)
+        assert main(["validate", str(path)]) == INTERNAL_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+        assert len(captured.err.strip().splitlines()) == 1
 
     def test_exact_mode_unavailable(self, capsys, tmp_path):
         path = tmp_path / "golden.json"

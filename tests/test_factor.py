@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from gibbsfactor import (
     Alphabet,
+    EnumerationLimitError,
     ValidationError,
     block_product,
     build_factor,
@@ -19,12 +20,15 @@ from gibbsfactor import (
     fixtures,
     fwm_check,
     fwm_search,
+    g_limit,
     image_admissible,
     perron,
     projected_measure,
     projected_measure_bruteforce,
     transfer_matrix,
 )
+from gibbsfactor.cone import contraction_profile
+from gibbsfactor.ganalysis import image_log_measure_map
 
 U = np.array([[1.0, 1.0], [0.0, 1.0]])
 L = np.array([[1.0, 0.0], [1.0, 1.0]])
@@ -422,3 +426,34 @@ class TestRandomizedOracle:
             ext = [projected_measure(fs, pd, word + (b,)) for b in range(q)]
             total = sum(math.exp(x) for x in ext if x != -math.inf)
             assert total == pytest.approx(math.exp(parent), rel=1e-11)
+
+
+# Every image-word sweep at four block transitions on Example 2.
+SWEEPS = {
+    "enumerate_image_words": lambda pipe, budget: enumerate_image_words(pipe.factor, 5, budget),
+    "fwm_check": lambda pipe, budget: fwm_check(pipe.factor, 4, budget),
+    "contraction_profile": lambda pipe, budget: contraction_profile(pipe.factor, 4, budget),
+    "image_log_measure_map": lambda pipe, budget: image_log_measure_map(
+        pipe.factor, pipe.pd, 5, budget),
+}
+
+
+@pytest.mark.parametrize("sweep", sorted(SWEEPS))
+def test_sweep_budget_counts_visited_nodes(ex2_float, sweep):
+    # the image is the full 2-shift and no branch dies, so four transitions
+    # visit 2 + 4 + 8 + 16 + 32 nodes: every prefix, not only the 32 words
+    nodes = sum(2**t for t in range(1, 6))
+    with pytest.raises(EnumerationLimitError):
+        SWEEPS[sweep](ex2_float, nodes - 1)
+    SWEEPS[sweep](ex2_float, nodes)
+
+
+def test_exact_results_are_fractions(ex2_exact):
+    fs, pd = ex2_exact.factor, ex2_exact.pd
+    for word in [(0,), (1, 0), (0, 0, 1, 1)]:
+        assert type(projected_measure(fs, pd, word)) is Fraction
+    m, _ = block_product(fs, (0, 1, 1, 0))
+    assert all(type(x) is Fraction for x in np.ravel(m))
+    res = g_limit(fs, pd, (), (0,), jmax=6)
+    assert res.exact_stages
+    assert all(type(x) is Fraction for x in res.exact_stages)
