@@ -459,6 +459,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_numeric_flags(args) -> None:
+    """Reject flag values no command can honour, before any work is done."""
+    if not (math.isfinite(args.tol) and args.tol > 0):
+        raise ValidationError(f"--tol must be finite and > 0, got {args.tol}")
+    if args.budget < 1:
+        raise ValidationError(f"--budget must be >= 1, got {args.budget}")
+    if getattr(args, "max_len", 1) < 1:
+        raise ValidationError(f"--max-len must be >= 1, got {args.max_len}")
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -467,6 +477,7 @@ def main(argv=None) -> int:
         args.n_max = max(2, args.m // 3)
     handler = HANDLERS[args.command]
     try:
+        _check_numeric_flags(args)
         results, code, desc = handler(args)
     except (ValidationError, ExactModeError, NotMixingError, ConvergenceError,
             EnumerationLimitError, OSError) as e:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .factor import walk_image_words
+from .factor import fiber_mask, walk_image_words
 from .sft import DEFAULT_MAX_WORDS
 
 
@@ -121,18 +121,31 @@ def projective_diameter(m) -> float:
         raise ValidationError("matrix expected")
     if (a < 0).any():
         raise ValidationError("matrix must be nonnegative")
-    cols = a.T
-    for j, c in enumerate(cols):
+    for j, c in enumerate(a.T):
         if not (c > 0).any():
             raise ValidationError(f"zero column {j}")
-    best = 0.0
-    for i in range(len(cols)):
-        for j in range(i + 1, len(cols)):
-            d = hilbert_distance(cols[i], cols[j])
-            if d == math.inf:
-                return math.inf
-            best = max(best, d)
-    return best
+    return float(stacked_diameters(a[None], np.ones((1, a.shape[1]), dtype=bool))[0])
+
+
+def stacked_diameters(x: np.ndarray, real: np.ndarray) -> np.ndarray:
+    """Projective diameter of every matrix in the stack x (R, rows, cols),
+    over the columns flagged in real (R, cols); other columns are padding.
+    A real column with no positive entry, or two real columns with different
+    supports, make the diameter infinite.  Loops over column pairs, each
+    vectorised across the stack."""
+    pos = x > 0
+    diam = np.zeros(len(x))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for i in range(x.shape[2]):
+            for j in range(i + 1, x.shape[2]):
+                same = (pos[:, :, i] == pos[:, :, j]).all(axis=1)
+                ratio = x[:, :, j] / x[:, :, i]
+                beta = np.where(pos[:, :, i], ratio, -np.inf).max(axis=1)
+                alpha = np.where(pos[:, :, i], ratio, np.inf).min(axis=1)
+                d = np.where(same, np.log(beta) - np.log(alpha), np.inf)
+                diam = np.where(real[:, i] & real[:, j], np.fmax(diam, d), diam)
+    diam[(real & ~pos.any(axis=1)).any(axis=1)] = np.inf
+    return diam
 
 
 def birkhoff_coefficient(m) -> float:
@@ -189,17 +202,18 @@ def contraction_profile(fs, n: int, max_words: int = DEFAULT_MAX_WORDS) -> Contr
     if n < 1:
         raise ValidationError("span must be >= 1")
     per_word: dict = {}
+    deltas = [np.zeros(0)]
 
-    def leaf(word, b, mat, scale):
-        if (~(mat > 0).any(axis=0)).any():
-            per_word[word] = math.inf  # a dead column: image cone touches the boundary
-        else:
-            per_word[word] = projective_diameter(mat)
+    def reduce(rows):
+        # a dead column means the image cone touches the boundary: infinite
+        delta = stacked_diameters(rows.products, fiber_mask(fs, rows.blocks))
+        per_word.update(zip(map(tuple, rows.words.tolist()), delta.tolist()))
+        deltas.append(delta)
 
-    walk_image_words(fs, fs.blocks, n, lambda b: np.eye(len(fs.fibers[b])), leaf, max_words)
-    deltas = list(per_word.values())
-    max_delta = max(deltas) if deltas else 0.0
+    walk_image_words(fs, fs.blocks, n, lambda b: np.eye(len(fs.fibers[b])), reduce, max_words)
+    delta = np.concatenate(deltas)
+    max_delta = float(delta.max(initial=0.0))
     max_tau = 1.0 if math.isinf(max_delta) else math.tanh(max_delta / 4.0)
-    infinite = sum(1 for d in deltas if math.isinf(d))
+    infinite = int(np.isinf(delta).sum())
     return ContractionProfile(n=n, per_word=per_word, max_delta=max_delta,
                               max_tau=max_tau, infinite_words=infinite)

@@ -18,15 +18,24 @@ Image-word admissibility always goes through boolean block products (never a
 plain block adjacency): the image is sofic, so a word is admissible iff some
 lift exists, i.e. iff the product is nonzero.
 
-Every product of blocks along image words is carried one way.  The
-depth-first walker :func:`walk_image_words` is the single traversal of the
-image language: roots and successors in index order (lexicographic), a
-boolean, float or exact product carried along each branch, and one budget
-counting visited nodes.  Exact blocks are numpy ``object`` arrays of
-Fraction, so exact and float products share the same ``@`` code; the pair
+Every product of blocks along image words is carried one way.  The walker
+:func:`walk_image_words` is the single traversal of the image language.  It
+is level-synchronous: the frontier of one word length is a stack of rows
+(the word as a row of an int matrix, its first and last image block, its
+product zero-padded on every axis to the widest fiber F, and its log scale).
+A level is expanded with one matmul per source image block, against that
+block's successor blocks set side by side, and the children are scattered
+to parent-major positions; roots and successors are in index order, so rows
+stay lexicographic without sorting.  A level that would exceed
+``SWEEP_ROW_CAP`` rows is expanded in contiguous lexicographic chunks, depth
+first, so a sweep holds at most one capped chunk per word length, however
+large its budget (which counts visited nodes).  Exact blocks are numpy
+``object`` arrays of Fraction, so exact and float single-word products share
+the same ``@`` code; the pair
 :func:`rescale_product` / :func:`finish_measure` is the only place where the
 two arithmetics differ (float products are renormalised by their largest
-entry and finished in log space, exact ones are kept whole).
+entry and finished in log space, exact ones are kept whole), and
+:func:`rescale_product` serves single products and stacked rows alike.
 """
 
 from __future__ import annotations
@@ -67,6 +76,10 @@ class FactorSystem:
     @property
     def block_length(self) -> int:
         return self.tm.recoding.block_length
+
+    @property
+    def fiber_sizes(self) -> np.ndarray:
+        return np.array([len(f) for f in self.fibers])
 
     def fiber_h(self, pd: PerronData, b: int) -> np.ndarray:
         return np.asarray(pd.h)[list(self.fibers[b])]
@@ -179,19 +192,24 @@ def image_admissible(fs: FactorSystem, yword) -> bool:
     return True
 
 
-def rescale_product(x: np.ndarray, scale: float):
-    """One step of a product carried along an image word.
+def rescale_product(x: np.ndarray, scale):
+    """One step of the products carried along image words.
 
-    A float product is divided by its largest entry, whose log is added to
-    `scale`; boolean and exact (Fraction object) products are kept whole.
-    Returns the new (product, scale), or None when the product is zero.
+    `x` holds one product per entry of `scale`, its log scale: a single
+    product with a scalar scale, or a stack of products along the leading
+    axes with an array of scales.  A float product is divided by its largest
+    entry, whose log is added to its scale; boolean and exact (Fraction
+    object) products are kept whole.  Returns (products, scales, alive),
+    alive flagging the nonzero products; a zero product comes back unchanged
+    and is the caller's to drop.
     """
+    axes = tuple(range(np.ndim(scale), x.ndim))
     if x.dtype != float:
-        return (x, scale) if x.any() else None
-    top = x.max()
-    if top <= 0:
-        return None
-    return x / top, scale + math.log(top)
+        return x, scale, (x != 0).any(axis=axes)
+    top = x.max(axis=axes)
+    alive = top > 0
+    top = top + ~alive  # 1 for a zero product, which stays as it is
+    return x / np.reshape(top, np.shape(top) + (1,) * len(axes)), scale + np.log(top), alive
 
 
 def finish_measure(total, scale: float, n_steps: int, pd: PerronData):
@@ -203,7 +221,7 @@ def finish_measure(total, scale: float, n_steps: int, pd: PerronData):
         return total / pd.lam**n_steps
     if total <= 0:
         return -math.inf
-    return math.log(total) + scale - n_steps * pd.log_lam
+    return float(math.log(total) + scale - n_steps * pd.log_lam)
 
 
 def block_product(fs: FactorSystem, yword):
@@ -225,11 +243,12 @@ def block_product(fs: FactorSystem, yword):
     prod, scale = None, 0.0
     for a, b in zip(blocks, blocks[1:]):
         m = mats.get((a, b))
-        step = None if m is None else rescale_product(m if prod is None else prod @ m, scale)
-        if step is None:
+        if m is None:
             raise ValidationError("image word is not admissible")
-        prod, scale = step
-    return prod, scale
+        prod, scale, alive = rescale_product(m if prod is None else prod @ m, scale)
+        if not alive:
+            raise ValidationError("image word is not admissible")
+    return prod, float(scale)
 
 
 def projected_measure(fs: FactorSystem, pd: PerronData, yword):
@@ -254,10 +273,11 @@ def projected_measure(fs: FactorSystem, pd: PerronData, yword):
     vec, scale = fs.fiber_nu(pd, blocks[0]), 0.0
     for a, b in zip(blocks, blocks[1:]):
         m = mats.get((a, b))
-        step = None if m is None else rescale_product(vec @ m, scale)
-        if step is None:
+        if m is None:
             return finish_measure(0, 0.0, 0, pd)
-        vec, scale = step
+        vec, scale, alive = rescale_product(vec @ m, scale)
+        if not alive:
+            return finish_measure(0, 0.0, 0, pd)
     return finish_measure(vec @ fs.fiber_h(pd, blocks[-1]), scale, len(blocks) - 1, pd)
 
 
@@ -359,41 +379,138 @@ def _logsum(logs: list[float]) -> float:
     return top + math.log(sum(math.exp(x - top) for x in logs))
 
 
-def walk_image_words(fs: FactorSystem, mats: dict, n_steps: int, start, leaf,
-                     max_words: int) -> None:
-    """Depth-first walk over the admissible image words of n_steps + 1 block
-    symbols, in lexicographic order, carrying a product of blocks.
+SWEEP_ROW_CAP = 4096
+"""Most rows a sweep creates in one expansion step (or the children of one
+parent, if more); a larger level is expanded in contiguous lexicographic
+chunks, depth first."""
 
-    Each root image block b starts from the array start(b); every step
-    multiplies by the block in `mats` (boolean, float or exact) and goes
-    through :func:`rescale_product`, which prunes the branch when the
-    product vanishes.  leaf(word, b, product, log_scale) is called at every
-    full-length word, with b its last image block.  The budget counts nodes
-    visited, i.e. every prefix and not only finished words; exceeding it
-    raises EnumerationLimitError.
+
+@dataclass(frozen=True)
+class SweepRows:
+    """A stack of image words of one length, lexicographic, with the block
+    products carried along them.
+
+    words[i] holds the image symbols of word i, roots[i] and blocks[i] its
+    first and last image block, products[i] its product zero-padded on every
+    axis to the widest fiber, and scales[i] its log scale (0 unless float
+    products were renormalised).
     """
-    words = fs.image_block_words
-    # per image block: (successor, its new image symbol, block operator)
-    edges = [[(b2, words[b2][-1], mats[(b, b2)]) for b2 in succ]
-             for b, succ in enumerate(fs.successors)]
-    budget = max_words
 
-    def walk(word, b, x, scale, remaining):
-        nonlocal budget
-        budget -= 1
-        if budget < 0:
+    words: np.ndarray
+    roots: np.ndarray
+    blocks: np.ndarray
+    products: np.ndarray
+    scales: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.blocks)
+
+    def take(self, index) -> SweepRows:
+        return SweepRows(self.words[index], self.roots[index], self.blocks[index],
+                         self.products[index], self.scales[index])
+
+
+def fiber_mask(fs: FactorSystem, blocks: np.ndarray) -> np.ndarray:
+    """(len(blocks), F) mask of the entries inside each block's fiber; the
+    rest of a sweep row's axis is zero padding."""
+    sizes = fs.fiber_sizes
+    return np.arange(sizes.max()) < sizes[blocks][:, None]
+
+
+def padded(fs: FactorSystem, x) -> np.ndarray:
+    """x zero-padded on every axis to the widest fiber (the sweep layout)."""
+    x = np.asarray(x)
+    out = np.zeros((fs.fiber_sizes.max(),) * x.ndim, dtype=x.dtype)
+    out[tuple(slice(0, n) for n in x.shape)] = x
+    return out
+
+
+def walk_image_words(fs: FactorSystem, mats: dict, n_steps: int, start, reduce,
+                     max_words: int) -> None:
+    """Level-synchronous walk over the admissible image words of n_steps + 1
+    block symbols, in lexicographic order, carrying a product of blocks.
+
+    Each root image block b starts from the array start(b), zero-padded on
+    every axis to the widest fiber F.  A level is expanded one source image
+    block at a time: the rows ending in that block go through one matmul
+    with its successors' blocks from `mats` (boolean or float) set side by
+    side, and the children land in parent-major positions, so the rows stay
+    lexicographic.  Every new row goes through :func:`rescale_product`, and
+    rows whose product vanished are pruned.  When a level would exceed
+    SWEEP_ROW_CAP rows it is expanded in contiguous lexicographic chunks,
+    depth first, so memory is bounded by one chunk per level, not by the
+    budget.
+    reduce(rows) receives the full-length words as :class:`SweepRows`, chunk
+    by chunk in lexicographic order.  The budget counts nodes visited, i.e.
+    every prefix and not only finished words; exceeding it raises
+    EnumerationLimitError.
+    """
+    sizes = fs.fiber_sizes
+    width = int(sizes.max())
+    degree = np.array([len(t) for t in fs.successors])
+    targets = np.zeros((len(sizes), max(degree.max(), 1)), dtype=np.intp)
+    tables = []
+    for a, succ in enumerate(fs.successors):
+        targets[a, :len(succ)] = succ
+        table = np.zeros((width, len(succ) * width))
+        for j, b in enumerate(succ):
+            table[:sizes[a], j * width:j * width + sizes[b]] = mats[(a, b)]
+        tables.append(table)
+    symbols = np.array([w[-1] for w in fs.image_block_words])
+
+    def expand(rows: SweepRows) -> SweepRows:
+        deg = degree[rows.blocks]
+        offset = np.cumsum(deg) - deg
+        parent = np.repeat(np.arange(len(rows)), deg)
+        blocks = targets[rows.blocks[parent], np.arange(len(parent)) - offset[parent]]
+        shape = rows.products.shape[1:]
+        x = np.empty((len(parent),) + shape, dtype=rows.products.dtype)
+        order = np.argsort(rows.blocks, kind="stable")
+        cuts = np.flatnonzero(np.diff(rows.blocks[order])) + 1
+        for members in np.split(order, cuts):
+            a = rows.blocks[members[0]]
+            if not degree[a]:
+                continue
+            prod = rows.products[members].reshape(-1, width) @ tables[a]
+            prod = prod.reshape(len(members), -1, degree[a], width).swapaxes(1, 2)
+            slots = offset[members][:, None] + np.arange(degree[a])
+            x[slots.ravel()] = prod.reshape((-1,) + shape)
+        x, scales, alive = rescale_product(x, rows.scales[parent])
+        children = SweepRows(np.column_stack([rows.words[parent], symbols[blocks]]),
+                             rows.roots[parent], blocks, x, scales)
+        return children if alive.all() else children.take(alive)
+
+    visited = 0
+
+    def count(rows: SweepRows) -> None:
+        nonlocal visited
+        visited += len(rows)
+        if visited > max_words:
             raise EnumerationLimitError(
                 f"image word sweep exceeded its budget of {max_words} visited nodes")
-        if remaining == 0:
-            leaf(word, b, x, scale)
-            return
-        for b2, symbol, m in edges[b]:
-            step = rescale_product(x @ m, scale)
-            if step is not None:
-                walk(word + (symbol,), b2, *step, remaining - 1)
 
-    for b0, w0 in enumerate(words):
-        walk(w0, b0, *rescale_product(start(b0), 0.0), n_steps)
+    roots = np.arange(len(sizes))
+    x, scales, alive = rescale_product(np.stack([padded(fs, start(b)) for b in roots]),
+                                       np.zeros(len(roots)))
+    rows = SweepRows(np.array(fs.image_block_words, dtype=np.intp), roots, roots,
+                     x, scales).take(alive)
+    count(rows)
+    # depth-first stack of (frontier, steps left, next parent, child-count prefix sums)
+    stack = [(rows, n_steps, 0, np.cumsum(degree[rows.blocks]))]
+    while stack:
+        rows, remaining, pos, ends = stack.pop()
+        if remaining == 0:
+            reduce(rows)
+            continue
+        if pos == len(rows):
+            continue
+        done = ends[pos - 1] if pos else 0
+        stop = max(pos + 1, int(np.searchsorted(ends, done + SWEEP_ROW_CAP, side="right")))
+        stack.append((rows, remaining, stop, ends))
+        children = expand(rows.take(slice(pos, stop)))
+        count(children)
+        if len(children):
+            stack.append((children, remaining - 1, 0, np.cumsum(degree[children.blocks])))
 
 
 def enumerate_image_words(fs: FactorSystem, n: int,
@@ -412,7 +529,7 @@ def enumerate_image_words(fs: FactorSystem, n: int,
     out: list[Word] = []
     walk_image_words(fs, fs.bool_blocks, n - k,
                      lambda b: np.ones(len(fs.fibers[b]), dtype=bool),
-                     lambda word, b, reach, scale: out.append(word), max_words)
+                     lambda rows: out.extend(map(tuple, rows.words.tolist())), max_words)
     return out
 
 
@@ -445,22 +562,25 @@ def fwm_check(fs: FactorSystem, n: int, max_words: int = DEFAULT_MAX_WORDS,
     checked = 0
     holds = True
 
-    def leaf(word, b, mat, scale):
+    def reduce(rows):
         nonlocal checked, holds
-        checked += 1
-        if mat.all():
-            return
-        holds = False
-        if len(witnesses) >= witness_cap:
-            return
-        fiber0 = fs.fibers[fs.image_block_index[word[:k]]]
-        for i, j in zip(*np.nonzero(~mat)):
+        checked += len(rows)
+        gaps = (fiber_mask(fs, rows.roots)[:, :, None] & fiber_mask(fs, rows.blocks)[:, None, :]
+                & ~rows.products)
+        failing = np.flatnonzero(gaps.any(axis=(1, 2)))
+        holds = holds and not failing.size
+        for r in failing:
             if len(witnesses) >= witness_cap:
                 break
-            witnesses.append((word, fiber0[int(i)], fs.fibers[b][int(j)]))
+            word = tuple(rows.words[r].tolist())
+            first, last = fs.fibers[rows.roots[r]], fs.fibers[rows.blocks[r]]
+            for i, j in zip(*np.nonzero(gaps[r])):
+                if len(witnesses) >= witness_cap:
+                    break
+                witnesses.append((word, first[int(i)], last[int(j)]))
 
     walk_image_words(fs, fs.bool_blocks, n,
-                     lambda b: np.eye(len(fs.fibers[b]), dtype=bool), leaf, max_words)
+                     lambda b: np.eye(len(fs.fibers[b]), dtype=bool), reduce, max_words)
     return FwmReport(n=n, holds=holds, witnesses=tuple(witnesses),
                      words_checked=checked, recoded=k > 1)
 

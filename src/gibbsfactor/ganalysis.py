@@ -25,6 +25,7 @@ from .errors import ValidationError
 from .factor import (
     FactorSystem,
     finish_measure,
+    padded,
     projected_measure,
     rescale_product,
     walk_image_words,
@@ -126,10 +127,10 @@ class _PeriodicWordEngine:
     def _mul(acc, scale, m):
         if acc is None:
             return m, scale
-        step = rescale_product(acc @ m, scale)
-        if step is None:
+        prod, scale, alive = rescale_product(acc @ m, scale)
+        if not alive:
             raise ValidationError("point is not admissible (zero product)")
-        return step
+        return prod, scale
 
     def measure(self, reps: int):
         """Projected measure of prefix . tail^reps (log or exact Fraction)."""
@@ -249,23 +250,41 @@ def g_limit(fs: FactorSystem, pd: PerronData, prefix, tail,
 def image_log_measure_map(fs: FactorSystem, pd: PerronData, length: int,
                           max_words: int = DEFAULT_MAX_WORDS) -> dict:
     """log projected measure for every admissible image word of `length`,
-    via one depth-first sweep carrying the renormalized float row vector.
-    The budget counts nodes visited (every prefix, not only finished words)."""
+    via one level-synchronous sweep carrying the renormalized float row
+    vectors.  The budget counts nodes visited (every prefix, not only
+    finished words)."""
+    words, logs = _log_measures(fs, pd, length, max_words)
+    return dict(zip(map(tuple, words.tolist()), logs.tolist()))
+
+
+def _log_measures(fs: FactorSystem, pd: PerronData, length: int, max_words: int):
+    """The words of :func:`image_log_measure_map` as the rows of an int
+    matrix, lexicographic, and their log projected measures as an array:
+    log(row . h) + scale - n log lambda for each swept row vector."""
     k = fs.block_length
     if length < k:
         raise ValidationError(f"length must be >= block length {k}")
-    out: dict = {}
-    log_lam = pd.log_lam
     n_steps = length - k
+    h = np.stack([padded(fs, np.asarray(fs.fiber_h(pd, b), dtype=float))
+                  for b in range(len(fs.fibers))])
+    words, logs = [np.zeros((0, length), dtype=np.intp)], [np.zeros(0)]
 
-    def leaf(word, b, vec, scale):
-        total = float(vec @ fs.fiber_h(pd, b))
-        if total > 0:
-            out[word] = math.log(total) + scale - n_steps * log_lam
+    def reduce(rows):
+        total = np.einsum("ij,ij->i", rows.products, h[rows.blocks])
+        keep = total > 0
+        words.append(rows.words[keep])
+        logs.append(np.log(total[keep]) + rows.scales[keep] - n_steps * pd.log_lam)
 
     walk_image_words(fs, fs.blocks, n_steps,
-                     lambda b: np.asarray(fs.fiber_nu(pd, b), dtype=float), leaf, max_words)
-    return out
+                     lambda b: np.asarray(fs.fiber_nu(pd, b), dtype=float), reduce, max_words)
+    return np.concatenate(words), np.concatenate(logs)
+
+
+def _row_keys(words: np.ndarray) -> np.ndarray:
+    """One bytes key per word row, ordered like the rows lexicographically
+    (big-endian unsigned symbols compare bytewise as numbers)."""
+    big = np.ascontiguousarray(words, dtype=">u4")
+    return big.view(np.dtype((np.void, 4 * big.shape[1]))).ravel()
 
 
 @dataclass(frozen=True)
@@ -285,28 +304,29 @@ def variation_profile(fs: FactorSystem, pd: PerronData, m: int, n_max: int,
     """Empirical variation decay of the g approximants at truncation m.
 
     Evaluates log g_m on every admissible image word of length m+1, then for
-    each n takes the maximal spread within prefix classes of depth n.
+    each n takes the maximal spread within prefix classes of depth n.  The
+    words come lexicographic, so each prefix class is a contiguous run.
     """
     k = fs.block_length
     if m < k + 1:
         raise ValidationError(f"m must be at least block length + 1 = {k + 1}")
     if not 2 <= n_max < m:
         raise ValidationError("need 2 <= n_max < m")
-    full = image_log_measure_map(fs, pd, m + 1, max_words)
-    suff = image_log_measure_map(fs, pd, m, max_words)
-    ghat = {w: lv - suff[w[1:]] for w, lv in full.items()}
+    words, logs = _log_measures(fs, pd, m + 1, max_words)
+    suffixes, suffix_logs = _log_measures(fs, pd, m, max_words)
+    ghat = logs - suffix_logs[np.searchsorted(_row_keys(suffixes), _row_keys(words[:, 1:]))]
+    # coordinate at which each word first differs from the one before it
+    first_diff = (words[1:] != words[:-1]).argmax(axis=1)
     n_values = tuple(range(1, n_max + 1))
     var_hat = []
     pair_counts = []
     for n in n_values:
-        groups: dict = {}
-        for w, v in ghat.items():
-            lo, hi, cnt = groups.get(w[:n], (math.inf, -math.inf, 0))
-            groups[w[:n]] = (min(lo, v), max(hi, v), cnt + 1)
-        spread = max((hi - lo for lo, hi, _ in groups.values()), default=0.0)
-        pairs = sum(c * (c - 1) // 2 for _, _, c in groups.values())
-        var_hat.append(max(spread, 0.0))
-        pair_counts.append(pairs)
+        # a class starts at the first word and wherever a word leaves the prefix
+        starts = np.flatnonzero(np.concatenate(([len(words) > 0], first_diff < n)))
+        spread = np.maximum.reduceat(ghat, starts) - np.minimum.reduceat(ghat, starts)
+        sizes = np.diff(np.append(starts, len(words)))
+        var_hat.append(float(spread.max(initial=0.0)))
+        pair_counts.append(int((sizes * (sizes - 1) // 2).sum()))
     return VariationProfile(m=m, n_values=n_values, var_hat=tuple(var_hat),
                             pair_counts=tuple(pair_counts))
 

@@ -275,3 +275,21 @@ class TestExitCodes:
         path.write_text(json.dumps(emit_system(fixtures.golden_mean())))
         assert main(["perron", str(path), "--exact"]) == 2
         assert "rational" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    ("project-verify", "--tol", "-1"),
+    ("project-verify", "--tol", "0"),
+    ("project-verify", "--tol", "nan"),
+    ("project-verify", "--tol", "inf"),
+    ("project-verify", "--max-len", "0"),
+    ("project-verify", "--max-len", "-2"),
+    ("project-verify", "--budget", "0"),
+    ("fwm", "--budget", "-5"),
+])
+def test_bad_numeric_flags_rejected_before_work(capsys, example2_file, command, flag, value):
+    assert main([command, example2_file, flag, value]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {flag} must be")
+    assert len(captured.err.strip().splitlines()) == 1

@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -27,7 +28,9 @@ from gibbsfactor import (
     projected_measure_bruteforce,
     transfer_matrix,
 )
-from gibbsfactor.cone import contraction_profile
+from gibbsfactor import factor as factor_module
+from gibbsfactor.cone import contraction_profile, projective_diameter
+from gibbsfactor.factor import image_block_word
 from gibbsfactor.ganalysis import image_log_measure_map
 
 U = np.array([[1.0, 1.0], [0.0, 1.0]])
@@ -457,3 +460,101 @@ def test_exact_results_are_fractions(ex2_exact):
     res = g_limit(fs, pd, (), (0,), jmax=6)
     assert res.exact_stages
     assert all(type(x) is Fraction for x in res.exact_stages)
+
+
+# Word-by-word routes that never call the sweep walker.
+def all_image_words(fs, length):
+    return [w for w in itertools.product(range(fs.image_alphabet.size), repeat=length)
+            if image_admissible(fs, w)]
+
+
+def bool_block_product(fs, word):
+    blocks = image_block_word(fs, word)
+    mat = np.eye(len(fs.fibers[blocks[0]]), dtype=bool)
+    for a, b in zip(blocks, blocks[1:]):
+        mat = (mat.astype(int) @ fs.bool_blocks[(a, b)]) > 0
+    return blocks, mat
+
+
+def fwm_word_by_word(fs, n, witness_cap=100):
+    words = all_image_words(fs, n + fs.block_length)
+    witnesses = []
+    holds = True
+    for word in words:
+        blocks, mat = bool_block_product(fs, word)
+        if mat.all():
+            continue
+        holds = False
+        for i, j in zip(*np.nonzero(~mat)):
+            if len(witnesses) < witness_cap:
+                witnesses.append((word, fs.fibers[blocks[0]][i], fs.fibers[blocks[-1]][j]))
+    return holds, len(words), witnesses
+
+
+def check_sweeps_word_by_word(fs, pd, max_len):
+    k = fs.block_length
+    for length in range(k, max_len + 1):
+        words = all_image_words(fs, length)
+        assert enumerate_image_words(fs, length) == words
+        logs = image_log_measure_map(fs, pd, length)
+        assert list(logs) == words
+        for word in words:
+            assert logs[word] == pytest.approx(projected_measure(fs, pd, word), abs=1e-10)
+    for n in range(1, max_len - k + 1):
+        words = all_image_words(fs, n + k)
+        per_word = contraction_profile(fs, n).per_word
+        assert list(per_word) == words
+        for word in words:
+            mat, _ = block_product(fs, word)
+            want = math.inf if not (mat > 0).any(axis=0).all() else projective_diameter(mat)
+            assert per_word[word] == pytest.approx(want, rel=1e-9, abs=1e-12)
+        rep = fwm_check(fs, n)
+        assert (rep.holds, rep.words_checked, list(rep.witnesses)) == fwm_word_by_word(fs, n)
+
+
+class TestSweepsWordByWord:
+    @given(random_factored_systems())
+    @settings(max_examples=15, deadline=None)
+    def test_random_factored_systems(self, sys):
+        fs, pd = sys
+        check_sweeps_word_by_word(fs, pd, 5)
+
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_block_length_two_uneven_fibers(self, seed):
+        pipe = build_pipeline(fixtures.random_mixing_system(seed, 6, 2, 3, density=0.4))
+        assert pipe.factor.block_length == 2
+        check_sweeps_word_by_word(pipe.factor, pipe.pd, 5)
+
+
+def sweep_nodes(fs, length):
+    # every admissible prefix of at least one block is a visited node
+    return sum(len(enumerate_image_words(fs, t)) for t in range(fs.block_length, length + 1))
+
+
+@pytest.mark.parametrize("system", ["example2", "mixing_3"])
+def test_sweeps_chunked_at_row_cap(monkeypatch, system):
+    desc = (fixtures.example2() if system == "example2"
+            else fixtures.random_mixing_system(3, 6, 2, 3, density=0.4))
+    pipe = build_pipeline(desc)
+    fs, pd = pipe.factor, pipe.pd
+    length = 5 + fs.block_length
+    n = length - fs.block_length
+    sweeps = {
+        "enumerate_image_words": lambda budget: enumerate_image_words(fs, length, budget),
+        "fwm_check": lambda budget: fwm_check(fs, n, budget),
+        "contraction_profile": lambda budget: contraction_profile(fs, n, budget).per_word,
+        "image_log_measure_map": lambda budget: image_log_measure_map(fs, pd, length, budget),
+    }
+    nodes = sweep_nodes(fs, length)
+    whole = {name: sweep(nodes) for name, sweep in sweeps.items()}
+    monkeypatch.setattr(factor_module, "SWEEP_ROW_CAP", 3)
+    for name, sweep in sweeps.items():
+        with pytest.raises(EnumerationLimitError):
+            sweep(nodes - 1)
+        chunked = sweep(nodes)
+        if isinstance(chunked, dict):
+            assert list(chunked) == list(whole[name])
+            assert list(chunked.values()) == pytest.approx(list(whole[name].values()),
+                                                           rel=1e-12, abs=1e-14)
+        else:
+            assert chunked == whole[name]
