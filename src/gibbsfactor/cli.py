@@ -145,17 +145,8 @@ def cmd_validate(args):
 def cmd_perron(args):
     pipe = _load(args)
     pd = pipe.pd
-    if pd.exact:
-        results = {
-            "lambda": str(pd.lam),
-            "h": [str(x) for x in pd.h],
-            "nu": [str(x) for x in pd.nu],
-        }
-    else:
-        results = {"lambda": pd.lam, "h": list(pd.h), "nu": list(pd.nu)}
-    results["residual"] = pd.residual
-    results["iterations"] = pd.iterations
-    results["exact"] = pd.exact
+    results = {"lambda": pd.lam, "h": pd.h, "nu": pd.nu, "residual": pd.residual,
+               "iterations": pd.iterations, "exact": pd.exact}
     return results, 0, pipe.desc
 
 
@@ -179,19 +170,20 @@ def cmd_project(args):
     if args.oracle:
         oracle = projected_measure_bruteforce(fs, pipe.pd, word, args.budget)
         results["oracle"] = _measure_fields(oracle, pipe.pd.exact)
-        if pipe.pd.exact:
-            match = value == oracle
-        else:
-            match = _log_close(value, oracle, args.tol)
-        results["match"] = bool(match)
+        match = _route_error(value, oracle, pipe.pd.exact) <= args.tol
+        results["match"] = match
         code = 0 if match else PROPERTY_VIOLATION
     return results, code, pipe.desc
 
 
-def _log_close(a: float, b: float, tol: float) -> bool:
-    if a == -math.inf or b == -math.inf:
-        return a == b
-    return abs(math.expm1(a - b)) <= tol
+def _route_error(got, oracle, exact: bool) -> float:
+    """Relative disagreement of the product formula and the brute-force
+    oracle: |exp(got - oracle) - 1| for float log measures, otherwise 0.0
+    when the two are equal (exact measures, or both float measures zero)
+    and inf when they differ."""
+    if exact or got == -math.inf or oracle == -math.inf:
+        return 0.0 if got == oracle else math.inf
+    return abs(math.expm1(got - oracle))
 
 
 def cmd_project_verify(args):
@@ -205,15 +197,10 @@ def cmd_project_verify(args):
             got = projected_measure(fs, pipe.pd, word)
             oracle = projected_measure_bruteforce(fs, pipe.pd, word, args.budget)
             checked += 1
-            if pipe.pd.exact:
-                if got != oracle:
-                    failures.append(format_word(word, fs.image_alphabet))
-            else:
-                err = abs(math.expm1(got - oracle)) if got != -math.inf else (
-                    0.0 if oracle == -math.inf else math.inf)
-                worst = max(worst, err)
-                if err > args.tol:
-                    failures.append(format_word(word, fs.image_alphabet))
+            err = _route_error(got, oracle, pipe.pd.exact)
+            worst = max(worst, err)
+            if err > args.tol:
+                failures.append(format_word(word, fs.image_alphabet))
     results = {
         "checked_words": checked,
         "max_len": args.max_len,
@@ -368,9 +355,9 @@ def cmd_example2(args):
     limit = g_limit(fs, pipe.pd, (), (0,), jmax=max(args.jmax, 14), tol=1e-9)
     fwm = fwm_search(fs, 8, args.budget)
     results = {
-        "lambda": str(pipe.pd.lam),
-        "h": [str(x) for x in pipe.pd.h],
-        "nu": [str(x) for x in pipe.pd.nu],
+        "lambda": pipe.pd.lam,
+        "h": pipe.pd.h,
+        "nu": pipe.pd.nu,
         "g_zero_run_limit": limit.value,
         "fiber_wise_mixing": fwm.found is not None,
         "fwm_search_max_N": 8,

@@ -29,13 +29,15 @@ to parent-major positions; roots and successors are in index order, so rows
 stay lexicographic without sorting.  A level that would exceed
 ``SWEEP_ROW_CAP`` rows is expanded in contiguous lexicographic chunks, depth
 first, so a sweep holds at most one capped chunk per word length, however
-large its budget (which counts visited nodes).  Exact blocks are numpy
-``object`` arrays of Fraction, so exact and float single-word products share
-the same ``@`` code; the pair
-:func:`rescale_product` / :func:`finish_measure` is the only place where the
-two arithmetics differ (float products are renormalised by their largest
-entry and finished in log space, exact ones are kept whole), and
-:func:`rescale_product` serves single products and stacked rows alike.
+large its budget (which counts visited nodes).  Single image words go
+through :func:`carry_product`, the one loop for the product along one word.
+Exact blocks are numpy ``object`` arrays of Fraction, so exact and float
+products share the same ``@`` code; :func:`rescale_product` and
+:func:`~gibbsfactor.potential.finish_measure` (in the potential module) are
+the only places where the two arithmetics differ (float products are
+renormalised by their largest entry and finished in log space, exact ones
+are kept whole), and :func:`rescale_product` serves single products and
+stacked rows alike.
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import EnumerationLimitError, ValidationError
-from .potential import PerronData, TransferMatrix, cylinder_measure
+from .potential import PerronData, TransferMatrix, cylinder_measure, finish_measure
 from .sft import DEFAULT_MAX_WORDS, Alphabet, Word
 
 
@@ -126,9 +128,7 @@ def build_factor(tm: TransferMatrix, symbol_map, image_alphabet: Alphabet) -> Fa
         return out
 
     blocks = sliced(tm.weights)
-    exact_blocks = None
-    if tm.exact_weights is not None:
-        exact_blocks = sliced(np.array(tm.exact_weights, dtype=object))
+    exact_blocks = None if tm.exact_weights is None else sliced(tm.exact_weights)
     bool_blocks = {key: m > 0 for key, m in blocks.items()}
     successors: list[list[int]] = [[] for _ in image_words]
     for a, b in sorted(keys):
@@ -174,22 +174,11 @@ def image_admissible(fs: FactorSystem, yword) -> bool:
     block product); the image language is sofic, so this is the criterion."""
     w = _check_image_word(fs, yword)
     k = fs.block_length
-    if len(w) == 0:
-        return True
     if len(w) < k:
         return any(bw[:len(w)] == w for bw in fs.image_block_words)
     blocks = image_block_word(fs, w)
-    if blocks is None:
-        return False
-    reach = np.ones(len(fs.fibers[blocks[0]]), dtype=bool)
-    for a, b in zip(blocks, blocks[1:]):
-        m = fs.bool_blocks.get((a, b))
-        if m is None:
-            return False
-        reach = (reach[:, None] & m).any(axis=0)
-        if not reach.any():
-            return False
-    return True
+    return blocks is not None and carry_product(
+        fs.bool_blocks, blocks, np.ones(len(fs.fibers[blocks[0]]), dtype=bool)) is not None
 
 
 def rescale_product(x: np.ndarray, scale):
@@ -212,16 +201,22 @@ def rescale_product(x: np.ndarray, scale):
     return x / np.reshape(top, np.shape(top) + (1,) * len(axes)), scale + np.log(top), alive
 
 
-def finish_measure(total, scale: float, n_steps: int, pd: PerronData):
-    """Projected measure from total = nu . (product) . h, with the product's
-    log scale and its number of block transitions: exact mode returns the
-    Fraction total / lambda^n, float mode the log of total e^scale /
-    lambda^n (-inf for a zero total)."""
-    if pd.exact:
-        return total / pd.lam**n_steps
-    if total <= 0:
-        return -math.inf
-    return float(math.log(total) + scale - n_steps * pd.log_lam)
+def carry_product(mats: dict, blocks, x=None):
+    """Carry a product of block operators along the image block word
+    `blocks`: x . mats[(b_0, b_1)] ... mats[(b_{n-1}, b_n)], starting from
+    the first operator when x is None, with every step through
+    :func:`rescale_product`.  Returns (product, log scale), or None when a
+    transition has no block or the product vanished; with fewer than two
+    blocks (x, 0.0) comes back."""
+    scale = 0.0
+    for a, b in zip(blocks, blocks[1:]):
+        m = mats.get((a, b))
+        if m is None:
+            return None
+        x, scale, alive = rescale_product(m if x is None else x @ m, scale)
+        if not alive:
+            return None
+    return x, scale
 
 
 def block_product(fs: FactorSystem, yword):
@@ -237,17 +232,11 @@ def block_product(fs: FactorSystem, yword):
     if len(w) < k + 1:
         raise ValidationError("block products need at least two block symbols")
     blocks = image_block_word(fs, w)
-    if blocks is None:
-        raise ValidationError("image word is not admissible")
     mats = fs.blocks if fs.exact_blocks is None else fs.exact_blocks
-    prod, scale = None, 0.0
-    for a, b in zip(blocks, blocks[1:]):
-        m = mats.get((a, b))
-        if m is None:
-            raise ValidationError("image word is not admissible")
-        prod, scale, alive = rescale_product(m if prod is None else prod @ m, scale)
-        if not alive:
-            raise ValidationError("image word is not admissible")
+    carried = None if blocks is None else carry_product(mats, blocks)
+    if carried is None:
+        raise ValidationError("image word is not admissible")
+    prod, scale = carried
     return prod, float(scale)
 
 
@@ -267,17 +256,12 @@ def projected_measure(fs: FactorSystem, pd: PerronData, yword):
         total = sum(fs.fiber_nu(pd, b) @ fs.fiber_h(pd, b) for b in matching)
         return finish_measure(total, 0.0, 0, pd)
     blocks = image_block_word(fs, w)
-    if blocks is None:
-        return finish_measure(0, 0.0, 0, pd)
     mats = fs.exact_blocks if pd.exact else fs.blocks
-    vec, scale = fs.fiber_nu(pd, blocks[0]), 0.0
-    for a, b in zip(blocks, blocks[1:]):
-        m = mats.get((a, b))
-        if m is None:
-            return finish_measure(0, 0.0, 0, pd)
-        vec, scale, alive = rescale_product(vec @ m, scale)
-        if not alive:
-            return finish_measure(0, 0.0, 0, pd)
+    carried = None if blocks is None else carry_product(mats, blocks,
+                                                        fs.fiber_nu(pd, blocks[0]))
+    if carried is None:
+        return finish_measure(0, 0.0, 0, pd)
+    vec, scale = carried
     return finish_measure(vec @ fs.fiber_h(pd, blocks[-1]), scale, len(blocks) - 1, pd)
 
 
@@ -362,7 +346,7 @@ def projected_measure_bruteforce(fs: FactorSystem, pd: PerronData, yword,
             if fs.symbol_map[block_words[j][-1]] != target:
                 continue
             if exact:
-                stack.append((t + 1, j, val * exact_w[blk][j] / pd.lam))
+                stack.append((t + 1, j, val * exact_w[blk, j] / pd.lam))
             else:
                 stack.append((t + 1, j, val + logw[blk, j] - log_lam))
     if exact:

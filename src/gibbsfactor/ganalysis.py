@@ -24,13 +24,14 @@ import numpy as np
 from .errors import ValidationError
 from .factor import (
     FactorSystem,
-    finish_measure,
+    carry_product,
+    image_block_word,
     padded,
     projected_measure,
     rescale_product,
     walk_image_words,
 )
-from .potential import PerronData
+from .potential import PerronData, finish_measure, measure_ratio
 from .sft import DEFAULT_MAX_WORDS, Word
 
 
@@ -49,15 +50,10 @@ def g_approx(fs: FactorSystem, pd: PerronData, yword) -> GApproximant:
     w = tuple(yword)
     if len(w) < fs.block_length + 1:
         raise ValidationError("g approximant needs at least two block symbols")
-    num = projected_measure(fs, pd, w)
-    den = projected_measure(fs, pd, w[1:])
-    if pd.exact:
-        if den == 0:
-            raise ValidationError("image word is not admissible")
-        return GApproximant(word=w, value=num / den, n=len(w) - 1)
-    if num == -math.inf or den == -math.inf:
+    value = measure_ratio(projected_measure(fs, pd, w), projected_measure(fs, pd, w[1:]), pd)
+    if value is None:
         raise ValidationError("image word is not admissible")
-    return GApproximant(word=w, value=math.exp(num - den), n=len(w) - 1)
+    return GApproximant(word=w, value=value, n=len(w) - 1)
 
 
 class _PeriodicWordEngine:
@@ -84,70 +80,50 @@ class _PeriodicWordEngine:
             raise ValidationError("periodic tail must be nonempty")
         k = fs.block_length
         a, c = len(self.prefix), len(self.tail)
-        point = list(self.prefix) + [self.tail[i % c] for i in range(k + c + 1)]
-
-        def window(t):
-            idx = fs.image_block_index.get(tuple(point[t:t + k]))
-            if idx is None:
-                raise ValidationError("point is not admissible (bad block window)")
-            return idx
-
-        self.pre_blocks = [window(t) for t in range(a)]
-        self.cycle_blocks = [window(a + s) for s in range(c)]
+        # the a prefix blocks, then the c blocks of one cycle
+        blocks = image_block_word(
+            fs, self.prefix + tuple(self.tail[i % c] for i in range(c + k - 1)))
+        if blocks is None:
+            raise ValidationError("point is not admissible")
+        # r repetitions leave c*r - k cycle transitions: u full cycles + s extra
+        s = (-k) % c
+        self.ucorr = (k + s) // c
+        self.min_reps = max(self.ucorr, math.ceil((k + 1 - a) / c), 1)
         mats = fs.exact_blocks if pd.exact else fs.blocks
 
-        def trans(b0, b1):
-            m = mats.get((b0, b1))
-            if m is None:
-                raise ValidationError("point is not admissible (dead transition)")
-            return m
+        def product(chain):
+            # starts from the first operator as it is; only products are rescaled
+            if len(chain) < 2:
+                return None, 0.0
+            first = mats.get((chain[0], chain[1]))
+            return None if first is None else carry_product(mats, chain[1:], first)
 
-        chain = self.pre_blocks + [self.cycle_blocks[0]]
-        self.head = None  # product over the a prefix transitions
-        self.head_scale = 0.0
-        for b0, b1 in zip(chain, chain[1:]):
-            self.head, self.head_scale = self._mul(self.head, self.head_scale,
-                                                   trans(b0, b1))
-        self.cycle_mats = [
-            trans(self.cycle_blocks[s], self.cycle_blocks[(s + 1) % c])
-            for s in range(c)
-        ]
-        # r repetitions leave c*r - k cycle transitions: u full cycles + s extra
-        self.s = (-k) % c
-        self.ucorr = (k + self.s) // c
-        self.end_block = self.cycle_blocks[self.s]
-        self.partial = None
-        self.partial_scale = 0.0
-        for s in range(self.s):
-            self.partial, self.partial_scale = self._mul(
-                self.partial, self.partial_scale, self.cycle_mats[s])
-        self.min_reps = max(self.ucorr, math.ceil((k + 1 - a) / c), 1)
+        cycle = blocks[a:]
+        carried = [product(chain) for chain in (blocks[:a + 1], cycle + cycle[:1], cycle[:s + 1])]
+        if None in carried:
+            raise ValidationError("point is not admissible")
+        # products over the a prefix transitions, one full cycle and s extra
+        (self.head, self.head_scale), self.cycle, (self.partial, self.partial_scale) = carried
+        self.nu = fs.fiber_nu(pd, blocks[0])
+        self.h = fs.fiber_h(pd, cycle[s])
 
     @staticmethod
     def _mul(acc, scale, m):
-        if acc is None:
-            return m, scale
         prod, scale, alive = rescale_product(acc @ m, scale)
         if not alive:
-            raise ValidationError("point is not admissible (zero product)")
+            raise ValidationError("point is not admissible")
         return prod, scale
 
     def measure(self, reps: int):
         """Projected measure of prefix . tail^reps (log or exact Fraction)."""
         if reps < self.min_reps:
             raise ValidationError(f"need at least {self.min_reps} repetitions")
-        k = self.fs.block_length
-        a, c = len(self.prefix), len(self.tail)
-        u = reps - self.ucorr
-        prod, scale = self.head, self.head_scale
-        powed, pscale = self._cycle_power_tracked(u)
-        prod, scale = self._chain(prod, scale, powed, pscale)
+        prod, scale = self._chain(self.head, self.head_scale,
+                                  *self._cycle_power(reps - self.ucorr))
         prod, scale = self._chain(prod, scale, self.partial, self.partial_scale)
-        start = self.pre_blocks[0] if a else self.cycle_blocks[0]
-        nu = self.fs.fiber_nu(self.pd, start)
-        h = self.fs.fiber_h(self.pd, self.end_block)
-        total = nu @ h if prod is None else nu @ prod @ h
-        return finish_measure(total, scale, a + c * reps - k, self.pd)
+        total = self.nu @ self.h if prod is None else self.nu @ prod @ self.h
+        n_steps = len(self.prefix) + len(self.tail) * reps - self.fs.block_length
+        return finish_measure(total, scale, n_steps, self.pd)
 
     def _chain(self, acc, scale, m, mscale):
         if m is None:
@@ -157,12 +133,8 @@ class _PeriodicWordEngine:
         out, s = self._mul(acc, scale, m)
         return out, s + mscale
 
-    def _cycle_power_tracked(self, u: int):
-        if u == 0:
-            return None, 0.0
-        base, base_scale = None, 0.0
-        for m in self.cycle_mats:
-            base, base_scale = self._mul(base, base_scale, m)
+    def _cycle_power(self, u: int):
+        base, base_scale = self.cycle
         acc, acc_scale = None, 0.0
         while u:
             if u & 1:
@@ -203,8 +175,7 @@ def g_limit(fs: FactorSystem, pd: PerronData, prefix, tail,
         den_shift = 1
     a, c = len(prefix), len(tail)
     stages = []
-    exact_stages: list | None = [] if pd.exact else None
-    values = []
+    ratios = []
     j0 = 0
     while 2**j0 < max(num.min_reps, den.min_reps + den_shift):
         j0 += 1
@@ -212,17 +183,9 @@ def g_limit(fs: FactorSystem, pd: PerronData, prefix, tail,
         raise ValidationError("jmax too small for this point's block structure")
     for j in range(j0, jmax + 1):
         r = 2**j
-        mv_num = num.measure(r)
-        mv_den = den.measure(r - den_shift)
-        n = a + c * r - 1
-        if pd.exact:
-            gj = mv_num / mv_den
-            exact_stages.append(gj)
-            gj_f = float(gj)
-        else:
-            gj_f = math.exp(mv_num - mv_den)
-        stages.append((n, gj_f))
-        values.append(gj_f)
+        ratios.append(measure_ratio(num.measure(r), den.measure(r - den_shift), pd))
+        stages.append((a + c * r - 1, float(ratios[-1])))
+    values = [v for _, v in stages]
     # Aitken delta-squared on successive stage triples
     extrapolants = []
     for t in range(2, len(values)):
@@ -244,7 +207,7 @@ def g_limit(fs: FactorSystem, pd: PerronData, prefix, tail,
             err, converged = 0.0, True
     return GLimitResult(value=value, error_estimate=err, converged=converged,
                         stages=tuple(stages),
-                        exact_stages=tuple(exact_stages) if exact_stages is not None else None)
+                        exact_stages=tuple(ratios) if pd.exact else None)
 
 
 def image_log_measure_map(fs: FactorSystem, pd: PerronData, length: int,

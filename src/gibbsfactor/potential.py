@@ -21,7 +21,12 @@ follow from the eigen-equations.
 
 Float-mode measures are computed in log space (long words underflow raw
 products); exact mode runs on fractions.Fraction and is available when the
-potential was given as a table of rational weights.
+potential was given as a table of rational weights.  Exact matrices are numpy
+``object`` arrays of Fraction, so both modes share the same ``@`` code.
+:func:`finish_measure` (with :func:`measure_ratio` for quotients of
+measures) lives here, next to :class:`PerronData`: the Gibbs cylinder
+measures here and the projected measures of the factor module both finish
+through it.
 """
 
 from __future__ import annotations
@@ -32,7 +37,6 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import rational as rat
 from .errors import (
     ConvergenceError,
     ExactModeError,
@@ -189,7 +193,7 @@ class TransferMatrix:
     recoding: Recoding
     weights: np.ndarray          # (d, d) float
     log_weights: np.ndarray      # log W, -inf where forbidden
-    exact_weights: list | None   # Fraction rows, or None
+    exact_weights: np.ndarray | None  # (d, d) Fraction object array, or None
 
     @property
     def dimension(self) -> int:
@@ -210,9 +214,9 @@ def transfer_matrix(sft: Sft, potential: Potential,
     rec = higher_block_recode(sft, k, max_words)
     d = rec.size
     w = np.zeros((d, d))
-    exact: list | None = None
+    exact = None
     if potential.exact_weights is not None:
-        exact = [[Fraction(0)] * d for _ in range(d)]
+        exact = np.full((d, d), Fraction(0), dtype=object)
     window = potential.depth + 1
     adj = rec.block_sft.adjacency
     for i, u in enumerate(rec.block_words):
@@ -221,11 +225,12 @@ def transfer_matrix(sft: Sft, potential: Potential,
             key = full[:window]
             w[i, j] = potential.weights[key]
             if exact is not None:
-                exact[i][int(j)] = potential.exact_weights[key]
+                exact[i, j] = potential.exact_weights[key]
     with np.errstate(divide="ignore"):
         logw = np.log(w)
-    w.setflags(write=False)
-    logw.setflags(write=False)
+    for m in (w, logw, exact):
+        if m is not None:
+            m.setflags(write=False)
     return TransferMatrix(sft=sft, potential=potential, recoding=rec,
                           weights=w, log_weights=logw, exact_weights=exact)
 
@@ -300,16 +305,44 @@ def perron(tm: TransferMatrix, tol: float = 1e-14, max_iter: int = 200_000) -> P
                       iterations=it, exact=False)
 
 
-def _exact_eigenvector(m, lam: Fraction) -> list | None:
-    d = len(m)
-    shifted = [[m[i][j] - (lam if i == j else 0) for j in range(d)] for i in range(d)]
-    basis = rat.nullspace(shifted)
+def _nullspace(m: np.ndarray) -> list[np.ndarray]:
+    """Basis of the right nullspace of a Fraction object matrix, via
+    fraction-exact RREF."""
+    rows = np.array(m, dtype=object)
+    nrows, ncols = rows.shape
+    pivots: list[int] = []
+    for c in range(ncols):
+        r = len(pivots)
+        if r == nrows:
+            break
+        nonzero = np.flatnonzero(rows[r:, c])
+        if not nonzero.size:
+            continue
+        rows[[r, r + nonzero[0]]] = rows[[r + nonzero[0], r]]
+        rows[r] = rows[r] / rows[r, c]
+        others = np.flatnonzero(rows[:, c])
+        others = others[others != r]
+        rows[others] -= np.outer(rows[others, c], rows[r])
+        pivots.append(c)
+    basis = []
+    for fc in range(ncols):
+        if fc in pivots:
+            continue
+        v = np.full(ncols, Fraction(0), dtype=object)
+        v[fc] = Fraction(1)
+        v[pivots] = -rows[:len(pivots), fc]
+        basis.append(v)
+    return basis
+
+
+def _exact_eigenvector(m: np.ndarray, lam: Fraction) -> np.ndarray | None:
+    basis = _nullspace(m - lam * np.eye(len(m), dtype=object))
     if len(basis) != 1:
         return None
     v = basis[0]
-    if all(x <= 0 for x in v):
-        v = [-x for x in v]
-    if any(x <= 0 for x in v):
+    if (v <= 0).all():
+        v = -v
+    if (v <= 0).any():
         return None  # not the Perron direction
     return v
 
@@ -331,17 +364,18 @@ def perron_exact(tm: TransferMatrix, candidate=None,
         )
     _require_mixing(tm)
     m = tm.exact_weights
-    d = len(m)
     if candidate is not None:
         lam, h, nu = candidate
         lam = Fraction(lam)
-        h = rat.fvec(h)
-        nu = rat.fvec(nu)
-        if rat.mat_vec(m, h) != [lam * x for x in h]:
+        h = np.array([Fraction(x) for x in h], dtype=object)
+        nu = np.array([Fraction(x) for x in nu], dtype=object)
+        if not len(h) == len(nu) == len(m):
+            raise ExactModeError("candidate vectors need one entry per block")
+        if (m @ h != lam * h).any():
             raise ExactModeError("candidate h is not an exact right eigenvector")
-        if rat.vec_mat(nu, m) != [lam * x for x in nu]:
+        if (nu @ m != lam * nu).any():
             raise ExactModeError("candidate nu is not an exact left eigenvector")
-        if any(x <= 0 for x in h) or any(x <= 0 for x in nu):
+        if (h <= 0).any() or (nu <= 0).any():
             raise ExactModeError("candidate eigenvectors must be strictly positive")
         iterations = 0
     else:
@@ -361,15 +395,36 @@ def perron_exact(tm: TransferMatrix, candidate=None,
                 "leading eigenvalue does not certify as a rational number; "
                 "exact mode is unavailable for this system"
             )
-        nu = _exact_eigenvector(rat.transpose(m), lam)
+        nu = _exact_eigenvector(m.T, lam)
         if nu is None:
             raise ExactModeError("left eigenvector could not be certified")
-    total = sum(nu, Fraction(0))
-    nu = [x / total for x in nu]
-    pairing = rat.dot(h, nu)
-    h = [x / pairing for x in h]
+    nu = nu / nu.sum()
+    h = h / (h @ nu)
     return PerronData(tm=tm, lam=lam, h=tuple(h), nu=tuple(nu), residual=0.0,
                       iterations=iterations, exact=True)
+
+
+def finish_measure(total, scale: float, n_steps: int, pd: PerronData):
+    """Measure from total = nu . (product) . h, with the product's log scale
+    and its number of block transitions: exact mode returns the Fraction
+    total / lambda^n, float mode the log of total e^scale / lambda^n (-inf
+    for a zero total)."""
+    if pd.exact:
+        return total / pd.lam**n_steps
+    if total <= 0:
+        return -math.inf
+    return float(math.log(total) + scale - n_steps * pd.log_lam)
+
+
+def measure_ratio(num, den, pd: PerronData):
+    """Quotient of two measures as :func:`finish_measure` returns them: the
+    Fraction num / den in exact mode, exp(num - den) of the logs in float
+    mode, and None when either measure is zero."""
+    if pd.exact:
+        return num / den if num and den else None
+    if num == -math.inf or den == -math.inf:
+        return None
+    return math.exp(num - den)
 
 
 def _short_word_blocks(rec: Recoding, word: Word) -> list[int]:
@@ -390,28 +445,21 @@ def cylinder_measure(pd: PerronData, word):
     tm = pd.tm
     rec = tm.recoding
     if not is_admissible(tm.sft, w):
-        return Fraction(0) if pd.exact else -math.inf
-    if len(w) == 0:
-        return Fraction(1) if pd.exact else 0.0
+        return finish_measure(0, 0.0, 0, pd)
+    if not w:
+        return finish_measure(1, 0.0, 0, pd)
     if len(w) < rec.block_length:
-        idxs = _short_word_blocks(rec, w)
-        if pd.exact:
-            return sum((pd.nu[i] * pd.h[i] for i in idxs), Fraction(0))
-        total = sum(float(pd.nu[i]) * float(pd.h[i]) for i in idxs)
-        return math.log(total) if total > 0 else -math.inf
+        total = sum(pd.nu[i] * pd.h[i] for i in _short_word_blocks(rec, w))
+        return finish_measure(total, 0.0, 0, pd)
     blocks = block_word(rec, w)
+    steps = list(zip(blocks, blocks[1:]))
     if pd.exact:
-        value = pd.nu[blocks[0]]
-        for a, b in zip(blocks, blocks[1:]):
-            value *= tm.exact_weights[a][b] / pd.lam
-        return value * pd.h[blocks[-1]]
-    logv = math.log(pd.nu[blocks[0]])
-    for a, b in zip(blocks, blocks[1:]):
-        lw = tm.log_weights[a, b]
-        if lw == -math.inf:
-            return -math.inf
-        logv += lw - pd.log_lam
-    return logv + math.log(pd.h[blocks[-1]])
+        total = pd.nu[blocks[0]] * pd.h[blocks[-1]]
+        for a, b in steps:
+            total *= tm.exact_weights[a, b]
+        return finish_measure(total, 0.0, len(steps), pd)
+    scale = math.log(pd.h[blocks[-1]]) + sum(tm.log_weights[a, b] for a, b in steps)
+    return finish_measure(pd.nu[blocks[0]], scale, len(steps), pd)
 
 
 def level_log_measures(pd: PerronData, n: int,

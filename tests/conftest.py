@@ -31,3 +31,18 @@ def rate_demo_float():
 @pytest.fixture(scope="session")
 def markov_exact():
     return build_pipeline(fixtures.markov_chain_2x2(), exact=True)
+
+
+@pytest.fixture(scope="session")
+def skewed_golden_doc():
+    """Golden-mean shift with weights 00: 1, 01: 2, 10: 1 (lambda = 2) and
+    the identity factor: exact mode is available and the image word 11 is
+    inadmissible while its suffix 1 is not."""
+    return {
+        "schema_version": 1,
+        "alphabet": ["0", "1"],
+        "adjacency": [[1, 1], [1, 0]],
+        "potential": {"depth": 1, "mode": "weight",
+                      "table": {"0,0": "1", "0,1": "2", "1,0": "1"}},
+        "factor": {"image_alphabet": ["0", "1"], "map": {"0": "0", "1": "1"}},
+    }

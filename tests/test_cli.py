@@ -242,6 +242,16 @@ class TestExitCodes:
         path.write_text(json.dumps(emit_system(fixtures.golden_mean())))
         assert main(["project", str(path), "--word", "0"]) == 2
 
+    @pytest.mark.parametrize("mode", [[], ["--exact"]], ids=["float", "exact"])
+    def test_gfun_inadmissible_word_is_usage_error(self, capsys, tmp_path,
+                                                   skewed_golden_doc, mode):
+        # 11 is forbidden while its suffix 1 is not
+        path = tmp_path / "skewed_golden.json"
+        path.write_text(json.dumps(skewed_golden_doc))
+        assert main(["gfun", str(path), "--word", "11"] + mode) == 2
+        assert "not admissible" in capsys.readouterr().err
+        assert main(["gfun", str(path), "--word", "01"] + mode) == 0
+
     def test_property_violation_exit_one(self, capsys, example2_file, monkeypatch):
         # force a mismatch: corrupt the oracle result
         import gibbsfactor.cli as cli

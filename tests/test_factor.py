@@ -21,6 +21,7 @@ from gibbsfactor import (
     fixtures,
     fwm_check,
     fwm_search,
+    g_approx,
     g_limit,
     image_admissible,
     perron,
@@ -30,7 +31,7 @@ from gibbsfactor import (
 )
 from gibbsfactor import factor as factor_module
 from gibbsfactor.cone import contraction_profile, projective_diameter
-from gibbsfactor.factor import image_block_word
+from gibbsfactor.factor import carry_product, image_block_word
 from gibbsfactor.ganalysis import image_log_measure_map
 
 U = np.array([[1.0, 1.0], [0.0, 1.0]])
@@ -264,6 +265,22 @@ class TestCrossDepthConsistency:
         # stage rationals obey the same closed form as the depth-1 run
         for (n, _), exact in zip(r2.stages, r2.exact_stages):
             assert exact == Fraction(n + 3, 3 * (n + 2))
+
+    @pytest.mark.parametrize("depth", [1, 2])
+    @pytest.mark.parametrize("prefix, tail", [((), (0,)), ((1,), (0,)), ((), (0, 1)),
+                                              ((1,), (1, 0)), ((0, 1), (1, 0, 0)),
+                                              ((), (0, 1, 1))])
+    def test_g_limit_stages_are_direct_ratios(self, both_depths, depth, prefix, tail):
+        # tails of length 2 and 3 leave a partial cycle at block lengths 1 and 2
+        pds, fss = both_depths
+        pd, fs = pds[depth - 1], fss[depth - 1]
+        res = g_limit(fs, pd, prefix, tail, jmax=5)
+        assert len(res.exact_stages) == len(res.stages) >= 4
+        for (n, value), exact in zip(res.stages, res.exact_stages):
+            reps, rest = divmod(n + 1 - len(prefix), len(tail))
+            assert rest == 0
+            assert exact == g_approx(fs, pd, prefix + tail * reps).value
+            assert value == float(exact)
 
     def test_fwm_not_found_on_recoding(self, both_depths):
         _, (_, fs2) = both_depths
@@ -558,3 +575,41 @@ def test_sweeps_chunked_at_row_cap(monkeypatch, system):
                                                            rel=1e-12, abs=1e-14)
         else:
             assert chunked == whole[name]
+
+
+class TestExactForm:
+    @pytest.mark.parametrize("which", ["example2", "depth2"])
+    def test_exact_blocks_are_slices_of_exact_weights(self, ex2_exact, both_depths, which):
+        tm, fs = ((ex2_exact.tm, ex2_exact.factor) if which == "example2"
+                  else (both_depths[0][1].tm, both_depths[1][1]))
+        w = tm.exact_weights
+        assert isinstance(w, np.ndarray) and w.dtype == object
+        assert w.shape == (tm.dimension, tm.dimension)
+        assert not w.flags.writeable
+        assert all(type(x) is Fraction for x in w.ravel())
+        assert set(fs.exact_blocks) == set(fs.blocks)
+        for (a, b), m in fs.exact_blocks.items():
+            ref = w[np.ix_(fs.fibers[a], fs.fibers[b])]
+            assert m.dtype == object and m.shape == ref.shape
+            assert (m == ref).all()
+
+
+class TestCarryProduct:
+    @pytest.mark.parametrize("dtype", [bool, float])
+    def test_missing_transition_and_vanished_product(self, dtype):
+        mats = {(0, 1): np.array([[1, 0], [0, 0]], dtype=dtype),
+                (1, 0): np.array([[0, 0], [0, 1]], dtype=dtype),
+                (1, 1): np.array([[1, 1], [0, 1]], dtype=dtype)}
+        assert carry_product(mats, [0, 0]) is None
+        assert carry_product(mats, [0, 1, 2]) is None
+        assert carry_product(mats, [0, 1, 0]) is None
+        assert carry_product(mats, [1, 1, 0], np.array([1, 0], dtype=dtype)) is not None
+        assert carry_product(mats, [1, 0], np.array([1, 0], dtype=dtype)) is None
+        x, scale = carry_product(mats, [0, 1, 1])
+        assert x.dtype == dtype and (x == np.array([[1, 1], [0, 0]], dtype=dtype)).all()
+        assert scale == 0.0
+
+    def test_short_word_returns_start(self):
+        start = np.ones(2)
+        assert carry_product({}, [3], start) == (start, 0.0)
+        assert carry_product({}, [], None) == (None, 0.0)

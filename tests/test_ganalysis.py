@@ -14,11 +14,19 @@ from gibbsfactor import (
     eta_optimize,
     g_approx,
     g_limit,
+    image_admissible,
     projected_measure,
     rate_compare,
     variation_profile,
 )
 from gibbsfactor.ganalysis import image_log_measure_map
+from gibbsfactor.potential import measure_ratio
+from gibbsfactor.sysio import build_pipeline, parse_system_dict
+
+
+@pytest.fixture(scope="module", params=[True, False], ids=["exact", "float"])
+def skewed_golden(request, skewed_golden_doc):
+    return build_pipeline(parse_system_dict(skewed_golden_doc), exact=request.param)
 
 
 class TestGApprox:
@@ -55,6 +63,30 @@ class TestGApprox:
     def test_too_short_rejected(self, ex2_exact):
         with pytest.raises(ValidationError):
             g_approx(ex2_exact.factor, ex2_exact.pd, (0,))
+
+
+    def test_inadmissible_word_with_admissible_suffix_rejected(self, skewed_golden):
+        # 11 is forbidden but 1 is not: both arithmetics refuse the ratio
+        fs, pd = skewed_golden.factor, skewed_golden.pd
+        assert image_admissible(fs, (1,)) and not image_admissible(fs, (1, 1))
+        with pytest.raises(ValidationError, match="not admissible"):
+            g_approx(fs, pd, (1, 1))
+        # 1 is always preceded by 0
+        assert g_approx(fs, pd, (0, 1)).value == pytest.approx(1)
+
+
+class TestMeasureRatio:
+    def test_exact_quotient_and_zero(self, ex2_exact):
+        pd = ex2_exact.pd
+        assert measure_ratio(Fraction(1, 3), Fraction(1, 2), pd) == Fraction(2, 3)
+        assert measure_ratio(Fraction(0), Fraction(1, 2), pd) is None
+        assert measure_ratio(Fraction(1, 2), Fraction(0), pd) is None
+
+    def test_float_log_difference_and_zero(self, ex2_float):
+        pd = ex2_float.pd
+        assert measure_ratio(math.log(0.25), math.log(0.5), pd) == pytest.approx(0.5)
+        assert measure_ratio(-math.inf, 0.0, pd) is None
+        assert measure_ratio(0.0, -math.inf, pd) is None
 
 
 class TestGLimit:
@@ -104,6 +136,11 @@ class TestGLimit:
         fs = build_factor(golden_float.tm, (0, 1), Alphabet(("0", "1")))
         with pytest.raises(ValidationError):
             g_limit(fs, golden_float.pd, (), (1,), jmax=6)  # 11 forbidden
+
+    @pytest.mark.parametrize("prefix, tail", [((), (1,)), ((1, 1), (0,)), ((0,), (0, 1, 1))])
+    def test_inadmissible_point_rejected_in_both_modes(self, skewed_golden, prefix, tail):
+        with pytest.raises(ValidationError, match="not admissible"):
+            g_limit(skewed_golden.factor, skewed_golden.pd, prefix, tail, jmax=6)
 
     def test_rate_demo_converges(self, rate_demo_float):
         fs = rate_demo_float.factor

@@ -218,6 +218,12 @@ class TestPerron:
         with pytest.raises(ExactModeError):
             perron_exact(tm, candidate=(3, (1, 2, 1, 1), (1, 2, 2, 1)))
 
+    @pytest.mark.parametrize("h", [(1, 1, 1), (1, 1, 1, 1, 1)])
+    def test_exact_candidate_wrong_length_rejected(self, ex2_sft, h):
+        tm = transfer_matrix(ex2_sft, constant_potential(ex2_sft))
+        with pytest.raises(ExactModeError, match="one entry per block"):
+            perron_exact(tm, candidate=(3, h, (1, 2, 2, 1)))
+
     def test_full_2_shift(self):
         sft = make_sft([[1, 1], [1, 1]])
         pd = perron(transfer_matrix(sft, constant_potential(sft)))
