@@ -14,7 +14,8 @@ class NotMixingError(RuntimeError):
 
 
 class ConvergenceError(RuntimeError):
-    """Power iteration hit its iteration cap before reaching tolerance."""
+    """The Perron iteration hit its step cap before reaching tolerance, or
+    broke down (a singular or non-finite shifted solve)."""
 
 
 class ExactModeError(RuntimeError):

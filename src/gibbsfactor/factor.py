@@ -37,7 +37,9 @@ products share the same ``@`` code; :func:`rescale_product` and
 the only places where the two arithmetics differ (float products are
 renormalised by their largest entry and finished in log space, exact ones
 are kept whole), and :func:`rescale_product` serves single products and
-stacked rows alike.
+stacked rows alike.  Which of the two block tables a product reads is
+decided in one place, :meth:`FactorSystem.operators`, from the caller's
+mode (the Perron data's for measures).
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import EnumerationLimitError, ValidationError
+from .errors import EnumerationLimitError, ExactModeError, ValidationError
 from .potential import PerronData, TransferMatrix, cylinder_measure, finish_measure
 from .sft import DEFAULT_MAX_WORDS, Alphabet, Word
 
@@ -88,6 +90,15 @@ class FactorSystem:
 
     def fiber_nu(self, pd: PerronData, b: int) -> np.ndarray:
         return np.asarray(pd.nu)[list(self.fibers[b])]
+
+    def operators(self, exact: bool) -> dict:
+        """The block table of one arithmetic: the Fraction blocks in exact
+        mode, the float blocks otherwise."""
+        if not exact:
+            return self.blocks
+        if self.exact_blocks is None:
+            raise ExactModeError("exact blocks need a potential with rational weights")
+        return self.exact_blocks
 
 
 def build_factor(tm: TransferMatrix, symbol_map, image_alphabet: Alphabet) -> FactorSystem:
@@ -219,21 +230,20 @@ def carry_product(mats: dict, blocks, x=None):
     return x, scale
 
 
-def block_product(fs: FactorSystem, yword):
+def block_product(fs: FactorSystem, yword, exact: bool):
     """Product of block operators along an admissible image word of length
-    >= 2 (in block coordinates).
+    >= 2 (in block coordinates), in the caller's arithmetic.
 
-    Float mode returns (matrix, log_scale) with the product renormalized by
-    its maximum entry at every step; exact mode returns the raw Fraction
-    matrix (log_scale 0).
+    Float mode (exact False) returns (matrix, log_scale) with the product
+    renormalized by its maximum entry at every step; exact mode returns the
+    raw Fraction matrix (log_scale 0) and needs rational weights.
     """
     w = _check_image_word(fs, yword)
     k = fs.block_length
     if len(w) < k + 1:
         raise ValidationError("block products need at least two block symbols")
     blocks = image_block_word(fs, w)
-    mats = fs.blocks if fs.exact_blocks is None else fs.exact_blocks
-    carried = None if blocks is None else carry_product(mats, blocks)
+    carried = None if blocks is None else carry_product(fs.operators(exact), blocks)
     if carried is None:
         raise ValidationError("image word is not admissible")
     prod, scale = carried
@@ -256,8 +266,7 @@ def projected_measure(fs: FactorSystem, pd: PerronData, yword):
         total = sum(fs.fiber_nu(pd, b) @ fs.fiber_h(pd, b) for b in matching)
         return finish_measure(total, 0.0, 0, pd)
     blocks = image_block_word(fs, w)
-    mats = fs.exact_blocks if pd.exact else fs.blocks
-    carried = None if blocks is None else carry_product(mats, blocks,
+    carried = None if blocks is None else carry_product(fs.operators(pd.exact), blocks,
                                                         fs.fiber_nu(pd, blocks[0]))
     if carried is None:
         return finish_measure(0, 0.0, 0, pd)

@@ -89,7 +89,7 @@ class _PeriodicWordEngine:
         s = (-k) % c
         self.ucorr = (k + s) // c
         self.min_reps = max(self.ucorr, math.ceil((k + 1 - a) / c), 1)
-        mats = fs.exact_blocks if pd.exact else fs.blocks
+        mats = fs.operators(pd.exact)
 
         def product(chain):
             # starts from the first operator as it is; only products are rescaled

@@ -94,21 +94,22 @@ def wielandt_cap(d: int) -> int:
 def mixing_index(sft: Sft, cap: int | None = None) -> int | None:
     """Smallest p <= cap with all entries of A^p positive, else None.
 
-    Powers use saturating boolean (OR/AND) arithmetic, never integer counts,
-    so there is no overflow.  None means "not mixing within cap"; with the
-    default (Wielandt) cap that is conclusive.
+    Powers saturate to 0/1 after every step: each step is one float32 BLAS
+    product of 0/1 matrices, whose entries count paths, are at most d and so
+    are exact (float32 holds every integer below 2^24), then clipped back to
+    0/1.  Memory stays at a few d x d arrays.  None means "not mixing within
+    cap"; with the default (Wielandt) cap that is conclusive.
     """
     if cap is None:
         cap = wielandt_cap(sft.size)
     if cap < 1:
         raise ValidationError("cap must be >= 1")
-    base = sft.adjacency.astype(bool)
-    power = base.copy()
+    base = sft.adjacency.astype(np.float32)
+    power = base
     for p in range(1, cap + 1):
         if power.all():
             return p
-        # boolean matrix product: (P & B) any along the contracted axis
-        power = (power[:, :, None] & base[None, :, :]).any(axis=1)
+        power = (power @ base > 0).astype(np.float32)
     return None
 
 

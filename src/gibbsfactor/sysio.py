@@ -242,7 +242,7 @@ def build_system(desc: SystemDescription) -> tuple[Sft, Potential]:
 
 
 def build_pipeline(desc: SystemDescription, exact: bool = False,
-                   tol: float = 1e-14, max_iter: int = 200_000) -> Pipeline:
+                   tol: float = 1e-14, max_iter: int = 100) -> Pipeline:
     sft, potential = build_system(desc)
     tm = transfer_matrix(sft, potential)
     pd = perron_exact(tm) if exact else perron(tm, tol=tol, max_iter=max_iter)

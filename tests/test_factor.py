@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from gibbsfactor import (
     Alphabet,
     EnumerationLimitError,
+    ExactModeError,
     ValidationError,
     block_product,
     build_factor,
@@ -94,22 +95,34 @@ class TestImageAdmissible:
 
 class TestBlockProduct:
     def test_single_factor(self, ex2_exact):
-        m, scale = block_product(ex2_exact.factor, (0, 0))
+        m, scale = block_product(ex2_exact.factor, (0, 0), exact=True)
         assert [[int(x) for x in row] for row in m] == [[1, 1], [0, 1]]
         assert scale == 0.0
 
     def test_square_doubles_path_count(self, ex2_exact):
-        m, _ = block_product(ex2_exact.factor, (0, 0, 0))
+        m, _ = block_product(ex2_exact.factor, (0, 0, 0), exact=True)
         assert [[int(x) for x in row] for row in m] == [[1, 2], [0, 1]]
 
     def test_float_mode_scaling(self, ex2_float):
-        m, scale = block_product(ex2_float.factor, (0, 0, 0))
+        m, scale = block_product(ex2_float.factor, (0, 0, 0), exact=False)
         restored = np.asarray(m) * math.exp(scale)
         assert np.allclose(restored, U @ U)
 
     def test_too_short(self, ex2_exact):
         with pytest.raises(ValidationError):
-            block_product(ex2_exact.factor, (0,))
+            block_product(ex2_exact.factor, (0,), exact=True)
+
+    def test_mode_comes_from_caller(self, ex2_float):
+        # a float pipeline of a rational system still has both block tables
+        fs = ex2_float.factor
+        m, scale = block_product(fs, (0, 0, 0), exact=False)
+        assert m.dtype == float and scale == pytest.approx(math.log(2))
+        m, scale = block_product(fs, (0, 0, 0), exact=True)
+        assert m.dtype == object and scale == 0.0
+
+    def test_exact_needs_rational_weights(self, rate_demo_float):
+        with pytest.raises(ExactModeError):
+            block_product(rate_demo_float.factor, (0, 0), exact=True)
 
 
 class TestProjectedMeasure:
@@ -472,7 +485,7 @@ def test_exact_results_are_fractions(ex2_exact):
     fs, pd = ex2_exact.factor, ex2_exact.pd
     for word in [(0,), (1, 0), (0, 0, 1, 1)]:
         assert type(projected_measure(fs, pd, word)) is Fraction
-    m, _ = block_product(fs, (0, 1, 1, 0))
+    m, _ = block_product(fs, (0, 1, 1, 0), exact=pd.exact)
     assert all(type(x) is Fraction for x in np.ravel(m))
     res = g_limit(fs, pd, (), (0,), jmax=6)
     assert res.exact_stages
@@ -522,7 +535,7 @@ def check_sweeps_word_by_word(fs, pd, max_len):
         per_word = contraction_profile(fs, n).per_word
         assert list(per_word) == words
         for word in words:
-            mat, _ = block_product(fs, word)
+            mat, _ = block_product(fs, word, exact=pd.exact)
             want = math.inf if not (mat > 0).any(axis=0).all() else projective_diameter(mat)
             assert per_word[word] == pytest.approx(want, rel=1e-9, abs=1e-12)
         rep = fwm_check(fs, n)

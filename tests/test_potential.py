@@ -1,4 +1,5 @@
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from gibbsfactor import (
     Alphabet,
+    ConvergenceError,
     ExactModeError,
     NotMixingError,
     ValidationError,
@@ -257,6 +259,89 @@ class TestPerron:
         tm = transfer_matrix(sft, constant_potential(sft))
         with pytest.raises(NotMixingError):
             perron(tm)
+
+
+def two_state(w00, w01, w10, w11):
+    sft = make_sft([[1, 1], [1, 1]])
+    table = {(0, 0): w00, (0, 1): w01, (1, 0): w10, (1, 1): w11}
+    return transfer_matrix(sft, build_potential(sft, 1, "weight", table))
+
+
+class TestNodaIteration:
+    @pytest.mark.parametrize("eps", [1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8])
+    def test_small_gap_closed_form(self, eps):
+        # spectral gap eps * sqrt(5): power iteration needs ~1/eps steps
+        pd = perron(two_state(1.0, eps, eps, 1.0 + eps))
+        want = 1 + eps * (1 + math.sqrt(5)) / 2
+        assert abs(pd.lam - want) <= 1e-12 * want
+        assert pd.residual <= 1e-13
+
+    def test_near_reducible_float_and_exact(self):
+        pd = perron(two_state(1.0, 1e-5, 1e-5, 1.0 + 1e-5))
+        assert pd.residual <= 1e-13
+        assert pd.lam == pytest.approx(1 + 1e-5 * (1 + math.sqrt(5)) / 2, rel=1e-12)
+        tm = two_state("1", "1/100000", "1/100000", "100001/100000")
+        with pytest.raises(ExactModeError):  # lambda is irrational
+            perron_exact(tm)
+
+    def test_gap_below_resolution_never_warns(self):
+        tm = two_state(1.0, 1e-300, 1e-300, 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                pd = perron(tm)
+            except ConvergenceError:
+                return
+        assert pd.lam == 1.0
+
+    @pytest.mark.parametrize("scale", [1e-300, 1e300])
+    def test_uniform_rescale(self, scale):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            pd = perron(two_state(scale, scale, scale, 2 * scale))
+        assert pd.lam == pytest.approx(scale * (3 + math.sqrt(5)) / 2, rel=1e-12)
+        assert np.allclose(pd.nu, [(3 - math.sqrt(5)) / 2, (math.sqrt(5) - 1) / 2])
+
+    def test_overflowing_row_sum_is_convergence_error(self):
+        tm = two_state(1e308, 1e308, 1.0, 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConvergenceError, match="overflowed"):
+                perron(tm)
+
+    def test_max_iter_caps_steps(self, ex2_sft):
+        tm = transfer_matrix(ex2_sft, constant_potential(ex2_sft))
+        steps = perron(tm).iterations
+        assert 1 <= steps <= 8
+        assert perron(tm, max_iter=steps).iterations == steps
+        with pytest.raises(ConvergenceError, match=f"in {steps - 1} steps"):
+            perron(tm, max_iter=steps - 1)
+
+    @pytest.mark.parametrize("broken", ["singular", "nan"])
+    def test_failed_solve_is_convergence_error(self, ex2_sft, monkeypatch, broken):
+        def solve(a, b):
+            if broken == "singular":
+                raise np.linalg.LinAlgError("Singular matrix")
+            return np.full(len(b), np.nan)
+
+        tm = transfer_matrix(ex2_sft, constant_potential(ex2_sft))
+        monkeypatch.setattr(np.linalg, "solve", solve)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConvergenceError):
+                perron(tm)
+
+    def test_exact_runs_mixing_test_once(self, ex2_sft, monkeypatch):
+        from gibbsfactor import potential
+
+        calls = []
+        real = potential.mixing_index
+        monkeypatch.setattr(potential, "mixing_index",
+                            lambda sft: calls.append(sft) or real(sft))
+        tm = transfer_matrix(ex2_sft, constant_potential(ex2_sft))
+        perron_exact(tm)
+        perron_exact(tm, candidate=(3, (1, 1, 1, 1), (1, 2, 2, 1)))
+        assert len(calls) == 2
 
 
 class TestCylinderMeasure:

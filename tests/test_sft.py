@@ -13,7 +13,7 @@ from gibbsfactor import (
     is_admissible,
     mixing_index,
 )
-from gibbsfactor.sft import block_word
+from gibbsfactor.sft import block_word, wielandt_cap
 
 EX2_ADJ = [[1, 1, 1, 0], [0, 1, 1, 1], [1, 1, 1, 0], [0, 1, 1, 1]]
 
@@ -26,6 +26,11 @@ def make(adj, names=None):
 
 def full_shift(q):
     return make([[1] * q for _ in range(q)])
+
+
+def bool_product(power, base):
+    """Boolean (OR/AND) matrix product through a d^3 temporary."""
+    return (power[:, :, None] & base[None, :, :]).any(axis=1)
 
 
 class TestBuildSft:
@@ -79,10 +84,41 @@ class TestMixingIndex:
         base = sft.adjacency.astype(bool)
         power = base.copy()
         for _ in range(p - 1):
-            power = (power[:, :, None] & base[None, :, :]).any(axis=1)
+            power = bool_product(power, base)
         for _ in range(5):
             assert power.all()
-            power = (power[:, :, None] & base[None, :, :]).any(axis=1)
+            power = bool_product(power, base)
+
+
+def wielandt_matrix(d):
+    """The d-cycle 0 -> 1 -> ... -> d-1 -> 0 plus the chord d-1 -> 1: the
+    primitive matrix whose exponent attains Wielandt's bound."""
+    adj = [[0] * d for _ in range(d)]
+    for i in range(d):
+        adj[i][(i + 1) % d] = 1
+    adj[d - 1][1] = 1
+    return make(adj)
+
+
+def reference_mixing_index(sft, cap=None):
+    """Smallest all-positive power by :func:`bool_product` steps."""
+    if cap is None:
+        cap = wielandt_cap(sft.size)
+    base = sft.adjacency.astype(bool)
+    power = base.copy()
+    for p in range(1, cap + 1):
+        if power.all():
+            return p
+        power = bool_product(power, base)
+    return None
+
+
+class TestWielandtBound:
+    @pytest.mark.parametrize("d", range(3, 13))
+    def test_index_attains_cap(self, d):
+        sft = wielandt_matrix(d)
+        assert mixing_index(sft) == wielandt_cap(d)
+        assert mixing_index(sft, cap=wielandt_cap(d) - 1) is None
 
 
 class TestAdmissibility:
@@ -189,7 +225,30 @@ def primitive_sfts(draw):
     return make(adj.tolist())
 
 
+@st.composite
+def periodic_sfts(draw):
+    """Symbols in p cyclic classes (i mod p), edges only from class c to
+    c + 1: every power keeps zeros, so the shift is never mixing."""
+    p = draw(st.integers(min_value=2, max_value=3))
+    n = p * draw(st.integers(min_value=1, max_value=3))
+    adj = np.zeros((n, n), dtype=int)
+    for i in range(n):
+        adj[i][(i + 1) % n] = 1
+    extra = draw(st.lists(
+        st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=8))
+    for i, j in extra:
+        if j % p == (i + 1) % p:
+            adj[i][j] = 1
+    return make(adj.tolist())
+
+
 class TestProperties:
+    @given(st.one_of(primitive_sfts(), periodic_sfts()))
+    @settings(max_examples=60, deadline=None)
+    def test_mixing_index_matches_boolean_reference(self, sft):
+        assert mixing_index(sft) == reference_mixing_index(sft)
+
+
     @given(primitive_sfts())
     @settings(max_examples=40, deadline=None)
     def test_mixing_index_exists_and_monotone(self, sft):
@@ -204,7 +263,7 @@ class TestProperties:
                 assert step >= p
             elif seen_positive:
                 pytest.fail("positivity lost after being reached")
-            power = (power[:, :, None] & base[None, :, :]).any(axis=1)
+            power = bool_product(power, base)
 
     @given(primitive_sfts(), st.integers(min_value=0, max_value=4))
     @settings(max_examples=40, deadline=None)
