@@ -389,7 +389,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--tol", type=float, default=1e-10,
                         help="comparison tolerance for verification commands")
     common.add_argument("--budget", type=int, default=5_000_000,
-                        help="enumeration budget: nodes visited by a word sweep, "
+                        help="enumeration budget: nodes visited by a word sweep, or "
+                             "preimage prefixes visited by the brute-force oracle, "
                              "counting every prefix and not only finished words")
     common.add_argument("--format", choices=("json", "csv"), default="json")
 

@@ -15,7 +15,7 @@ class NotMixingError(RuntimeError):
 
 class ConvergenceError(RuntimeError):
     """The Perron iteration hit its step cap before reaching tolerance, or
-    broke down (a singular or non-finite shifted solve)."""
+    broke down (a singular or non-finite solve, or an underflowed root)."""
 
 
 class ExactModeError(RuntimeError):

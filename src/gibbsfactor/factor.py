@@ -11,8 +11,9 @@ orientation, matching the transfer matrix).  Projected cylinder masses are
     proj[b_0 ... b_n] = lambda^{-n} * nu_{b_0}^T  L_{b_0 b_1} ... L_{b_{n-1} b_n}  h_{b_n}
 
 with nu_b, h_b the fiber restrictions of the Perron vectors.  The brute-force
-route sums domain cylinder measures over all admissible preimage words and
-serves as the independent oracle for the product formula.
+route sums the Gibbs masses of all admissible preimage words and serves as
+the independent oracle for the product formula; it reads only the transfer
+matrix, the Perron data and the symbol map, never the fiber blocks.
 
 Image-word admissibility always goes through boolean block products (never a
 plain block adjacency): the image is sofic, so a word is admissible iff some
@@ -46,12 +47,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
 from .errors import EnumerationLimitError, ExactModeError, ValidationError
-from .potential import PerronData, TransferMatrix, cylinder_measure, finish_measure
+from .potential import PerronData, TransferMatrix, domain_rows, finish_measure
 from .sft import DEFAULT_MAX_WORDS, Alphabet, Word
 
 
@@ -276,100 +276,24 @@ def projected_measure(fs: FactorSystem, pd: PerronData, yword):
 
 def projected_measure_bruteforce(fs: FactorSystem, pd: PerronData, yword,
                                  max_words: int = DEFAULT_MAX_WORDS):
-    """Projected cylinder mass as a plain sum of domain cylinder measures
-    over every admissible preimage word; the independent oracle for
+    """Projected cylinder mass as a plain sum of Gibbs cylinder masses over
+    every admissible preimage word; the independent oracle for
     :func:`projected_measure`.
 
-    The preimage tree is walked with incremental transition products, which
-    per leaf reproduces cylinder_measure exactly.
+    One :func:`~gibbsfactor.potential.domain_rows` expansion masked by the
+    word's fibers, summed exactly or by log-sum-exp and divided by lambda
+    once; the budget counts visited preimage prefixes.
     """
     w = _check_image_word(fs, yword)
     if len(w) == 0:
         raise ValidationError("projected measure needs a nonempty image word")
-    sft = fs.tm.sft
-    adjacency = sft.adjacency
-    fibers_by_symbol: list[list[int]] = [[] for _ in range(fs.image_alphabet.size)]
-    for s, b in enumerate(fs.symbol_map):
-        fibers_by_symbol[b].append(s)
-    rec = fs.tm.recoding
-    k = rec.block_length
-    exact = pd.exact
-
-    # short words: enumerate preimages level by level, per-word measure calls
-    if len(w) < k:
-        total_exact = Fraction(0)
-        logs: list[float] = []
-        frontier: list[Word] = [(s,) for s in fibers_by_symbol[w[0]]]
-        for t in range(1, len(w)):
-            nxt = []
-            for u in frontier:
-                for s in fibers_by_symbol[w[t]]:
-                    if adjacency[u[-1], s]:
-                        nxt.append(u + (s,))
-            frontier = nxt
-            if len(frontier) > max_words:
-                raise EnumerationLimitError("preimage enumeration exceeded budget")
-        for u in frontier:
-            mv = cylinder_measure(pd, u)
-            if exact:
-                total_exact += mv
-            elif mv != -math.inf:
-                logs.append(mv)
-        if exact:
-            return total_exact
-        return _logsum(logs)
-
-    # general case: carry nu * (product of weights) / lambda^t along the tree
-    log_lam = pd.log_lam
-    total_exact = Fraction(0)
-    logs = []
-    count = 0
-    # stack entries: (position, domain block index, partial value)
-    start_blocks = [
-        i for i, bw in enumerate(rec.block_words)
-        if tuple(fs.symbol_map[s] for s in bw) == w[:k]
-    ]
-    if exact:
-        stack = [(k, i, pd.nu[i]) for i in reversed(start_blocks)]
-    else:
-        stack = [(k, i, math.log(float(pd.nu[i]))) for i in reversed(start_blocks)]
-    wmat = fs.tm.weights
-    logw = fs.tm.log_weights
-    exact_w = fs.tm.exact_weights
-    block_words = rec.block_words
-    adj = rec.block_sft.adjacency
-    while stack:
-        t, blk, val = stack.pop()
-        count += 1
-        if count > max_words:
-            raise EnumerationLimitError("preimage enumeration exceeded budget")
-        if t == len(w):
-            if exact:
-                total_exact += val * pd.h[blk]
-            else:
-                logs.append(val + math.log(float(pd.h[blk])))
-            continue
-        target = w[t]
-        for j in np.flatnonzero(adj[blk]):
-            j = int(j)
-            if fs.symbol_map[block_words[j][-1]] != target:
-                continue
-            if exact:
-                stack.append((t + 1, j, val * exact_w[blk, j] / pd.lam))
-            else:
-                stack.append((t + 1, j, val + logw[blk, j] - log_lam))
-    if exact:
-        return total_exact
-    return _logsum(logs)
-
-
-def _logsum(logs: list[float]) -> float:
-    if not logs:
-        return -math.inf
-    top = max(logs)
-    if top == -math.inf:
-        return -math.inf
-    return top + math.log(sum(math.exp(x - top) for x in logs))
+    allowed = np.array(fs.symbol_map) == np.array(w)[:, None]
+    _, values, steps = domain_rows(pd, allowed, max_words, pd.exact)
+    if pd.exact:
+        return finish_measure(values.sum(), 0.0, steps, pd)
+    top = values.max(initial=-math.inf)
+    total = np.exp(values - top).sum() if top > -math.inf else 0.0
+    return finish_measure(total, top, steps, pd)
 
 
 SWEEP_ROW_CAP = 4096

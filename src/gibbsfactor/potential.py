@@ -35,6 +35,11 @@ potential was given as a table of rational weights.  Exact matrices are numpy
 measures) lives here, next to :class:`PerronData`: the Gibbs cylinder
 measures here and the projected measures of the factor module both finish
 through it.
+
+Measures of many domain words come from one level-synchronous expansion
+under a per-position symbol mask, :func:`domain_rows`: unmasked it gives
+:func:`level_log_measures`, masked by one image word's fibers it is the
+brute-force oracle of the factor module.
 """
 
 from __future__ import annotations
@@ -47,6 +52,7 @@ import numpy as np
 
 from .errors import (
     ConvergenceError,
+    EnumerationLimitError,
     ExactModeError,
     NotMixingError,
     ValidationError,
@@ -249,7 +255,9 @@ class PerronData:
 
     h is the right eigenvector (W h = lambda h), nu the left one
     (nu^T W = lambda nu^T), normalized so sum(nu) = 1 and <h, nu> = 1.
-    In exact mode all three are Fractions and residual is exactly zero.
+    `residual` is relative, the larger of |W h - lambda h| / (lambda max h)
+    and |nu^T W - lambda nu^T| / (lambda max nu) in the maximum norm.  In
+    exact mode all three are Fractions and residual is exactly zero.
     `iterations` counts the inverse-iteration steps of :func:`perron` (0
     for a verified candidate).
     """
@@ -336,11 +344,13 @@ def perron(tm: TransferMatrix, tol: float = 1e-14, max_iter: int = 100) -> Perro
     h, steps_h = _noda(w, tol, max_iter)
     nu, steps_nu = _noda(w.T, tol, max_iter)
     lam = float(nu @ w @ h) / float(nu @ h)
+    if not lam > 0:
+        raise ConvergenceError("Perron root underflowed to zero: weights below float range")
     nu = nu / nu.sum()
     h = h / float(h @ nu)
     residual = max(
-        float(np.abs(w @ h - lam * h).max() / np.abs(h).max()),
-        float(np.abs(nu @ w - lam * nu).max()),
+        float(np.abs(w @ h - lam * h).max() / lam / h.max()),
+        float(np.abs(nu @ w - lam * nu).max() / lam / nu.max()),
     )
     h.setflags(write=False)
     nu.setflags(write=False)
@@ -506,45 +516,59 @@ def cylinder_measure(pd: PerronData, word):
     return finish_measure(pd.nu[blocks[0]], scale, len(steps), pd)
 
 
-def level_log_measures(pd: PerronData, n: int,
-                       max_words: int = DEFAULT_MAX_WORDS):
-    """Bulk form of cylinder_measure: (words, log measures) for all
-    admissible base words of length n, vectorized.  n must be >= the block
-    length.  Used by the consistency test suites."""
-    from .sft import word_matrix
+def domain_rows(pd: PerronData, allowed: np.ndarray, max_words: int, exact: bool):
+    """Level-synchronous expansion of the admissible base words whose symbol
+    at position t is allowed by the (n, d) boolean mask `allowed`.
 
+    Rows start from the blocks whose first min(n, k) symbols are allowed (k
+    the block length; for n < k one row per block) and grow by the allowed
+    block successors of their last block, so they stay lexicographic.  Each
+    row carries its value from its prefix: nu[first] . prod W . h[last], a
+    Fraction in exact mode, its log otherwise.  Returns (words, values,
+    steps), the measure of a row being value / lambda^steps.  The budget
+    counts visited rows, every prefix; exceeding it raises
+    EnumerationLimitError.
+    """
     tm = pd.tm
     rec = tm.recoding
-    k = rec.block_length
+    n, k = len(allowed), rec.block_length
+    combine = np.multiply if exact else np.add
+    weights = tm.exact_weights if exact else tm.log_weights
+    nu, h = (np.array(v, dtype=object) if exact else np.log(np.asarray(v, dtype=float))
+             for v in (pd.nu, pd.h))
+    block_words = np.array(rec.block_words, dtype=np.intp)
+    head = min(n, k)
+    rows = np.flatnonzero(allowed[np.arange(head), block_words[:, :head]].all(axis=1))
+    words, values = block_words[rows, :head], nu[rows]
+    adjacency = rec.block_sft.adjacency.astype(bool)
+    last = block_words[:, -1]
+    visited = 0
+    for t in range(head, n + 1):
+        visited += len(rows)
+        if visited > max_words:
+            raise EnumerationLimitError(
+                f"domain word expansion exceeded its budget of {max_words} visited nodes")
+        if t == n:
+            break
+        parent, child = np.nonzero(adjacency[rows] & allowed[t][last])
+        values = combine(values[parent], weights[rows[parent], child])
+        words = np.column_stack([words[parent], last[child]])
+        rows = child
+    return words, combine(values, h[rows]), max(n - k, 0)
+
+
+def level_log_measures(pd: PerronData, n: int,
+                       max_words: int = DEFAULT_MAX_WORDS):
+    """Bulk form of cylinder_measure: (words, float log measures) for all
+    admissible base words of length n >= the block length, lexicographic,
+    from the unmasked :func:`domain_rows` expansion (the budget counts its
+    visited rows).  Used by the consistency test suites."""
+    k = pd.tm.recoding.block_length
     if n < k:
         raise ValidationError(f"bulk measures need length >= block length {k}")
-    words = word_matrix(tm.sft, n, max_words)
-    if k == 1:
-        blocks = words
-    else:
-        # map every sliding k-window to its block index via positional encode
-        d = tm.sft.size
-        code = np.zeros(words.shape[0], dtype=np.int64)
-        lookup = {}
-        for idx, bw in enumerate(rec.block_words):
-            c = 0
-            for s in bw:
-                c = c * d + s
-            lookup[c] = idx
-        table = np.full(max(lookup) + 1, -1, dtype=np.int64)
-        for c, idx in lookup.items():
-            table[c] = idx
-        blocks = np.empty((words.shape[0], n - k + 1), dtype=np.int64)
-        for t in range(n - k + 1):
-            code[:] = 0
-            for s in range(k):
-                code = code * d + words[:, t + s]
-            blocks[:, t] = table[code]
-    logs = np.log(np.asarray(pd.nu, dtype=float))[blocks[:, 0]]
-    logs = logs + np.log(np.asarray(pd.h, dtype=float))[blocks[:, -1]]
-    for t in range(blocks.shape[1] - 1):
-        logs += pd.tm.log_weights[blocks[:, t], blocks[:, t + 1]] - pd.log_lam
-    return words, logs
+    allowed = np.ones((n, pd.tm.sft.size), dtype=bool)
+    words, logs, steps = domain_rows(pd, allowed, max_words, exact=False)
+    return words, logs - steps * pd.log_lam
 
 
 def gibbs_ratio_bounds(pd: PerronData, potential: Potential, max_len: int,

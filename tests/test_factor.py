@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 from fractions import Fraction
@@ -34,6 +35,8 @@ from gibbsfactor import factor as factor_module
 from gibbsfactor.cone import contraction_profile, projective_diameter
 from gibbsfactor.factor import carry_product, image_block_word
 from gibbsfactor.ganalysis import image_log_measure_map
+from gibbsfactor.potential import domain_rows, perron_exact
+from gibbsfactor.sft import DEFAULT_MAX_WORDS
 
 U = np.array([[1.0, 1.0], [0.0, 1.0]])
 L = np.array([[1.0, 0.0], [1.0, 1.0]])
@@ -193,6 +196,94 @@ class TestBruteForceOracle:
                 a = projected_measure(fs, ex2_float.pd, word)
                 b = projected_measure_bruteforce(fs, ex2_float.pd, word)
                 assert abs(math.expm1(a - b)) <= 1e-10
+
+
+EX2_ADJ = [[1, 1, 1, 0], [0, 1, 1, 1], [1, 1, 1, 0], [0, 1, 1, 1]]
+
+
+@pytest.fixture(scope="module")
+def stochastic_depth2():
+    """Example 2's shift with depth-2 row-stochastic rational weights
+    (block length 2, lambda = 1), exact mode, Example 2's factor map."""
+    sft = build_sft(Alphabet(("0", "1", "2", "3")), EX2_ADJ)
+    rng = np.random.default_rng(7)
+    by_prefix: dict = {}
+    for w in enumerate_words(sft, 3):
+        by_prefix.setdefault(w[:2], []).append(w)
+    table = {}
+    for words in by_prefix.values():
+        raw = [int(r) for r in rng.integers(1, 6, len(words))]
+        table.update({w: Fraction(r, sum(raw)) for w, r in zip(words, raw)})
+    pd = perron_exact(transfer_matrix(sft, build_potential(sft, 2, "weight", table)))
+    return build_factor(pd.tm, (0, 0, 1, 1), Alphabet(("0", "1"))), pd
+
+
+@pytest.fixture(scope="module")
+def ex2_system(ex2_exact):
+    return ex2_exact.factor, ex2_exact.pd
+
+
+@pytest.fixture(scope="module")
+def seed202():
+    pipe = build_pipeline(fixtures.random_mixing_system(202, 4, 2, 2, density=0.5))
+    return pipe.factor, pipe.pd
+
+
+def _logsumexp(logs):
+    top = max(logs)
+    return top + math.log(sum(math.exp(x - top) for x in logs))
+
+
+class TestOracleExpansion:
+    """The oracle is one domain_rows expansion masked by the image word's
+    fibers, and reads nothing of the product route."""
+
+    def test_independent_of_fiber_blocks(self, ex2_system, seed202):
+        for fs, pd in (ex2_system, seed202):
+            bare = dataclasses.replace(fs, blocks={}, bool_blocks={}, exact_blocks={})
+            for length in range(1, 7):
+                for word in enumerate_image_words(fs, length):
+                    assert (projected_measure_bruteforce(bare, pd, word)
+                            == projected_measure_bruteforce(fs, pd, word))
+
+    @pytest.mark.parametrize("system", ["ex2_system", "stochastic_depth2", "seed202"])
+    def test_masked_equals_grouped_unrestricted_rows(self, request, system):
+        fs, pd = request.getfixturevalue(system)
+        smap = np.array(fs.symbol_map)
+        for length in range(1, 9):  # includes words shorter than the block
+            allowed = np.ones((length, pd.tm.sft.size), dtype=bool)
+            words, values, steps = domain_rows(pd, allowed, DEFAULT_MAX_WORDS, pd.exact)
+            groups: dict = {}
+            for y, v in zip(map(tuple, smap[words].tolist()), values.tolist()):
+                groups.setdefault(y, []).append(v)
+            assert sorted(groups) == enumerate_image_words(fs, length)
+            for y, vals in groups.items():
+                got = projected_measure_bruteforce(fs, pd, y)
+                if pd.exact:
+                    assert got == sum(vals) / pd.lam**steps
+                else:
+                    want = _logsumexp(vals) - steps * pd.log_lam
+                    assert got == pytest.approx(want, abs=1e-12)
+
+    @pytest.mark.parametrize("system", ["ex2_system", "stochastic_depth2"])
+    @pytest.mark.parametrize("word", [(0,), (1, 0), (0, 0, 1), (1, 0, 0, 1, 1, 0)])
+    def test_budget_counts_visited_prefixes(self, request, system, word):
+        fs, pd = request.getfixturevalue(system)
+        rec, smap = pd.tm.recoding, fs.symbol_map
+
+        def image(u):
+            return tuple(smap[s] for s in u)
+
+        k = rec.block_length
+        if len(word) < k:  # one row per block over the word
+            visited = sum(image(bw[:len(word)]) == word for bw in rec.block_words)
+        else:  # every admissible preimage prefix of k or more symbols
+            visited = sum(image(u) == word[:t] for t in range(k, len(word) + 1)
+                          for u in enumerate_words(pd.tm.sft, t))
+        with pytest.raises(EnumerationLimitError):
+            projected_measure_bruteforce(fs, pd, word, visited - 1)
+        assert (projected_measure_bruteforce(fs, pd, word, visited)
+                == projected_measure_bruteforce(fs, pd, word))
 
 
 @pytest.fixture(scope="module")

@@ -302,12 +302,27 @@ class TestNodaIteration:
         assert pd.lam == pytest.approx(scale * (3 + math.sqrt(5)) / 2, rel=1e-12)
         assert np.allclose(pd.nu, [(3 - math.sqrt(5)) / 2, (math.sqrt(5) - 1) / 2])
 
+    @pytest.mark.parametrize("scale", [1e-300, 1e300])
+    def test_residual_is_relative(self, scale):
+        # {1, 1; 1, 2} times scale: the residual must not scale with the weights
+        pd = perron(two_state(scale, scale, scale, 2 * scale))
+        assert pd.residual <= 1e-13
+
     def test_overflowing_row_sum_is_convergence_error(self):
         tm = two_state(1e308, 1e308, 1.0, 1.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ConvergenceError, match="overflowed"):
                 perron(tm)
+
+    def test_underflowed_root_is_convergence_error(self):
+        # exp(-800) is 0.0 in floats, so W vanishes and lambda would read 0
+        sft = make_sft([[1, 1], [1, 1]])
+        pot = build_potential(sft, 1, "phi", {w: -800.0 for w in enumerate_words(sft, 2)})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConvergenceError, match="underflowed"):
+                perron(transfer_matrix(sft, pot))
 
     def test_max_iter_caps_steps(self, ex2_sft):
         tm = transfer_matrix(ex2_sft, constant_potential(ex2_sft))
@@ -402,6 +417,16 @@ class TestLevelMeasures:
             for n in (1, 3, 6):
                 _, logs = level_log_measures(pipe.pd, n)
                 assert np.exp(logs).sum() == pytest.approx(1.0, abs=1e-12)
+
+    def test_exact_perron_data_give_float_logs(self, ex2_exact, ex2_float):
+        words, logs = level_log_measures(ex2_exact.pd, 5)
+        float_words, float_logs = level_log_measures(ex2_float.pd, 5)
+        assert logs.dtype == float
+        assert np.array_equal(words, float_words)
+        assert np.abs(logs - float_logs).max() <= 1e-12
+        for i in range(0, len(words), 11):
+            exact = cylinder_measure(ex2_exact.pd, tuple(words[i]))
+            assert logs[i] == pytest.approx(math.log(exact), abs=1e-12)
 
     def test_depth2_blocks_path(self, ex2_sft):
         words3 = enumerate_words(ex2_sft, 3)
