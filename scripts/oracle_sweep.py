@@ -2,14 +2,17 @@
 
 Generates seeded random mixing systems with 1-block factor maps and checks
 the block-operator product formula against the brute-force preimage sum on
-every admissible image word up to a given length.
+every admissible image word up to a given length, one whole word length at
+a time (`gibbsfactor.factor.verify_projection`).  Exits 1 when any word's
+relative disagreement exceeds 1e-10.
 """
 
 import argparse
-import math
 
 import gibbsfactor as gf
 from gibbsfactor import fixtures
+
+TOL = 1e-10
 
 
 def main():
@@ -24,24 +27,19 @@ def main():
     args = parser.parse_args()
 
     worst_overall = 0.0
+    failed = False
     for i in range(args.systems):
         seed = args.seed + i
         desc = fixtures.random_mixing_system(seed, args.size, args.depth,
                                              args.image_size, density=args.density)
         pipe = gf.build_pipeline(desc)
-        worst = 0.0
-        checked = 0
-        for length in range(1, args.max_len + 1):
-            for word in gf.enumerate_image_words(pipe.factor, length):
-                a = gf.projected_measure(pipe.factor, pipe.pd, word)
-                b = gf.projected_measure_bruteforce(pipe.factor, pipe.pd, word)
-                checked += 1
-                if a != -math.inf:
-                    worst = max(worst, abs(math.expm1(a - b)))
-        print(f"seed {seed}: {checked} image words, worst relative error {worst:.3e}")
-        worst_overall = max(worst_overall, worst)
+        check = gf.verify_projection(pipe.factor, pipe.pd, args.max_len, TOL)
+        print(f"seed {seed}: {check.checked_words} image words, worst relative error "
+              f"{check.max_relative_error:.3e}, {len(check.failures)} failures")
+        worst_overall = max(worst_overall, check.max_relative_error)
+        failed = failed or not check.passed
     print(f"sweep worst relative error: {worst_overall:.3e}")
-    if worst_overall > 1e-10:
+    if failed:
         raise SystemExit(1)
 
 

@@ -23,14 +23,18 @@ from .factor import (
     FactorSystem,
     FwmReport,
     FwmSearchResult,
+    ProjectionCheck,
     block_product,
     build_factor,
     enumerate_image_words,
     fwm_check,
     fwm_search,
     image_admissible,
+    level_measures,
     projected_measure,
     projected_measure_bruteforce,
+    route_error,
+    verify_projection,
 )
 from .ganalysis import (
     DecayFit,

@@ -14,7 +14,9 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -29,10 +31,11 @@ from .errors import (
     ValidationError,
 )
 from .factor import (
-    enumerate_image_words,
     fwm_search,
     projected_measure,
     projected_measure_bruteforce,
+    route_error,
+    verify_projection,
 )
 from .ganalysis import (
     decay_fit,
@@ -99,6 +102,7 @@ def emit_report(report: dict, fmt: str):
         print("key,value")
         for key, value in rows:
             print(f"{key},{value}")
+    sys.stdout.flush()  # a closed pipe fails here, inside the caller's error handling
 
 
 def _measure_fields(value, exact: bool) -> dict:
@@ -170,45 +174,24 @@ def cmd_project(args):
     if args.oracle:
         oracle = projected_measure_bruteforce(fs, pipe.pd, word, args.budget)
         results["oracle"] = _measure_fields(oracle, pipe.pd.exact)
-        match = _route_error(value, oracle, pipe.pd.exact) <= args.tol
+        match = route_error(value, oracle, pipe.pd.exact) <= args.tol
         results["match"] = match
         code = 0 if match else PROPERTY_VIOLATION
     return results, code, pipe.desc
 
 
-def _route_error(got, oracle, exact: bool) -> float:
-    """Relative disagreement of the product formula and the brute-force
-    oracle: |exp(got - oracle) - 1| for float log measures, otherwise 0.0
-    when the two are equal (exact measures, or both float measures zero)
-    and inf when they differ."""
-    if exact or got == -math.inf or oracle == -math.inf:
-        return 0.0 if got == oracle else math.inf
-    return abs(math.expm1(got - oracle))
-
-
 def cmd_project_verify(args):
     pipe = _load(args)
     fs = _need_factor(pipe)
-    worst = 0.0
-    checked = 0
-    failures = []
-    for length in range(1, args.max_len + 1):
-        for word in enumerate_image_words(fs, length, args.budget):
-            got = projected_measure(fs, pipe.pd, word)
-            oracle = projected_measure_bruteforce(fs, pipe.pd, word, args.budget)
-            checked += 1
-            err = _route_error(got, oracle, pipe.pd.exact)
-            worst = max(worst, err)
-            if err > args.tol:
-                failures.append(format_word(word, fs.image_alphabet))
+    check = verify_projection(fs, pipe.pd, args.max_len, args.tol, args.budget)
     results = {
-        "checked_words": checked,
+        "checked_words": check.checked_words,
         "max_len": args.max_len,
-        "max_relative_error": worst,
-        "failures": failures[:20],
-        "passed": not failures,
+        "max_relative_error": check.max_relative_error,
+        "failures": [format_word(w, fs.image_alphabet) for w in check.failures[:20]],
+        "passed": check.passed,
     }
-    return results, 0 if not failures else PROPERTY_VIOLATION, pipe.desc
+    return results, 0 if check.passed else PROPERTY_VIOLATION, pipe.desc
 
 
 def cmd_fwm(args):
@@ -390,8 +373,10 @@ def build_parser() -> argparse.ArgumentParser:
                         help="comparison tolerance for verification commands")
     common.add_argument("--budget", type=int, default=5_000_000,
                         help="enumeration budget: nodes visited by a word sweep, or "
-                             "preimage prefixes visited by the brute-force oracle, "
-                             "counting every prefix and not only finished words")
+                             "preimage prefixes visited by the brute-force oracle "
+                             "(per word for project, per word length for "
+                             "project-verify), counting every prefix and not only "
+                             "finished words")
     common.add_argument("--format", choices=("json", "csv"), default="json")
 
     parser = argparse.ArgumentParser(
@@ -464,28 +449,39 @@ def main(argv=None) -> int:
         # default fit window: first third, keeping truncation bias subdominant
         args.n_max = max(2, args.m // 3)
     handler = HANDLERS[args.command]
-    try:
-        _check_numeric_flags(args)
-        results, code, desc = handler(args)
-    except (ValidationError, ExactModeError, NotMixingError, ConvergenceError,
-            EnumerationLimitError, OSError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return USAGE_ERROR
-    except Exception as e:
-        print(f"error: internal error: {type(e).__name__}: {e}", file=sys.stderr)
-        return INTERNAL_ERROR
-    report = {
-        "schema_version": 1,
-        "command": args.command,
-        "inputs_digest": system_digest(desc),
-        "results": _sanitize(results),
-        "diagnostics": {
-            "exact": args.exact,
-            "tol": args.tol,
-            "budget": args.budget,
-        },
-    }
-    emit_report(report, args.format)
+    # warnings (an ignored table entry) are held back: a rejection prints
+    # only its error line, a success one "warning:" line per warning
+    with warnings.catch_warnings(record=True) as caught:
+        try:
+            _check_numeric_flags(args)
+            results, code, desc = handler(args)
+            report = {
+                "schema_version": 1,
+                "command": args.command,
+                "inputs_digest": system_digest(desc),
+                "results": _sanitize(results),
+                "diagnostics": {
+                    "exact": args.exact,
+                    "tol": args.tol,
+                    "budget": args.budget,
+                },
+            }
+            emit_report(report, args.format)
+        except BrokenPipeError as e:
+            # stdout was closed early; point it at devnull so that the
+            # interpreter's flush at exit stays quiet
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            print(f"error: {e}", file=sys.stderr)
+            return USAGE_ERROR
+        except (ValidationError, ExactModeError, NotMixingError, ConvergenceError,
+                EnumerationLimitError, OSError) as e:
+            print(f"error: {e}", file=sys.stderr)
+            return USAGE_ERROR
+        except Exception as e:
+            print(f"error: internal error: {type(e).__name__}: {e}", file=sys.stderr)
+            return INTERNAL_ERROR
+    for w in caught:
+        print(f"warning: {w.message}", file=sys.stderr)
     return code
 
 

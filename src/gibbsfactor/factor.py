@@ -15,6 +15,14 @@ route sums the Gibbs masses of all admissible preimage words and serves as
 the independent oracle for the product formula; it reads only the transfer
 matrix, the Perron data and the symbol map, never the fiber blocks.
 
+Both routes also come one whole word length at a time: :func:`level_measures`
+sweeps the product formula over every image word of a length, and
+:func:`preimage_measures` groups one domain-word expansion of that length by
+image word.  :func:`verify_projection` compares the two level by level under
+the one comparison rule :func:`route_error`; the single-word oracle
+:func:`projected_measure_bruteforce` is the same grouped finish under one
+word's fiber mask.
+
 Image-word admissibility always goes through boolean block products (never a
 plain block adjacency): the image is sofic, so a word is admissible iff some
 lift exists, i.e. iff the product is nonzero.
@@ -280,20 +288,104 @@ def projected_measure_bruteforce(fs: FactorSystem, pd: PerronData, yword,
     every admissible preimage word; the independent oracle for
     :func:`projected_measure`.
 
-    One :func:`~gibbsfactor.potential.domain_rows` expansion masked by the
-    word's fibers, summed exactly or by log-sum-exp and divided by lambda
-    once; the budget counts visited preimage prefixes.
+    The grouped finish of :func:`preimage_measures` under the mask of the
+    word's fibers: one group, or none for measure zero.  The budget counts
+    visited preimage prefixes.
     """
     w = _check_image_word(fs, yword)
     if len(w) == 0:
         raise ValidationError("projected measure needs a nonempty image word")
     allowed = np.array(fs.symbol_map) == np.array(w)[:, None]
-    _, values, steps = domain_rows(pd, allowed, max_words, pd.exact)
+    _, measures = preimage_measures(fs, pd, allowed, max_words)
+    return measures[0] if measures else finish_measure(0, 0.0, 0, pd)
+
+
+def _run_starts(rows: np.ndarray) -> np.ndarray:
+    """Indices of the first row of every run of equal rows in a stack of
+    sorted rows (for ``reduceat``)."""
+    new = np.ones(len(rows), dtype=bool)
+    new[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+    return np.flatnonzero(new)
+
+
+def preimage_measures(fs: FactorSystem, pd: PerronData, allowed: np.ndarray,
+                      max_words: int):
+    """Brute-force projected measures of the image words of length
+    len(allowed) with a preimage under the (n, d) symbol mask: (words,
+    measures), the words as int rows, lexicographic, and a list.
+
+    One :func:`~gibbsfactor.potential.domain_rows` expansion in the Perron
+    data's arithmetic, grouped by image word (symbol map, lexicographic
+    sort, ``reduceat`` of an exact sum or a log-sum-exp about each group's
+    largest value), each group through
+    :func:`~gibbsfactor.potential.finish_measure`.  The budget counts
+    visited preimage prefixes.
+    """
+    words, values, steps = domain_rows(pd, allowed, max_words, pd.exact)
+    images = np.asarray(fs.symbol_map, dtype=np.intp)[words]
+    order = np.lexsort(images.T[::-1])
+    images, values = images[order], values[order]
+    starts = _run_starts(images)
     if pd.exact:
-        return finish_measure(values.sum(), 0.0, steps, pd)
-    top = values.max(initial=-math.inf)
-    total = np.exp(values - top).sum() if top > -math.inf else 0.0
-    return finish_measure(total, top, steps, pd)
+        totals, scales = np.add.reduceat(values, starts), np.zeros(len(starts))
+    else:
+        scales = np.maximum.reduceat(values, starts)
+        sizes = np.diff(np.append(starts, len(values)))
+        totals = np.add.reduceat(np.exp(values - np.repeat(scales, sizes)), starts)
+    return images[starts], [finish_measure(t, s, steps, pd)
+                            for t, s in zip(totals.tolist(), scales.tolist())]
+
+
+def route_error(got, oracle, exact: bool) -> float:
+    """Relative disagreement of the product formula and the brute-force
+    oracle: |exp(got - oracle) - 1| for float log measures, otherwise 0.0
+    when the two are equal (exact measures, or both float measures zero)
+    and inf when they differ."""
+    if exact or got == -math.inf or oracle == -math.inf:
+        return 0.0 if got == oracle else math.inf
+    return abs(math.expm1(got - oracle))
+
+
+@dataclass(frozen=True)
+class ProjectionCheck:
+    """Result of :func:`verify_projection`: words compared, the largest
+    :func:`route_error`, and the failing words in length-lexicographic order."""
+
+    checked_words: int
+    max_relative_error: float
+    failures: tuple[Word, ...]
+
+    @property
+    def passed(self) -> bool:
+        return not self.failures
+
+
+def verify_projection(fs: FactorSystem, pd: PerronData, max_len: int, tol: float,
+                      max_words: int = DEFAULT_MAX_WORDS) -> ProjectionCheck:
+    """The two-route check on every admissible image word of length
+    1..max_len, a whole length at a time: :func:`level_measures` against the
+    unmasked :func:`preimage_measures`, in the Perron data's arithmetic.
+
+    A word fails when its :func:`route_error` exceeds `tol` (in exact mode:
+    unless equal); a word only one route produces is compared with measure
+    zero.  The budget caps each length's sweep and expansion separately.
+    """
+    zero = finish_measure(0, 0.0, 0, pd)
+    checked, worst, failures = 0, 0.0, []
+    for n in range(1, max_len + 1):
+        words, values = level_measures(fs, pd, n, max_words, pd.exact)
+        product = dict(zip(map(tuple, words.tolist()), values.tolist()))
+        allowed = np.ones((n, fs.tm.sft.size), dtype=bool)
+        images, measures = preimage_measures(fs, pd, allowed, max_words)
+        oracle = dict(zip(map(tuple, images.tolist()), measures))
+        for word in sorted(product.keys() | oracle.keys()):
+            err = route_error(product.get(word, zero), oracle.get(word, zero), pd.exact)
+            worst = max(worst, err)
+            if err > tol:
+                failures.append(word)
+            checked += 1
+    return ProjectionCheck(checked_words=checked, max_relative_error=worst,
+                           failures=tuple(failures))
 
 
 SWEEP_ROW_CAP = 4096
@@ -366,10 +458,12 @@ def walk_image_words(fs: FactorSystem, mats: dict, n_steps: int, start, reduce,
     width = int(sizes.max())
     degree = np.array([len(t) for t in fs.successors])
     targets = np.zeros((len(sizes), max(degree.max(), 1)), dtype=np.intp)
+    # float tables serve bool and float blocks alike; Fraction blocks need object ones
+    dtype = np.result_type(float, next(iter(mats.values())))
     tables = []
     for a, succ in enumerate(fs.successors):
         targets[a, :len(succ)] = succ
-        table = np.zeros((width, len(succ) * width))
+        table = np.zeros((width, len(succ) * width), dtype=dtype)
         for j, b in enumerate(succ):
             table[:sizes[a], j * width:j * width + sizes[b]] = mats[(a, b)]
         tables.append(table)
@@ -448,6 +542,51 @@ def enumerate_image_words(fs: FactorSystem, n: int,
                      lambda b: np.ones(len(fs.fibers[b]), dtype=bool),
                      lambda rows: out.extend(map(tuple, rows.words.tolist())), max_words)
     return out
+
+
+def level_measures(fs: FactorSystem, pd: PerronData, n: int, max_words: int,
+                   exact: bool):
+    """Projected measures of every admissible image word of length n >= 1,
+    the batched :func:`projected_measure`: (words, values), the words as int
+    rows, lexicographic, and an array of Fractions when `exact` (which needs
+    exact Perron data), else of float logs.
+
+    One :func:`walk_image_words` sweep through the blocks of that arithmetic
+    (:meth:`FactorSystem.operators`), from nu on the first fiber, finished
+    by h on the last and lambda^-steps; words shorter than the block length
+    sum nu . h over the image blocks they begin.  The budget counts the
+    sweep's visited nodes.
+    """
+    if n < 1:
+        raise ValidationError("length must be >= 1")
+    k = fs.block_length
+    nu, h = ((np.array(v, dtype=object) if exact else np.asarray(v, dtype=float))
+             for v in (pd.nu, pd.h))
+    fibers = [list(f) for f in fs.fibers]
+
+    def finish(totals, scales, steps):
+        if exact:
+            return totals / pd.lam**steps
+        return np.log(totals) + scales - steps * pd.log_lam
+
+    if n < k:
+        prefixes = np.array(fs.image_block_words, dtype=np.intp)[:, :n]
+        starts = _run_starts(prefixes)
+        totals = np.add.reduceat(np.array([nu[f] @ h[f] for f in fibers]), starts)
+        return prefixes[starts], finish(totals, 0.0, 0)
+    steps = n - k
+    h_rows = np.stack([padded(fs, h[f]) for f in fibers])
+    words = [np.zeros((0, n), dtype=np.intp)]
+    values = [np.zeros(0, dtype=h.dtype)]
+
+    def reduce(rows):
+        words.append(rows.words)
+        totals = np.einsum("ij,ij->i", rows.products, h_rows[rows.blocks])
+        values.append(finish(totals, rows.scales, steps))
+
+    walk_image_words(fs, fs.operators(exact), steps, lambda b: nu[fibers[b]], reduce,
+                     max_words)
+    return np.concatenate(words), np.concatenate(values)
 
 
 @dataclass(frozen=True)

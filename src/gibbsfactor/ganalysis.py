@@ -11,6 +11,8 @@ and Aitken extrapolation of the stage values).  Variation profiles measure
 how fast log g_n varies across words sharing a prefix, a least-squares fit
 classifies the decay as exponential or polynomial, and the explicit
 Birkhoff-contraction rate bound provides the theoretical comparison line.
+The log measures of whole word lengths come from the factor module's
+:func:`~gibbsfactor.factor.level_measures` in float arithmetic.
 """
 
 from __future__ import annotations
@@ -26,10 +28,9 @@ from .factor import (
     FactorSystem,
     carry_product,
     image_block_word,
-    padded,
+    level_measures,
     projected_measure,
     rescale_product,
-    walk_image_words,
 )
 from .potential import PerronData, finish_measure, measure_ratio
 from .sft import DEFAULT_MAX_WORDS, Word
@@ -213,34 +214,11 @@ def g_limit(fs: FactorSystem, pd: PerronData, prefix, tail,
 def image_log_measure_map(fs: FactorSystem, pd: PerronData, length: int,
                           max_words: int = DEFAULT_MAX_WORDS) -> dict:
     """log projected measure for every admissible image word of `length`,
-    via one level-synchronous sweep carrying the renormalized float row
-    vectors.  The budget counts nodes visited (every prefix, not only
-    finished words)."""
-    words, logs = _log_measures(fs, pd, length, max_words)
+    from one :func:`~gibbsfactor.factor.level_measures` sweep carrying the
+    renormalized float row vectors.  The budget counts nodes visited (every
+    prefix, not only finished words)."""
+    words, logs = level_measures(fs, pd, length, max_words, exact=False)
     return dict(zip(map(tuple, words.tolist()), logs.tolist()))
-
-
-def _log_measures(fs: FactorSystem, pd: PerronData, length: int, max_words: int):
-    """The words of :func:`image_log_measure_map` as the rows of an int
-    matrix, lexicographic, and their log projected measures as an array:
-    log(row . h) + scale - n log lambda for each swept row vector."""
-    k = fs.block_length
-    if length < k:
-        raise ValidationError(f"length must be >= block length {k}")
-    n_steps = length - k
-    h = np.stack([padded(fs, np.asarray(fs.fiber_h(pd, b), dtype=float))
-                  for b in range(len(fs.fibers))])
-    words, logs = [np.zeros((0, length), dtype=np.intp)], [np.zeros(0)]
-
-    def reduce(rows):
-        total = np.einsum("ij,ij->i", rows.products, h[rows.blocks])
-        keep = total > 0
-        words.append(rows.words[keep])
-        logs.append(np.log(total[keep]) + rows.scales[keep] - n_steps * pd.log_lam)
-
-    walk_image_words(fs, fs.blocks, n_steps,
-                     lambda b: np.asarray(fs.fiber_nu(pd, b), dtype=float), reduce, max_words)
-    return np.concatenate(words), np.concatenate(logs)
 
 
 def _row_keys(words: np.ndarray) -> np.ndarray:
@@ -275,8 +253,8 @@ def variation_profile(fs: FactorSystem, pd: PerronData, m: int, n_max: int,
         raise ValidationError(f"m must be at least block length + 1 = {k + 1}")
     if not 2 <= n_max < m:
         raise ValidationError("need 2 <= n_max < m")
-    words, logs = _log_measures(fs, pd, m + 1, max_words)
-    suffixes, suffix_logs = _log_measures(fs, pd, m, max_words)
+    words, logs = level_measures(fs, pd, m + 1, max_words, exact=False)
+    suffixes, suffix_logs = level_measures(fs, pd, m, max_words, exact=False)
     ghat = logs - suffix_logs[np.searchsorted(_row_keys(suffixes), _row_keys(words[:, 1:]))]
     # coordinate at which each word first differs from the one before it
     first_diff = (words[1:] != words[:-1]).argmax(axis=1)

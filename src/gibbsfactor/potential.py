@@ -38,8 +38,9 @@ through it.
 
 Measures of many domain words come from one level-synchronous expansion
 under a per-position symbol mask, :func:`domain_rows`: unmasked it gives
-:func:`level_log_measures`, masked by one image word's fibers it is the
-brute-force oracle of the factor module.
+:func:`level_log_measures` and, grouped by image word, the brute-force
+oracle of the factor module for a whole word length; masked by one image
+word's fibers it is that oracle for one word.
 """
 
 from __future__ import annotations
@@ -400,8 +401,7 @@ def _exact_eigenvector(m: np.ndarray, lam: Fraction) -> np.ndarray | None:
     return v
 
 
-def perron_exact(tm: TransferMatrix, candidate=None,
-                 tol: float = 1e-14, max_iter: int = 100) -> PerronData:
+def perron_exact(tm: TransferMatrix, candidate=None) -> PerronData:
     """Exact Perron data over Fractions.
 
     With `candidate` = (lam, h, nu) the eigen-equations are verified exactly
@@ -433,7 +433,7 @@ def perron_exact(tm: TransferMatrix, candidate=None,
             raise ExactModeError("candidate eigenvectors must be strictly positive")
         iterations = 0
     else:
-        approx = perron(tm, tol=tol, max_iter=max_iter)  # runs the mixing test
+        approx = perron(tm)  # runs the mixing test
         iterations = approx.iterations
         lam = None
         for den in (1, 10, 100, 10_000, 1_000_000, 10**9):

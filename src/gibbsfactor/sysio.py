@@ -100,8 +100,12 @@ def parse_system_dict(doc: dict) -> SystemDescription:
         raise ValidationError("alphabet must be a list of strings")
     alphabet = Alphabet(tuple(names))
     adjacency = doc.get("adjacency")
-    if not isinstance(adjacency, list):
-        raise ValidationError("adjacency must be a matrix")
+    if not (isinstance(adjacency, list) and adjacency
+            and all(isinstance(row, list) and len(row) == len(adjacency[0])
+                    for row in adjacency)):
+        raise ValidationError("adjacency must be a matrix: a list of equal-length rows")
+    if any(isinstance(x, bool) or x not in (0, 1) for row in adjacency for x in row):
+        raise ValidationError("adjacency entries must be 0 or 1")
     sft = build_sft(alphabet, adjacency)
 
     pot = doc.get("potential")
@@ -110,7 +114,7 @@ def parse_system_dict(doc: dict) -> SystemDescription:
     _expect_keys(pot, {"depth", "mode", "table"}, "potential")
     depth = pot.get("depth")
     mode = pot.get("mode")
-    if not isinstance(depth, int) or depth < 0:
+    if isinstance(depth, bool) or not isinstance(depth, int) or depth < 0:
         raise ValidationError("potential.depth must be a nonnegative integer")
     if mode not in (PHI_MODE, WEIGHT_MODE):
         raise ValidationError(f"potential.mode must be {PHI_MODE!r} or {WEIGHT_MODE!r}")
@@ -120,33 +124,37 @@ def parse_system_dict(doc: dict) -> SystemDescription:
     table = {}
     for key, value in raw_table.items():
         word = parse_word(key, alphabet)
+        where = f"potential.table[{key!r}]"
         if isinstance(value, bool):
-            raise ValidationError(f"potential.table[{key!r}]: bad value type")
+            raise ValidationError(f"{where}: bad value type")
         if isinstance(value, float) and not math.isfinite(value):
-            raise ValidationError(f"potential.table[{key!r}]: non-finite value {value!r}")
+            raise ValidationError(f"{where}: non-finite value {value!r}")
         if mode == WEIGHT_MODE:
             if isinstance(value, str):
                 try:
                     parsed = Fraction(value)
                 except (ValueError, ZeroDivisionError):
-                    raise ValidationError(
-                        f"potential.table[{key!r}]: bad rational literal {value!r}"
-                    ) from None
+                    raise ValidationError(f"{where}: bad rational literal {value!r}") from None
             elif isinstance(value, int):
                 parsed = Fraction(value)
             elif isinstance(value, float):
                 parsed = value
             else:
-                raise ValidationError(f"potential.table[{key!r}]: bad value type")
-            if (isinstance(parsed, Fraction) and parsed <= 0) or (
-                isinstance(parsed, float) and parsed <= 0
-            ):
-                raise ValidationError(f"potential.table[{key!r}]: non-positive weight")
+                raise ValidationError(f"{where}: bad value type")
+            if parsed <= 0:
+                raise ValidationError(f"{where}: non-positive weight")
         else:
             if not isinstance(value, (int, float)):
-                raise ValidationError(f"potential.table[{key!r}]: bad value type")
-            parsed = float(value)
-        table[word] = parsed
+                raise ValidationError(f"{where}: bad value type")
+            parsed = value
+        # the transfer matrix holds every value as a float (weights positive)
+        try:
+            approx = float(parsed)
+        except OverflowError:
+            approx = math.inf
+        if not math.isfinite(approx) or (mode == WEIGHT_MODE and approx == 0):
+            raise ValidationError(f"{where}: value outside the float range")
+        table[word] = parsed if mode == WEIGHT_MODE else approx
 
     image_alphabet = None
     factor_map = None
@@ -189,6 +197,8 @@ def parse_system(path) -> SystemDescription:
             doc = json.load(fh)
     except json.JSONDecodeError as e:
         raise ValidationError(f"parse error at line {e.lineno}, column {e.colno}: {e.msg}") from None
+    except ValueError as e:  # bytes that are not UTF-8, or an over-long integer literal
+        raise ValidationError(f"parse error: {e}") from None
     return parse_system_dict(doc)
 
 
@@ -241,11 +251,10 @@ def build_system(desc: SystemDescription) -> tuple[Sft, Potential]:
     return sft, potential
 
 
-def build_pipeline(desc: SystemDescription, exact: bool = False,
-                   tol: float = 1e-14, max_iter: int = 100) -> Pipeline:
+def build_pipeline(desc: SystemDescription, exact: bool = False) -> Pipeline:
     sft, potential = build_system(desc)
     tm = transfer_matrix(sft, potential)
-    pd = perron_exact(tm) if exact else perron(tm, tol=tol, max_iter=max_iter)
+    pd = perron_exact(tm) if exact else perron(tm)
     fs = None
     if desc.has_factor:
         fs = build_factor(tm, desc.factor_map, Alphabet(desc.image_alphabet))

@@ -1,6 +1,9 @@
+import math
+from fractions import Fraction
+
 import pytest
 
-from gibbsfactor import build_pipeline, fixtures
+from gibbsfactor import build_pipeline, factor, fixtures
 
 
 @pytest.fixture(scope="session")
@@ -46,3 +49,20 @@ def skewed_golden_doc():
                       "table": {"0,0": "1", "0,1": "2", "1,0": "1"}},
         "factor": {"image_alphabet": ["0", "1"], "map": {"0": "0", "1": "1"}},
     }
+
+
+@pytest.fixture(params=["lambda_step", "shifted_values"])
+def misnormalised_oracle(request, monkeypatch):
+    """The brute-force oracle with a deliberate normalisation fault in its
+    preimage expansion: one division by lambda too many, or every preimage
+    value off by a factor 1 + 1e-3 (a log shift of about 1e-3 in float)."""
+    expand = factor.domain_rows
+
+    def faulty(pd, allowed, max_words, exact):
+        words, values, steps = expand(pd, allowed, max_words, exact)
+        if request.param == "lambda_step":
+            return words, values, steps + 1
+        shifted = values * Fraction(1001, 1000) if exact else values + math.log1p(1e-3)
+        return words, shifted, steps
+
+    monkeypatch.setattr(factor, "domain_rows", faulty)

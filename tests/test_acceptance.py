@@ -4,7 +4,6 @@ with its runtime (visible with `pytest -s` or `-v`).
 Run with:  pytest tests/test_acceptance.py -v -s
 """
 
-import math
 import time
 from fractions import Fraction
 
@@ -34,45 +33,50 @@ def test_criterion_1_exact_perron_data(ex2_exact):
     _report(1, "exact Perron data: lambda=3, h~(1,1,1,1), nu=(1,2,2,1)/6", t0, 1.0)
 
 
-def test_criterion_2_projection_oracle_equivalence(ex2_exact):
-    """Block-operator projection equals the brute-force preimage sum on all
-    image words of length <= 10: exactly for the built-in example (exact
-    mode), to 1e-10 relative for randomized float systems."""
-    t0 = time.monotonic()
-    fs, pd = ex2_exact.factor, ex2_exact.pd
-    checked = 0
-    for length in range(1, 11):
-        for word in gf.enumerate_image_words(fs, length):
-            assert gf.projected_measure(fs, pd, word) == \
-                gf.projected_measure_bruteforce(fs, pd, word)
-            checked += 1
-    assert checked == 2046  # full binary image
-
-    float_pipe = gf.build_pipeline(fixtures.example2(), exact=False)
-    ffs, fpd = float_pipe.factor, float_pipe.pd
-    for length in range(1, 11):
-        for word in gf.enumerate_image_words(ffs, length):
-            a = gf.projected_measure(ffs, fpd, word)
-            b = gf.projected_measure_bruteforce(ffs, fpd, word)
-            assert abs(math.expm1(a - b)) <= 1e-10
-
+@pytest.fixture(scope="module")
+def criterion_2_pipelines(ex2_exact):
+    """Example 2 in float mode, three seeded random float systems, and
+    Example 2 in exact mode (last, so that a failing float check stops
+    before the slowest system)."""
     randomized = [
         fixtures.random_mixing_system(101, 5, 1, 3, density=0.5),
         fixtures.random_mixing_system(202, 4, 2, 2, density=0.5),
         fixtures.random_mixing_system(303, 6, 1, 3, density=0.35),
     ]
-    for desc in randomized:
-        pipe = gf.build_pipeline(desc)
-        for length in range(1, 11):
-            for word in gf.enumerate_image_words(pipe.factor, length):
-                a = gf.projected_measure(pipe.factor, pipe.pd, word)
-                b = gf.projected_measure_bruteforce(pipe.factor, pipe.pd, word)
-                if a == -math.inf:
-                    assert b == -math.inf
-                else:
-                    assert abs(math.expm1(a - b)) <= 1e-10
+    return ([gf.build_pipeline(fixtures.example2(), exact=False)]
+            + [gf.build_pipeline(desc) for desc in randomized] + [ex2_exact])
+
+
+def check_projection_oracle_equivalence(pipelines):
+    """Both routes on every admissible image word of length 1..10, one whole
+    length at a time: exactly equal in exact mode, within 1e-10 relative in
+    float mode, with -inf matching only -inf."""
+    for pipe in pipelines:
+        fs, pd = pipe.factor, pipe.pd
+        check = gf.verify_projection(fs, pd, 10, 1e-10)
+        assert check.passed, check.failures[:5]
+        assert check.checked_words == sum(len(gf.enumerate_image_words(fs, n))
+                                          for n in range(1, 11))
+        if pd.exact:
+            assert check.max_relative_error == 0.0
+            assert check.checked_words == 2046  # full binary image
+
+
+def test_criterion_2_projection_oracle_equivalence(criterion_2_pipelines):
+    """Block-operator projection equals the brute-force preimage sum on all
+    image words of length <= 10: exactly for the built-in example (exact
+    mode), to 1e-10 relative for Example 2 in float mode and randomized
+    float systems."""
+    t0 = time.monotonic()
+    check_projection_oracle_equivalence(criterion_2_pipelines)
     _report(2, "projection formula == brute-force oracle, words up to length 10",
             t0, 30.0)
+
+
+def test_criterion_2_fails_on_misnormalised_oracle(criterion_2_pipelines,
+                                                   misnormalised_oracle):
+    with pytest.raises(AssertionError):
+        check_projection_oracle_equivalence(criterion_2_pipelines)
 
 
 def test_criterion_3_g_function_of_example(ex2_exact, ex2_float):

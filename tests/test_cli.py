@@ -1,6 +1,18 @@
+import contextlib
+import io
+import itertools
 import json
+import os
+import re
+import subprocess
+import sys
+import tempfile
+import warnings
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gibbsfactor import fixtures, parse_system, parse_system_dict
 from gibbsfactor.cli import INTERNAL_ERROR, main
@@ -89,6 +101,30 @@ class TestParseEmit:
         path.write_text(json.dumps(doc))
         assert main(["validate", str(path)]) == 2
 
+    @pytest.mark.parametrize("section, key, value, field", [
+        (None, "adjacency", [[1], [1, 1]], "adjacency"),
+        ("potential", "depth", True, "potential.depth"),
+        ("table", "0,0", "1e400", "potential.table['0,0']"),
+        ("table", "0,0", 10**400, "potential.table['0,0']"),
+        ("table", "0,0", "1e-400", "potential.table['0,0']"),
+    ])
+    def test_rejected_at_parse_time(self, capsys, tmp_path, section, key, value, field):
+        doc = emit_system(fixtures.example2())
+        target = {None: doc, "potential": doc["potential"],
+                  "table": doc["potential"]["table"]}[section]
+        target[key] = value
+        with pytest.raises(ValidationError, match=re.escape(field)):
+            parse_system_dict(doc)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        assert main(["validate", str(path)]) == 2
+
+    def test_over_long_integer_literal_is_a_parse_error(self, tmp_path):
+        path = tmp_path / "long.json"
+        path.write_text('{"schema_version": ' + "1" * 5000 + "}")
+        with pytest.raises(ValidationError, match="parse error"):
+            parse_system(str(path))
+
     def test_parse_error_carries_position(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{\n  broken\n}")
@@ -134,6 +170,15 @@ class TestCommands:
         assert code == 0
         assert report["results"]["passed"] is True
         assert report["results"]["checked_words"] == sum(2**n for n in range(1, 6))
+
+    @pytest.mark.parametrize("mode", [[], ["--exact"]], ids=["float", "exact"])
+    def test_project_verify_fails_on_misnormalised_oracle(self, capsys, example2_file,
+                                                          misnormalised_oracle, mode):
+        code, report = run(capsys, "project-verify", example2_file, "--max-len", "4", *mode)
+        assert code == 1
+        assert report["results"]["passed"] is False
+        assert report["results"]["checked_words"] == sum(2**n for n in range(1, 5))
+        assert report["results"]["failures"]
 
     def test_fwm_not_found_with_zero_run_witness(self, capsys, example2_file):
         code, report = run(capsys, "fwm", example2_file, "--max-N", "4")
@@ -303,3 +348,107 @@ def test_bad_numeric_flags_rejected_before_work(capsys, example2_file, command, 
     assert captured.out == ""
     assert captured.err.startswith(f"error: {flag} must be")
     assert len(captured.err.strip().splitlines()) == 1
+
+
+def test_closed_stdout_keeps_exit_code_contract(example2_file):
+    # stdout is a pipe whose read end is already closed, so the report's
+    # write fails with EPIPE whenever it happens
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "gibbsfactor", "validate", example2_file],
+                              stdout=write_end, stderr=subprocess.PIPE, text=True, env=env,
+                              timeout=120)
+    finally:
+        os.close(write_end)
+    assert proc.returncode != 1
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error:")
+    assert len(proc.stderr.strip().splitlines()) == 1
+
+
+# Generated system documents for the input contract: a well-formed skeleton
+# with at most one kind of fault, in the matrix, the depth, the mode or the
+# table values.
+NAMES = ("0", "1", "2")
+MATRIX_ENTRIES = st.one_of(st.integers(-1, 2), st.booleans(), st.text(max_size=2), st.none(),
+                           st.floats(), st.lists(st.integers(0, 1), max_size=2))
+BAD_MATRICES = st.one_of(
+    st.lists(st.lists(MATRIX_ENTRIES, max_size=4), max_size=4),  # ragged, bool, str, null
+    st.lists(st.lists(st.lists(st.integers(0, 1), max_size=2), max_size=2), max_size=2),
+    st.none(), st.booleans(), st.text(max_size=3), st.integers(),
+)
+BAD_DEPTHS = st.one_of(st.booleans(), st.integers(-3, -1), st.none(), st.floats(0, 2),
+                       st.text(max_size=2))
+RATIONAL_LITERALS = st.one_of(
+    st.fractions().map(str),
+    st.builds("{}e{}".format, st.integers(-9, 9), st.integers(-1200, 1200)),  # huge, tiny
+    st.sampled_from(["1e400", "1e-400", "1/0", "1//2", "nan", "inf", "", " 1/2 ", "0x10",
+                     "1_0", "1" * 5000, "-0", "2/-3"]),
+    st.text(max_size=6),
+)
+TABLE_VALUES = st.one_of(
+    st.integers(), st.sampled_from([10**400, -10**400, 2**1100]), st.floats(),
+    st.floats(-1000, 1000), st.floats(min_value=1e-320, max_value=1e-300), st.booleans(),
+    st.none(), RATIONAL_LITERALS, st.lists(st.integers(), max_size=2),
+)
+GOOD_VALUES = {"weight": st.sampled_from([1, 3, "1/2", "7/3", 2.5]),
+               "phi": st.sampled_from([0, -1, 0.5, 2.25])}
+
+
+@st.composite
+def system_documents(draw):
+    fault = draw(st.sampled_from(["none", "adjacency", "depth", "mode", "value"]))
+    size = draw(st.integers(1, 3))
+    names = list(NAMES[:size])
+    adjacency = draw(BAD_MATRICES if fault == "adjacency" else st.one_of(
+        st.just([[1] * size for _ in range(size)]),
+        st.lists(st.lists(st.integers(0, 1), min_size=size, max_size=size),
+                 min_size=size, max_size=size)))
+    depth = draw(BAD_DEPTHS if fault == "depth" else st.integers(0, 2))
+    mode = draw(st.sampled_from(["weight", "phi"]))
+    length = depth + 1 if type(depth) is int and depth >= 0 else 1
+    keys = [",".join(w) for w in itertools.product(names, repeat=length)]
+    table = {key: draw(GOOD_VALUES[mode]) for key in keys}
+    if fault == "value":
+        table.update(draw(st.dictionaries(st.sampled_from(keys), TABLE_VALUES, min_size=1)))
+    if fault == "mode":
+        mode = draw(st.text(max_size=6))
+    doc = {"schema_version": 1, "alphabet": names, "adjacency": adjacency,
+           "potential": {"depth": depth, "mode": mode, "table": table}}
+    if draw(st.booleans()):
+        doc["factor"] = {"image_alphabet": ["a", "b"],
+                         "map": {n: draw(st.sampled_from(["a", "b"])) for n in names}}
+    return doc
+
+
+class TestInputContract:
+    @given(system_documents())
+    @settings(max_examples=200, deadline=None)
+    def test_parse_returns_or_raises_validation_error(self, doc):
+        try:
+            parse_system_dict(doc)
+        except ValidationError:
+            pass
+
+    @given(system_documents())
+    @settings(max_examples=80, deadline=None)
+    def test_validate_exit_codes(self, doc):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "system.json"
+            path.write_text(json.dumps(doc))
+            out, err = io.StringIO(), io.StringIO()
+            with (contextlib.redirect_stdout(out), contextlib.redirect_stderr(err),
+                  warnings.catch_warnings(record=True) as escaped):
+                warnings.simplefilter("always")
+                code = main(["validate", str(path)])
+        assert not escaped  # the CLI prints its own warnings, after the report
+        assert code in (0, 2, INTERNAL_ERROR)
+        if code:
+            assert out.getvalue() == ""
+            assert err.getvalue().startswith("error:")
+            assert len(err.getvalue().strip().splitlines()) == 1

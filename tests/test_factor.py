@@ -33,7 +33,13 @@ from gibbsfactor import (
 )
 from gibbsfactor import factor as factor_module
 from gibbsfactor.cone import contraction_profile, projective_diameter
-from gibbsfactor.factor import carry_product, image_block_word
+from gibbsfactor.factor import (
+    carry_product,
+    image_block_word,
+    level_measures,
+    preimage_measures,
+    verify_projection,
+)
 from gibbsfactor.ganalysis import image_log_measure_map
 from gibbsfactor.potential import domain_rows, perron_exact
 from gibbsfactor.sft import DEFAULT_MAX_WORDS
@@ -224,8 +230,20 @@ def ex2_system(ex2_exact):
 
 
 @pytest.fixture(scope="module")
+def seed101():
+    pipe = build_pipeline(fixtures.random_mixing_system(101, 5, 1, 3, density=0.5))
+    return pipe.factor, pipe.pd
+
+
+@pytest.fixture(scope="module")
 def seed202():
     pipe = build_pipeline(fixtures.random_mixing_system(202, 4, 2, 2, density=0.5))
+    return pipe.factor, pipe.pd
+
+
+@pytest.fixture(scope="module")
+def seed303():
+    pipe = build_pipeline(fixtures.random_mixing_system(303, 6, 1, 3, density=0.35))
     return pipe.factor, pipe.pd
 
 
@@ -284,6 +302,56 @@ class TestOracleExpansion:
             projected_measure_bruteforce(fs, pd, word, visited - 1)
         assert (projected_measure_bruteforce(fs, pd, word, visited)
                 == projected_measure_bruteforce(fs, pd, word))
+
+
+class TestBatchedRoutes:
+    """verify_projection's two level-batched routes against the per-word
+    routes they replace."""
+
+    @pytest.mark.parametrize("system", ["ex2_system", "stochastic_depth2", "seed101",
+                                        "seed202", "seed303"])
+    def test_levels_equal_per_word_routes(self, request, system):
+        fs, pd = request.getfixturevalue(system)
+        assert pd.exact == (system in ("ex2_system", "stochastic_depth2"))
+        for length in range(1, 9):  # includes words shorter than the block
+            expected = enumerate_image_words(fs, length)
+            words, values = level_measures(fs, pd, length, DEFAULT_MAX_WORDS, pd.exact)
+            allowed = np.ones((length, pd.tm.sft.size), dtype=bool)
+            images, measures = preimage_measures(fs, pd, allowed, DEFAULT_MAX_WORDS)
+            assert list(map(tuple, words.tolist())) == expected
+            assert list(map(tuple, images.tolist())) == expected
+            for word, product, oracle in zip(expected, values.tolist(), measures):
+                if pd.exact:
+                    assert product == projected_measure(fs, pd, word)
+                    assert oracle == projected_measure_bruteforce(fs, pd, word)
+                else:
+                    assert product == pytest.approx(projected_measure(fs, pd, word),
+                                                    abs=1e-12)
+                    assert oracle == pytest.approx(projected_measure_bruteforce(fs, pd, word),
+                                                   abs=1e-12)
+
+    @pytest.mark.parametrize("system", ["ex2_system", "seed202"])
+    def test_misnormalised_oracle_fails(self, request, system, misnormalised_oracle):
+        fs, pd = request.getfixturevalue(system)
+        check = verify_projection(fs, pd, 4, 1e-10)
+        assert not check.passed
+        assert check.checked_words == sum(len(enumerate_image_words(fs, n))
+                                          for n in range(1, 5))
+        assert check.max_relative_error > 1e-4
+
+    def test_word_missing_from_one_route_fails(self, ex2_system, monkeypatch):
+        fs, pd = ex2_system
+        real = factor_module.preimage_measures
+
+        def drop_first(fs, pd, allowed, max_words):
+            images, measures = real(fs, pd, allowed, max_words)
+            return images[1:], measures[1:]
+
+        monkeypatch.setattr(factor_module, "preimage_measures", drop_first)
+        check = verify_projection(fs, pd, 3, 1e-10)
+        assert check.checked_words == 2 + 4 + 8
+        assert check.failures == ((0,), (0, 0), (0, 0, 0))
+        assert check.max_relative_error == math.inf
 
 
 @pytest.fixture(scope="module")
