@@ -12,6 +12,7 @@ usage problem), 2 usage or input errors, 3 an unexpected internal error
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import math
 import os
@@ -97,11 +98,11 @@ def emit_report(report: dict, fmt: str):
     if fmt == "json":
         print(json.dumps(report, indent=2, sort_keys=True))
     else:
-        rows: list = []
+        rows: list = [("key", "value")]
         _flatten("", report, rows)
-        print("key,value")
-        for key, value in rows:
-            print(f"{key},{value}")
+        # values holding a comma (words such as 0,1) or a quote get quoted
+        writer = csv.writer(sys.stdout, lineterminator="\n")
+        writer.writerows((key, str(value)) for key, value in rows)
     sys.stdout.flush()  # a closed pipe fails here, inside the caller's error handling
 
 

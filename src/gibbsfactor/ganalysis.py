@@ -390,7 +390,7 @@ def eta_general(theta: float, holder_constant: float, sup_norm: float,
 def _full_shift_bound(theta: float, holder_constant: float, sigma: float) -> EtaBound:
     cone_k = holder_constant * theta / (sigma - theta)
     m_const = 2 * math.log((1 + sigma) / (1 - sigma)) + 2 * sigma * cone_k
-    eta = math.tanh(m_const / 4.0)
+    eta = eta_full_shift(theta, holder_constant, sigma)  # tanh(m_const / 4)
     return EtaBound(theta=theta, sigma=sigma, n_steps=1, cone_constant=cone_k,
                     m_const=m_const, eta=eta, prefactor=m_const / eta**2 if eta > 0 else math.inf,
                     full_shift_eta=eta)

@@ -24,8 +24,9 @@ the Collatz-Wielandt upper bound max (W x)/x of the Perron root and solves
 one linear system, and the iteration stops when the Collatz-Wielandt
 bracket [min, max] of (W x)/x is within the tolerance.  It converges
 quadratically near the Perron vector, so a tiny spectral gap costs a few
-steps rather than the 1/gap steps of power iteration.  Exact Perron data rationalise that float
-root and certify it with an exact nullspace.
+steps rather than the 1/gap steps of power iteration.  Exact Perron data
+certify an integer eigenvalue of the denominator-cleared weights by
+fraction-free elimination (:func:`perron_exact`).
 
 Float-mode measures are computed in log space (long words underflow raw
 products); exact mode runs on fractions.Fraction and is available when the
@@ -259,8 +260,7 @@ class PerronData:
     `residual` is relative, the larger of |W h - lambda h| / (lambda max h)
     and |nu^T W - lambda nu^T| / (lambda max nu) in the maximum norm.  In
     exact mode all three are Fractions and residual is exactly zero.
-    `iterations` counts the inverse-iteration steps of :func:`perron` (0
-    for a verified candidate).
+    `iterations` counts the inverse-iteration steps of :func:`perron`.
     """
 
     tm: TransferMatrix
@@ -274,13 +274,6 @@ class PerronData:
     @property
     def log_lam(self) -> float:
         return math.log(float(self.lam))
-
-
-def _require_mixing(tm: TransferMatrix):
-    if mixing_index(tm.recoding.block_sft) is None:
-        raise NotMixingError(
-            "block shift is not topologically mixing; Perron data undefined"
-        )
 
 
 def _noda(w: np.ndarray, tol: float, max_iter: int) -> tuple[np.ndarray, int]:
@@ -340,7 +333,8 @@ def perron(tm: TransferMatrix, tol: float = 1e-14, max_iter: int = 100) -> Perro
     """
     if tol <= 0:
         raise ValidationError("tol must be positive")
-    _require_mixing(tm)
+    if mixing_index(tm.recoding.block_sft) is None:
+        raise NotMixingError("block shift is not topologically mixing; Perron data undefined")
     w = tm.weights
     h, steps_h = _noda(w, tol, max_iter)
     nu, steps_nu = _noda(w.T, tol, max_iter)
@@ -359,103 +353,97 @@ def perron(tm: TransferMatrix, tol: float = 1e-14, max_iter: int = 100) -> Perro
                       iterations=max(steps_h, steps_nu), exact=False)
 
 
-def _nullspace(m: np.ndarray) -> list[np.ndarray]:
-    """Basis of the right nullspace of a Fraction object matrix, via
-    fraction-exact RREF."""
-    rows = np.array(m, dtype=object)
-    nrows, ncols = rows.shape
-    pivots: list[int] = []
-    for c in range(ncols):
-        r = len(pivots)
-        if r == nrows:
-            break
-        nonzero = np.flatnonzero(rows[r:, c])
-        if not nonzero.size:
-            continue
-        rows[[r, r + nonzero[0]]] = rows[[r + nonzero[0], r]]
-        rows[r] = rows[r] / rows[r, c]
-        others = np.flatnonzero(rows[:, c])
-        others = others[others != r]
-        rows[others] -= np.outer(rows[others, c], rows[r])
-        pivots.append(c)
-    basis = []
-    for fc in range(ncols):
-        if fc in pivots:
-            continue
-        v = np.full(ncols, Fraction(0), dtype=object)
-        v[fc] = Fraction(1)
-        v[pivots] = -rows[:len(pivots), fc]
-        basis.append(v)
-    return basis
+def _clear_denominators(values) -> tuple[np.ndarray, int]:
+    """Integers n_i (an object array) and the lcm D of the denominators of
+    the rationals or floats v_i, with v_i = n_i / D."""
+    ratios = [v.as_integer_ratio() for v in values]
+    den = math.lcm(*(q for _, q in ratios))
+    return np.array([p * (den // q) for p, q in ratios], dtype=object), den
 
 
-def _exact_eigenvector(m: np.ndarray, lam: Fraction) -> np.ndarray | None:
-    basis = _nullspace(m - lam * np.eye(len(m), dtype=object))
-    if len(basis) != 1:
+def _simplest_between(lo: Fraction, hi: Fraction) -> Fraction:
+    """The rational of least denominator in [lo, hi], 0 < lo <= hi, by
+    continued fractions."""
+    whole = math.ceil(lo)
+    if whole <= hi:
+        return Fraction(whole)
+    whole -= 1  # whole < lo <= hi < whole + 1
+    return whole + 1 / _simplest_between(1 / (hi - whole), 1 / (lo - whole))
+
+
+def _positive_kernel(a: np.ndarray) -> np.ndarray | None:
+    """Integer vector spanning the nullspace of the square integer object
+    matrix `a` when that nullspace is a line through a positive vector,
+    else None.
+
+    Fraction-free Gauss-Jordan elimination (Bareiss, Math. Comp. 22 (1968)):
+    a pivot step sets each other row to (pivot * row - row[c] * pivot row)
+    / previous pivot, an exact division, so every pivot ends equal to the
+    last one, p.  The kernel vector is then p at the free column f and
+    -a[r, f] at the pivot column of row r.
+    """
+    d, p = len(a), 1
+    pivots: dict = {}  # pivot column -> its row
+    for c in range(d):
+        rows = [r for r in np.flatnonzero(a[:, c]) if r not in pivots.values()]
+        if rows:
+            row = a[rows[0]]
+            a = (row[c] * a - np.outer(a[:, c], row)) // p
+            a[rows[0]] = row
+            pivots[c], p = rows[0], row[c]
+    free = [c for c in range(d) if c not in pivots]
+    if len(free) != 1:
         return None
-    v = basis[0]
-    if (v <= 0).all():
-        v = -v
-    if (v <= 0).any():
-        return None  # not the Perron direction
-    return v
+    v = np.array([p if c == free[0] else -a[pivots[c], free[0]] for c in range(d)],
+                 dtype=object)
+    v = -v if v[0] < 0 else v
+    return v if (v > 0).all() else None
 
 
-def perron_exact(tm: TransferMatrix, candidate=None) -> PerronData:
-    """Exact Perron data over Fractions.
+def perron_exact(tm: TransferMatrix) -> PerronData:
+    """Exact Perron data over Fractions, certified in integer arithmetic.
 
-    With `candidate` = (lam, h, nu) the eigen-equations are verified exactly
-    and the vectors renormalized.  Without one, the eigenvalue is recovered
-    by rationalizing the float estimate of :func:`perron` through a ladder of
-    denominator bounds and certifying it with an exact nullspace computation;
-    raises ExactModeError when no rational eigenvalue certifies (e.g. the
-    golden-mean shift).  The mixing test runs once either way: inside
-    :func:`perron`, or here before a candidate is checked.
+    With D the lcm of the weights' denominators, lambda = Lambda / D for an
+    eigenvalue Lambda of the integer matrix M = D W, and a rational Lambda
+    is an integer (the characteristic polynomial is monic).  Exact
+    Collatz-Wielandt bounds (Wielandt, Math. Z. 52 (1950)) on the float
+    Perron vector of :func:`perron` bracket Lambda; a bracket holding more
+    than two integers (D lambda beyond float precision) offers only D times
+    the simplest rational in bracket / D.  A candidate is certified when
+    M - Lambda I and its transpose have kernels spanned by positive vectors,
+    which by Perron-Frobenius only the spectral radius has, so no float
+    value is trusted.  Raises ExactModeError when none certifies.
     """
     if tm.exact_weights is None:
         raise ExactModeError(
             "exact mode needs a weight-mode potential with rational entries"
         )
-    m = tm.exact_weights
-    if candidate is not None:
-        _require_mixing(tm)
-        lam, h, nu = candidate
-        lam = Fraction(lam)
-        h = np.array([Fraction(x) for x in h], dtype=object)
-        nu = np.array([Fraction(x) for x in nu], dtype=object)
-        if not len(h) == len(nu) == len(m):
-            raise ExactModeError("candidate vectors need one entry per block")
-        if (m @ h != lam * h).any():
-            raise ExactModeError("candidate h is not an exact right eigenvector")
-        if (nu @ m != lam * nu).any():
-            raise ExactModeError("candidate nu is not an exact left eigenvector")
-        if (h <= 0).any() or (nu <= 0).any():
-            raise ExactModeError("candidate eigenvectors must be strictly positive")
-        iterations = 0
+    approx = perron(tm)  # runs the mixing test
+    d = tm.dimension
+    entries, den = _clear_denominators(tm.exact_weights.flat)
+    m = entries.reshape(d, d)
+    x = _clear_denominators(approx.h)[0]
+    ratios = [Fraction(a, b) for a, b in zip(m @ x, x)]
+    lo, hi = min(ratios), max(ratios)
+    candidates = range(math.ceil(lo), math.floor(hi) + 1)
+    if len(candidates) > 2:
+        simplest = _simplest_between(lo / den, hi / den) * den
+        candidates = [simplest.numerator] if simplest.denominator == 1 else []
+    for big in candidates:
+        shifted = m - big * np.eye(d, dtype=object)
+        h = _positive_kernel(shifted)
+        if h is not None and (nu := _positive_kernel(shifted.T)) is not None:
+            break
     else:
-        approx = perron(tm)  # runs the mixing test
-        iterations = approx.iterations
-        lam = None
-        for den in (1, 10, 100, 10_000, 1_000_000, 10**9):
-            cand = Fraction(float(approx.lam)).limit_denominator(den)
-            if cand <= 0:
-                continue
-            h = _exact_eigenvector(m, cand)
-            if h is not None:
-                lam = cand
-                break
-        if lam is None:
-            raise ExactModeError(
-                "leading eigenvalue does not certify as a rational number; "
-                "exact mode is unavailable for this system"
-            )
-        nu = _exact_eigenvector(m.T, lam)
-        if nu is None:
-            raise ExactModeError("left eigenvector could not be certified")
-    nu = nu / nu.sum()
-    h = h / (h @ nu)
-    return PerronData(tm=tm, lam=lam, h=tuple(h), nu=tuple(nu), residual=0.0,
-                      iterations=iterations, exact=True)
+        raise ExactModeError(
+            "leading eigenvalue does not certify as a rational number; "
+            "exact mode is unavailable for this system"
+        )
+    total, pairing = sum(nu), h @ nu
+    return PerronData(tm=tm, lam=Fraction(big, den),
+                      h=tuple(Fraction(v * total, pairing) for v in h),
+                      nu=tuple(Fraction(v, total) for v in nu), residual=0.0,
+                      iterations=approx.iterations, exact=True)
 
 
 def finish_measure(total, scale: float, n_steps: int, pd: PerronData):

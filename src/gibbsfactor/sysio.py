@@ -131,6 +131,15 @@ def parse_system_dict(doc: dict) -> SystemDescription:
             raise ValidationError(f"{where}: non-finite value {value!r}")
         if mode == WEIGHT_MODE:
             if isinstance(value, str):
+                # Fraction builds 10**exp exactly (seconds for "1e10000000"), so a
+                # side whose float overflows or underflows is refused first
+                for side in value.split("/"):
+                    try:
+                        magnitude = float(side)
+                    except ValueError:
+                        break  # Fraction refuses the literal below
+                    if math.isinf(magnitude) or (magnitude == 0 and "e" in side.lower()):
+                        raise ValidationError(f"{where}: value outside the float range")
                 try:
                     parsed = Fraction(value)
                 except (ValueError, ZeroDivisionError):

@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import io
 import itertools
 import json
@@ -268,6 +269,13 @@ class TestReportDiscipline:
         assert lines[0] == "key,value"
         assert any(line.startswith("results.lambda,3") for line in lines)
 
+    @pytest.mark.parametrize("argv", [("measure", "--word", "0,1"), ("fwm", "--max-N", "3")])
+    def test_csv_rows_have_two_fields(self, capsys, example2_file, argv):
+        assert main([argv[0], example2_file, *argv[1:], "--format", "csv"]) == 0
+        rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+        assert len(rows) > 5 and all(len(row) == 2 for row in rows)
+        assert any(key.endswith("word") and value.startswith("0,") for key, value in rows)
+
     def test_digest_stable(self, capsys, example2_file):
         _, r1 = run(capsys, "validate", example2_file)
         _, r2 = run(capsys, "perron", example2_file)
@@ -355,13 +363,8 @@ def test_closed_stdout_keeps_exit_code_contract(example2_file):
     # write fails with EPIPE whenever it happens
     read_end, write_end = os.pipe()
     os.close(read_end)
-    env = dict(os.environ)
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
     try:
-        proc = subprocess.run([sys.executable, "-m", "gibbsfactor", "validate", example2_file],
-                              stdout=write_end, stderr=subprocess.PIPE, text=True, env=env,
-                              timeout=120)
+        proc = run_cli_process("validate", example2_file, stdout=write_end, timeout=120)
     finally:
         os.close(write_end)
     assert proc.returncode != 1
@@ -369,6 +372,26 @@ def test_closed_stdout_keeps_exit_code_contract(example2_file):
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("error:")
     assert len(proc.stderr.strip().splitlines()) == 1
+
+
+def run_cli_process(*argv, stdout=subprocess.PIPE, timeout):
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, "-m", "gibbsfactor", *argv], stdout=stdout,
+                          stderr=subprocess.PIPE, text=True, env=env, timeout=timeout)
+
+
+@pytest.mark.parametrize("literal", ["1e30000000", "1e-30000000"])
+def test_huge_exponent_is_refused_without_stalling(tmp_path, literal):
+    # the parser must not build 10**30000000 exactly: that runs past the timeout
+    doc = emit_system(fixtures.example2())
+    doc["potential"]["table"]["0,0"] = literal
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    proc = run_cli_process("validate", str(path), timeout=10)
+    assert proc.returncode == 2
+    assert "value outside the float range" in proc.stderr
 
 
 # Generated system documents for the input contract: a well-formed skeleton

@@ -1,4 +1,5 @@
 import math
+import random
 import warnings
 from fractions import Fraction
 
@@ -210,22 +211,6 @@ class TestPerron:
         assert pd.h == (Fraction(1),) * 4
         assert pd.nu == (Fraction(1, 6), Fraction(1, 3), Fraction(1, 3), Fraction(1, 6))
 
-    def test_exact_candidate_verified(self, ex2_sft):
-        tm = transfer_matrix(ex2_sft, constant_potential(ex2_sft))
-        pd = perron_exact(tm, candidate=(3, (1, 1, 1, 1), (1, 2, 2, 1)))
-        assert pd.nu == (Fraction(1, 6), Fraction(1, 3), Fraction(1, 3), Fraction(1, 6))
-
-    def test_exact_candidate_rejected(self, ex2_sft):
-        tm = transfer_matrix(ex2_sft, constant_potential(ex2_sft))
-        with pytest.raises(ExactModeError):
-            perron_exact(tm, candidate=(3, (1, 2, 1, 1), (1, 2, 2, 1)))
-
-    @pytest.mark.parametrize("h", [(1, 1, 1), (1, 1, 1, 1, 1)])
-    def test_exact_candidate_wrong_length_rejected(self, ex2_sft, h):
-        tm = transfer_matrix(ex2_sft, constant_potential(ex2_sft))
-        with pytest.raises(ExactModeError, match="one entry per block"):
-            perron_exact(tm, candidate=(3, h, (1, 2, 2, 1)))
-
     def test_full_2_shift(self):
         sft = make_sft([[1, 1], [1, 1]])
         pd = perron(transfer_matrix(sft, constant_potential(sft)))
@@ -355,8 +340,7 @@ class TestNodaIteration:
                             lambda sft: calls.append(sft) or real(sft))
         tm = transfer_matrix(ex2_sft, constant_potential(ex2_sft))
         perron_exact(tm)
-        perron_exact(tm, candidate=(3, (1, 1, 1, 1), (1, 2, 2, 1)))
-        assert len(calls) == 2
+        assert len(calls) == 1
 
 
 class TestCylinderMeasure:
@@ -499,3 +483,93 @@ class TestMeasureProperties:
             ext = [cylinder_measure(pd, word + (b,)) for b in range(sft.size)]
             total = sum(math.exp(x) for x in ext if x != -math.inf)
             assert total == pytest.approx(math.exp(parent), rel=1e-11)
+
+
+STOCHASTIC_DENOMINATORS = (7, 16, 97, 1000003, 10**9 + 7)
+
+
+def composition(rng, total, parts):
+    """`parts` positive integers summing to `total`, uniformly cut."""
+    cuts = sorted(rng.sample(range(1, total), parts - 1))
+    return [b - a for a, b in zip([0] + cuts, cuts + [total])]
+
+
+def rational_system(seed, kind):
+    """Seeded random mixing SFT of 2-4 symbols with a depth-1 or depth-2
+    rational table: row-stochastic (per source block denominators),
+    column-stochastic (per target block denominators) or small integers
+    times a random rational scale."""
+    rng = random.Random(seed)
+    n, depth = rng.randint(2, 4), rng.randint(1, 2)
+    adj = np.zeros((n, n), dtype=int)
+    for i in range(n):
+        adj[i][(i + 1) % n] = 1
+    adj[0][0] = 1
+    for _ in range(rng.randint(0, 6)):
+        adj[rng.randrange(n)][rng.randrange(n)] = 1
+    sft = make_sft(adj.tolist())
+    if kind == "scaled":
+        scale = Fraction(rng.randint(1, 50), rng.randint(1, 50))
+        table = {w: rng.randint(1, 4) * scale for w in enumerate_words(sft, depth + 1)}
+    else:
+        table = {}
+        for block in enumerate_words(sft, depth):
+            if kind == "rows":
+                keys = [block + (int(c),) for c in np.flatnonzero(adj[block[-1]])]
+            else:
+                keys = [(int(a),) + block for a in np.flatnonzero(adj[:, block[0]])]
+            den = rng.choice(STOCHASTIC_DENOMINATORS)
+            for key, part in zip(keys, composition(rng, den, len(keys))):
+                table[key] = Fraction(part, den)
+    return transfer_matrix(sft, build_potential(sft, depth, "weight", table))
+
+
+def assert_exact_perron(pd):
+    w = pd.tm.exact_weights
+    h, nu = np.array(pd.h, dtype=object), np.array(pd.nu, dtype=object)
+    assert pd.lam > 0 and all(v > 0 for v in pd.h + pd.nu)
+    assert (w @ h == pd.lam * h).all() and (nu @ w == pd.lam * nu).all()
+    assert sum(nu) == 1 and h @ nu == 1
+
+
+class TestExactCertification:
+    @given(st.integers(0, 2**32), st.sampled_from(["rows", "columns", "scaled"]))
+    @settings(max_examples=60, deadline=None)
+    def test_certified_or_refused(self, seed, kind):
+        tm = rational_system(seed, kind)
+        try:
+            pd = perron_exact(tm)
+        except ExactModeError:
+            assert kind == "scaled"
+            return
+        assert_exact_perron(pd)
+        assert kind == "scaled" or pd.lam == 1
+
+    @pytest.mark.parametrize("den", [10**9 + 1, 10**10 + 1])
+    def test_example2_with_large_denominator(self, ex2_sft, den):
+        table = {w: Fraction(1, den) for w in enumerate_words(ex2_sft, 2)}
+        pd = perron_exact(transfer_matrix(ex2_sft, build_potential(ex2_sft, 1, "weight",
+                                                                   table)))
+        assert pd.lam == Fraction(3, den)
+        assert pd.h == (Fraction(1),) * 4
+        assert pd.nu == (Fraction(1, 6), Fraction(1, 3), Fraction(1, 3), Fraction(1, 6))
+
+    def test_wide_bracket_column_stochastic(self, ex2_sft, monkeypatch):
+        # D is about 1e24, so D * lambda is past float precision
+        from gibbsfactor import potential
+
+        dens = (1000003, 1000033, 1000037, 1000039)
+        table = {}
+        for j, den in enumerate(dens):
+            preds = np.flatnonzero(np.array(EX2_ADJ)[:, j])
+            parts = list(range(1, len(preds))) + [den - sum(range(1, len(preds)))]
+            table.update({(int(a), j): Fraction(p, den) for a, p in zip(preds, parts)})
+        tm = transfer_matrix(ex2_sft, build_potential(ex2_sft, 1, "weight", table))
+        calls = []
+        real = potential._simplest_between
+        monkeypatch.setattr(potential, "_simplest_between",
+                            lambda lo, hi: calls.append((lo, hi)) or real(lo, hi))
+        pd = perron_exact(tm)
+        assert calls
+        assert pd.lam == 1 and pd.nu == (Fraction(1, 4),) * 4
+        assert_exact_perron(pd)
