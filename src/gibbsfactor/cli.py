@@ -336,7 +336,7 @@ def cmd_example2(args):
     desc = fixtures.example2()
     pipe = build_pipeline(desc, exact=True)
     fs = pipe.factor
-    limit = g_limit(fs, pipe.pd, (), (0,), jmax=max(args.jmax, 14), tol=1e-9)
+    limit = g_limit(fs, pipe.pd, (), (0,), jmax=args.jmax, tol=1e-9)
     fwm = fwm_search(fs, 8, args.budget)
     results = {
         "lambda": pipe.pd.lam,

@@ -308,6 +308,15 @@ def _run_starts(rows: np.ndarray) -> np.ndarray:
     return np.flatnonzero(new)
 
 
+def log_sum_runs(logs: np.ndarray, starts: np.ndarray):
+    """Log-sum-exp of every run of a stack of float logs, the runs beginning
+    at `starts` (for ``reduceat``): (totals, scales), run i summing to
+    totals[i] e^scales[i], with scales[i] the run's largest log."""
+    scales = np.maximum.reduceat(logs, starts)
+    sizes = np.diff(np.append(starts, len(logs)))
+    return np.add.reduceat(np.exp(logs - np.repeat(scales, sizes)), starts), scales
+
+
 def preimage_measures(fs: FactorSystem, pd: PerronData, allowed: np.ndarray,
                       max_words: int):
     """Brute-force projected measures of the image words of length
@@ -316,8 +325,8 @@ def preimage_measures(fs: FactorSystem, pd: PerronData, allowed: np.ndarray,
 
     One :func:`~gibbsfactor.potential.domain_rows` expansion in the Perron
     data's arithmetic, grouped by image word (symbol map, lexicographic
-    sort, ``reduceat`` of an exact sum or a log-sum-exp about each group's
-    largest value), each group through
+    sort, ``reduceat`` of an exact sum or :func:`log_sum_runs`), each group
+    through
     :func:`~gibbsfactor.potential.finish_measure`.  The budget counts
     visited preimage prefixes.
     """
@@ -329,9 +338,7 @@ def preimage_measures(fs: FactorSystem, pd: PerronData, allowed: np.ndarray,
     if pd.exact:
         totals, scales = np.add.reduceat(values, starts), np.zeros(len(starts))
     else:
-        scales = np.maximum.reduceat(values, starts)
-        sizes = np.diff(np.append(starts, len(values)))
-        totals = np.add.reduceat(np.exp(values - np.repeat(scales, sizes)), starts)
+        totals, scales = log_sum_runs(values, starts)
     return images[starts], [finish_measure(t, s, steps, pd)
                             for t, s in zip(totals.tolist(), scales.tolist())]
 

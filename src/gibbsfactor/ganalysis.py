@@ -6,9 +6,12 @@ conditional probabilities
     g_n(y_0 ... y_n) = proj[y_0 ... y_n] / proj[y_1 ... y_n],
 
 evaluated here at cylinder approximants (fixed truncation) and along
-eventually periodic points (with tail powers computed by exponent doubling
-and Aitken extrapolation of the stage values).  Variation profiles measure
-how fast log g_n varies across words sharing a prefix, a least-squares fit
+eventually periodic points.  There the word and its suffix share every
+image block but the first, so each stage is one ratio of two rows carried
+through the same product; the rows gain 2^j tail cycles from stage j to
+j+1 by one product with a repeatedly squared cycle power, and the stage
+values are Aitken-extrapolated.  Variation profiles measure how fast
+log g_n varies across words sharing a prefix, a least-squares fit
 classifies the decay as exponential or polynomial, and the explicit
 Birkhoff-contraction rate bound provides the theoretical comparison line.
 The log measures of whole word lengths come from the factor module's
@@ -29,10 +32,11 @@ from .factor import (
     carry_product,
     image_block_word,
     level_measures,
+    log_sum_runs,
     projected_measure,
     rescale_product,
 )
-from .potential import PerronData, finish_measure, measure_ratio
+from .potential import PerronData, measure_ratio
 from .sft import DEFAULT_MAX_WORDS, Word
 
 
@@ -57,96 +61,6 @@ def g_approx(fs: FactorSystem, pd: PerronData, yword) -> GApproximant:
     return GApproximant(word=w, value=value, n=len(w) - 1)
 
 
-class _PeriodicWordEngine:
-    """Projected measures of prefix . tail^r along an eventually periodic
-    image point, with the repeated-tail product raised by binary powering.
-
-    The block sequence of prefix . tail^inf is eventually periodic: after the
-    a = len(prefix) leading blocks it cycles with period c = len(tail).  The
-    product along prefix . tail^r therefore factors as
-
-        (head product) . D^u . E,
-
-    with D the full-cycle product and E a fixed partial cycle, where only u
-    grows with r.  Works on floats with per-step renormalization or on exact
-    Fractions, depending on the Perron data.
-    """
-
-    def __init__(self, fs: FactorSystem, pd: PerronData, prefix, tail):
-        self.fs = fs
-        self.pd = pd
-        self.prefix = tuple(prefix)
-        self.tail = tuple(tail)
-        if not self.tail:
-            raise ValidationError("periodic tail must be nonempty")
-        k = fs.block_length
-        a, c = len(self.prefix), len(self.tail)
-        # the a prefix blocks, then the c blocks of one cycle
-        blocks = image_block_word(
-            fs, self.prefix + tuple(self.tail[i % c] for i in range(c + k - 1)))
-        if blocks is None:
-            raise ValidationError("point is not admissible")
-        # r repetitions leave c*r - k cycle transitions: u full cycles + s extra
-        s = (-k) % c
-        self.ucorr = (k + s) // c
-        self.min_reps = max(self.ucorr, math.ceil((k + 1 - a) / c), 1)
-        mats = fs.operators(pd.exact)
-
-        def product(chain):
-            # starts from the first operator as it is; only products are rescaled
-            if len(chain) < 2:
-                return None, 0.0
-            first = mats.get((chain[0], chain[1]))
-            return None if first is None else carry_product(mats, chain[1:], first)
-
-        cycle = blocks[a:]
-        carried = [product(chain) for chain in (blocks[:a + 1], cycle + cycle[:1], cycle[:s + 1])]
-        if None in carried:
-            raise ValidationError("point is not admissible")
-        # products over the a prefix transitions, one full cycle and s extra
-        (self.head, self.head_scale), self.cycle, (self.partial, self.partial_scale) = carried
-        self.nu = fs.fiber_nu(pd, blocks[0])
-        self.h = fs.fiber_h(pd, cycle[s])
-
-    @staticmethod
-    def _mul(acc, scale, m):
-        prod, scale, alive = rescale_product(acc @ m, scale)
-        if not alive:
-            raise ValidationError("point is not admissible")
-        return prod, scale
-
-    def measure(self, reps: int):
-        """Projected measure of prefix . tail^reps (log or exact Fraction)."""
-        if reps < self.min_reps:
-            raise ValidationError(f"need at least {self.min_reps} repetitions")
-        prod, scale = self._chain(self.head, self.head_scale,
-                                  *self._cycle_power(reps - self.ucorr))
-        prod, scale = self._chain(prod, scale, self.partial, self.partial_scale)
-        total = self.nu @ self.h if prod is None else self.nu @ prod @ self.h
-        n_steps = len(self.prefix) + len(self.tail) * reps - self.fs.block_length
-        return finish_measure(total, scale, n_steps, self.pd)
-
-    def _chain(self, acc, scale, m, mscale):
-        if m is None:
-            return acc, scale
-        if acc is None:
-            return m, mscale
-        out, s = self._mul(acc, scale, m)
-        return out, s + mscale
-
-    def _cycle_power(self, u: int):
-        base, base_scale = self.cycle
-        acc, acc_scale = None, 0.0
-        while u:
-            if u & 1:
-                acc, acc_scale = self._chain(acc, acc_scale, base, base_scale)
-            u >>= 1
-            if u:
-                sq, s2 = self._mul(base, 0.0, base)
-                base, base_scale = sq, 2 * base_scale + s2
-        return acc, acc_scale
-
-
 @dataclass(frozen=True)
 class GLimitResult:
     value: float
@@ -160,32 +74,67 @@ def g_limit(fs: FactorSystem, pd: PerronData, prefix, tail,
             jmax: int = 16, tol: float = 1e-9) -> GLimitResult:
     """g at the eventually periodic point prefix . tail^infinity.
 
-    Stage j evaluates the cylinder ratio with 2^j tail repetitions; tail
-    powers come from exponent doubling, and Aitken delta-squared acceleration
-    is applied to the last three stages.  Convergence is reported, never
-    raised: slow sequences (e.g. 1/n gaps) still return their best value.
+    Stage j evaluates the cylinder ratio of the word w = prefix . tail^(2^j)
+    (an empty prefix reads as one tail copy followed by 2^j - 1 more) and its
+    suffix w[1:], from the first j at which the tail part covers a block and
+    the suffix spans two blocks.  The suffix's image blocks are the word's
+    minus the first, so from the second block on both measures are one
+    product: the rows [nu_{b_0} L_{b_0 b_1}, nu_{b_1}] carried along the
+    word, and
+
+        g_j = (row_0 . h) / (row_1 . h) / lambda,
+
+    with h on the last block's fiber.  The rows share one rescaling, so the
+    ratio needs no log scale or power of lambda, in float and exact
+    arithmetic alike.  From stage j to j+1 the word grows by 2^j full tail
+    cycles: the rows take one product with D^(2^j), D the one-cycle product
+    from the block the word ends in, which is then squared.  Aitken
+    delta-squared acceleration is applied to the last three stages.
+    Convergence is reported, never raised: slow sequences (e.g. 1/n gaps)
+    still return their best value.
     """
     prefix = tuple(prefix)
     tail = tuple(tail)
-    num = _PeriodicWordEngine(fs, pd, prefix, tail)
-    if prefix:
-        den = _PeriodicWordEngine(fs, pd, prefix[1:], tail)
-        den_shift = 0
-    else:
-        den = _PeriodicWordEngine(fs, pd, tail[1:], tail)
-        den_shift = 1
-    a, c = len(prefix), len(tail)
-    stages = []
-    ratios = []
+    if not tail:
+        raise ValidationError("periodic tail must be nonempty")
+    k, c = fs.block_length, len(tail)
+    word, shift = (prefix, 0) if prefix else (tail, 1)
     j0 = 0
-    while 2**j0 < max(num.min_reps, den.min_reps + den_shift):
+    while c * (2**j0 - shift) < k or len(word) + c * (2**j0 - shift) < k + 2:
         j0 += 1
+    # the stage-j0 word, then one more cycle for the cycle product
+    blocks = image_block_word(fs, word + tail * (2**j0 - shift + 1))
+    mats = fs.operators(pd.exact)
+    first = None if blocks is None else mats.get((blocks[0], blocks[1]))
+    if first is None:
+        raise ValidationError("point is not admissible")
+    n = len(blocks) - c
+    rows = np.stack([fs.fiber_nu(pd, blocks[0]) @ first, fs.fiber_nu(pd, blocks[1])])
+    carried = [carry_product(mats, blocks[1:n], rows), carry_product(mats, blocks[n - 1:])]
+    if None in carried:
+        raise ValidationError("point is not admissible")
+    (rows, _), (power, _) = carried
     if j0 > jmax:
         raise ValidationError("jmax too small for this point's block structure")
+    h = fs.fiber_h(pd, blocks[n - 1])
+
+    def times(x, m):
+        return rescale_product(x @ m, 0.0)[0]
+
+    for _ in range(j0):
+        power = times(power, power)
+    stages = []
+    ratios = []
     for j in range(j0, jmax + 1):
-        r = 2**j
-        ratios.append(measure_ratio(num.measure(r), den.measure(r - den_shift), pd))
-        stages.append((a + c * r - 1, float(ratios[-1])))
+        if j > j0:
+            rows = times(rows, power)
+            if j < jmax:
+                power = times(power, power)
+        num, den = rows @ h
+        if not (num > 0 and den > 0):
+            raise ValidationError("point is not admissible")
+        ratios.append(num / den / pd.lam)
+        stages.append((len(word) + c * (2**j - shift) - 1, float(ratios[-1])))
     values = [v for _, v in stages]
     # Aitken delta-squared on successive stage triples
     extrapolants = []
@@ -244,9 +193,11 @@ def variation_profile(fs: FactorSystem, pd: PerronData, m: int, n_max: int,
                       max_words: int = DEFAULT_MAX_WORDS) -> VariationProfile:
     """Empirical variation decay of the g approximants at truncation m.
 
-    Evaluates log g_m on every admissible image word of length m+1, then for
-    each n takes the maximal spread within prefix classes of depth n.  The
-    words come lexicographic, so each prefix class is a contiguous run.
+    Evaluates log g_m on every admissible image word of length m+1, from one
+    level of measures (each suffix's measure is the sum over the words
+    extending it by one symbol on the left), then for each n takes the
+    maximal spread within prefix classes of depth n.  The words come
+    lexicographic, so each prefix class is a contiguous run.
     """
     k = fs.block_length
     if m < k + 1:
@@ -254,8 +205,16 @@ def variation_profile(fs: FactorSystem, pd: PerronData, m: int, n_max: int,
     if not 2 <= n_max < m:
         raise ValidationError("need 2 <= n_max < m")
     words, logs = level_measures(fs, pd, m + 1, max_words, exact=False)
-    suffixes, suffix_logs = level_measures(fs, pd, m, max_words, exact=False)
-    ghat = logs - suffix_logs[np.searchsorted(_row_keys(suffixes), _row_keys(words[:, 1:]))]
+    # shift invariance: the suffix y_1..y_m has measure sum_a proj[a y_1..y_m]
+    keys = _row_keys(words[:, 1:])
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    new = np.ones(len(keys), dtype=bool)
+    new[1:] = keys[1:] != keys[:-1]
+    totals, scales = log_sum_runs(logs[order], np.flatnonzero(new))
+    suffix_logs = np.empty_like(logs)
+    suffix_logs[order] = (np.log(totals) + scales)[np.cumsum(new) - 1]
+    ghat = logs - suffix_logs
     # coordinate at which each word first differs from the one before it
     first_diff = (words[1:] != words[:-1]).argmax(axis=1)
     n_values = tuple(range(1, n_max + 1))

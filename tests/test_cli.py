@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gibbsfactor import fixtures, parse_system, parse_system_dict
+from gibbsfactor import build_pipeline, fixtures, g_limit, parse_system, parse_system_dict
 from gibbsfactor.cli import INTERNAL_ERROR, main
 from gibbsfactor.errors import ValidationError
 from gibbsfactor.sysio import emit_system
@@ -213,6 +213,13 @@ class TestCommands:
         # g(0^4 1-run) = (4+1)/(3*4)
         assert abs(report["results"]["value"] - 5 / 12) < 1e-6
 
+    def test_gfun_limit_large_jmax(self, capsys, rate_demo_file):
+        pipe = build_pipeline(fixtures.rate_demo(), exact=False)
+        expected = g_limit(pipe.factor, pipe.pd, (), (0,), jmax=12).value
+        code, report = run(capsys, "gfun-limit", rate_demo_file, "--tail", "a", "--jmax", "60")
+        assert code == 0
+        assert abs(report["results"]["value"] - expected) <= 1e-12
+
     def test_exact_measure_long_word_log_survives_underflow(self, capsys, example2_file):
         word = ",".join(["0"] * 700)
         code, report = run(capsys, "measure", example2_file, "--word", word, "--exact")
@@ -251,6 +258,13 @@ class TestCommands:
         assert res["nu"] == ["1/6", "1/3", "1/3", "1/6"]
         assert abs(res["g_zero_run_limit"] - 1 / 3) < 1e-6
         assert res["fiber_wise_mixing"] is False
+
+    def test_example2_honours_small_jmax(self, capsys):
+        pipe = build_pipeline(fixtures.example2(), exact=True)
+        expected = g_limit(pipe.factor, pipe.pd, (), (0,), jmax=5).value
+        code, report = run(capsys, "example2", "--jmax", "5")
+        assert code == 0
+        assert report["results"]["g_zero_run_limit"] == expected
 
 
 class TestReportDiscipline:

@@ -410,6 +410,27 @@ def both_depths():
     return pds, fss
 
 
+@pytest.fixture(scope="module")
+def stochastic_depths():
+    """Row-stochastic rational potentials of depth 2 and 3 (lambda = 1) on
+    the shift of `both_depths`: {depth: (pd, fs)}, block lengths 2 and 3."""
+    sft = build_sft(Alphabet(("0", "1", "2", "3")),
+                    [[1, 1, 1, 0], [0, 1, 1, 1], [1, 1, 1, 0], [0, 1, 1, 1]])
+    from gibbsfactor import perron_exact
+
+    out = {}
+    for depth in (2, 3):
+        raw = {w: Fraction(1 + (sum(w[:-1]) + 2 * w[-1]) % 3)
+               for w in enumerate_words(sft, depth + 1)}
+        rows = {}
+        for w, v in raw.items():
+            rows[w[:-1]] = rows.get(w[:-1], 0) + v
+        table = {w: v / rows[w[:-1]] for w, v in raw.items()}
+        pd = perron_exact(transfer_matrix(sft, build_potential(sft, depth, "weight", table)))
+        out[depth] = pd, build_factor(pd.tm, (0, 0, 1, 1), Alphabet(("0", "1")))
+    return out
+
+
 class TestCrossDepthConsistency:
     """The same potential presented at a deeper block recoding must define
     the identical measure through every code path."""
@@ -438,15 +459,22 @@ class TestCrossDepthConsistency:
         for (n, _), exact in zip(r2.stages, r2.exact_stages):
             assert exact == Fraction(n + 3, 3 * (n + 2))
 
-    @pytest.mark.parametrize("depth", [1, 2])
+    @pytest.mark.parametrize("presentation", [("uniform", 1), ("uniform", 2),
+                                              ("stochastic", 2), ("stochastic", 3)],
+                             ids=["1", "2", "stochastic-2", "stochastic-3"])
     @pytest.mark.parametrize("prefix, tail", [((), (0,)), ((1,), (0,)), ((), (0, 1)),
                                               ((1,), (1, 0)), ((0, 1), (1, 0, 0)),
                                               ((), (0, 1, 1))])
-    def test_g_limit_stages_are_direct_ratios(self, both_depths, depth, prefix, tail):
-        # tails of length 2 and 3 leave a partial cycle at block lengths 1 and 2
-        pds, fss = both_depths
-        pd, fs = pds[depth - 1], fss[depth - 1]
-        res = g_limit(fs, pd, prefix, tail, jmax=5)
+    def test_g_limit_stages_are_direct_ratios(self, both_depths, stochastic_depths,
+                                              presentation, prefix, tail):
+        # tails of length 2 and 3 leave a partial cycle at block lengths 1-3
+        kind, depth = presentation
+        if kind == "uniform":
+            pds, fss = both_depths
+            pd, fs = pds[depth - 1], fss[depth - 1]
+        else:
+            pd, fs = stochastic_depths[depth]
+        res = g_limit(fs, pd, prefix, tail, jmax=6)
         assert len(res.exact_stages) == len(res.stages) >= 4
         for (n, value), exact in zip(res.stages, res.exact_stages):
             reps, rest = divmod(n + 1 - len(prefix), len(tail))

@@ -6,6 +6,7 @@ import pytest
 
 from gibbsfactor import (
     ValidationError,
+    fixtures,
     VariationProfile,
     decay_fit,
     enumerate_image_words,
@@ -147,6 +148,30 @@ class TestGLimit:
         res = g_limit(fs, rate_demo_float.pd, (), (0,), jmax=12, tol=1e-9)
         assert res.converged
         assert res.error_estimate < 1e-9
+
+    def test_row_vanishing_alone_rejected(self):
+        # the word's row dies while its suffix's row lives: no stage of 0.0
+        pipe = build_pipeline(fixtures.random_mixing_system(0, 6, 1, 3, density=0.3),
+                              exact=False)
+        with pytest.raises(ValidationError, match="not admissible"):
+            g_limit(pipe.factor, pipe.pd, (2, 2), (2, 0), jmax=4)
+
+    @pytest.mark.parametrize("system", ["example2", "markov_chain_2x2"])
+    def test_float_stages_match_exact(self, system):
+        desc = getattr(fixtures, system)()
+        exact, approx = (g_limit(pipe.factor, pipe.pd, (), (0,), jmax=16)
+                         for pipe in (build_pipeline(desc, exact=True),
+                                      build_pipeline(desc, exact=False)))
+        assert [n for n, _ in approx.stages] == [n for n, _ in exact.stages]
+        for (_, value), ratio in zip(approx.stages, exact.exact_stages):
+            assert value == pytest.approx(float(ratio), rel=1e-13, abs=0)
+
+    def test_float_large_jmax_keeps_value(self, rate_demo_float):
+        # 2^60 tail copies: no log-measure of size 2^j log(lambda) to cancel
+        fs, pd = rate_demo_float.factor, rate_demo_float.pd
+        short = g_limit(fs, pd, (), (0,), jmax=12)
+        long = g_limit(fs, pd, (), (0,), jmax=60)
+        assert long.value == pytest.approx(short.value, rel=0, abs=1e-12)
 
 
 class TestImageMeasureMap:
