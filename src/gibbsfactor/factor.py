@@ -40,21 +40,25 @@ stay lexicographic without sorting.  A level that would exceed
 first, so a sweep holds at most one capped chunk per word length, however
 large its budget (which counts visited nodes).  Single image words go
 through :func:`carry_product`, the one loop for the product along one word.
-Exact blocks are numpy ``object`` arrays of Fraction, so exact and float
-products share the same ``@`` code; :func:`rescale_product` and
+Exact blocks are slices of the integer matrix M = D W of the transfer
+matrix, numpy ``object`` arrays of int, so exact and float products share
+the same ``@`` code and exact products carry Python integers from the
+integer Perron vector nu~ to h~.  :func:`rescale_product` and
 :func:`~gibbsfactor.potential.finish_measure` (in the potential module) are
 the only places where the two arithmetics differ (float products are
 renormalised by their largest entry and finished in log space, exact ones
-are kept whole), and :func:`rescale_product` serves single products and
-stacked rows alike.  Which of the two block tables a product reads is
-decided in one place, :meth:`FactorSystem.operators`, from the caller's
-mode (the Perron data's for measures).
+are kept whole and turned into a Fraction by one division per measure), and
+:func:`rescale_product` serves single products and stacked rows alike.
+Which of the two block tables a product reads is decided in one place,
+:meth:`FactorSystem.operators`, from the caller's mode (the Perron data's
+for measures).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -82,7 +86,7 @@ class FactorSystem:
     fibers: tuple[tuple[int, ...], ...]      # per image block, domain block indices
     blocks: dict                             # (b, b') -> float ndarray
     bool_blocks: dict                        # (b, b') -> bool ndarray
-    exact_blocks: dict | None                # (b, b') -> Fraction object ndarray
+    exact_blocks: dict | None                # (b, b') -> int object ndarray, slice of M = D W
     successors: tuple[tuple[int, ...], ...]  # per image block, ascending targets
 
     @property
@@ -94,14 +98,16 @@ class FactorSystem:
         return np.array([len(f) for f in self.fibers])
 
     def fiber_h(self, pd: PerronData, b: int) -> np.ndarray:
-        return np.asarray(pd.h)[list(self.fibers[b])]
+        """h on fiber b in the Perron data's arithmetic (:attr:`PerronData.vectors`)."""
+        return pd.vectors[1][list(self.fibers[b])]
 
     def fiber_nu(self, pd: PerronData, b: int) -> np.ndarray:
-        return np.asarray(pd.nu)[list(self.fibers[b])]
+        """nu on fiber b in the Perron data's arithmetic (:attr:`PerronData.vectors`)."""
+        return pd.vectors[0][list(self.fibers[b])]
 
     def operators(self, exact: bool) -> dict:
-        """The block table of one arithmetic: the Fraction blocks in exact
-        mode, the float blocks otherwise."""
+        """The block table of one arithmetic: the integer blocks of M = D W
+        in exact mode, the float blocks otherwise."""
         if not exact:
             return self.blocks
         if self.exact_blocks is None:
@@ -147,7 +153,7 @@ def build_factor(tm: TransferMatrix, symbol_map, image_alphabet: Alphabet) -> Fa
         return out
 
     blocks = sliced(tm.weights)
-    exact_blocks = None if tm.exact_weights is None else sliced(tm.exact_weights)
+    exact_blocks = None if tm.int_weights is None else sliced(tm.int_weights)
     bool_blocks = {key: m > 0 for key, m in blocks.items()}
     successors: list[list[int]] = [[] for _ in image_words]
     for a, b in sorted(keys):
@@ -206,8 +212,8 @@ def rescale_product(x: np.ndarray, scale):
     `x` holds one product per entry of `scale`, its log scale: a single
     product with a scalar scale, or a stack of products along the leading
     axes with an array of scales.  A float product is divided by its largest
-    entry, whose log is added to its scale; boolean and exact (Fraction
-    object) products are kept whole.  Returns (products, scales, alive),
+    entry, whose log is added to its scale; boolean and exact (int object)
+    products are kept whole.  Returns (products, scales, alive),
     alive flagging the nonzero products; a zero product comes back unchanged
     and is the caller's to drop.
     """
@@ -244,7 +250,8 @@ def block_product(fs: FactorSystem, yword, exact: bool):
 
     Float mode (exact False) returns (matrix, log_scale) with the product
     renormalized by its maximum entry at every step; exact mode returns the
-    raw Fraction matrix (log_scale 0) and needs rational weights.
+    raw Fraction matrix (log_scale 0), the integer product of M = D W divided
+    once by D^steps, and needs rational weights.
     """
     w = _check_image_word(fs, yword)
     k = fs.block_length
@@ -255,6 +262,8 @@ def block_product(fs: FactorSystem, yword, exact: bool):
     if carried is None:
         raise ValidationError("image word is not admissible")
     prod, scale = carried
+    if exact:
+        prod = prod * Fraction(1, fs.tm.denominator ** (len(blocks) - 1))
     return prod, float(scale)
 
 
@@ -262,8 +271,9 @@ def projected_measure(fs: FactorSystem, pd: PerronData, yword):
     """Projected cylinder mass via the block-operator product formula.
 
     Float mode returns the natural log (-inf for measure zero); exact mode
-    returns the Fraction.  Image words shorter than the block length are
-    summed over their realized block extensions.
+    returns the Fraction, the integer nu~ . (product of M) . h~ finished by
+    one division.  Image words shorter than the block length are summed over
+    their realized block extensions.
     """
     w = _check_image_word(fs, yword)
     if len(w) == 0:
@@ -325,8 +335,8 @@ def preimage_measures(fs: FactorSystem, pd: PerronData, allowed: np.ndarray,
 
     One :func:`~gibbsfactor.potential.domain_rows` expansion in the Perron
     data's arithmetic, grouped by image word (symbol map, lexicographic
-    sort, ``reduceat`` of an exact sum or :func:`log_sum_runs`), each group
-    through
+    sort, ``reduceat`` of an integer sum in exact mode or
+    :func:`log_sum_runs`), each group through
     :func:`~gibbsfactor.potential.finish_measure`.  The budget counts
     visited preimage prefixes.
     """
@@ -560,26 +570,29 @@ def level_measures(fs: FactorSystem, pd: PerronData, n: int, max_words: int,
 
     One :func:`walk_image_words` sweep through the blocks of that arithmetic
     (:meth:`FactorSystem.operators`), from nu on the first fiber, finished
-    by h on the last and lambda^-steps; words shorter than the block length
-    sum nu . h over the image blocks they begin.  The budget counts the
-    sweep's visited nodes.
+    by h on the last and lambda^-steps (in exact mode from the integer nu~
+    to h~, each total through :func:`finish_measure`); words shorter than
+    the block length sum nu . h over the image blocks they begin.  The
+    budget counts the sweep's visited nodes.
     """
     if n < 1:
         raise ValidationError("length must be >= 1")
     k = fs.block_length
-    nu, h = ((np.array(v, dtype=object) if exact else np.asarray(v, dtype=float))
-             for v in (pd.nu, pd.h))
+    nu, h = ((pd.int_nu, pd.int_h) if exact
+             else (np.asarray(v, dtype=float) for v in (pd.nu, pd.h)))
     fibers = [list(f) for f in fs.fibers]
 
     def finish(totals, scales, steps):
         if exact:
-            return totals / pd.lam**steps
+            return np.array([finish_measure(t, 0.0, steps, pd) for t in totals.tolist()],
+                            dtype=object)
         return np.log(totals) + scales - steps * pd.log_lam
 
     if n < k:
         prefixes = np.array(fs.image_block_words, dtype=np.intp)[:, :n]
         starts = _run_starts(prefixes)
-        totals = np.add.reduceat(np.array([nu[f] @ h[f] for f in fibers]), starts)
+        totals = np.array([nu[f] @ h[f] for f in fibers], dtype=h.dtype)
+        totals = np.add.reduceat(totals, starts)
         return prefixes[starts], finish(totals, 0.0, 0)
     steps = n - k
     h_rows = np.stack([padded(fs, h[f]) for f in fibers])

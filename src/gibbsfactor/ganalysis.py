@@ -85,13 +85,15 @@ def g_limit(fs: FactorSystem, pd: PerronData, prefix, tail,
         g_j = (row_0 . h) / (row_1 . h) / lambda,
 
     with h on the last block's fiber.  The rows share one rescaling, so the
-    ratio needs no log scale or power of lambda, in float and exact
-    arithmetic alike.  From stage j to j+1 the word grows by 2^j full tail
-    cycles: the rows take one product with D^(2^j), D the one-cycle product
-    from the block the word ends in, which is then squared.  Aitken
-    delta-squared acceleration is applied to the last three stages.
-    Convergence is reported, never raised: slow sequences (e.g. 1/n gaps)
-    still return their best value.
+    ratio needs no log scale or power of lambda.  In exact mode the rows are
+    integer (nu~ and the blocks of M = D W, the transfer matrix's integer
+    form) and a stage is the one division Fraction(row_0 . h~, (row_1 . h~)
+    Lambda), Lambda = D lambda.  From stage j to j+1 the word grows by 2^j
+    full tail cycles: the rows take one product with P^(2^j), P the
+    one-cycle product from the block the word ends in, which is then
+    squared.  Aitken delta-squared acceleration is applied to the last three
+    stages.  Convergence is reported, never raised: slow sequences (e.g. 1/n
+    gaps) still return their best value.
     """
     prefix = tuple(prefix)
     tail = tuple(tail)
@@ -133,7 +135,7 @@ def g_limit(fs: FactorSystem, pd: PerronData, prefix, tail,
         num, den = rows @ h
         if not (num > 0 and den > 0):
             raise ValidationError("point is not admissible")
-        ratios.append(num / den / pd.lam)
+        ratios.append(Fraction(num, den * pd.int_lam) if pd.exact else num / den / pd.lam)
         stages.append((len(word) + c * (2**j - shift) - 1, float(ratios[-1])))
     values = [v for _, v in stages]
     # Aitken delta-squared on successive stage triples

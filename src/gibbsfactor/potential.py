@@ -29,9 +29,18 @@ certify an integer eigenvalue of the denominator-cleared weights by
 fraction-free elimination (:func:`perron_exact`).
 
 Float-mode measures are computed in log space (long words underflow raw
-products); exact mode runs on fractions.Fraction and is available when the
-potential was given as a table of rational weights.  Exact matrices are numpy
-``object`` arrays of Fraction, so both modes share the same ``@`` code.
+products).  Exact mode is available when the potential was given as a table
+of rational weights, and it runs in Python integers from build to finish.
+:func:`transfer_matrix` clears the denominators once: M = D W is an integer
+matrix (a numpy ``object`` array of int, so both modes share the same ``@``
+code) and D the lcm of the weights' denominators.  :func:`perron_exact`
+certifies the integer eigenvalue Lambda = D lambda of M with primitive
+integer kernel vectors h~ and nu~.  Since W^m / lambda^m = M^m / Lambda^m, D
+cancels and every exact measure is
+
+    nu~[first] (prod of M along the block word) h~[last] / (<nu~, h~> Lambda^m),
+
+an integer total turned into a Fraction by one division.
 :func:`finish_measure` (with :func:`measure_ratio` for quotients of
 measures) lives here, next to :class:`PerronData`: the Gibbs cylinder
 measures here and the projected measures of the factor module both finish
@@ -49,6 +58,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -207,13 +217,24 @@ class TransferMatrix:
     sft: Sft
     potential: Potential
     recoding: Recoding
-    weights: np.ndarray          # (d, d) float
-    log_weights: np.ndarray      # log W, -inf where forbidden
-    exact_weights: np.ndarray | None  # (d, d) Fraction object array, or None
+    weights: np.ndarray            # (d, d) float
+    log_weights: np.ndarray        # log W, -inf where forbidden
+    int_weights: np.ndarray | None  # M = D W, (d, d) int object array, or None
+    denominator: int | None        # D, lcm of the rational weights' denominators
 
     @property
     def dimension(self) -> int:
         return self.weights.shape[0]
+
+    @cached_property
+    def exact_weights(self) -> np.ndarray | None:
+        """W = M / D as a read-only (d, d) object array of Fraction, or None
+        without rational weights."""
+        if self.int_weights is None:
+            return None
+        w = self.int_weights * Fraction(1, self.denominator)
+        w.setflags(write=False)
+        return w
 
 
 def transfer_matrix(sft: Sft, potential: Potential,
@@ -230,7 +251,7 @@ def transfer_matrix(sft: Sft, potential: Potential,
     rec = higher_block_recode(sft, k, max_words)
     d = rec.size
     w = np.zeros((d, d))
-    exact = None
+    exact = ints = den = None
     if potential.exact_weights is not None:
         exact = np.full((d, d), Fraction(0), dtype=object)
     window = potential.depth + 1
@@ -242,13 +263,16 @@ def transfer_matrix(sft: Sft, potential: Potential,
             w[i, j] = potential.weights[key]
             if exact is not None:
                 exact[i, j] = potential.exact_weights[key]
+    if exact is not None:
+        ints, den = _clear_denominators(exact.flat)
+        ints = ints.reshape(d, d)
     with np.errstate(divide="ignore"):
         logw = np.log(w)
-    for m in (w, logw, exact):
+    for m in (w, logw, ints):
         if m is not None:
             m.setflags(write=False)
-    return TransferMatrix(sft=sft, potential=potential, recoding=rec,
-                          weights=w, log_weights=logw, exact_weights=exact)
+    return TransferMatrix(sft=sft, potential=potential, recoding=rec, weights=w,
+                          log_weights=logw, int_weights=ints, denominator=den)
 
 
 @dataclass(frozen=True, eq=False)
@@ -259,7 +283,8 @@ class PerronData:
     (nu^T W = lambda nu^T), normalized so sum(nu) = 1 and <h, nu> = 1.
     `residual` is relative, the larger of |W h - lambda h| / (lambda max h)
     and |nu^T W - lambda nu^T| / (lambda max nu) in the maximum norm.  In
-    exact mode all three are Fractions and residual is exactly zero.
+    exact mode all three are Fractions and residual is exactly zero, and the
+    integer form the exact measures read is kept alongside.
     `iterations` counts the inverse-iteration steps of :func:`perron`.
     """
 
@@ -270,10 +295,20 @@ class PerronData:
     residual: float
     iterations: int
     exact: bool
+    int_lam: int | None = None          # Lambda = D lambda, eigenvalue of M
+    int_h: np.ndarray | None = None     # h~ (int object array): M h~ = Lambda h~
+    int_nu: np.ndarray | None = None    # nu~: nu~^T M = Lambda nu~^T
+    int_pairing: int | None = None      # <nu~, h~>; h = h~ sum(nu~) / <nu~, h~>
 
     @property
     def log_lam(self) -> float:
         return math.log(float(self.lam))
+
+    @property
+    def vectors(self) -> tuple[np.ndarray, np.ndarray]:
+        """(nu, h) as the measures read them: the integer vectors nu~, h~ in
+        exact mode, the float Perron vectors otherwise."""
+        return (self.int_nu, self.int_h) if self.exact else (self.nu, self.h)
 
 
 def _noda(w: np.ndarray, tol: float, max_iter: int) -> tuple[np.ndarray, int]:
@@ -372,9 +407,9 @@ def _simplest_between(lo: Fraction, hi: Fraction) -> Fraction:
 
 
 def _positive_kernel(a: np.ndarray) -> np.ndarray | None:
-    """Integer vector spanning the nullspace of the square integer object
-    matrix `a` when that nullspace is a line through a positive vector,
-    else None.
+    """Primitive integer vector (coprime entries) spanning the nullspace of
+    the square integer object matrix `a` when that nullspace is a line
+    through a positive vector, else None.
 
     Fraction-free Gauss-Jordan elimination (Bareiss, Math. Comp. 22 (1968)):
     a pivot step sets each other row to (pivot * row - row[c] * pivot row)
@@ -397,14 +432,15 @@ def _positive_kernel(a: np.ndarray) -> np.ndarray | None:
     v = np.array([p if c == free[0] else -a[pivots[c], free[0]] for c in range(d)],
                  dtype=object)
     v = -v if v[0] < 0 else v
-    return v if (v > 0).all() else None
+    return v // math.gcd(*v) if (v > 0).all() else None
 
 
 def perron_exact(tm: TransferMatrix) -> PerronData:
     """Exact Perron data over Fractions, certified in integer arithmetic.
 
     With D the lcm of the weights' denominators, lambda = Lambda / D for an
-    eigenvalue Lambda of the integer matrix M = D W, and a rational Lambda
+    eigenvalue Lambda of the integer matrix M = D W (both stored on the
+    transfer matrix), and a rational Lambda
     is an integer (the characteristic polynomial is monic).  Exact
     Collatz-Wielandt bounds (Wielandt, Math. Z. 52 (1950)) on the float
     Perron vector of :func:`perron` bracket Lambda; a bracket holding more
@@ -412,16 +448,17 @@ def perron_exact(tm: TransferMatrix) -> PerronData:
     the simplest rational in bracket / D.  A candidate is certified when
     M - Lambda I and its transpose have kernels spanned by positive vectors,
     which by Perron-Frobenius only the spectral radius has, so no float
-    value is trusted.  Raises ExactModeError when none certifies.
+    value is trusted.  Lambda and the primitive kernel vectors h~, nu~ are
+    kept with their pairing <nu~, h~> for the exact measures; the public
+    lambda, h and nu are the normalised Fractions.  Raises ExactModeError
+    when none certifies.
     """
-    if tm.exact_weights is None:
+    if tm.int_weights is None:
         raise ExactModeError(
             "exact mode needs a weight-mode potential with rational entries"
         )
     approx = perron(tm)  # runs the mixing test
-    d = tm.dimension
-    entries, den = _clear_denominators(tm.exact_weights.flat)
-    m = entries.reshape(d, d)
+    d, m, den = tm.dimension, tm.int_weights, tm.denominator
     x = _clear_denominators(approx.h)[0]
     ratios = [Fraction(a, b) for a, b in zip(m @ x, x)]
     lo, hi = min(ratios), max(ratios)
@@ -440,19 +477,23 @@ def perron_exact(tm: TransferMatrix) -> PerronData:
             "exact mode is unavailable for this system"
         )
     total, pairing = sum(nu), h @ nu
+    h.setflags(write=False)
+    nu.setflags(write=False)
     return PerronData(tm=tm, lam=Fraction(big, den),
                       h=tuple(Fraction(v * total, pairing) for v in h),
                       nu=tuple(Fraction(v, total) for v in nu), residual=0.0,
-                      iterations=approx.iterations, exact=True)
+                      iterations=approx.iterations, exact=True, int_lam=big,
+                      int_h=h, int_nu=nu, int_pairing=pairing)
 
 
 def finish_measure(total, scale: float, n_steps: int, pd: PerronData):
     """Measure from total = nu . (product) . h, with the product's log scale
-    and its number of block transitions: exact mode returns the Fraction
-    total / lambda^n, float mode the log of total e^scale / lambda^n (-inf
-    for a zero total)."""
+    and its number of block transitions.  Exact mode takes the integer total
+    nu~ . (product of M) . h~ and returns the Fraction total / (<nu~, h~>
+    Lambda^n), its one division; float mode returns the log of total e^scale
+    / lambda^n (-inf for a zero total)."""
     if pd.exact:
-        return total / pd.lam**n_steps
+        return Fraction(total, pd.int_pairing * pd.int_lam**n_steps)
     if total <= 0:
         return -math.inf
     return float(math.log(total) + scale - n_steps * pd.log_lam)
@@ -489,16 +530,17 @@ def cylinder_measure(pd: PerronData, word):
     if not is_admissible(tm.sft, w):
         return finish_measure(0, 0.0, 0, pd)
     if not w:
-        return finish_measure(1, 0.0, 0, pd)
+        return Fraction(1) if pd.exact else 0.0
+    nu, h = pd.vectors
     if len(w) < rec.block_length:
-        total = sum(pd.nu[i] * pd.h[i] for i in _short_word_blocks(rec, w))
+        total = sum(nu[i] * h[i] for i in _short_word_blocks(rec, w))
         return finish_measure(total, 0.0, 0, pd)
     blocks = block_word(rec, w)
     steps = list(zip(blocks, blocks[1:]))
     if pd.exact:
-        total = pd.nu[blocks[0]] * pd.h[blocks[-1]]
+        total = nu[blocks[0]] * h[blocks[-1]]
         for a, b in steps:
-            total *= tm.exact_weights[a, b]
+            total *= tm.int_weights[a, b]
         return finish_measure(total, 0.0, len(steps), pd)
     scale = math.log(pd.h[blocks[-1]]) + sum(tm.log_weights[a, b] for a, b in steps)
     return finish_measure(pd.nu[blocks[0]], scale, len(steps), pd)
@@ -511,9 +553,11 @@ def domain_rows(pd: PerronData, allowed: np.ndarray, max_words: int, exact: bool
     Rows start from the blocks whose first min(n, k) symbols are allowed (k
     the block length; for n < k one row per block) and grow by the allowed
     block successors of their last block, so they stay lexicographic.  Each
-    row carries its value from its prefix: nu[first] . prod W . h[last], a
-    Fraction in exact mode, its log otherwise.  Returns (words, values,
-    steps), the measure of a row being value / lambda^steps.  The budget
+    row carries its value from its prefix: the integer nu~[first] . prod M .
+    h~[last] in exact mode (which needs exact Perron data), the log of
+    nu[first] . prod W . h[last] otherwise.  Returns (words, values, steps),
+    the measure of a row being its value finished by :func:`finish_measure`
+    with `steps` block transitions.  The budget
     counts visited rows, every prefix; exceeding it raises
     EnumerationLimitError.
     """
@@ -521,9 +565,9 @@ def domain_rows(pd: PerronData, allowed: np.ndarray, max_words: int, exact: bool
     rec = tm.recoding
     n, k = len(allowed), rec.block_length
     combine = np.multiply if exact else np.add
-    weights = tm.exact_weights if exact else tm.log_weights
-    nu, h = (np.array(v, dtype=object) if exact else np.log(np.asarray(v, dtype=float))
-             for v in (pd.nu, pd.h))
+    weights = tm.int_weights if exact else tm.log_weights
+    nu, h = ((pd.int_nu, pd.int_h) if exact
+             else (np.log(np.asarray(v, dtype=float)) for v in (pd.nu, pd.h)))
     block_words = np.array(rec.block_words, dtype=np.intp)
     head = min(n, k)
     rows = np.flatnonzero(allowed[np.arange(head), block_words[:, :head]].all(axis=1))

@@ -18,6 +18,7 @@ from gibbsfactor import (
     build_pipeline,
     build_potential,
     build_sft,
+    cylinder_measure,
     enumerate_image_words,
     enumerate_words,
     fixtures,
@@ -26,6 +27,7 @@ from gibbsfactor import (
     g_approx,
     g_limit,
     image_admissible,
+    parse_system_dict,
     perron,
     projected_measure,
     projected_measure_bruteforce,
@@ -278,7 +280,9 @@ class TestOracleExpansion:
             for y, vals in groups.items():
                 got = projected_measure_bruteforce(fs, pd, y)
                 if pd.exact:
-                    assert got == sum(vals) / pd.lam**steps
+                    # integer values nu~ . prod M . h~, one division per group
+                    assert all(type(v) is int for v in vals)
+                    assert got == Fraction(sum(vals), pd.int_pairing * pd.int_lam**steps)
                 else:
                     want = _logsumexp(vals) - steps * pd.log_lam
                     assert got == pytest.approx(want, abs=1e-12)
@@ -668,15 +672,37 @@ def test_sweep_budget_counts_visited_nodes(ex2_float, sweep):
     SWEEPS[sweep](ex2_float, nodes)
 
 
-def test_exact_results_are_fractions(ex2_exact):
-    fs, pd = ex2_exact.factor, ex2_exact.pd
-    for word in [(0,), (1, 0), (0, 0, 1, 1)]:
-        assert type(projected_measure(fs, pd, word)) is Fraction
-    m, _ = block_product(fs, (0, 1, 1, 0), exact=pd.exact)
-    assert all(type(x) is Fraction for x in np.ravel(m))
-    res = g_limit(fs, pd, (), (0,), jmax=6)
-    assert res.exact_stages
-    assert all(type(x) is Fraction for x in res.exact_stages)
+def test_exact_results_are_fractions(ex2_exact, stochastic_depth2, skewed_golden_doc):
+    """Exact results are Fractions, never bare ints (the CLI reads their
+    numerator and denominator), zero measures and the empty word included."""
+    golden = build_pipeline(parse_system_dict(skewed_golden_doc), exact=True)
+    systems = [(ex2_exact.factor, ex2_exact.pd), stochastic_depth2, (golden.factor, golden.pd)]
+    # the empty cylinder, an inadmissible domain word, an image word shorter
+    # than the block and a measure-zero image word
+    assert cylinder_measure(ex2_exact.pd, ()) == 1
+    assert cylinder_measure(ex2_exact.pd, (1, 0)) == 0
+    assert stochastic_depth2[0].block_length == 2
+    assert projected_measure(golden.factor, golden.pd, (1, 1)) == 0
+    for fs, pd in systems:
+        k, size = fs.block_length, pd.tm.sft.size
+        values = [cylinder_measure(pd, w) for n in range(k + 3)
+                  for w in itertools.product(range(size), repeat=n)]
+        image_words = [y for n in range(1, k + 3)
+                       for y in itertools.product(range(fs.image_alphabet.size), repeat=n)]
+        for y in image_words:
+            values += [projected_measure(fs, pd, y), projected_measure_bruteforce(fs, pd, y)]
+            if len(y) > k and values[-1]:
+                values.append(g_approx(fs, pd, y).value)
+                values.extend(np.ravel(block_product(fs, y, exact=True)[0]))
+        for n in range(1, k + 3):
+            values.extend(level_measures(fs, pd, n, DEFAULT_MAX_WORDS, True)[1])
+            values += preimage_measures(fs, pd, np.ones((n, size), dtype=bool),
+                                        DEFAULT_MAX_WORDS)[1]
+        res = g_limit(fs, pd, (), (0,), jmax=6)
+        assert res.exact_stages
+        values += res.exact_stages
+        assert 0 in values and 1 in values
+        assert all(type(x) is Fraction for x in values)
 
 
 # Word-by-word routes that never call the sweep walker.
@@ -778,19 +804,32 @@ def test_sweeps_chunked_at_row_cap(monkeypatch, system):
 
 
 class TestExactForm:
-    @pytest.mark.parametrize("which", ["example2", "depth2"])
-    def test_exact_blocks_are_slices_of_exact_weights(self, ex2_exact, both_depths, which):
-        tm, fs = ((ex2_exact.tm, ex2_exact.factor) if which == "example2"
-                  else (both_depths[0][1].tm, both_depths[1][1]))
-        w = tm.exact_weights
-        assert isinstance(w, np.ndarray) and w.dtype == object
-        assert w.shape == (tm.dimension, tm.dimension)
-        assert not w.flags.writeable
+    @pytest.mark.parametrize("which", ["example2", "depth2", "stochastic"])
+    def test_exact_blocks_are_slices_of_exact_weights(self, request, which):
+        if which == "example2":
+            pipe = request.getfixturevalue("ex2_exact")
+            tm, fs = pipe.tm, pipe.factor
+        elif which == "depth2":
+            (_, pd), (_, fs) = request.getfixturevalue("both_depths")
+            tm = pd.tm
+        else:  # rational weights with D > 1
+            fs, _ = request.getfixturevalue("stochastic_depth2")
+            tm = fs.tm
+            assert tm.denominator > 1
+        ints, den, w = tm.int_weights, tm.denominator, tm.exact_weights
+        for m in (ints, w):
+            assert isinstance(m, np.ndarray) and m.dtype == object
+            assert m.shape == (tm.dimension, tm.dimension)
+            assert not m.flags.writeable
+        assert all(type(x) is int for x in ints.ravel())
         assert all(type(x) is Fraction for x in w.ravel())
+        assert type(den) is int and den >= 1
+        assert all(Fraction(x, den) == y for x, y in zip(ints.ravel(), w.ravel()))
         assert set(fs.exact_blocks) == set(fs.blocks)
         for (a, b), m in fs.exact_blocks.items():
-            ref = w[np.ix_(fs.fibers[a], fs.fibers[b])]
+            ref = ints[np.ix_(fs.fibers[a], fs.fibers[b])]
             assert m.dtype == object and m.shape == ref.shape
+            assert all(type(x) is int for x in m.ravel())
             assert (m == ref).all()
 
 

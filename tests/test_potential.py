@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 import warnings
@@ -573,3 +574,112 @@ class TestExactCertification:
         assert calls
         assert pd.lam == 1 and pd.nu == (Fraction(1, 4),) * 4
         assert_exact_perron(pd)
+
+
+def reference_measures(tm, pd, smap):
+    """Plain-Fraction references built only from W = tm.exact_weights and
+    the public pd.h, pd.nu and pd.lam: (cylinder, projected, product), the
+    Gibbs mass of a domain word, the projected mass of an image word (the
+    masses of its preimages, summed block by block), and the product of W
+    restricted to the fibers along an image word."""
+    w, h, nu, lam = tm.exact_weights, pd.h, pd.nu, pd.lam
+    blocks = tm.recoding.block_words
+    k, index = len(blocks[0]), {b: i for i, b in enumerate(blocks)}
+    images = [tuple(smap[s] for s in b) for b in blocks]
+
+    def cylinder(x):
+        if len(x) < k:
+            return sum((nu[i] * h[i] for i, b in enumerate(blocks) if b[:len(x)] == x),
+                       Fraction(0))
+        path = [index.get(x[t:t + k]) for t in range(len(x) - k + 1)]
+        if None in path:
+            return Fraction(0)
+        mass = nu[path[0]] * h[path[-1]]
+        for a, b in zip(path, path[1:]):
+            mass *= w[a, b]
+        return mass / lam ** (len(path) - 1)
+
+    def projected(y):
+        if len(y) < k:
+            return sum((nu[i] * h[i] for i, b in enumerate(images) if b[:len(y)] == y),
+                       Fraction(0))
+        mass = [nu[i] if images[i] == y[:k] else Fraction(0) for i in range(len(blocks))]
+        for t in range(k, len(y)):
+            mass = [sum((mass[i] * w[i, j] for i in range(len(blocks))), Fraction(0))
+                    if images[j] == y[t - k + 1:t + 1] else Fraction(0)
+                    for j in range(len(blocks))]
+        return sum(m * x for m, x in zip(mass, h)) / lam ** (len(y) - k)
+
+    def product(y):
+        fibers = [[i for i, b in enumerate(images) if b == y[t:t + k]]
+                  for t in range(len(y) - k + 1)]
+        out = w[np.ix_(fibers[0], fibers[1])]
+        for a, b in zip(fibers[1:], fibers[2:]):
+            out = out @ w[np.ix_(a, b)]
+        return out
+
+    return cylinder, projected, product
+
+
+class TestExactMeasuresAgainstFractions:
+    """Every exact measure of a certified rational system (denominators
+    D > 1 included) equals its plain-Fraction reference."""
+
+    @given(st.integers(0, 2**32), st.sampled_from(["rows", "columns", "scaled"]))
+    @settings(max_examples=30, deadline=None)
+    def test_exact_outputs_match_reference(self, seed, kind):
+        from gibbsfactor import (
+            block_product,
+            build_factor,
+            g_approx,
+            g_limit,
+            projected_measure,
+            projected_measure_bruteforce,
+        )
+        from gibbsfactor.factor import level_measures, preimage_measures, verify_projection
+        from gibbsfactor.sft import DEFAULT_MAX_WORDS
+
+        tm = rational_system(seed, kind)
+        try:
+            pd = perron_exact(tm)
+        except ExactModeError:
+            return
+        n = tm.sft.size
+        size = random.Random(seed).randint(1, n)
+        smap = [min(s, size - 1) for s in range(n)]
+        fs = build_factor(tm, smap, Alphabet(tuple(str(b) for b in range(size))))
+        cylinder, projected, product = reference_measures(tm, pd, smap)
+        k = fs.block_length
+
+        def same(got, want):
+            return type(got) is Fraction and got == want
+
+        for length in range(4):
+            for x in itertools.product(range(n), repeat=length):
+                assert same(cylinder_measure(pd, x), cylinder(x))
+        for length in range(1, 5):
+            image = list(itertools.product(range(size), repeat=length))
+            want = {y: projected(y) for y in image}
+            for y in image:
+                assert same(projected_measure(fs, pd, y), want[y])
+                assert same(projected_measure_bruteforce(fs, pd, y), want[y])
+                if len(y) > k and want[y]:
+                    assert same(g_approx(fs, pd, y).value, want[y] / projected(y[1:]))
+                    got, scale = block_product(fs, y, exact=True)
+                    assert scale == 0.0 and all(type(v) is Fraction for v in got.ravel())
+                    assert (got == product(y)).all()
+            positive = {y: m for y, m in want.items() if m}
+            words, values = level_measures(fs, pd, length, DEFAULT_MAX_WORDS, True)
+            assert dict(zip(map(tuple, words.tolist()), values.tolist())) == positive
+            allowed = np.ones((length, n), dtype=bool)
+            words, values = preimage_measures(fs, pd, allowed, DEFAULT_MAX_WORDS)
+            assert dict(zip(map(tuple, words.tolist()), values)) == positive
+            assert all(type(v) is Fraction for v in values)
+        # 0 -> 0 and n-1 -> 0 are always allowed, so both points are admissible
+        for prefix in ((), (smap[n - 1],)):
+            tail = (smap[0],)
+            res = g_limit(fs, pd, prefix, tail, jmax=4)
+            for (m, _), stage in zip(res.stages, res.exact_stages):
+                word = (prefix + tail * (m + 1))[:m + 1]
+                assert same(stage, projected(word) / projected(word[1:]))
+        assert verify_projection(fs, pd, 6, 0.0).passed
