@@ -203,14 +203,12 @@ def contraction_profile(fs, n: int, max_words: int = DEFAULT_MAX_WORDS) -> Contr
         raise ValidationError("span must be >= 1")
     per_word: dict = {}
     deltas = [np.zeros(0)]
-
-    def reduce(rows):
+    for rows in walk_image_words(fs, fs.blocks, n, lambda b: np.eye(len(fs.fibers[b])),
+                                 max_words):
         # a dead column means the image cone touches the boundary: infinite
         delta = stacked_diameters(rows.products, fiber_mask(fs, rows.blocks))
         per_word.update(zip(map(tuple, rows.words.tolist()), delta.tolist()))
         deltas.append(delta)
-
-    walk_image_words(fs, fs.blocks, n, lambda b: np.eye(len(fs.fibers[b])), reduce, max_words)
     delta = np.concatenate(deltas)
     max_delta = float(delta.max(initial=0.0))
     max_tau = 1.0 if math.isinf(max_delta) else math.tanh(max_delta / 4.0)

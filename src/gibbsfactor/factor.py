@@ -32,14 +32,17 @@ Every product of blocks along image words is carried one way.  The walker
 is level-synchronous: the frontier of one word length is a stack of rows
 (the word as a row of an int matrix, its first and last image block, its
 product zero-padded on every axis to the widest fiber F, and its log scale).
-A level is expanded with one matmul per source image block, against that
-block's successor blocks set side by side, and the children are scattered
-to parent-major positions; roots and successors are in index order, so rows
-stay lexicographic without sorting.  A level that would exceed
-``SWEEP_ROW_CAP`` rows is expanded in contiguous lexicographic chunks, depth
-first, so a sweep holds at most one capped chunk per word length, however
-large its budget (which counts visited nodes).  Single image words go
-through :func:`carry_product`, the one loop for the product along one word.
+A level grows by the step of every level-by-level word expansion here
+(:func:`~gibbsfactor.potential.domain_rows`, :func:`~gibbsfactor.sft.word_matrix`),
+``parent, blocks = np.nonzero(follows[rows.blocks])``, then one batched
+matmul with the blocks gathered from one stack; ``np.nonzero`` is row-major
+and targets ascend, so rows stay lexicographic without sorting.  A level that
+would exceed ``SWEEP_ROW_CAP`` rows is expanded in contiguous lexicographic
+chunks, depth first, so a sweep holds at most one capped chunk per word
+length, however large its budget (which counts visited nodes).  The walker
+yields the full-length chunks, and each sweep folds them in a plain loop.
+Single image words go through :func:`carry_product`, the one loop for the
+product along one word.
 Exact blocks are slices of the integer matrix M = D W of the transfer
 matrix, numpy ``object`` arrays of int, so exact and float products share
 the same ``@`` code and exact products carry Python integers from the
@@ -87,7 +90,6 @@ class FactorSystem:
     blocks: dict                             # (b, b') -> float ndarray
     bool_blocks: dict                        # (b, b') -> bool ndarray
     exact_blocks: dict | None                # (b, b') -> int object ndarray, slice of M = D W
-    successors: tuple[tuple[int, ...], ...]  # per image block, ascending targets
 
     @property
     def block_length(self) -> int:
@@ -155,9 +157,6 @@ def build_factor(tm: TransferMatrix, symbol_map, image_alphabet: Alphabet) -> Fa
     blocks = sliced(tm.weights)
     exact_blocks = None if tm.int_weights is None else sliced(tm.int_weights)
     bool_blocks = {key: m > 0 for key, m in blocks.items()}
-    successors: list[list[int]] = [[] for _ in image_words]
-    for a, b in sorted(keys):
-        successors[a].append(b)
     return FactorSystem(
         tm=tm,
         image_alphabet=image_alphabet,
@@ -169,7 +168,6 @@ def build_factor(tm: TransferMatrix, symbol_map, image_alphabet: Alphabet) -> Fa
         blocks=blocks,
         bool_blocks=bool_blocks,
         exact_blocks=exact_blocks,
-        successors=tuple(tuple(t) for t in successors),
     )
 
 
@@ -451,94 +449,72 @@ def padded(fs: FactorSystem, x) -> np.ndarray:
     return out
 
 
-def walk_image_words(fs: FactorSystem, mats: dict, n_steps: int, start, reduce,
-                     max_words: int) -> None:
+def walk_image_words(fs: FactorSystem, mats: dict, n_steps: int, start, max_words: int):
     """Level-synchronous walk over the admissible image words of n_steps + 1
-    block symbols, in lexicographic order, carrying a product of blocks.
+    block symbols, carrying a product of blocks; yields the full-length words
+    as :class:`SweepRows`, chunk by chunk in lexicographic order.
 
-    Each root image block b starts from the array start(b), zero-padded on
-    every axis to the widest fiber F.  A level is expanded one source image
-    block at a time: the rows ending in that block go through one matmul
-    with its successors' blocks from `mats` (boolean or float) set side by
-    side, and the children land in parent-major positions, so the rows stay
-    lexicographic.  Every new row goes through :func:`rescale_product`, and
-    rows whose product vanished are pruned.  When a level would exceed
-    SWEEP_ROW_CAP rows it is expanded in contiguous lexicographic chunks,
-    depth first, so memory is bounded by one chunk per level, not by the
-    budget.
-    reduce(rows) receives the full-length words as :class:`SweepRows`, chunk
-    by chunk in lexicographic order.  The budget counts nodes visited, i.e.
-    every prefix and not only finished words; exceeding it raises
-    EnumerationLimitError.
+    Each root image block b starts from the array start(b); the blocks of
+    `mats` (boolean, float or exact) are stacked once, and all are
+    zero-padded on every axis to the widest fiber F.  A level grows by
+    ``parent, blocks = np.nonzero(follows[rows.blocks])`` and one batched
+    matmul of each parent's product with its gathered block, which keeps the
+    rows lexicographic.  Every new row goes through :func:`rescale_product`,
+    and rows whose product vanished are pruned.  A level that would exceed
+    SWEEP_ROW_CAP rows is expanded in contiguous lexicographic chunks, depth
+    first.  The budget counts nodes visited, i.e. every prefix and not only
+    finished words; exceeding it raises EnumerationLimitError.
     """
     sizes = fs.fiber_sizes
-    width = int(sizes.max())
-    degree = np.array([len(t) for t in fs.successors])
-    targets = np.zeros((len(sizes), max(degree.max(), 1)), dtype=np.intp)
-    # float tables serve bool and float blocks alike; Fraction blocks need object ones
-    dtype = np.result_type(float, next(iter(mats.values())))
-    tables = []
-    for a, succ in enumerate(fs.successors):
-        targets[a, :len(succ)] = succ
-        table = np.zeros((width, len(succ) * width), dtype=dtype)
-        for j, b in enumerate(succ):
-            table[:sizes[a], j * width:j * width + sizes[b]] = mats[(a, b)]
-        tables.append(table)
+    n_blocks, width = len(sizes), int(sizes.max())
+    # boolean blocks multiply as floats (BLAS), exact ones as int objects
+    stack = np.zeros((len(mats), width, width),
+                     dtype=np.result_type(float, next(iter(mats.values()))))
+    follows = np.zeros((n_blocks, n_blocks), dtype=bool)
+    index = np.zeros((n_blocks, n_blocks), dtype=np.intp)
+    for i, (a, b) in enumerate(sorted(mats)):
+        stack[i, :sizes[a], :sizes[b]] = mats[(a, b)]
+        follows[a, b], index[a, b] = True, i
+    degree = follows.sum(axis=1)
     symbols = np.array([w[-1] for w in fs.image_block_words])
 
-    def expand(rows: SweepRows) -> SweepRows:
-        deg = degree[rows.blocks]
-        offset = np.cumsum(deg) - deg
-        parent = np.repeat(np.arange(len(rows)), deg)
-        blocks = targets[rows.blocks[parent], np.arange(len(parent)) - offset[parent]]
-        shape = rows.products.shape[1:]
-        x = np.empty((len(parent),) + shape, dtype=rows.products.dtype)
-        order = np.argsort(rows.blocks, kind="stable")
-        cuts = np.flatnonzero(np.diff(rows.blocks[order])) + 1
-        for members in np.split(order, cuts):
-            a = rows.blocks[members[0]]
-            if not degree[a]:
-                continue
-            prod = rows.products[members].reshape(-1, width) @ tables[a]
-            prod = prod.reshape(len(members), -1, degree[a], width).swapaxes(1, 2)
-            slots = offset[members][:, None] + np.arange(degree[a])
-            x[slots.ravel()] = prod.reshape((-1,) + shape)
-        x, scales, alive = rescale_product(x, rows.scales[parent])
-        children = SweepRows(np.column_stack([rows.words[parent], symbols[blocks]]),
-                             rows.roots[parent], blocks, x, scales)
-        return children if alive.all() else children.take(alive)
-
-    visited = 0
-
-    def count(rows: SweepRows) -> None:
-        nonlocal visited
-        visited += len(rows)
-        if visited > max_words:
-            raise EnumerationLimitError(
-                f"image word sweep exceeded its budget of {max_words} visited nodes")
-
-    roots = np.arange(len(sizes))
+    roots = np.arange(n_blocks)
     x, scales, alive = rescale_product(np.stack([padded(fs, start(b)) for b in roots]),
-                                       np.zeros(len(roots)))
+                                       np.zeros(n_blocks))
+    shape, dtype = x.shape[1:], x.dtype
     rows = SweepRows(np.array(fs.image_block_words, dtype=np.intp), roots, roots,
                      x, scales).take(alive)
-    count(rows)
+    visited = 0
     # depth-first stack of (frontier, steps left, next parent, child-count prefix sums)
-    stack = [(rows, n_steps, 0, np.cumsum(degree[rows.blocks]))]
-    while stack:
-        rows, remaining, pos, ends = stack.pop()
+    frontiers = [(rows, n_steps, 0, np.cumsum(degree[rows.blocks]))]
+    while frontiers:
+        rows, remaining, pos, ends = frontiers.pop()
+        if pos == 0:  # a frontier is counted when it is first reached
+            visited += len(rows)
+            if visited > max_words:
+                raise EnumerationLimitError(
+                    f"image word sweep exceeded its budget of {max_words} visited nodes")
         if remaining == 0:
-            reduce(rows)
+            yield rows
             continue
         if pos == len(rows):
             continue
         done = ends[pos - 1] if pos else 0
         stop = max(pos + 1, int(np.searchsorted(ends, done + SWEEP_ROW_CAP, side="right")))
-        stack.append((rows, remaining, stop, ends))
-        children = expand(rows.take(slice(pos, stop)))
-        count(children)
+        frontiers.append((rows, remaining, stop, ends))
+        chunk = rows.take(slice(pos, stop))
+        parent, blocks = np.nonzero(follows[chunk.blocks])
+        x = chunk.products[parent]
+        # a row's product, vector or matrix, viewed as (-1, F) times its block
+        x = x.reshape(len(x), -1, width) @ stack[index[chunk.blocks[parent], blocks]]
+        x, scales, alive = rescale_product(x.reshape((-1,) + shape).astype(dtype, copy=False),
+                                           chunk.scales[parent])
+        children = SweepRows(np.column_stack([chunk.words[parent], symbols[blocks]]),
+                             chunk.roots[parent], blocks, x, scales)
+        if not alive.all():
+            children = children.take(alive)
         if len(children):
-            stack.append((children, remaining - 1, 0, np.cumsum(degree[children.blocks])))
+            frontiers.append((children, remaining - 1, 0, np.cumsum(degree[children.blocks])))
 
 
 def enumerate_image_words(fs: FactorSystem, n: int,
@@ -554,11 +530,9 @@ def enumerate_image_words(fs: FactorSystem, n: int,
     k = fs.block_length
     if n < k:
         return sorted({bw[:n] for bw in fs.image_block_words})
-    out: list[Word] = []
-    walk_image_words(fs, fs.bool_blocks, n - k,
-                     lambda b: np.ones(len(fs.fibers[b]), dtype=bool),
-                     lambda rows: out.extend(map(tuple, rows.words.tolist())), max_words)
-    return out
+    walk = walk_image_words(fs, fs.bool_blocks, n - k,
+                            lambda b: np.ones(len(fs.fibers[b]), dtype=bool), max_words)
+    return [tuple(word) for rows in walk for word in rows.words.tolist()]
 
 
 def level_measures(fs: FactorSystem, pd: PerronData, n: int, max_words: int,
@@ -598,14 +572,11 @@ def level_measures(fs: FactorSystem, pd: PerronData, n: int, max_words: int,
     h_rows = np.stack([padded(fs, h[f]) for f in fibers])
     words = [np.zeros((0, n), dtype=np.intp)]
     values = [np.zeros(0, dtype=h.dtype)]
-
-    def reduce(rows):
+    for rows in walk_image_words(fs, fs.operators(exact), steps, lambda b: nu[fibers[b]],
+                                 max_words):
         words.append(rows.words)
         totals = np.einsum("ij,ij->i", rows.products, h_rows[rows.blocks])
         values.append(finish(totals, rows.scales, steps))
-
-    walk_image_words(fs, fs.operators(exact), steps, lambda b: nu[fibers[b]], reduce,
-                     max_words)
     return np.concatenate(words), np.concatenate(values)
 
 
@@ -637,9 +608,8 @@ def fwm_check(fs: FactorSystem, n: int, max_words: int = DEFAULT_MAX_WORDS,
     witnesses: list = []
     checked = 0
     holds = True
-
-    def reduce(rows):
-        nonlocal checked, holds
+    for rows in walk_image_words(fs, fs.bool_blocks, n,
+                                 lambda b: np.eye(len(fs.fibers[b]), dtype=bool), max_words):
         checked += len(rows)
         gaps = (fiber_mask(fs, rows.roots)[:, :, None] & fiber_mask(fs, rows.blocks)[:, None, :]
                 & ~rows.products)
@@ -654,9 +624,6 @@ def fwm_check(fs: FactorSystem, n: int, max_words: int = DEFAULT_MAX_WORDS,
                 if len(witnesses) >= witness_cap:
                     break
                 witnesses.append((word, first[int(i)], last[int(j)]))
-
-    walk_image_words(fs, fs.bool_blocks, n,
-                     lambda b: np.eye(len(fs.fibers[b]), dtype=bool), reduce, max_words)
     return FwmReport(n=n, holds=holds, witnesses=tuple(witnesses),
                      words_checked=checked, recoded=k > 1)
 

@@ -135,8 +135,15 @@ def build_potential(sft: Sft, depth: int, mode: str, table: dict) -> Potential:
             v = float(value)
             if not math.isfinite(v):
                 raise ValidationError(f"non-finite potential value for word {w}")
+            try:  # a weight of 0.0 would silently drop an allowed transition
+                weight = math.exp(v)
+            except OverflowError:
+                weight = math.inf
+            if not 0.0 < weight < math.inf:
+                raise ValidationError(f"potential value {v} for word {w}: exp(phi) outside "
+                                      "the float range")
             phi[w] = v
-            weights[w] = math.exp(v)
+            weights[w] = weight
         else:
             if isinstance(value, (int, Fraction)) and exact is not None:
                 fr = Fraction(value)

@@ -129,32 +129,24 @@ def is_admissible(sft: Sft, word) -> bool:
 
 def word_matrix(sft: Sft, n: int, max_words: int = DEFAULT_MAX_WORDS) -> np.ndarray:
     """All admissible words of length n as a (count, n) int array in
-    lexicographic order.  Internal bulk form of :func:`enumerate_words`."""
+    lexicographic order, grown one level at a time by ``np.nonzero`` of the
+    adjacency rows of the last symbols.  Internal bulk form of
+    :func:`enumerate_words`.  The budget caps each level after the first."""
     if n < 0:
         raise ValidationError("word length must be >= 0")
-    d = sft.size
     if n == 0:
         return np.empty((1, 0), dtype=np.int64)
-    level = np.arange(d, dtype=np.int64).reshape(-1, 1)
-    succ = [np.flatnonzero(sft.adjacency[i]).astype(np.int64) for i in range(d)]
-    succ_flat = np.concatenate(succ)
-    offsets = np.zeros(d, dtype=np.int64)
-    degs = np.array([len(s) for s in succ], dtype=np.int64)
-    offsets[1:] = np.cumsum(degs)[:-1]
+    adjacency = sft.adjacency.astype(bool)
+    level = np.arange(sft.size, dtype=np.int64).reshape(-1, 1)
     for _ in range(n - 1):
-        last = level[:, -1]
-        deg = degs[last]
-        total = int(deg.sum())
+        follows = adjacency[level[:, -1]]
+        total = int(np.count_nonzero(follows))
         if total > max_words:
             raise EnumerationLimitError(
                 f"enumeration would produce {total} words, exceeding the cap of {max_words}"
             )
-        parent = np.repeat(np.arange(level.shape[0]), deg)
-        # within-group offsets 0..deg-1 for each parent, fully vectorized
-        ends = np.cumsum(deg)
-        within = np.arange(total) - np.repeat(ends - deg, deg)
-        new_last = succ_flat[np.repeat(offsets[last], deg) + within]
-        level = np.column_stack([level[parent], new_last])
+        parent, child = np.nonzero(follows)
+        level = np.column_stack([level[parent], child])
     return level
 
 
@@ -190,28 +182,25 @@ def higher_block_recode(sft: Sft, k: int, max_words: int = DEFAULT_MAX_WORDS) ->
     """Recode to blocks of length k, so depth-k potentials become depth-1.
 
     Block transition u -> v is allowed iff u[1:] == v[:-1] and the final base
-    transition u[-1] -> v[-1] is allowed (for k >= 2 the latter is implied by
-    v being admissible).  k = 1 yields an isomorphic copy.
+    transition u[-1] -> v[-1] is allowed, i.e. iff (w[:-1], w[1:]) = (u, v)
+    for an admissible (k+1)-word w (the k-words grown by one step, outside
+    the budget).  k = 1 yields an isomorphic copy.
     """
     if k < 1:
         raise ValidationError("block length must be >= 1")
-    words = enumerate_words(sft, k, max_words)
-    to_block = {w: i for i, w in enumerate(words)}
-    m = len(words)
-    adj = np.zeros((m, m), dtype=np.uint8)
-    by_prefix: dict[Word, list[int]] = {}
-    for j, v in enumerate(words):
-        by_prefix.setdefault(v[:-1], []).append(j)
-    for i, u in enumerate(words):
-        for j in by_prefix.get(u[1:], ()):
-            if sft.adjacency[u[-1], words[j][-1]]:
-                adj[i, j] = 1
-    names = tuple(_block_name(sft.alphabet, w) for w in words)
+    words = word_matrix(sft, k, max_words)
+    block_words = tuple(map(tuple, words.tolist()))
+    to_block = {w: i for i, w in enumerate(block_words)}
+    first, last = np.nonzero(sft.adjacency[words[:, -1]])
+    longer = np.column_stack([words[first], last])  # the admissible (k+1)-words
+    adj = np.zeros((len(block_words), len(block_words)), dtype=np.uint8)
+    adj[first, [to_block[w] for w in map(tuple, longer[:, 1:].tolist())]] = 1
+    names = tuple(_block_name(sft.alphabet, w) for w in block_words)
     block_sft = build_sft(Alphabet(names), adj)
     return Recoding(
         base=sft,
         block_length=k,
-        block_words=tuple(words),
+        block_words=block_words,
         block_sft=block_sft,
         to_block=to_block,
     )

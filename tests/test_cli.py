@@ -331,20 +331,38 @@ class TestExitCodes:
         monkeypatch.setattr(cli, "projected_measure_bruteforce", skewed)
         assert main(["project", example2_file, "--word", "0,0", "--oracle"]) == 1
 
-    def test_unexpected_exception_has_its_own_exit_code(self, capsys, tmp_path):
-        # exp(800) overflows a float while the potential is built
+    def test_unexpected_exception_has_its_own_exit_code(self, capsys, monkeypatch,
+                                                        example2_file):
+        import gibbsfactor.cli as cli
+
+        def broken(args):
+            raise RuntimeError("a bug in a command")
+
+        monkeypatch.setitem(cli.HANDLERS, "validate", broken)
+        assert INTERNAL_ERROR not in (0, 1, 2)
+        assert main(["validate", example2_file]) == INTERNAL_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: internal error: RuntimeError: a bug in a command\n"
+
+    @pytest.mark.parametrize("command", ["validate", "perron"])
+    @pytest.mark.parametrize("everywhere, single", [(800.0, None), (0.0, 710.0), (0.0, -800.0)])
+    def test_phi_outside_weight_range_is_input_error(self, capsys, tmp_path, command,
+                                                     everywhere, single):
+        # exp(phi) must be a positive float: no overflow, no silently lost transition
         doc = emit_system(fixtures.example2())
         doc["potential"]["mode"] = "phi"
         table = doc["potential"]["table"]
-        table.update((key, 0.0) for key in table)
-        table["0,0"] = 800.0
-        path = tmp_path / "overflow.json"
+        table.update((key, everywhere) for key in table)
+        if single is not None:
+            table["0,0"] = single
+        path = tmp_path / "extreme.json"
         path.write_text(json.dumps(doc))
-        assert INTERNAL_ERROR not in (0, 1, 2)
-        assert main(["validate", str(path)]) == INTERNAL_ERROR
+        assert main([command, str(path)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("error:")
+        assert captured.err.startswith("error: potential value")
+        assert "(0, 0)" in captured.err
         assert len(captured.err.strip().splitlines()) == 1
 
     def test_exact_mode_unavailable(self, capsys, tmp_path):
@@ -484,7 +502,7 @@ class TestInputContract:
                 warnings.simplefilter("always")
                 code = main(["validate", str(path)])
         assert not escaped  # the CLI prints its own warnings, after the report
-        assert code in (0, 2, INTERNAL_ERROR)
+        assert code in (0, 2)
         if code:
             assert out.getvalue() == ""
             assert err.getvalue().startswith("error:")

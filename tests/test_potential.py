@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import random
@@ -302,13 +303,18 @@ class TestNodaIteration:
                 perron(tm)
 
     def test_underflowed_root_is_convergence_error(self):
-        # exp(-800) is 0.0 in floats, so W vanishes and lambda would read 0
+        # exp(-800) is 0.0 in floats: build_potential refuses such a phi, and
+        # perron still refuses a transfer matrix whose weights vanished
         sft = make_sft([[1, 1], [1, 1]])
-        pot = build_potential(sft, 1, "phi", {w: -800.0 for w in enumerate_words(sft, 2)})
+        table = {w: -800.0 for w in enumerate_words(sft, 2)}
+        with pytest.raises(ValidationError, match="outside the float range"):
+            build_potential(sft, 1, "phi", table)
+        tm = transfer_matrix(sft, build_potential(sft, 1, "phi", dict.fromkeys(table, 0.0)))
+        vanished = dataclasses.replace(tm, weights=np.zeros_like(tm.weights))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ConvergenceError, match="underflowed"):
-                perron(transfer_matrix(sft, pot))
+                perron(vanished)
 
     def test_max_iter_caps_steps(self, ex2_sft):
         tm = transfer_matrix(ex2_sft, constant_potential(ex2_sft))

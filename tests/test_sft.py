@@ -13,7 +13,7 @@ from gibbsfactor import (
     is_admissible,
     mixing_index,
 )
-from gibbsfactor.sft import block_word, wielandt_cap
+from gibbsfactor.sft import block_word, wielandt_cap, word_matrix
 
 EX2_ADJ = [[1, 1, 1, 0], [0, 1, 1, 1], [1, 1, 1, 0], [0, 1, 1, 1]]
 
@@ -160,6 +160,17 @@ class TestEnumerateWords:
         with pytest.raises(EnumerationLimitError):
             enumerate_words(full_shift(4), 10, max_words=100)
 
+    @pytest.mark.parametrize("n", [2, 5])
+    def test_cap_counts_the_largest_level(self, n):
+        # the budget counts the words of the largest level, not visited prefixes
+        sft = make(EX2_ADJ)
+        count = len(word_matrix(sft, n))
+        assert count > len(word_matrix(sft, n - 1))
+        assert np.array_equal(word_matrix(sft, n, max_words=count), word_matrix(sft, n))
+        message = f"enumeration would produce {count} words, exceeding the cap of {count - 1}"
+        with pytest.raises(EnumerationLimitError, match=f"^{message}$"):
+            word_matrix(sft, n, max_words=count - 1)
+
     def test_matches_admissibility(self):
         sft = make(EX2_ADJ)
         import itertools
@@ -284,3 +295,8 @@ class TestProperties:
             assert len(enumerate_words(sft, n)) == len(
                 enumerate_words(rec.block_sft, n - k + 1)
             )
+        assert rec.block_words == tuple(enumerate_words(sft, k))
+        for i, u in enumerate(rec.block_words):
+            for j, v in enumerate(rec.block_words):
+                allowed = u[1:] == v[:-1] and is_admissible(sft, u + (v[-1],))
+                assert bool(rec.block_sft.adjacency[i, j]) == allowed
