@@ -25,7 +25,9 @@ word's fiber mask.
 
 Image-word admissibility always goes through boolean block products (never a
 plain block adjacency): the image is sofic, so a word is admissible iff some
-lift exists, i.e. iff the product is nonzero.
+lift exists, i.e. iff the product is nonzero.  Boolean products carry a
+boolean start through the float blocks, cast back to bool at every step:
+exact, since every weight is a positive finite float.
 
 Every product of blocks along image words is carried one way.  The walker
 :func:`walk_image_words` is the single traversal of the image language.  It
@@ -88,7 +90,6 @@ class FactorSystem:
     block_symbol_map: tuple[int, ...]        # domain block -> image block
     fibers: tuple[tuple[int, ...], ...]      # per image block, domain block indices
     blocks: dict                             # (b, b') -> float ndarray
-    bool_blocks: dict                        # (b, b') -> bool ndarray
     exact_blocks: dict | None                # (b, b') -> int object ndarray, slice of M = D W
 
     @property
@@ -156,7 +157,6 @@ def build_factor(tm: TransferMatrix, symbol_map, image_alphabet: Alphabet) -> Fa
 
     blocks = sliced(tm.weights)
     exact_blocks = None if tm.int_weights is None else sliced(tm.int_weights)
-    bool_blocks = {key: m > 0 for key, m in blocks.items()}
     return FactorSystem(
         tm=tm,
         image_alphabet=image_alphabet,
@@ -166,7 +166,6 @@ def build_factor(tm: TransferMatrix, symbol_map, image_alphabet: Alphabet) -> Fa
         block_symbol_map=bsm,
         fibers=tuple(tuple(f) for f in fibers),
         blocks=blocks,
-        bool_blocks=bool_blocks,
         exact_blocks=exact_blocks,
     )
 
@@ -201,7 +200,7 @@ def image_admissible(fs: FactorSystem, yword) -> bool:
         return any(bw[:len(w)] == w for bw in fs.image_block_words)
     blocks = image_block_word(fs, w)
     return blocks is not None and carry_product(
-        fs.bool_blocks, blocks, np.ones(len(fs.fibers[blocks[0]]), dtype=bool)) is not None
+        fs.blocks, blocks, np.ones(len(fs.fibers[blocks[0]]), dtype=bool)) is not None
 
 
 def rescale_product(x: np.ndarray, scale):
@@ -230,13 +229,15 @@ def carry_product(mats: dict, blocks, x=None):
     the first operator when x is None, with every step through
     :func:`rescale_product`.  Returns (product, log scale), or None when a
     transition has no block or the product vanished; with fewer than two
-    blocks (x, 0.0) comes back."""
+    blocks (x, 0.0) comes back.  Every step is cast back to the dtype of x,
+    so a boolean start keeps boolean products."""
     scale = 0.0
     for a, b in zip(blocks, blocks[1:]):
         m = mats.get((a, b))
         if m is None:
             return None
-        x, scale, alive = rescale_product(m if x is None else x @ m, scale)
+        x = m if x is None else (x @ m).astype(x.dtype, copy=False)
+        x, scale, alive = rescale_product(x, scale)
         if not alive:
             return None
     return x, scale
@@ -454,9 +455,11 @@ def walk_image_words(fs: FactorSystem, mats: dict, n_steps: int, start, max_word
     block symbols, carrying a product of blocks; yields the full-length words
     as :class:`SweepRows`, chunk by chunk in lexicographic order.
 
-    Each root image block b starts from the array start(b); the blocks of
-    `mats` (boolean, float or exact) are stacked once, and all are
-    zero-padded on every axis to the widest fiber F.  A level grows by
+    Each root image block b starts from the array start(b), and every level
+    is cast back to its dtype, so a boolean start walks boolean products
+    through the float blocks.  The blocks of `mats` (float or exact) are
+    stacked once, and all are zero-padded on every axis to the widest fiber
+    F.  A level grows by
     ``parent, blocks = np.nonzero(follows[rows.blocks])`` and one batched
     matmul of each parent's product with its gathered block, which keeps the
     rows lexicographic.  Every new row goes through :func:`rescale_product`,
@@ -467,9 +470,7 @@ def walk_image_words(fs: FactorSystem, mats: dict, n_steps: int, start, max_word
     """
     sizes = fs.fiber_sizes
     n_blocks, width = len(sizes), int(sizes.max())
-    # boolean blocks multiply as floats (BLAS), exact ones as int objects
-    stack = np.zeros((len(mats), width, width),
-                     dtype=np.result_type(float, next(iter(mats.values()))))
+    stack = np.zeros((len(mats), width, width), dtype=next(iter(mats.values())).dtype)
     follows = np.zeros((n_blocks, n_blocks), dtype=bool)
     index = np.zeros((n_blocks, n_blocks), dtype=np.intp)
     for i, (a, b) in enumerate(sorted(mats)):
@@ -530,7 +531,7 @@ def enumerate_image_words(fs: FactorSystem, n: int,
     k = fs.block_length
     if n < k:
         return sorted({bw[:n] for bw in fs.image_block_words})
-    walk = walk_image_words(fs, fs.bool_blocks, n - k,
+    walk = walk_image_words(fs, fs.blocks, n - k,
                             lambda b: np.ones(len(fs.fibers[b]), dtype=bool), max_words)
     return [tuple(word) for rows in walk for word in rows.words.tolist()]
 
@@ -608,7 +609,7 @@ def fwm_check(fs: FactorSystem, n: int, max_words: int = DEFAULT_MAX_WORDS,
     witnesses: list = []
     checked = 0
     holds = True
-    for rows in walk_image_words(fs, fs.bool_blocks, n,
+    for rows in walk_image_words(fs, fs.blocks, n,
                                  lambda b: np.eye(len(fs.fibers[b]), dtype=bool), max_words):
         checked += len(rows)
         gaps = (fiber_mask(fs, rows.roots)[:, :, None] & fiber_mask(fs, rows.blocks)[:, None, :]

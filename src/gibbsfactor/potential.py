@@ -106,62 +106,92 @@ class Potential:
         return sorted(self.phi.keys())
 
 
-def build_potential(sft: Sft, depth: int, mode: str, table: dict) -> Potential:
-    """Validate a potential table.
+def check_header(depth, mode) -> None:
+    """The rule for a potential table's header: `depth` a non-boolean int
+    >= 0 and `mode` one of PHI_MODE and WEIGHT_MODE."""
+    if isinstance(depth, bool) or not isinstance(depth, int) or depth < 0:
+        raise ValidationError("potential.depth must be a nonnegative integer")
+    if mode not in (PHI_MODE, WEIGHT_MODE):
+        raise ValidationError(f"potential.mode must be {PHI_MODE!r} or {WEIGHT_MODE!r}")
 
-    The table must cover every admissible (depth+1)-word.  Entries for
-    inadmissible words are ignored with a warning.  In weight mode entries
-    must be strictly positive; int/Fraction entries keep exact arithmetic
-    available.
+
+def table_value(mode: str, value) -> Fraction | float:
+    """The canonical form of one potential-table value, the one rule for
+    files and Python tables alike; raises ValidationError with the reason.
+
+    Phi mode takes numbers (int, float, Fraction) and returns a float.
+    Weight mode also takes rational literals "p/q", and returns a float for
+    a float and the exact Fraction otherwise; the weight must be positive.
+    Booleans and non-finite numbers are refused, and so is a value whose
+    weight (the value, or exp(phi)) is not a positive finite float.
+    """
+    numbers = (int, float, Fraction, str) if mode == WEIGHT_MODE else (int, float, Fraction)
+    if isinstance(value, bool) or not isinstance(value, numbers):
+        raise ValidationError("bad value type")
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ValidationError(f"non-finite value {value!r}")
+    if isinstance(value, str):
+        # Fraction builds 10**exp exactly (seconds for "1e10000000"), so a side
+        # whose float overflows or underflows is refused first
+        for side in value.split("/"):
+            try:
+                magnitude = float(side)
+            except ValueError:
+                break  # Fraction refuses the literal below
+            if math.isinf(magnitude) or (magnitude == 0 and "e" in side.lower()):
+                raise ValidationError("value outside the float range")
+        try:
+            value = Fraction(value)
+        except (ValueError, ZeroDivisionError):
+            raise ValidationError(f"bad rational literal {value!r}") from None
+    if mode == WEIGHT_MODE:
+        value = value if isinstance(value, float) else Fraction(value)
+        if value <= 0:
+            raise ValidationError("non-positive weight")
+    try:
+        approx = float(value)
+        weight = approx if mode == WEIGHT_MODE else math.exp(approx)
+    except OverflowError:
+        weight = math.inf
+    if not 0.0 < weight < math.inf:
+        raise ValidationError("value outside the float range" if mode == WEIGHT_MODE
+                              else "exp(phi) outside the float range")
+    return value if mode == WEIGHT_MODE else approx
+
+
+def build_potential(sft: Sft, depth: int, mode: str, table: dict) -> Potential:
+    """Validate a potential table: the header by :func:`check_header`, every
+    value by :func:`table_value` (an error names the word).
+
+    The table must cover every admissible (depth+1)-word.  Entries for other
+    words are ignored with a warning.  Exact arithmetic is available when
+    every weight is exact (weight mode with no float entries).
     """
     import warnings
 
-    if depth < 0:
-        raise ValidationError("potential depth must be >= 0")
-    if mode not in (PHI_MODE, WEIGHT_MODE):
-        raise ValidationError(f"unknown potential mode {mode!r}")
+    check_header(depth, mode)
     needed = enumerate_words(sft, depth + 1)
     needed_set = set(needed)
-    phi: dict = {}
-    weights: dict = {}
-    exact: dict | None = {} if mode == WEIGHT_MODE else None
-    for key, value in table.items():
+    values: dict = {}
+    for key, raw in table.items():
         w = tuple(key)
-        if w not in needed_set:
-            if len(w) != depth + 1 or not is_admissible(sft, w):
-                warnings.warn(f"ignoring entry for inadmissible word {w}", stacklevel=2)
-                continue
-        if mode == PHI_MODE:
-            v = float(value)
-            if not math.isfinite(v):
-                raise ValidationError(f"non-finite potential value for word {w}")
-            try:  # a weight of 0.0 would silently drop an allowed transition
-                weight = math.exp(v)
-            except OverflowError:
-                weight = math.inf
-            if not 0.0 < weight < math.inf:
-                raise ValidationError(f"potential value {v} for word {w}: exp(phi) outside "
-                                      "the float range")
-            phi[w] = v
-            weights[w] = weight
+        try:
+            value = table_value(mode, raw)
+        except ValidationError as e:
+            raise ValidationError(f"potential value for word {w}: {e}") from None
+        if w in needed_set:
+            values[w] = value
         else:
-            if isinstance(value, (int, Fraction)) and exact is not None:
-                fr = Fraction(value)
-            elif isinstance(value, str) and exact is not None:
-                fr = Fraction(value)
-            else:
-                fr = None
-                exact = None
-            fv = float(fr) if fr is not None else float(value)
-            if fv <= 0 or (fr is not None and fr <= 0):
-                raise ValidationError(f"non-positive weight for word {w}")
-            weights[w] = fv
-            phi[w] = math.log(fv)
-            if exact is not None:
-                exact[w] = fr
-    missing = [w for w in needed if w not in weights]
+            warnings.warn(f"ignoring entry for inadmissible word {w}", stacklevel=2)
+    missing = [w for w in needed if w not in values]
     if missing:
         raise ValidationError(f"missing table entry for admissible word {missing[0]}")
+    if mode == PHI_MODE:
+        phi, weights = values, {w: math.exp(v) for w, v in values.items()}
+    else:
+        weights = {w: float(v) for w, v in values.items()}
+        phi = {w: math.log(v) for w, v in weights.items()}
+    exact = values if all(isinstance(v, Fraction) for v in values.values()) else None
     return Potential(sft=sft, depth=depth, mode=mode, phi=phi, weights=weights,
                      exact_weights=exact)
 

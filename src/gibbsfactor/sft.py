@@ -129,17 +129,16 @@ def is_admissible(sft: Sft, word) -> bool:
 
 def word_matrix(sft: Sft, n: int, max_words: int = DEFAULT_MAX_WORDS) -> np.ndarray:
     """All admissible words of length n as a (count, n) int array in
-    lexicographic order, grown one level at a time by ``np.nonzero`` of the
-    adjacency rows of the last symbols.  Internal bulk form of
-    :func:`enumerate_words`.  The budget caps each level after the first."""
+    lexicographic order, grown one level at a time from the empty word by
+    ``np.nonzero`` of the adjacency rows of the last symbols.  Internal bulk
+    form of :func:`enumerate_words`.  The budget caps every level."""
     if n < 0:
         raise ValidationError("word length must be >= 0")
-    if n == 0:
-        return np.empty((1, 0), dtype=np.int64)
     adjacency = sft.adjacency.astype(bool)
-    level = np.arange(sft.size, dtype=np.int64).reshape(-1, 1)
-    for _ in range(n - 1):
-        follows = adjacency[level[:, -1]]
+    level = np.empty((1, 0), dtype=np.int64)
+    for length in range(n):
+        # every symbol follows the empty word
+        follows = adjacency[level[:, -1]] if length else np.ones((1, sft.size), dtype=bool)
         total = int(np.count_nonzero(follows))
         if total > max_words:
             raise EnumerationLimitError(
@@ -183,16 +182,18 @@ def higher_block_recode(sft: Sft, k: int, max_words: int = DEFAULT_MAX_WORDS) ->
 
     Block transition u -> v is allowed iff u[1:] == v[:-1] and the final base
     transition u[-1] -> v[-1] is allowed, i.e. iff (w[:-1], w[1:]) = (u, v)
-    for an admissible (k+1)-word w (the k-words grown by one step, outside
-    the budget).  k = 1 yields an isomorphic copy.
+    for an admissible (k+1)-word w; the budget caps the (k+1)-words too.
+    Every k-word is a prefix of some (k+1)-word, as no symbol is stranded.
+    k = 1 yields an isomorphic copy.
     """
     if k < 1:
         raise ValidationError("block length must be >= 1")
-    words = word_matrix(sft, k, max_words)
-    block_words = tuple(map(tuple, words.tolist()))
+    longer = word_matrix(sft, k + 1, max_words)  # the admissible (k+1)-words
+    new = np.ones(len(longer), dtype=bool)  # first (k+1)-word of each k-prefix
+    new[1:] = (longer[1:, :-1] != longer[:-1, :-1]).any(axis=1)
+    block_words = tuple(map(tuple, longer[new, :-1].tolist()))
+    first = np.cumsum(new) - 1
     to_block = {w: i for i, w in enumerate(block_words)}
-    first, last = np.nonzero(sft.adjacency[words[:, -1]])
-    longer = np.column_stack([words[first], last])  # the admissible (k+1)-words
     adj = np.zeros((len(block_words), len(block_words)), dtype=np.uint8)
     adj[first, [to_block[w] for w in map(tuple, longer[:, 1:].tolist())]] = 1
     names = tuple(_block_name(sft.alphabet, w) for w in block_words)

@@ -14,30 +14,30 @@ A system description is a single JSON document:
 
 Unknown fields are rejected.  Table keys are words: comma-separated symbol
 names, with bare concatenation accepted when every name is a single
-character.  Weight-mode values may be rational literals "p/q" (kept exact)
-or numbers; phi-mode values are numbers.  Booleans and non-finite numbers
-(NaN, Infinity) are rejected in both modes.
+character.  The potential header and every table value go through the one
+rule that :func:`gibbsfactor.potential.build_potential` applies to Python
+tables (:func:`~gibbsfactor.potential.check_header`,
+:func:`~gibbsfactor.potential.table_value`).
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ValidationError
 from .factor import FactorSystem, build_factor
 from .potential import (
-    PHI_MODE,
-    WEIGHT_MODE,
     PerronData,
     Potential,
     TransferMatrix,
     build_potential,
+    check_header,
     perron,
     perron_exact,
+    table_value,
     transfer_matrix,
 )
 from .sft import Alphabet, Sft, Word, build_sft
@@ -88,6 +88,11 @@ def _expect_keys(obj: dict, allowed: set, where: str):
 
 
 def parse_system_dict(doc: dict) -> SystemDescription:
+    """Validate a system document into its canonical description, or raise
+    ValidationError naming the field.  Table values are canonicalised by
+    :func:`~gibbsfactor.potential.table_value` (a rejection reads
+    ``potential.table['0,0']: <reason>``), so a phi whose weight exp(phi)
+    leaves the float range is refused here, before anything is built."""
     if not isinstance(doc, dict):
         raise ValidationError("top-level document must be a JSON object")
     _expect_keys(doc, {"schema_version", "alphabet", "adjacency", "potential", "factor"},
@@ -114,56 +119,17 @@ def parse_system_dict(doc: dict) -> SystemDescription:
     _expect_keys(pot, {"depth", "mode", "table"}, "potential")
     depth = pot.get("depth")
     mode = pot.get("mode")
-    if isinstance(depth, bool) or not isinstance(depth, int) or depth < 0:
-        raise ValidationError("potential.depth must be a nonnegative integer")
-    if mode not in (PHI_MODE, WEIGHT_MODE):
-        raise ValidationError(f"potential.mode must be {PHI_MODE!r} or {WEIGHT_MODE!r}")
+    check_header(depth, mode)
     raw_table = pot.get("table")
     if not isinstance(raw_table, dict):
         raise ValidationError("potential.table must be an object")
     table = {}
     for key, value in raw_table.items():
         word = parse_word(key, alphabet)
-        where = f"potential.table[{key!r}]"
-        if isinstance(value, bool):
-            raise ValidationError(f"{where}: bad value type")
-        if isinstance(value, float) and not math.isfinite(value):
-            raise ValidationError(f"{where}: non-finite value {value!r}")
-        if mode == WEIGHT_MODE:
-            if isinstance(value, str):
-                # Fraction builds 10**exp exactly (seconds for "1e10000000"), so a
-                # side whose float overflows or underflows is refused first
-                for side in value.split("/"):
-                    try:
-                        magnitude = float(side)
-                    except ValueError:
-                        break  # Fraction refuses the literal below
-                    if math.isinf(magnitude) or (magnitude == 0 and "e" in side.lower()):
-                        raise ValidationError(f"{where}: value outside the float range")
-                try:
-                    parsed = Fraction(value)
-                except (ValueError, ZeroDivisionError):
-                    raise ValidationError(f"{where}: bad rational literal {value!r}") from None
-            elif isinstance(value, int):
-                parsed = Fraction(value)
-            elif isinstance(value, float):
-                parsed = value
-            else:
-                raise ValidationError(f"{where}: bad value type")
-            if parsed <= 0:
-                raise ValidationError(f"{where}: non-positive weight")
-        else:
-            if not isinstance(value, (int, float)):
-                raise ValidationError(f"{where}: bad value type")
-            parsed = value
-        # the transfer matrix holds every value as a float (weights positive)
         try:
-            approx = float(parsed)
-        except OverflowError:
-            approx = math.inf
-        if not math.isfinite(approx) or (mode == WEIGHT_MODE and approx == 0):
-            raise ValidationError(f"{where}: value outside the float range")
-        table[word] = parsed if mode == WEIGHT_MODE else approx
+            table[word] = table_value(mode, value)
+        except ValidationError as e:
+            raise ValidationError(f"potential.table[{key!r}]: {e}") from None
 
     image_alphabet = None
     factor_map = None

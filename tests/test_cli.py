@@ -361,8 +361,7 @@ class TestExitCodes:
         assert main([command, str(path)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("error: potential value")
-        assert "(0, 0)" in captured.err
+        assert captured.err.startswith("error: potential.table['0,0']: exp(phi) outside")
         assert len(captured.err.strip().splitlines()) == 1
 
     def test_exact_mode_unavailable(self, capsys, tmp_path):

@@ -260,7 +260,7 @@ class TestOracleExpansion:
 
     def test_independent_of_fiber_blocks(self, ex2_system, seed202):
         for fs, pd in (ex2_system, seed202):
-            bare = dataclasses.replace(fs, blocks={}, bool_blocks={}, exact_blocks={})
+            bare = dataclasses.replace(fs, blocks={}, exact_blocks={})
             for length in range(1, 7):
                 for word in enumerate_image_words(fs, length):
                     assert (projected_measure_bruteforce(bare, pd, word)
@@ -715,7 +715,7 @@ def bool_block_product(fs, word):
     blocks = image_block_word(fs, word)
     mat = np.eye(len(fs.fibers[blocks[0]]), dtype=bool)
     for a, b in zip(blocks, blocks[1:]):
-        mat = (mat.astype(int) @ fs.bool_blocks[(a, b)]) > 0
+        mat = (mat.astype(int) @ (fs.blocks[(a, b)] > 0)) > 0
     return blocks, mat
 
 

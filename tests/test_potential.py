@@ -2,6 +2,8 @@ import dataclasses
 import itertools
 import math
 import random
+import re
+import time
 import warnings
 from fractions import Fraction
 
@@ -19,12 +21,16 @@ from gibbsfactor import (
     birkhoff_sum,
     build_potential,
     build_sft,
+    build_system,
     cylinder_measure,
+    emit_system,
     enumerate_words,
+    fixtures,
     gibbs_ratio_bounds,
     holder_envelope,
     level_log_measures,
     ln1_sup_norm,
+    parse_system_dict,
     perron,
     perron_exact,
     transfer_matrix,
@@ -89,6 +95,92 @@ class TestBuildPotential:
         table[(0, 0)] = math.inf
         with pytest.raises(ValidationError, match="non-finite"):
             build_potential(ex2_sft, 1, "phi", table)
+
+
+class TestOneValueRule:
+    """build_potential applies the file parser's rule to Python tables."""
+
+    @pytest.mark.parametrize("value, reason", [
+        (True, "bad value type"),
+        (math.nan, "non-finite"),
+        (math.inf, "non-finite"),
+        ("1/0", "bad rational literal"),
+        ("abc", "bad rational literal"),
+        (Fraction(10**400), "outside the float range"),
+        ("1e2000000", "outside the float range"),
+    ])
+    def test_bad_weight_names_the_word(self, value, reason):
+        sft = make_sft([[1, 1], [1, 1]])
+        table = dict.fromkeys(enumerate_words(sft, 2), Fraction(1))
+        table[(0, 1)] = value
+        start = time.perf_counter()
+        with pytest.raises(ValidationError, match=rf"word \(0, 1\): .*{reason}"):
+            build_potential(sft, 1, "weight", table)
+        assert time.perf_counter() - start < 0.5
+
+    def test_entry_order_does_not_matter(self):
+        sft = make_sft([[1, 1], [1, 1]])
+        entries = [((0, 0), 0.25), ((0, 1), "1/2"), ((1, 0), 3), ((1, 1), Fraction(3, 4))]
+        built = [build_potential(sft, 1, "weight", dict(order))
+                 for order in (entries, entries[::-1])]
+        for pot in built:
+            assert pot.exact_weights is None
+            assert pot.weights == {(0, 0): 0.25, (0, 1): 0.5, (1, 0): 3.0, (1, 1): 0.75}
+        assert built[0].phi == built[1].phi
+
+    @pytest.mark.parametrize("depth, mode, field", [
+        (True, "weight", "potential.depth"),
+        (1.5, "weight", "potential.depth"),
+        (-1, "weight", "potential.depth"),
+        (1, "log", "potential.mode"),
+    ])
+    def test_bad_header(self, depth, mode, field):
+        sft = make_sft([[1, 1], [1, 1]])
+        table = dict.fromkeys(enumerate_words(sft, 2), 1)
+        with pytest.raises(ValidationError, match=re.escape(field)):
+            build_potential(sft, depth, mode, table)
+
+
+TABLE_VALUES = st.one_of(
+    st.booleans(),
+    st.integers(-10**400, 10**400),
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+    st.fractions(),
+    st.sampled_from(["1/0", "abc", "1e400", "1e-400", "1e2000000", "-1e2000000", "1e-320",
+                     "1/2", "-1/2", "0", "0e5", "nan", "inf", " 7/3 ", "2.5e3", ""]),
+    st.text(max_size=6),
+    st.none(),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(mode=st.sampled_from(["weight", "phi"]), value=TABLE_VALUES)
+def test_file_and_table_share_one_value_rule(mode, value):
+    # Example 2 with the entry for the word 0,0 replaced
+    doc = emit_system(fixtures.example2())
+    table = doc["potential"]["table"]
+    if mode == "phi":
+        doc["potential"]["mode"] = "phi"
+        table.update((key, 0.0) for key in table)
+    table["0,0"] = value
+    words = {tuple(int(s) for s in key.split(",")): v for key, v in table.items()}
+
+    def outcome(build):
+        try:
+            return build()
+        except ValidationError:
+            return None
+
+    desc = outcome(lambda: parse_system_dict(doc))
+    pot = outcome(lambda: build_potential(make_sft(EX2_ADJ), 1, mode, words))
+    assert (desc is None) == (pot is None)
+    if desc is not None:
+        stored = dict(desc.table)[(0, 0)]
+        built = pot.phi if mode == "phi" else pot.exact_weights or pot.weights
+        assert type(built[(0, 0)]) is type(stored) and built[(0, 0)] == stored
+        from_file = build_system(desc)[1]
+        assert (from_file.phi, from_file.weights, from_file.exact_weights) == (
+            pot.phi, pot.weights, pot.exact_weights)
 
 
 class TestVariations:

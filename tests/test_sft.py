@@ -171,6 +171,12 @@ class TestEnumerateWords:
         with pytest.raises(EnumerationLimitError, match=f"^{message}$"):
             word_matrix(sft, n, max_words=count - 1)
 
+    def test_cap_counts_the_first_level(self):
+        message = "enumeration would produce 4 words, exceeding the cap of 1"
+        with pytest.raises(EnumerationLimitError, match=f"^{message}$"):
+            enumerate_words(full_shift(4), 1, max_words=1)
+        assert enumerate_words(full_shift(4), 1, max_words=4) == [(0,), (1,), (2,), (3,)]
+
     def test_matches_admissibility(self):
         sft = make(EX2_ADJ)
         import itertools
@@ -195,6 +201,18 @@ class TestHigherBlockRecode:
     def test_example_k2_block_count(self):
         rec = higher_block_recode(make(EX2_ADJ), 2)
         assert rec.size == 12
+
+    @pytest.mark.parametrize("k, count", [(1, 16), (2, 64)])
+    def test_cap_counts_the_longer_words(self, k, count):
+        # the (k+1)-words that define the transitions are counted too
+        sft = full_shift(4)
+        message = f"enumeration would produce {count} words, exceeding the cap of {count - 1}"
+        with pytest.raises(EnumerationLimitError, match=f"^{message}$"):
+            higher_block_recode(sft, k, max_words=count - 1)
+        rec = higher_block_recode(sft, k, max_words=count)
+        assert int(rec.block_sft.adjacency.sum()) == count
+        with pytest.raises(EnumerationLimitError, match="produce 4 words"):
+            higher_block_recode(sft, k, max_words=1)
 
     def test_block_transition_rule(self):
         sft = make(EX2_ADJ)
