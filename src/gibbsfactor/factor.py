@@ -19,15 +19,16 @@ Both routes also come one whole word length at a time: :func:`level_measures`
 sweeps the product formula over every image word of a length, and
 :func:`preimage_measures` groups one domain-word expansion of that length by
 image word.  :func:`verify_projection` compares the two level by level under
-the one comparison rule :func:`route_error`; the single-word oracle
-:func:`projected_measure_bruteforce` is the same grouped finish under one
-word's fiber mask.
+the one comparison rule :func:`route_error`.  The single-word oracle
+:func:`projected_measure_bruteforce` is the same expansion under one word's
+fiber mask; every row it keeps is a preimage of that word, so it sums the
+rows directly, without grouping.
 
 Image-word admissibility always goes through boolean block products (never a
 plain block adjacency): the image is sofic, so a word is admissible iff some
 lift exists, i.e. iff the product is nonzero.  Boolean products carry a
-boolean start through the float blocks, cast back to bool at every step:
-exact, since every weight is a positive finite float.
+boolean start through the blocks' 0/1 support (every weight is positive),
+so they never touch the weights' magnitudes.
 
 Every product of blocks along image words is carried one way.  The walker
 :func:`walk_image_words` is the single traversal of the image language.  It
@@ -48,12 +49,15 @@ product along one word.
 Exact blocks are slices of the integer matrix M = D W of the transfer
 matrix, numpy ``object`` arrays of int, so exact and float products share
 the same ``@`` code and exact products carry Python integers from the
-integer Perron vector nu~ to h~.  :func:`rescale_product` and
+integer Perron vector nu~ to h~.  The renormalisation rule and
 :func:`~gibbsfactor.potential.finish_measure` (in the potential module) are
 the only places where the two arithmetics differ (float products are
 renormalised by their largest entry and finished in log space, exact ones
-are kept whole and turned into a Fraction by one division per measure), and
-:func:`rescale_product` serves single products and stacked rows alike.
+are kept whole and turned into a Fraction by one division per measure).
+The rule has two forms with the same bits: :func:`rescale_single`, a scalar
+step for one product (:func:`carry_product` and the squaring in
+:func:`~gibbsfactor.ganalysis.g_limit`), and :func:`rescale_product` for the
+walker's stacked rows.
 Which of the two block tables a product reads is decided in one place,
 :meth:`FactorSystem.operators`, from the caller's mode (the Perron data's
 for measures).
@@ -185,8 +189,9 @@ def image_block_word(fs: FactorSystem, yword: Word) -> list[int] | None:
 
 def _check_image_word(fs: FactorSystem, yword) -> Word:
     w = tuple(yword)
+    size = fs.image_alphabet.size
     for s in w:
-        if not 0 <= s < fs.image_alphabet.size:
+        if not 0 <= s < size:
             raise ValidationError(f"image symbol index {s} out of bounds")
     return w
 
@@ -212,7 +217,8 @@ def rescale_product(x: np.ndarray, scale):
     entry, whose log is added to its scale; boolean and exact (int object)
     products are kept whole.  Returns (products, scales, alive),
     alive flagging the nonzero products; a zero product comes back unchanged
-    and is the caller's to drop.
+    and is the caller's to drop.  The walker's stacked rows take this form;
+    :func:`rescale_single` is the same rule for one product.
     """
     axes = tuple(range(np.ndim(scale), x.ndim))
     if x.dtype != float:
@@ -223,21 +229,35 @@ def rescale_product(x: np.ndarray, scale):
     return x / np.reshape(top, np.shape(top) + (1,) * len(axes)), scale + np.log(top), alive
 
 
+def rescale_single(x: np.ndarray, scale):
+    """:func:`rescale_product` for a single product with a scalar log
+    scale: (product, scale, alive), with the same bits, minus the stack's
+    axis bookkeeping."""
+    if x.dtype != float:
+        return x, scale, bool(x.any())
+    top = x.max()
+    if not top > 0:
+        return x, scale, False
+    return x / top, scale + np.log(top), True
+
+
 def carry_product(mats: dict, blocks, x=None):
     """Carry a product of block operators along the image block word
     `blocks`: x . mats[(b_0, b_1)] ... mats[(b_{n-1}, b_n)], starting from
     the first operator when x is None, with every step through
-    :func:`rescale_product`.  Returns (product, log scale), or None when a
+    :func:`rescale_single`.  Returns (product, log scale), or None when a
     transition has no block or the product vanished; with fewer than two
-    blocks (x, 0.0) comes back.  Every step is cast back to the dtype of x,
-    so a boolean start keeps boolean products."""
+    blocks (x, 0.0) comes back.  A boolean start multiplies the blocks'
+    0/1 support, so it carries boolean products."""
     scale = 0.0
+    support = x is not None and x.dtype == bool
     for a, b in zip(blocks, blocks[1:]):
         m = mats.get((a, b))
         if m is None:
             return None
-        x = m if x is None else (x @ m).astype(x.dtype, copy=False)
-        x, scale, alive = rescale_product(x, scale)
+        if support:
+            m = m != 0
+        x, scale, alive = rescale_single(m if x is None else x @ m, scale)
         if not alive:
             return None
     return x, scale
@@ -297,16 +317,24 @@ def projected_measure_bruteforce(fs: FactorSystem, pd: PerronData, yword,
     every admissible preimage word; the independent oracle for
     :func:`projected_measure`.
 
-    The grouped finish of :func:`preimage_measures` under the mask of the
-    word's fibers: one group, or none for measure zero.  The budget counts
-    visited preimage prefixes.
+    One :func:`~gibbsfactor.potential.domain_rows` expansion under the mask
+    of the word's fibers, so every row is a preimage of the word and the
+    rows are summed directly: an integer sum in exact mode, one
+    :func:`log_sum_runs` run otherwise, finished by
+    :func:`~gibbsfactor.potential.finish_measure` (no rows: measure zero).
+    The budget counts visited preimage prefixes.
     """
     w = _check_image_word(fs, yword)
     if len(w) == 0:
         raise ValidationError("projected measure needs a nonempty image word")
     allowed = np.array(fs.symbol_map) == np.array(w)[:, None]
-    _, measures = preimage_measures(fs, pd, allowed, max_words)
-    return measures[0] if measures else finish_measure(0, 0.0, 0, pd)
+    _, values, steps = domain_rows(pd, allowed, max_words, pd.exact)
+    if not len(values):
+        return finish_measure(0, 0.0, 0, pd)
+    if pd.exact:
+        return finish_measure(sum(values.tolist()), 0.0, steps, pd)
+    (total,), (scale,) = log_sum_runs(values, [0])
+    return finish_measure(float(total), float(scale), steps, pd)
 
 
 def _run_starts(rows: np.ndarray) -> np.ndarray:
@@ -456,10 +484,10 @@ def walk_image_words(fs: FactorSystem, mats: dict, n_steps: int, start, max_word
     as :class:`SweepRows`, chunk by chunk in lexicographic order.
 
     Each root image block b starts from the array start(b), and every level
-    is cast back to its dtype, so a boolean start walks boolean products
-    through the float blocks.  The blocks of `mats` (float or exact) are
+    is cast back to its dtype.  The blocks of `mats` (float or exact) are
     stacked once, and all are zero-padded on every axis to the widest fiber
-    F.  A level grows by
+    F; a boolean start stacks their 0/1 support instead, so it walks boolean
+    products.  A level grows by
     ``parent, blocks = np.nonzero(follows[rows.blocks])`` and one batched
     matmul of each parent's product with its gathered block, which keeps the
     rows lexicographic.  Every new row goes through :func:`rescale_product`,
@@ -483,6 +511,8 @@ def walk_image_words(fs: FactorSystem, mats: dict, n_steps: int, start, max_word
     x, scales, alive = rescale_product(np.stack([padded(fs, start(b)) for b in roots]),
                                        np.zeros(n_blocks))
     shape, dtype = x.shape[1:], x.dtype
+    if dtype == bool:  # the 0/1 support as floats: small counts, and a BLAS matmul
+        stack = (stack != 0).astype(float)
     rows = SweepRows(np.array(fs.image_block_words, dtype=np.intp), roots, roots,
                      x, scales).take(alive)
     visited = 0

@@ -34,7 +34,7 @@ from .factor import (
     level_measures,
     log_sum_runs,
     projected_measure,
-    rescale_product,
+    rescale_single,
 )
 from .potential import PerronData, measure_ratio
 from .sft import DEFAULT_MAX_WORDS, Word
@@ -121,7 +121,7 @@ def g_limit(fs: FactorSystem, pd: PerronData, prefix, tail,
     h = fs.fiber_h(pd, blocks[n - 1])
 
     def times(x, m):
-        return rescale_product(x @ m, 0.0)[0]
+        return rescale_single(x @ m, 0.0)[0]
 
     for _ in range(j0):
         power = times(power, power)

@@ -174,7 +174,10 @@ def build_potential(sft: Sft, depth: int, mode: str, table: dict) -> Potential:
     needed_set = set(needed)
     values: dict = {}
     for key, raw in table.items():
-        w = tuple(key)
+        try:
+            w = tuple(key)
+        except TypeError:
+            raise ValidationError(f"potential table key {key!r} is not a word") from None
         try:
             value = table_value(mode, raw)
         except ValidationError as e:
@@ -609,8 +612,9 @@ def domain_rows(pd: PerronData, allowed: np.ndarray, max_words: int, exact: bool
     head = min(n, k)
     rows = np.flatnonzero(allowed[np.arange(head), block_words[:, :head]].all(axis=1))
     words, values = block_words[rows, :head], nu[rows]
-    adjacency = rec.block_sft.adjacency.astype(bool)
     last = block_words[:, -1]
+    # moves[t][i, j]: block j may follow block i and add a symbol allowed at t
+    moves = rec.block_sft.adjacency.astype(bool) & allowed[:, None, last]
     visited = 0
     for t in range(head, n + 1):
         visited += len(rows)
@@ -619,9 +623,9 @@ def domain_rows(pd: PerronData, allowed: np.ndarray, max_words: int, exact: bool
                 f"domain word expansion exceeded its budget of {max_words} visited nodes")
         if t == n:
             break
-        parent, child = np.nonzero(adjacency[rows] & allowed[t][last])
+        parent, child = moves[t][rows].nonzero()
         values = combine(values[parent], weights[rows[parent], child])
-        words = np.column_stack([words[parent], last[child]])
+        words = np.concatenate([words[parent], last[child, None]], axis=1)
         rows = child
     return words, combine(values, h[rows]), max(n - k, 0)
 

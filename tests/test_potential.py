@@ -118,6 +118,12 @@ class TestOneValueRule:
             build_potential(sft, 1, "weight", table)
         assert time.perf_counter() - start < 0.5
 
+    @pytest.mark.parametrize("key", [5, None, 1.5])
+    def test_key_that_is_not_a_word(self, key):
+        sft = make_sft([[1, 1], [1, 1]])
+        with pytest.raises(ValidationError, match=rf"key {re.escape(repr(key))} is not a word"):
+            build_potential(sft, 1, "weight", {key: 1})
+
     def test_entry_order_does_not_matter(self):
         sft = make_sft([[1, 1], [1, 1]])
         entries = [((0, 0), 0.25), ((0, 1), "1/2"), ((1, 0), 3), ((1, 1), Fraction(3, 4))]
