@@ -252,7 +252,17 @@ def cmd_gfun_limit(args):
         "stages": [{"n": n, "value": v} for n, v in res.stages],
     }
     if res.exact_stages is not None:
-        results["exact_stages"] = [str(x) for x in res.exact_stages]
+        # late stages hold integers past the int -> str digit limit (4300
+        # digits by default; none before Python 3.10.7), lifted for these
+        # conversions only
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if limit:
+            sys.set_int_max_str_digits(0)
+        try:
+            results["exact_stages"] = [str(x) for x in res.exact_stages]
+        finally:
+            if limit:
+                sys.set_int_max_str_digits(limit)
     return results, 0, pipe.desc
 
 

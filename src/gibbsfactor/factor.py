@@ -18,11 +18,13 @@ matrix, the Perron data and the symbol map, never the fiber blocks.
 Both routes also come one whole word length at a time: :func:`level_measures`
 sweeps the product formula over every image word of a length, and
 :func:`preimage_measures` groups one domain-word expansion of that length by
-image word.  :func:`verify_projection` compares the two level by level under
-the one comparison rule :func:`route_error`.  The single-word oracle
+image word, for which it builds the expansion's domain words
+(:func:`~gibbsfactor.potential.domain_words`).  :func:`verify_projection`
+compares the two level by level under the one comparison rule
+:func:`route_error`.  The single-word oracle
 :func:`projected_measure_bruteforce` is the same expansion under one word's
 fiber mask; every row it keeps is a preimage of that word, so it sums the
-rows directly, without grouping.
+row values directly and never builds the words.
 
 Image-word admissibility always goes through boolean block products (never a
 plain block adjacency): the image is sofic, so a word is admissible iff some
@@ -68,11 +70,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
 from .errors import EnumerationLimitError, ExactModeError, ValidationError
-from .potential import PerronData, TransferMatrix, domain_rows, finish_measure
+from .potential import PerronData, TransferMatrix, domain_rows, domain_words, finish_measure
 from .sft import DEFAULT_MAX_WORDS, Alphabet, Word
 
 
@@ -100,17 +103,32 @@ class FactorSystem:
     def block_length(self) -> int:
         return self.tm.recoding.block_length
 
+    @cached_property
+    def symbol_array(self) -> np.ndarray:
+        """The symbol map as a read-only intp array."""
+        smap = np.array(self.symbol_map, dtype=np.intp)
+        smap.setflags(write=False)
+        return smap
+
     @property
     def fiber_sizes(self) -> np.ndarray:
         return np.array([len(f) for f in self.fibers])
 
+    @cached_property
+    def fiber_arrays(self) -> tuple[np.ndarray, ...]:
+        """The fibers as read-only intp arrays, for indexing."""
+        arrays = tuple(np.array(f, dtype=np.intp) for f in self.fibers)
+        for f in arrays:
+            f.setflags(write=False)
+        return arrays
+
     def fiber_h(self, pd: PerronData, b: int) -> np.ndarray:
         """h on fiber b in the Perron data's arithmetic (:attr:`PerronData.vectors`)."""
-        return pd.vectors[1][list(self.fibers[b])]
+        return pd.vectors[1][self.fiber_arrays[b]]
 
     def fiber_nu(self, pd: PerronData, b: int) -> np.ndarray:
         """nu on fiber b in the Perron data's arithmetic (:attr:`PerronData.vectors`)."""
-        return pd.vectors[0][list(self.fibers[b])]
+        return pd.vectors[0][self.fiber_arrays[b]]
 
     def operators(self, exact: bool) -> dict:
         """The block table of one arithmetic: the integer blocks of M = D W
@@ -319,16 +337,16 @@ def projected_measure_bruteforce(fs: FactorSystem, pd: PerronData, yword,
 
     One :func:`~gibbsfactor.potential.domain_rows` expansion under the mask
     of the word's fibers, so every row is a preimage of the word and the
-    rows are summed directly: an integer sum in exact mode, one
-    :func:`log_sum_runs` run otherwise, finished by
-    :func:`~gibbsfactor.potential.finish_measure` (no rows: measure zero).
-    The budget counts visited preimage prefixes.
+    row values are summed directly, without building the preimage words: an
+    integer sum in exact mode, one :func:`log_sum_runs` run otherwise,
+    finished by :func:`~gibbsfactor.potential.finish_measure` (no rows:
+    measure zero).  The budget counts visited preimage prefixes.
     """
     w = _check_image_word(fs, yword)
     if len(w) == 0:
         raise ValidationError("projected measure needs a nonempty image word")
-    allowed = np.array(fs.symbol_map) == np.array(w)[:, None]
-    _, values, steps = domain_rows(pd, allowed, max_words, pd.exact)
+    allowed = fs.symbol_array == np.array(w)[:, None]
+    values, steps, _ = domain_rows(pd, allowed, max_words, pd.exact)
     if not len(values):
         return finish_measure(0, 0.0, 0, pd)
     if pd.exact:
@@ -350,8 +368,11 @@ def log_sum_runs(logs: np.ndarray, starts: np.ndarray):
     at `starts` (for ``reduceat``): (totals, scales), run i summing to
     totals[i] e^scales[i], with scales[i] the run's largest log."""
     scales = np.maximum.reduceat(logs, starts)
-    sizes = np.diff(np.append(starts, len(logs)))
-    return np.add.reduceat(np.exp(logs - np.repeat(scales, sizes)), starts), scales
+    if len(scales) == 1:  # one run: its scale broadcasts
+        shifted = logs - scales[0]
+    else:
+        shifted = logs - np.repeat(scales, np.diff(np.append(starts, len(logs))))
+    return np.add.reduceat(np.exp(shifted), starts), scales
 
 
 def preimage_measures(fs: FactorSystem, pd: PerronData, allowed: np.ndarray,
@@ -361,14 +382,15 @@ def preimage_measures(fs: FactorSystem, pd: PerronData, allowed: np.ndarray,
     measures), the words as int rows, lexicographic, and a list.
 
     One :func:`~gibbsfactor.potential.domain_rows` expansion in the Perron
-    data's arithmetic, grouped by image word (symbol map, lexicographic
-    sort, ``reduceat`` of an integer sum in exact mode or
-    :func:`log_sum_runs`), each group through
+    data's arithmetic, its preimage words built by
+    :func:`~gibbsfactor.potential.domain_words` and grouped by image word
+    (symbol map, lexicographic sort, ``reduceat`` of an integer sum in exact
+    mode or :func:`log_sum_runs`), each group through
     :func:`~gibbsfactor.potential.finish_measure`.  The budget counts
     visited preimage prefixes.
     """
-    words, values, steps = domain_rows(pd, allowed, max_words, pd.exact)
-    images = np.asarray(fs.symbol_map, dtype=np.intp)[words]
+    values, steps, trail = domain_rows(pd, allowed, max_words, pd.exact)
+    images = fs.symbol_array[domain_words(pd.tm, trail)]
     order = np.lexsort(images.T[::-1])
     images, values = images[order], values[order]
     starts = _run_starts(images)

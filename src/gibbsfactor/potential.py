@@ -50,7 +50,14 @@ Measures of many domain words come from one level-synchronous expansion
 under a per-position symbol mask, :func:`domain_rows`: unmasked it gives
 :func:`level_log_measures` and, grouped by image word, the brute-force
 oracle of the factor module for a whole word length; masked by one image
-word's fibers it is that oracle for one word.
+word's fibers it is that oracle for one word.  The expansion carries only
+the values and records how each level grew; the callers that read the
+words (the two bulk forms) build them from that record with
+:func:`domain_words`, and the single-word oracle never builds them.  The
+tables it reads on every call are computed once on the objects that own
+their data: the block words, their last symbols and the boolean block
+adjacency on :class:`TransferMatrix`, and the float log Perron vectors on
+:class:`PerronData`.
 """
 
 from __future__ import annotations
@@ -276,6 +283,26 @@ class TransferMatrix:
         w.setflags(write=False)
         return w
 
+    @cached_property
+    def block_array(self) -> np.ndarray:
+        """The recoding's block words as a read-only (d, k) intp array."""
+        words = np.array(self.recoding.block_words, dtype=np.intp)
+        words.setflags(write=False)
+        return words
+
+    @cached_property
+    def last_symbols(self) -> np.ndarray:
+        """The last base symbol of every block, read-only."""
+        return self.block_array[:, -1]
+
+    @cached_property
+    def follows(self) -> np.ndarray:
+        """Read-only boolean block adjacency: follows[i, j] iff block j may
+        follow block i."""
+        adjacency = self.recoding.block_sft.adjacency.astype(bool)
+        adjacency.setflags(write=False)
+        return adjacency
+
 
 def transfer_matrix(sft: Sft, potential: Potential,
                     max_words: int = DEFAULT_MAX_WORDS) -> TransferMatrix:
@@ -349,6 +376,14 @@ class PerronData:
         """(nu, h) as the measures read them: the integer vectors nu~, h~ in
         exact mode, the float Perron vectors otherwise."""
         return (self.int_nu, self.int_h) if self.exact else (self.nu, self.h)
+
+    @cached_property
+    def log_vectors(self) -> tuple[np.ndarray, np.ndarray]:
+        """(log nu, log h) of the Perron vectors as floats, read-only."""
+        logs = tuple(np.log(np.asarray(v, dtype=float)) for v in (self.nu, self.h))
+        for v in logs:
+            v.setflags(write=False)
+        return logs
 
 
 def _noda(w: np.ndarray, tol: float, max_iter: int) -> tuple[np.ndarray, int]:
@@ -595,26 +630,24 @@ def domain_rows(pd: PerronData, allowed: np.ndarray, max_words: int, exact: bool
     block successors of their last block, so they stay lexicographic.  Each
     row carries its value from its prefix: the integer nu~[first] . prod M .
     h~[last] in exact mode (which needs exact Perron data), the log of
-    nu[first] . prod W . h[last] otherwise.  Returns (words, values, steps),
+    nu[first] . prod W . h[last] otherwise.  Returns (values, steps, trail),
     the measure of a row being its value finished by :func:`finish_measure`
-    with `steps` block transitions.  The budget
-    counts visited rows, every prefix; exceeding it raises
+    with `steps` block transitions.  The words themselves are not built:
+    `trail` records the start blocks and every level's (parent, child)
+    pairs, from which :func:`domain_words` builds them for callers that read
+    them.  The budget counts visited rows, every prefix; exceeding it raises
     EnumerationLimitError.
     """
     tm = pd.tm
-    rec = tm.recoding
-    n, k = len(allowed), rec.block_length
+    n, k = len(allowed), tm.recoding.block_length
     combine = np.multiply if exact else np.add
     weights = tm.int_weights if exact else tm.log_weights
-    nu, h = ((pd.int_nu, pd.int_h) if exact
-             else (np.log(np.asarray(v, dtype=float)) for v in (pd.nu, pd.h)))
-    block_words = np.array(rec.block_words, dtype=np.intp)
+    nu, h = (pd.int_nu, pd.int_h) if exact else pd.log_vectors
     head = min(n, k)
-    rows = np.flatnonzero(allowed[np.arange(head), block_words[:, :head]].all(axis=1))
-    words, values = block_words[rows, :head], nu[rows]
-    last = block_words[:, -1]
+    rows = np.flatnonzero(allowed[np.arange(head), tm.block_array[:, :head]].all(axis=1))
+    values, start, levels = nu[rows], rows, []
     # moves[t][i, j]: block j may follow block i and add a symbol allowed at t
-    moves = rec.block_sft.adjacency.astype(bool) & allowed[:, None, last]
+    moves = tm.follows & allowed[:, None, tm.last_symbols]
     visited = 0
     for t in range(head, n + 1):
         visited += len(rows)
@@ -625,23 +658,34 @@ def domain_rows(pd: PerronData, allowed: np.ndarray, max_words: int, exact: bool
             break
         parent, child = moves[t][rows].nonzero()
         values = combine(values[parent], weights[rows[parent], child])
-        words = np.concatenate([words[parent], last[child, None]], axis=1)
+        levels.append((parent, child))
         rows = child
-    return words, combine(values, h[rows]), max(n - k, 0)
+    return combine(values, h[rows]), max(n - k, 0), (start, head, levels)
+
+
+def domain_words(tm: TransferMatrix, trail) -> np.ndarray:
+    """The base words of a :func:`domain_rows` expansion as int rows, in the
+    order of its values, grown from its trail one level at a time."""
+    rows, head, levels = trail
+    words = tm.block_array[rows, :head]
+    for parent, child in levels:
+        words = np.concatenate([words[parent], tm.last_symbols[child, None]], axis=1)
+    return words
 
 
 def level_log_measures(pd: PerronData, n: int,
                        max_words: int = DEFAULT_MAX_WORDS):
     """Bulk form of cylinder_measure: (words, float log measures) for all
     admissible base words of length n >= the block length, lexicographic,
-    from the unmasked :func:`domain_rows` expansion (the budget counts its
-    visited rows).  Used by the consistency test suites."""
+    from the unmasked :func:`domain_rows` expansion and its
+    :func:`domain_words` (the budget counts its visited rows).  Used by the
+    consistency test suites."""
     k = pd.tm.recoding.block_length
     if n < k:
         raise ValidationError(f"bulk measures need length >= block length {k}")
     allowed = np.ones((n, pd.tm.sft.size), dtype=bool)
-    words, logs, steps = domain_rows(pd, allowed, max_words, exact=False)
-    return words, logs - steps * pd.log_lam
+    logs, steps, trail = domain_rows(pd, allowed, max_words, exact=False)
+    return domain_words(pd.tm, trail), logs - steps * pd.log_lam
 
 
 def gibbs_ratio_bounds(pd: PerronData, potential: Potential, max_len: int,

@@ -59,10 +59,10 @@ def misnormalised_oracle(request, monkeypatch):
     expand = factor.domain_rows
 
     def faulty(pd, allowed, max_words, exact):
-        words, values, steps = expand(pd, allowed, max_words, exact)
+        values, steps, trail = expand(pd, allowed, max_words, exact)
         if request.param == "lambda_step":
-            return words, values, steps + 1
+            return values, steps + 1, trail
         shifted = values * Fraction(1001, 1000) if exact else values + math.log1p(1e-3)
-        return words, shifted, steps
+        return shifted, steps, trail
 
     monkeypatch.setattr(factor, "domain_rows", faulty)

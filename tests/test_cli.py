@@ -9,6 +9,7 @@ import subprocess
 import sys
 import tempfile
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -219,6 +220,24 @@ class TestCommands:
         code, report = run(capsys, "gfun-limit", rate_demo_file, "--tail", "a", "--jmax", "60")
         assert code == 0
         assert abs(report["results"]["value"] - expected) <= 1e-12
+
+    def test_gfun_limit_exact_stages_past_the_digit_limit(self, capsys, example2_file):
+        # the late exact stages hold integers longer than Python's default
+        # int -> str limit of 4300 digits
+        pipe = build_pipeline(fixtures.example2(), exact=True)
+        expected = g_limit(pipe.factor, pipe.pd, (1,), (0, 1), jmax=16).exact_stages
+        limit = sys.get_int_max_str_digits()
+        code, report = run(capsys, "gfun-limit", example2_file, "--prefix", "1",
+                           "--tail", "0,1", "--exact")
+        assert code == 0
+        assert sys.get_int_max_str_digits() == limit  # restored after the report
+        stages = report["results"]["exact_stages"]
+        assert max(len(s) for s in stages) > 2 * 4300
+        sys.set_int_max_str_digits(0)
+        try:
+            assert [Fraction(s) for s in stages] == list(expected)
+        finally:
+            sys.set_int_max_str_digits(limit)
 
     def test_exact_measure_long_word_log_survives_underflow(self, capsys, example2_file):
         word = ",".join(["0"] * 700)

@@ -45,7 +45,7 @@ from gibbsfactor.factor import (
     verify_projection,
 )
 from gibbsfactor.ganalysis import image_log_measure_map
-from gibbsfactor.potential import domain_rows, perron_exact
+from gibbsfactor.potential import domain_rows, domain_words, perron_exact
 from gibbsfactor.sft import DEFAULT_MAX_WORDS
 
 U = np.array([[1.0, 1.0], [0.0, 1.0]])
@@ -274,7 +274,8 @@ class TestOracleExpansion:
         smap = np.array(fs.symbol_map)
         for length in range(1, 9):  # includes words shorter than the block
             allowed = np.ones((length, pd.tm.sft.size), dtype=bool)
-            words, values, steps = domain_rows(pd, allowed, DEFAULT_MAX_WORDS, pd.exact)
+            values, steps, trail = domain_rows(pd, allowed, DEFAULT_MAX_WORDS, pd.exact)
+            words = domain_words(pd.tm, trail)
             groups: dict = {}
             for y, v in zip(map(tuple, smap[words].tolist()), values.tolist()):
                 groups.setdefault(y, []).append(v)
@@ -308,6 +309,31 @@ class TestOracleExpansion:
             projected_measure_bruteforce(fs, pd, word, visited - 1)
         assert (projected_measure_bruteforce(fs, pd, word, visited)
                 == projected_measure_bruteforce(fs, pd, word))
+
+    @pytest.mark.parametrize("system", ["ex2_exact", "ex2_float", "stochastic_depth2",
+                                        "seed202"])
+    def test_tables_are_read_only_and_equal_their_per_call_forms(self, request, system):
+        pipe = request.getfixturevalue(system)
+        fs, pd = (pipe.factor, pipe.pd) if hasattr(pipe, "factor") else pipe
+        tm, rec = pd.tm, pd.tm.recoding
+        tables = [
+            (tm.block_array, np.array(rec.block_words, dtype=np.intp)),
+            (tm.last_symbols, np.array(rec.block_words, dtype=np.intp)[:, -1]),
+            (tm.follows, rec.block_sft.adjacency.astype(bool)),
+            (fs.symbol_array, np.asarray(fs.symbol_map, dtype=np.intp)),
+        ]
+        tables += zip(pd.log_vectors, (np.log(np.asarray(v, dtype=float))
+                                       for v in (pd.nu, pd.h)))
+        tables += zip(fs.fiber_arrays, (np.array(list(f)) for f in fs.fibers))
+        for table, per_call in tables:
+            assert table.dtype == per_call.dtype
+            assert np.array_equal(table, per_call)
+            first = (0,) * table.ndim
+            with pytest.raises(ValueError, match="read-only"):
+                table[first] = table[first]
+        # computed once per object
+        assert tm.block_array is tm.block_array and pd.log_vectors is pd.log_vectors
+        assert fs.symbol_array is fs.symbol_array and tm.follows is tm.follows
 
 
 class TestBatchedRoutes:
