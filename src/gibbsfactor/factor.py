@@ -114,21 +114,13 @@ class FactorSystem:
     def fiber_sizes(self) -> np.ndarray:
         return np.array([len(f) for f in self.fibers])
 
-    @cached_property
-    def fiber_arrays(self) -> tuple[np.ndarray, ...]:
-        """The fibers as read-only intp arrays, for indexing."""
-        arrays = tuple(np.array(f, dtype=np.intp) for f in self.fibers)
-        for f in arrays:
-            f.setflags(write=False)
-        return arrays
-
     def fiber_h(self, pd: PerronData, b: int) -> np.ndarray:
         """h on fiber b in the Perron data's arithmetic (:attr:`PerronData.vectors`)."""
-        return pd.vectors[1][self.fiber_arrays[b]]
+        return pd.vectors[1][list(self.fibers[b])]
 
     def fiber_nu(self, pd: PerronData, b: int) -> np.ndarray:
         """nu on fiber b in the Perron data's arithmetic (:attr:`PerronData.vectors`)."""
-        return pd.vectors[0][self.fiber_arrays[b]]
+        return pd.vectors[0][list(self.fibers[b])]
 
     def operators(self, exact: bool) -> dict:
         """The block table of one arithmetic: the integer blocks of M = D W
@@ -368,11 +360,8 @@ def log_sum_runs(logs: np.ndarray, starts: np.ndarray):
     at `starts` (for ``reduceat``): (totals, scales), run i summing to
     totals[i] e^scales[i], with scales[i] the run's largest log."""
     scales = np.maximum.reduceat(logs, starts)
-    if len(scales) == 1:  # one run: its scale broadcasts
-        shifted = logs - scales[0]
-    else:
-        shifted = logs - np.repeat(scales, np.diff(np.append(starts, len(logs))))
-    return np.add.reduceat(np.exp(shifted), starts), scales
+    sizes = np.diff(np.append(starts, len(logs)))
+    return np.add.reduceat(np.exp(logs - np.repeat(scales, sizes)), starts), scales
 
 
 def preimage_measures(fs: FactorSystem, pd: PerronData, allowed: np.ndarray,

@@ -324,7 +324,6 @@ class TestOracleExpansion:
         ]
         tables += zip(pd.log_vectors, (np.log(np.asarray(v, dtype=float))
                                        for v in (pd.nu, pd.h)))
-        tables += zip(fs.fiber_arrays, (np.array(list(f)) for f in fs.fibers))
         for table, per_call in tables:
             assert table.dtype == per_call.dtype
             assert np.array_equal(table, per_call)
