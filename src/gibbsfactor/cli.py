@@ -4,9 +4,11 @@ machine-readable report.
 Reports are deterministic given inputs and flags: JSON with sorted keys
 (default) or flat key,value CSV.  Measures are reported as natural-log
 values plus a decimal rendering, with an exact "p/q" field in exact mode.
-Exit codes: 0 success, 1 a checked mathematical property failed (never a
-usage problem), 2 usage or input errors, 3 an unexpected internal error
-(reported as one "error:" line, never a traceback).
+Each command takes --format and, of --exact, --tol and --budget, only the
+flags it reads, which its report's diagnostics echo.  Exit codes: 0 success,
+1 a checked mathematical property failed (never a usage problem), 2 usage or
+input errors, 3 an unexpected internal error (reported as one "error:" line,
+never a traceback).
 """
 
 from __future__ import annotations
@@ -121,8 +123,7 @@ def _measure_fields(value, exact: bool) -> dict:
 
 
 def _load(args) -> Pipeline:
-    desc = parse_system(args.system)
-    return build_pipeline(desc, exact=args.exact)
+    return build_pipeline(parse_system(args.system), exact=getattr(args, "exact", False))
 
 
 def _need_factor(pipe: Pipeline):
@@ -132,8 +133,8 @@ def _need_factor(pipe: Pipeline):
 
 
 def cmd_validate(args):
-    desc = parse_system(args.system)
-    pipe = build_pipeline(desc, exact=False)
+    pipe = _load(args)
+    desc = pipe.desc
     results = {
         "valid": True,
         "alphabet_size": len(desc.alphabet),
@@ -266,23 +267,28 @@ def cmd_gfun_limit(args):
     return results, 0, pipe.desc
 
 
-def cmd_variation(args):
+def _profile(args):
+    """Variation profile of variation and fit, and the system; the default fit
+    window is the first third of m, keeping truncation bias subdominant."""
     pipe = _load(args)
-    fs = _need_factor(pipe)
-    profile = variation_profile(fs, pipe.pd, args.m, args.n_max, args.budget)
+    n_max = max(2, args.m // 3) if args.n_max is None else args.n_max
+    return (variation_profile(_need_factor(pipe), pipe.pd, args.m, n_max, args.budget),
+            pipe.desc)
+
+
+def cmd_variation(args):
+    profile, desc = _profile(args)
     results = {
         "m": profile.m,
         "n": list(profile.n_values),
         "var_hat": list(profile.var_hat),
         "pair_counts": list(profile.pair_counts),
     }
-    return results, 0, pipe.desc
+    return results, 0, desc
 
 
 def cmd_fit(args):
-    pipe = _load(args)
-    fs = _need_factor(pipe)
-    profile = variation_profile(fs, pipe.pd, args.m, args.n_max, args.budget)
+    profile, desc = _profile(args)
     fit = decay_fit(profile, n0=args.n0)
     results = {
         "m": profile.m,
@@ -294,7 +300,7 @@ def cmd_fit(args):
         "r_squared_exp": fit.r_squared_exp,
         "r_squared_poly": fit.r_squared_poly,
     }
-    return results, 0, pipe.desc
+    return results, 0, desc
 
 
 def cmd_eta(args):
@@ -306,11 +312,8 @@ def cmd_eta(args):
                              sup_norm=env.sup_norm, ln1_sup_norm=ln1,
                              grid_size=args.grid)
     else:
-        sigma = args.sigma
-        if sigma is None:
-            raise ValidationError("eta needs --sigma or --optimize")
         bound = eta_general(args.theta, env.holder_constant, env.sup_norm,
-                            ln1, args.N, sigma)
+                            ln1, args.N, args.sigma)
     results = {
         "theta": bound.theta,
         "sigma": bound.sigma,
@@ -377,18 +380,21 @@ HANDLERS = {
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--exact", action="store_true",
-                        help="exact rational arithmetic (weight-mode rational tables)")
-    common.add_argument("--tol", type=float, default=1e-10,
-                        help="comparison tolerance for verification commands")
-    common.add_argument("--budget", type=int, default=5_000_000,
-                        help="enumeration budget: nodes visited by a word sweep, or "
-                             "preimage prefixes visited by the brute-force oracle "
-                             "(per word for project, per word length for "
-                             "project-verify), counting every prefix and not only "
-                             "finished words")
-    common.add_argument("--format", choices=("json", "csv"), default="json")
+    # one parent per common flag, given only to the commands that read it
+    flag = {name: argparse.ArgumentParser(add_help=False)
+            for name in ("exact", "tol", "budget", "format")}
+    flag["exact"].add_argument("--exact", action="store_true",
+                               help="exact rational arithmetic (weight-mode rational tables)")
+    flag["tol"].add_argument("--tol", type=float, default=1e-10,
+                             help="route tolerance of project --oracle and project-verify; "
+                                  "stage-convergence tolerance of gfun-limit")
+    flag["budget"].add_argument("--budget", type=int, default=5_000_000,
+                                help="enumeration budget: nodes visited by a word sweep, or "
+                                     "preimage prefixes visited by the brute-force oracle "
+                                     "(per word for project, per word length for "
+                                     "project-verify), counting every prefix and not only "
+                                     "finished words")
+    flag["format"].add_argument("--format", choices=("json", "csv"), default="json")
 
     parser = argparse.ArgumentParser(
         prog="gibbsfactor",
@@ -398,46 +404,49 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, needs_file=True, **kwargs):
-        p = sub.add_parser(name, parents=[common], **kwargs)
+    def add(name, flags=(), needs_file=True, **kwargs):
+        p = sub.add_parser(name, parents=[flag[f] for f in (*flags, "format")], **kwargs)
         if needs_file:
             p.add_argument("system", help="system description JSON file")
         return p
 
     add("validate", help="parse and validate a system file")
-    add("perron", help="leading eigendata of the transfer matrix")
-    p = add("measure", help="Gibbs measure of a domain cylinder")
+    add("perron", ("exact",), help="leading eigendata of the transfer matrix")
+    p = add("measure", ("exact",), help="Gibbs measure of a domain cylinder")
     p.add_argument("--word", required=True)
-    p = add("project", help="projected measure of an image cylinder")
+    p = add("project", ("exact", "tol", "budget"),
+            help="projected measure of an image cylinder")
     p.add_argument("--word", required=True)
     p.add_argument("--oracle", action="store_true",
                    help="also run the brute-force oracle and compare")
-    p = add("project-verify", help="oracle comparison over all image words")
+    p = add("project-verify", ("exact", "tol", "budget"),
+            help="oracle comparison over all image words")
     p.add_argument("--max-len", type=int, default=8)
-    p = add("fwm", help="fiber-wise mixing search")
+    p = add("fwm", ("budget",), help="fiber-wise mixing search")
     p.add_argument("--max-N", type=int, default=8)
-    p = add("gfun", help="g-function approximant at an image word")
+    p = add("gfun", ("exact",), help="g-function approximant at an image word")
     p.add_argument("--word", required=True)
-    p = add("gfun-limit", help="g at an eventually periodic image point")
+    p = add("gfun-limit", ("exact", "tol"), help="g at an eventually periodic image point")
     p.add_argument("--prefix", default="")
     p.add_argument("--tail", required=True)
     p.add_argument("--jmax", type=int, default=16)
-    p = add("variation", help="variation profile of log g at truncation m")
+    p = add("variation", ("budget",), help="variation profile of log g at truncation m")
     p.add_argument("--m", type=int, default=14)
     p.add_argument("--n-max", type=int, default=None)
-    p = add("fit", help="variation profile plus decay classification")
+    p = add("fit", ("budget",), help="variation profile plus decay classification")
     p.add_argument("--m", type=int, default=14)
     p.add_argument("--n-max", type=int, default=None)
     p.add_argument("--n0", type=int, default=2)
     p = add("eta", help="theoretical contraction-rate bound")
     p.add_argument("--theta", type=float, default=0.5)
-    p.add_argument("--sigma", type=float, default=None)
-    p.add_argument("--optimize", action="store_true")
+    rate = p.add_mutually_exclusive_group(required=True)
+    rate.add_argument("--sigma", type=float)
+    rate.add_argument("--optimize", action="store_true")
     p.add_argument("--N", type=int, default=1)
     p.add_argument("--grid", type=int, default=64)
-    p = add("contraction", help="projective diameters of span-N block products")
+    p = add("contraction", ("budget",), help="projective diameters of span-N block products")
     p.add_argument("--N", type=int, default=1)
-    p = add("example2", needs_file=False,
+    p = add("example2", ("budget",), needs_file=False,
             help="run the built-in four-symbol example end to end")
     p.add_argument("--jmax", type=int, default=14)
     return parser
@@ -445,9 +454,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _check_numeric_flags(args) -> None:
     """Reject flag values no command can honour, before any work is done."""
-    if not (math.isfinite(args.tol) and args.tol > 0):
-        raise ValidationError(f"--tol must be finite and > 0, got {args.tol}")
-    if args.budget < 1:
+    tol = getattr(args, "tol", 1.0)
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValidationError(f"--tol must be finite and > 0, got {tol}")
+    if getattr(args, "budget", 1) < 1:
         raise ValidationError(f"--budget must be >= 1, got {args.budget}")
     if getattr(args, "max_len", 1) < 1:
         raise ValidationError(f"--max-len must be >= 1, got {args.max_len}")
@@ -456,9 +466,6 @@ def _check_numeric_flags(args) -> None:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "n_max", None) is None and hasattr(args, "n_max"):
-        # default fit window: first third, keeping truncation bias subdominant
-        args.n_max = max(2, args.m // 3)
     handler = HANDLERS[args.command]
     # warnings (an ignored table entry) are held back: a rejection prints
     # only its error line, a success one "warning:" line per warning
@@ -471,11 +478,8 @@ def main(argv=None) -> int:
                 "command": args.command,
                 "inputs_digest": system_digest(desc),
                 "results": _sanitize(results),
-                "diagnostics": {
-                    "exact": args.exact,
-                    "tol": args.tol,
-                    "budget": args.budget,
-                },
+                "diagnostics": {k: getattr(args, k) for k in ("exact", "tol", "budget")
+                                if hasattr(args, k)},
             }
             emit_report(report, args.format)
         except BrokenPipeError as e:

@@ -152,17 +152,14 @@ def birkhoff_coefficient(m) -> float:
     """Contraction coefficient tanh(diam/4) of a nonnegative matrix; 1 when
     the diameter is infinite (including matrices with a zero column)."""
     a = np.asarray(m, dtype=float)
+    if a.ndim != 2:
+        raise ValidationError("matrix expected")
     if (a < 0).any():
         raise ValidationError("matrix must be nonnegative")
-    if a.ndim != 2 or not a.any():
+    if not a.any():
         raise ValidationError("matrix must be nonzero")
-    for c in a.T:
-        if not (c > 0).any():
-            return 1.0
-    diam = projective_diameter(a)
-    if diam == math.inf:
-        return 1.0
-    return math.tanh(diam / 4.0)
+    diam = stacked_diameters(a[None], np.ones((1, a.shape[1]), dtype=bool))[0]
+    return 1.0 if diam == math.inf else math.tanh(diam / 4.0)
 
 
 def contraction_check(m, u, v, tol: float = 1e-9) -> bool:

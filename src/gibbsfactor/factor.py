@@ -329,10 +329,9 @@ def projected_measure_bruteforce(fs: FactorSystem, pd: PerronData, yword,
 
     One :func:`~gibbsfactor.potential.domain_rows` expansion under the mask
     of the word's fibers, so every row is a preimage of the word and the
-    row values are summed directly, without building the preimage words: an
-    integer sum in exact mode, one :func:`log_sum_runs` run otherwise,
-    finished by :func:`~gibbsfactor.potential.finish_measure` (no rows:
-    measure zero).  The budget counts visited preimage prefixes.
+    row values are summed directly, without building the preimage words, as
+    the one run of :func:`run_measures` (no rows: measure zero).  The budget
+    counts visited preimage prefixes.
     """
     w = _check_image_word(fs, yword)
     if len(w) == 0:
@@ -341,10 +340,7 @@ def projected_measure_bruteforce(fs: FactorSystem, pd: PerronData, yword,
     values, steps, _ = domain_rows(pd, allowed, max_words, pd.exact)
     if not len(values):
         return finish_measure(0, 0.0, 0, pd)
-    if pd.exact:
-        return finish_measure(sum(values.tolist()), 0.0, steps, pd)
-    (total,), (scale,) = log_sum_runs(values, [0])
-    return finish_measure(float(total), float(scale), steps, pd)
+    return run_measures(pd, values, [0], steps)[0]
 
 
 def _run_starts(rows: np.ndarray) -> np.ndarray:
@@ -364,6 +360,16 @@ def log_sum_runs(logs: np.ndarray, starts: np.ndarray):
     return np.add.reduceat(np.exp(logs - np.repeat(scales, sizes)), starts), scales
 
 
+def run_measures(pd: PerronData, values: np.ndarray, starts, steps: int) -> list:
+    """The oracle's measures of the runs of row values beginning at `starts`:
+    integer sums in exact mode, else :func:`log_sum_runs`; then finish_measure."""
+    if pd.exact:
+        totals, scales = np.add.reduceat(values, starts), np.zeros(len(starts))
+    else:
+        totals, scales = log_sum_runs(values, starts)
+    return [finish_measure(t, s, steps, pd) for t, s in zip(totals.tolist(), scales.tolist())]
+
+
 def preimage_measures(fs: FactorSystem, pd: PerronData, allowed: np.ndarray,
                       max_words: int):
     """Brute-force projected measures of the image words of length
@@ -373,22 +379,15 @@ def preimage_measures(fs: FactorSystem, pd: PerronData, allowed: np.ndarray,
     One :func:`~gibbsfactor.potential.domain_rows` expansion in the Perron
     data's arithmetic, its preimage words built by
     :func:`~gibbsfactor.potential.domain_words` and grouped by image word
-    (symbol map, lexicographic sort, ``reduceat`` of an integer sum in exact
-    mode or :func:`log_sum_runs`), each group through
-    :func:`~gibbsfactor.potential.finish_measure`.  The budget counts
-    visited preimage prefixes.
+    (symbol map, lexicographic sort), each group one run of
+    :func:`run_measures`.  The budget counts visited preimage prefixes.
     """
     values, steps, trail = domain_rows(pd, allowed, max_words, pd.exact)
     images = fs.symbol_array[domain_words(pd.tm, trail)]
     order = np.lexsort(images.T[::-1])
     images, values = images[order], values[order]
     starts = _run_starts(images)
-    if pd.exact:
-        totals, scales = np.add.reduceat(values, starts), np.zeros(len(starts))
-    else:
-        totals, scales = log_sum_runs(values, starts)
-    return images[starts], [finish_measure(t, s, steps, pd)
-                            for t, s in zip(totals.tolist(), scales.tolist())]
+    return images[starts], run_measures(pd, values, starts, steps)
 
 
 def route_error(got, oracle, exact: bool) -> float:

@@ -410,6 +410,59 @@ def test_bad_numeric_flags_rejected_before_work(capsys, example2_file, command, 
     assert len(captured.err.strip().splitlines()) == 1
 
 
+# Each command with quick arguments on the Example 2 file, and the common
+# flags its computation reads (--format aside, which every command takes).
+FLAG_SETS = {
+    "validate": ([], ()),
+    "eta": (["--optimize"], ()),
+    "perron": ([], ("--exact",)),
+    "measure": (["--word", "0,0"], ("--exact",)),
+    "gfun": (["--word", "00"], ("--exact",)),
+    "gfun-limit": (["--tail", "0", "--jmax", "6"], ("--exact", "--tol")),
+    "project": (["--word", "0,1", "--oracle"], ("--exact", "--tol", "--budget")),
+    "project-verify": (["--max-len", "3"], ("--exact", "--tol", "--budget")),
+    "fwm": (["--max-N", "2"], ("--budget",)),
+    "variation": (["--m", "6"], ("--budget",)),
+    "fit": (["--m", "12"], ("--budget",)),
+    "contraction": (["--N", "1"], ("--budget",)),
+    "example2": (["--jmax", "5"], ("--budget",)),
+}
+FLAG_VALUES = {"--exact": [], "--tol": ["1e-6"], "--budget": ["100000"]}
+
+
+def command_argv(command, example2_file):
+    args, _ = FLAG_SETS[command]
+    return [command] + ([] if command == "example2" else [example2_file]) + args
+
+
+@pytest.mark.parametrize("command, flag", [
+    (command, flag) for command, (_, taken) in FLAG_SETS.items()
+    for flag in FLAG_VALUES if flag not in taken])
+def test_flag_a_command_does_not_read_is_a_usage_error(capsys, example2_file, command, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(command_argv(command, example2_file) + [flag, *FLAG_VALUES[flag]])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", FLAG_SETS)
+def test_diagnostics_echo_the_flags_a_command_takes(capsys, example2_file, command):
+    taken = FLAG_SETS[command][1]
+    values = [v for flag in taken for v in (flag, *FLAG_VALUES[flag])]
+    code, report = run(capsys, *command_argv(command, example2_file), *values)
+    assert code == 0
+    assert sorted(report["diagnostics"]) == sorted(flag[2:] for flag in taken)
+
+
+@pytest.mark.parametrize("rate", [["--sigma", "0.9", "--optimize"], []],
+                         ids=["both", "neither"])
+def test_eta_takes_exactly_one_of_sigma_and_optimize(capsys, example2_file, rate):
+    with pytest.raises(SystemExit) as exc:
+        main(["eta", example2_file, *rate])
+    assert exc.value.code == 2
+    assert "--sigma" in capsys.readouterr().err
+
+
 def test_closed_stdout_keeps_exit_code_contract(example2_file):
     # stdout is a pipe whose read end is already closed, so the report's
     # write fails with EPIPE whenever it happens

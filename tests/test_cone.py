@@ -137,6 +137,15 @@ class TestBirkhoffCoefficient:
     def test_zero_column_is_one(self):
         assert birkhoff_coefficient([[1, 0], [1, 0]]) == 1.0
 
+    @pytest.mark.parametrize("m, message", [
+        ([[1, -1], [1, 1]], "matrix must be nonnegative"),
+        ([[0, 0], [0, 0]], "matrix must be nonzero"),
+        ([1, 2], "matrix expected"),
+    ], ids=["negative", "zero", "one-dimensional"])
+    def test_refusals(self, m, message):
+        with pytest.raises(ValidationError, match=message):
+            birkhoff_coefficient(m)
+
 
 class TestContractionCheck:
     def test_explicit_instance(self):
