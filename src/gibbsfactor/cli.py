@@ -5,10 +5,13 @@ Reports are deterministic given inputs and flags: JSON with sorted keys
 (default) or flat key,value CSV.  Measures are reported as natural-log
 values plus a decimal rendering, with an exact "p/q" field in exact mode.
 Each command takes --format and, of --exact, --tol and --budget, only the
-flags it reads, which its report's diagnostics echo.  Exit codes: 0 success,
-1 a checked mathematical property failed (never a usage problem), 2 usage or
-input errors, 3 an unexpected internal error (reported as one "error:" line,
-never a traceback).
+flags it reads, which its report's diagnostics echo; any other flag is
+refused with the command's own usage.  Each subparser names its handler:
+:func:`main` builds the command's pipeline once (:func:`_pipeline`) and
+hands it to the handler, which returns the results and the exit code.
+Exit codes: 0 success, 1 a checked mathematical property failed (never a
+usage problem), 2 usage or input errors, 3 an unexpected internal error
+(reported as one "error:" line, never a traceback).
 """
 
 from __future__ import annotations
@@ -49,7 +52,7 @@ from .ganalysis import (
     variation_profile,
 )
 from .potential import cylinder_measure, holder_envelope, ln1_sup_norm
-from .sft import mixing_index
+from .sft import DEFAULT_MAX_WORDS, mixing_index
 from .sysio import (
     Pipeline,
     build_pipeline,
@@ -122,18 +125,7 @@ def _measure_fields(value, exact: bool) -> dict:
             "measure": math.exp(value) if value != -math.inf else 0.0}
 
 
-def _load(args) -> Pipeline:
-    return build_pipeline(parse_system(args.system), exact=getattr(args, "exact", False))
-
-
-def _need_factor(pipe: Pipeline):
-    if pipe.factor is None:
-        raise ValidationError("this command needs a factor map in the system file")
-    return pipe.factor
-
-
-def cmd_validate(args):
-    pipe = _load(args)
+def cmd_validate(args, pipe):
     desc = pipe.desc
     results = {
         "valid": True,
@@ -145,29 +137,26 @@ def cmd_validate(args):
     }
     if desc.has_factor:
         results["image_alphabet_size"] = len(desc.image_alphabet)
-    return results, 0, desc
+    return results, 0
 
 
-def cmd_perron(args):
-    pipe = _load(args)
+def cmd_perron(args, pipe):
     pd = pipe.pd
     results = {"lambda": pd.lam, "h": pd.h, "nu": pd.nu, "residual": pd.residual,
                "iterations": pd.iterations, "exact": pd.exact}
-    return results, 0, pipe.desc
+    return results, 0
 
 
-def cmd_measure(args):
-    pipe = _load(args)
+def cmd_measure(args, pipe):
     word = parse_word(args.word, pipe.sft.alphabet)
     value = cylinder_measure(pipe.pd, word)
     results = {"word": format_word(word, pipe.sft.alphabet)}
     results.update(_measure_fields(value, pipe.pd.exact))
-    return results, 0, pipe.desc
+    return results, 0
 
 
-def cmd_project(args):
-    pipe = _load(args)
-    fs = _need_factor(pipe)
+def cmd_project(args, pipe):
+    fs = pipe.factor
     word = parse_word(args.word, fs.image_alphabet)
     value = projected_measure(fs, pipe.pd, word)
     results = {"word": format_word(word, fs.image_alphabet)}
@@ -179,12 +168,11 @@ def cmd_project(args):
         match = route_error(value, oracle, pipe.pd.exact) <= args.tol
         results["match"] = match
         code = 0 if match else PROPERTY_VIOLATION
-    return results, code, pipe.desc
+    return results, code
 
 
-def cmd_project_verify(args):
-    pipe = _load(args)
-    fs = _need_factor(pipe)
+def cmd_project_verify(args, pipe):
+    fs = pipe.factor
     check = verify_projection(fs, pipe.pd, args.max_len, args.tol, args.budget)
     results = {
         "checked_words": check.checked_words,
@@ -193,12 +181,11 @@ def cmd_project_verify(args):
         "failures": [format_word(w, fs.image_alphabet) for w in check.failures[:20]],
         "passed": check.passed,
     }
-    return results, 0 if check.passed else PROPERTY_VIOLATION, pipe.desc
+    return results, 0 if check.passed else PROPERTY_VIOLATION
 
 
-def cmd_fwm(args):
-    pipe = _load(args)
-    fs = _need_factor(pipe)
+def cmd_fwm(args, pipe):
+    fs = pipe.factor
     result = fwm_search(fs, args.max_N, args.budget)
     reports = []
     for rep in result.reports:
@@ -220,12 +207,11 @@ def cmd_fwm(args):
         "recoded_coordinates": fs.block_length > 1,
         "reports": reports,
     }
-    return results, 0, pipe.desc
+    return results, 0
 
 
-def cmd_gfun(args):
-    pipe = _load(args)
-    fs = _need_factor(pipe)
+def cmd_gfun(args, pipe):
+    fs = pipe.factor
     word = parse_word(args.word, fs.image_alphabet)
     approx = g_approx(fs, pipe.pd, word)
     results = {
@@ -235,12 +221,11 @@ def cmd_gfun(args):
     }
     if pipe.pd.exact:
         results["exact"] = str(approx.value)
-    return results, 0, pipe.desc
+    return results, 0
 
 
-def cmd_gfun_limit(args):
-    pipe = _load(args)
-    fs = _need_factor(pipe)
+def cmd_gfun_limit(args, pipe):
+    fs = pipe.factor
     prefix = parse_word(args.prefix, fs.image_alphabet) if args.prefix else ()
     tail = parse_word(args.tail, fs.image_alphabet)
     res = g_limit(fs, pipe.pd, prefix, tail, jmax=args.jmax, tol=args.tol)
@@ -264,35 +249,35 @@ def cmd_gfun_limit(args):
         finally:
             if limit:
                 sys.set_int_max_str_digits(limit)
-    return results, 0, pipe.desc
+    return results, 0
 
 
-def _profile(args):
-    """Variation profile of variation and fit, and the system; the default fit
-    window is the first third of m, keeping truncation bias subdominant."""
-    pipe = _load(args)
+def _profile(args, pipe):
+    """Variation profile of variation and fit; the default fit window is the
+    first third of m, keeping truncation bias subdominant."""
     n_max = max(2, args.m // 3) if args.n_max is None else args.n_max
-    return (variation_profile(_need_factor(pipe), pipe.pd, args.m, n_max, args.budget),
-            pipe.desc)
+    return variation_profile(pipe.factor, pipe.pd, args.m, n_max, args.budget)
 
 
-def cmd_variation(args):
-    profile, desc = _profile(args)
+def cmd_variation(args, pipe):
+    profile = _profile(args, pipe)
     results = {
         "m": profile.m,
         "n": list(profile.n_values),
         "var_hat": list(profile.var_hat),
         "pair_counts": list(profile.pair_counts),
     }
-    return results, 0, desc
+    return results, 0
 
 
-def cmd_fit(args):
-    profile, desc = _profile(args)
+def cmd_fit(args, pipe):
+    profile = _profile(args, pipe)
     fit = decay_fit(profile, n0=args.n0)
     results = {
         "m": profile.m,
         "n0": args.n0,
+        "window": fit.window,
+        "points": fit.points,
         "var_hat": list(profile.var_hat),
         "classification": fit.classification,
         "exp_rate": fit.exp_rate,
@@ -300,11 +285,10 @@ def cmd_fit(args):
         "r_squared_exp": fit.r_squared_exp,
         "r_squared_poly": fit.r_squared_poly,
     }
-    return results, 0, desc
+    return results, 0
 
 
-def cmd_eta(args):
-    pipe = _load(args)
+def cmd_eta(args, pipe):
     env = holder_envelope(pipe.potential, args.theta)
     ln1 = ln1_sup_norm(pipe.tm, args.N)
     if args.optimize:
@@ -328,13 +312,11 @@ def cmd_eta(args):
     }
     if bound.full_shift_eta is not None:
         results["full_shift_eta"] = bound.full_shift_eta
-    return results, 0, pipe.desc
+    return results, 0
 
 
-def cmd_contraction(args):
-    pipe = _load(args)
-    fs = _need_factor(pipe)
-    profile = contraction_profile(fs, args.N, args.budget)
+def cmd_contraction(args, pipe):
+    profile = contraction_profile(pipe.factor, args.N, args.budget)
     results = {
         "N": profile.n,
         "words": len(profile.per_word),
@@ -342,12 +324,10 @@ def cmd_contraction(args):
         "max_tau": profile.max_tau,
         "infinite_words": profile.infinite_words,
     }
-    return results, 0, pipe.desc
+    return results, 0
 
 
-def cmd_example2(args):
-    desc = fixtures.example2()
-    pipe = build_pipeline(desc, exact=True)
+def cmd_example2(args, pipe):
     fs = pipe.factor
     limit = g_limit(fs, pipe.pd, (), (0,), jmax=args.jmax, tol=1e-9)
     fwm = fwm_search(fs, 8, args.budget)
@@ -359,24 +339,19 @@ def cmd_example2(args):
         "fiber_wise_mixing": fwm.found is not None,
         "fwm_search_max_N": 8,
     }
-    return results, 0, desc
+    return results, 0
 
 
-HANDLERS = {
-    "validate": cmd_validate,
-    "perron": cmd_perron,
-    "measure": cmd_measure,
-    "project": cmd_project,
-    "project-verify": cmd_project_verify,
-    "fwm": cmd_fwm,
-    "gfun": cmd_gfun,
-    "gfun-limit": cmd_gfun_limit,
-    "variation": cmd_variation,
-    "fit": cmd_fit,
-    "eta": cmd_eta,
-    "contraction": cmd_contraction,
-    "example2": cmd_example2,
-}
+class _CommandParser(argparse.ArgumentParser):
+    """A command's parser.  It refuses leftover arguments itself, so the error
+    shows the command's usage; argparse would hand them to the top-level
+    parser, whose usage names neither the command nor its flags."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        return namespace, extras
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -388,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
     flag["tol"].add_argument("--tol", type=float, default=1e-10,
                              help="route tolerance of project --oracle and project-verify; "
                                   "stage-convergence tolerance of gfun-limit")
-    flag["budget"].add_argument("--budget", type=int, default=5_000_000,
+    flag["budget"].add_argument("--budget", type=int, default=DEFAULT_MAX_WORDS,
                                 help="enumeration budget: nodes visited by a word sweep, or "
                                      "preimage prefixes visited by the brute-force oracle "
                                      "(per word for project, per word length for "
@@ -402,51 +377,57 @@ def build_parser() -> argparse.ArgumentParser:
                     "factor projections, and the regularity of the projected "
                     "g-function.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_CommandParser)
 
-    def add(name, flags=(), needs_file=True, **kwargs):
+    def add(name, handler, flags=(), projects=True, needs_file=True, **kwargs):
         p = sub.add_parser(name, parents=[flag[f] for f in (*flags, "format")], **kwargs)
+        p.set_defaults(handler=handler, projects=projects)
         if needs_file:
             p.add_argument("system", help="system description JSON file")
         return p
 
-    add("validate", help="parse and validate a system file")
-    add("perron", ("exact",), help="leading eigendata of the transfer matrix")
-    p = add("measure", ("exact",), help="Gibbs measure of a domain cylinder")
+    add("validate", cmd_validate, projects=False, help="parse and validate a system file")
+    add("perron", cmd_perron, ("exact",), projects=False,
+        help="leading eigendata of the transfer matrix")
+    p = add("measure", cmd_measure, ("exact",), projects=False,
+            help="Gibbs measure of a domain cylinder")
     p.add_argument("--word", required=True)
-    p = add("project", ("exact", "tol", "budget"),
+    p = add("project", cmd_project, ("exact", "tol", "budget"),
             help="projected measure of an image cylinder")
     p.add_argument("--word", required=True)
     p.add_argument("--oracle", action="store_true",
                    help="also run the brute-force oracle and compare")
-    p = add("project-verify", ("exact", "tol", "budget"),
+    p = add("project-verify", cmd_project_verify, ("exact", "tol", "budget"),
             help="oracle comparison over all image words")
     p.add_argument("--max-len", type=int, default=8)
-    p = add("fwm", ("budget",), help="fiber-wise mixing search")
+    p = add("fwm", cmd_fwm, ("budget",), help="fiber-wise mixing search")
     p.add_argument("--max-N", type=int, default=8)
-    p = add("gfun", ("exact",), help="g-function approximant at an image word")
+    p = add("gfun", cmd_gfun, ("exact",), help="g-function approximant at an image word")
     p.add_argument("--word", required=True)
-    p = add("gfun-limit", ("exact", "tol"), help="g at an eventually periodic image point")
+    p = add("gfun-limit", cmd_gfun_limit, ("exact", "tol"),
+            help="g at an eventually periodic image point")
     p.add_argument("--prefix", default="")
     p.add_argument("--tail", required=True)
     p.add_argument("--jmax", type=int, default=16)
-    p = add("variation", ("budget",), help="variation profile of log g at truncation m")
+    p = add("variation", cmd_variation, ("budget",),
+            help="variation profile of log g at truncation m")
     p.add_argument("--m", type=int, default=14)
     p.add_argument("--n-max", type=int, default=None)
-    p = add("fit", ("budget",), help="variation profile plus decay classification")
+    p = add("fit", cmd_fit, ("budget",), help="variation profile plus decay classification")
     p.add_argument("--m", type=int, default=14)
     p.add_argument("--n-max", type=int, default=None)
     p.add_argument("--n0", type=int, default=2)
-    p = add("eta", help="theoretical contraction-rate bound")
+    p = add("eta", cmd_eta, projects=False, help="theoretical contraction-rate bound")
     p.add_argument("--theta", type=float, default=0.5)
     rate = p.add_mutually_exclusive_group(required=True)
     rate.add_argument("--sigma", type=float)
     rate.add_argument("--optimize", action="store_true")
     p.add_argument("--N", type=int, default=1)
     p.add_argument("--grid", type=int, default=64)
-    p = add("contraction", ("budget",), help="projective diameters of span-N block products")
+    p = add("contraction", cmd_contraction, ("budget",),
+            help="projective diameters of span-N block products")
     p.add_argument("--N", type=int, default=1)
-    p = add("example2", ("budget",), needs_file=False,
+    p = add("example2", cmd_example2, ("budget",), needs_file=False,
             help="run the built-in four-symbol example end to end")
     p.add_argument("--jmax", type=int, default=14)
     return parser
@@ -457,26 +438,37 @@ def _check_numeric_flags(args) -> None:
     tol = getattr(args, "tol", 1.0)
     if not (math.isfinite(tol) and tol > 0):
         raise ValidationError(f"--tol must be finite and > 0, got {tol}")
-    if getattr(args, "budget", 1) < 1:
-        raise ValidationError(f"--budget must be >= 1, got {args.budget}")
-    if getattr(args, "max_len", 1) < 1:
-        raise ValidationError(f"--max-len must be >= 1, got {args.max_len}")
+    for name in ("budget", "max_len", "n0"):
+        value = getattr(args, name, 1)
+        if value < 1:
+            raise ValidationError(f"--{name.replace('_', '-')} must be >= 1, got {value}")
+
+
+def _pipeline(args) -> Pipeline:
+    """The command's pipeline: its system file in the arithmetic of --exact
+    (float for a command without it), or Example 2 in exact mode for the
+    command that takes no file; a command that projects needs a factor map."""
+    if "system" not in args:
+        return build_pipeline(fixtures.example2(), exact=True)
+    pipe = build_pipeline(parse_system(args.system), exact=getattr(args, "exact", False))
+    if args.projects and pipe.factor is None:
+        raise ValidationError("this command needs a factor map in the system file")
+    return pipe
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    handler = HANDLERS[args.command]
+    args = build_parser().parse_args(argv)
     # warnings (an ignored table entry) are held back: a rejection prints
     # only its error line, a success one "warning:" line per warning
     with warnings.catch_warnings(record=True) as caught:
         try:
             _check_numeric_flags(args)
-            results, code, desc = handler(args)
+            pipe = _pipeline(args)
+            results, code = args.handler(args, pipe)
             report = {
                 "schema_version": 1,
                 "command": args.command,
-                "inputs_digest": system_digest(desc),
+                "inputs_digest": system_digest(pipe.desc),
                 "results": _sanitize(results),
                 "diagnostics": {k: getattr(args, k) for k in ("exact", "tol", "budget")
                                 if hasattr(args, k)},

@@ -51,11 +51,17 @@ product along one word.
 Exact blocks are slices of the integer matrix M = D W of the transfer
 matrix, numpy ``object`` arrays of int, so exact and float products share
 the same ``@`` code and exact products carry Python integers from the
-integer Perron vector nu~ to h~.  The renormalisation rule and
-:func:`~gibbsfactor.potential.finish_measure` (in the potential module) are
-the only places where the two arithmetics differ (float products are
-renormalised by their largest entry and finished in log space, exact ones
-are kept whole and turned into a Fraction by one division per measure).
+integer Perron vector nu~ to h~.  Within a product the two arithmetics
+differ only in the renormalisation rule (float products are divided by
+their largest entry, exact ones are kept whole), and a measure is finished
+by :func:`~gibbsfactor.potential.finish_measure` (in the potential module:
+log space for float, one division into a Fraction for exact).  The
+routines that choose a product's inputs or combine its results still
+branch on the arithmetic: :func:`level_measures` and :func:`block_product`
+(the Perron vectors and the final division), :func:`run_measures` (integer
+sums or log-sum-exp), :func:`route_error` (equality or relative error),
+:func:`~gibbsfactor.potential.domain_rows` (integer products or log sums)
+and :func:`~gibbsfactor.ganalysis.g_limit` (Fraction or float stage ratios).
 The rule has two forms with the same bits: :func:`rescale_single`, a scalar
 step for one product (:func:`carry_product` and the squaring in
 :func:`~gibbsfactor.ganalysis.g_limit`), and :func:`rescale_product` for the
@@ -94,7 +100,6 @@ class FactorSystem:
     symbol_map: tuple[int, ...]              # domain symbol -> image symbol
     image_block_words: tuple[Word, ...]      # realized image k-words, lexicographic
     image_block_index: dict                  # image k-word -> index
-    block_symbol_map: tuple[int, ...]        # domain block -> image block
     fibers: tuple[tuple[int, ...], ...]      # per image block, domain block indices
     blocks: dict                             # (b, b') -> float ndarray
     exact_blocks: dict | None                # (b, b') -> int object ndarray, slice of M = D W
@@ -177,7 +182,6 @@ def build_factor(tm: TransferMatrix, symbol_map, image_alphabet: Alphabet) -> Fa
         symbol_map=tuple(smap),
         image_block_words=tuple(image_words),
         image_block_index=index,
-        block_symbol_map=bsm,
         fibers=tuple(tuple(f) for f in fibers),
         blocks=blocks,
         exact_blocks=exact_blocks,
@@ -343,12 +347,20 @@ def projected_measure_bruteforce(fs: FactorSystem, pd: PerronData, yword,
     return run_measures(pd, values, [0], steps)[0]
 
 
-def _run_starts(rows: np.ndarray) -> np.ndarray:
-    """Indices of the first row of every run of equal rows in a stack of
-    sorted rows (for ``reduceat``)."""
-    new = np.ones(len(rows), dtype=bool)
-    new[1:] = (rows[1:] != rows[:-1]).any(axis=1)
-    return np.flatnonzero(new)
+def sorted_runs(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Group the equal rows of an (r, c) matrix of nonnegative symbols, c >= 1:
+    (order, starts), `order` the stable permutation that sorts the rows
+    lexicographically and `starts` the position in rows[order] of the first
+    row of every run of equal rows (for ``reduceat``).  The sort key is one
+    bytes string per row, its symbols big-endian unsigned, so that bytewise
+    order is the rows' lexicographic order."""
+    big = np.ascontiguousarray(rows, dtype=">u4")
+    keys = big.view(np.dtype((np.void, 4 * big.shape[1]))).ravel()
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    new = np.ones(len(keys), dtype=bool)
+    new[1:] = keys[1:] != keys[:-1]
+    return order, np.flatnonzero(new)
 
 
 def log_sum_runs(logs: np.ndarray, starts: np.ndarray):
@@ -379,15 +391,13 @@ def preimage_measures(fs: FactorSystem, pd: PerronData, allowed: np.ndarray,
     One :func:`~gibbsfactor.potential.domain_rows` expansion in the Perron
     data's arithmetic, its preimage words built by
     :func:`~gibbsfactor.potential.domain_words` and grouped by image word
-    (symbol map, lexicographic sort), each group one run of
+    (symbol map, :func:`sorted_runs`), each group one run of
     :func:`run_measures`.  The budget counts visited preimage prefixes.
     """
     values, steps, trail = domain_rows(pd, allowed, max_words, pd.exact)
     images = fs.symbol_array[domain_words(pd.tm, trail)]
-    order = np.lexsort(images.T[::-1])
-    images, values = images[order], values[order]
-    starts = _run_starts(images)
-    return images[starts], run_measures(pd, values, starts, steps)
+    order, starts = sorted_runs(images)
+    return images[order[starts]], run_measures(pd, values[order], starts, steps)
 
 
 def route_error(got, oracle, exact: bool) -> float:
@@ -605,10 +615,10 @@ def level_measures(fs: FactorSystem, pd: PerronData, n: int, max_words: int,
 
     if n < k:
         prefixes = np.array(fs.image_block_words, dtype=np.intp)[:, :n]
-        starts = _run_starts(prefixes)
+        order, starts = sorted_runs(prefixes)
         totals = np.array([nu[f] @ h[f] for f in fibers], dtype=h.dtype)
-        totals = np.add.reduceat(totals, starts)
-        return prefixes[starts], finish(totals, 0.0, 0)
+        totals = np.add.reduceat(totals[order], starts)
+        return prefixes[order[starts]], finish(totals, 0.0, 0)
     steps = n - k
     h_rows = np.stack([padded(fs, h[f]) for f in fibers])
     words = [np.zeros((0, n), dtype=np.intp)]

@@ -35,6 +35,7 @@ from .factor import (
     log_sum_runs,
     projected_measure,
     rescale_single,
+    sorted_runs,
 )
 from .potential import PerronData, measure_ratio
 from .sft import DEFAULT_MAX_WORDS, Word
@@ -172,13 +173,6 @@ def image_log_measure_map(fs: FactorSystem, pd: PerronData, length: int,
     return dict(zip(map(tuple, words.tolist()), logs.tolist()))
 
 
-def _row_keys(words: np.ndarray) -> np.ndarray:
-    """One bytes key per word row, ordered like the rows lexicographically
-    (big-endian unsigned symbols compare bytewise as numbers)."""
-    big = np.ascontiguousarray(words, dtype=">u4")
-    return big.view(np.dtype((np.void, 4 * big.shape[1]))).ravel()
-
-
 @dataclass(frozen=True)
 class VariationProfile:
     """Estimated variations of log g at truncation m: var_hat[n-1] is the
@@ -208,14 +202,10 @@ def variation_profile(fs: FactorSystem, pd: PerronData, m: int, n_max: int,
         raise ValidationError("need 2 <= n_max < m")
     words, logs = level_measures(fs, pd, m + 1, max_words, exact=False)
     # shift invariance: the suffix y_1..y_m has measure sum_a proj[a y_1..y_m]
-    keys = _row_keys(words[:, 1:])
-    order = np.argsort(keys, kind="stable")
-    keys = keys[order]
-    new = np.ones(len(keys), dtype=bool)
-    new[1:] = keys[1:] != keys[:-1]
-    totals, scales = log_sum_runs(logs[order], np.flatnonzero(new))
+    order, starts = sorted_runs(words[:, 1:])
+    totals, scales = log_sum_runs(logs[order], starts)
     suffix_logs = np.empty_like(logs)
-    suffix_logs[order] = (np.log(totals) + scales)[np.cumsum(new) - 1]
+    suffix_logs[order] = np.repeat(np.log(totals) + scales, np.diff(starts, append=len(logs)))
     ghat = logs - suffix_logs
     # coordinate at which each word first differs from the one before it
     first_diff = (words[1:] != words[:-1]).argmax(axis=1)

@@ -159,7 +159,6 @@ class Recoding:
     """Higher-block presentation: symbols of `block_sft` are the admissible
     k-words of the base SFT, with transitions given by (k-1)-overlap."""
 
-    base: Sft
     block_length: int
     block_words: tuple[Word, ...]  # lexicographic admissible k-words
     block_sft: Sft
@@ -199,7 +198,6 @@ def higher_block_recode(sft: Sft, k: int, max_words: int = DEFAULT_MAX_WORDS) ->
     names = tuple(_block_name(sft.alphabet, w) for w in block_words)
     block_sft = build_sft(Alphabet(names), adj)
     return Recoding(
-        base=sft,
         block_length=k,
         block_words=block_words,
         block_sft=block_sft,

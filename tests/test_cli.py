@@ -254,6 +254,12 @@ class TestCommands:
         assert code == 0
         assert report["results"]["classification"] == "polynomial"
 
+    def test_fit_reports_its_window(self, capsys, rate_demo_file):
+        code, report = run(capsys, "fit", rate_demo_file, "--m", "12")
+        assert code == 0
+        assert report["results"]["window"] == [2, 4]
+        assert report["results"]["points"] == 3
+
     def test_eta_explicit_sigma(self, capsys, rate_demo_file):
         code, report = run(capsys, "eta", rate_demo_file,
                            "--theta", "0.5", "--sigma", "0.75")
@@ -356,10 +362,10 @@ class TestExitCodes:
                                                         example2_file):
         import gibbsfactor.cli as cli
 
-        def broken(args):
+        def broken(args, pipe):
             raise RuntimeError("a bug in a command")
 
-        monkeypatch.setitem(cli.HANDLERS, "validate", broken)
+        monkeypatch.setattr(cli, "cmd_validate", broken)
         assert INTERNAL_ERROR not in (0, 1, 2)
         assert main(["validate", example2_file]) == INTERNAL_ERROR
         captured = capsys.readouterr()
@@ -401,6 +407,7 @@ class TestExitCodes:
     ("project-verify", "--max-len", "-2"),
     ("project-verify", "--budget", "0"),
     ("fwm", "--budget", "-5"),
+    ("fit", "--n0", "0"),
 ])
 def test_bad_numeric_flags_rejected_before_work(capsys, example2_file, command, flag, value):
     assert main([command, example2_file, flag, value]) == 2
@@ -442,7 +449,9 @@ def test_flag_a_command_does_not_read_is_a_usage_error(capsys, example2_file, co
     with pytest.raises(SystemExit) as exc:
         main(command_argv(command, example2_file) + [flag, *FLAG_VALUES[flag]])
     assert exc.value.code == 2
-    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: gibbsfactor {command} ")
+    assert f"unrecognized arguments: {flag}" in err
 
 
 @pytest.mark.parametrize("command", FLAG_SETS)

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gibbsfactor import (
@@ -42,6 +42,7 @@ from gibbsfactor.factor import (
     level_measures,
     preimage_measures,
     rescale_product,
+    sorted_runs,
     verify_projection,
 )
 from gibbsfactor.ganalysis import image_log_measure_map
@@ -333,6 +334,29 @@ class TestOracleExpansion:
         # computed once per object
         assert tm.block_array is tm.block_array and pd.log_vectors is pd.log_vectors
         assert fs.symbol_array is fs.symbol_array and tm.follows is tm.follows
+
+
+@st.composite
+def symbol_rows(draw):
+    """0-60 rows of 1-6 symbols drawn from at most 8 values up to 300, so that
+    equal rows are common and symbols past one byte are too."""
+    cols = draw(st.integers(1, 6))
+    symbols = st.sampled_from(draw(st.lists(st.integers(0, 300), min_size=1, max_size=8)))
+    rows = draw(st.lists(st.lists(symbols, min_size=cols, max_size=cols), max_size=60))
+    return np.array(rows, dtype=np.intp).reshape(len(rows), cols)
+
+
+@given(symbol_rows())
+@example(np.array([[256], [1], [256]]))
+@settings(max_examples=200, deadline=None)
+def test_sorted_runs_matches_sorted(rows):
+    listed = [tuple(r) for r in rows.tolist()]
+    order = sorted(range(len(listed)), key=listed.__getitem__)  # stable
+    ranked = [listed[i] for i in order]
+    starts = [i for i in range(len(ranked)) if i == 0 or ranked[i] != ranked[i - 1]]
+    got_order, got_starts = sorted_runs(rows)
+    assert got_order.tolist() == order
+    assert got_starts.tolist() == starts
 
 
 class TestBatchedRoutes:
