@@ -21,12 +21,12 @@ follow from the eigen-equations.
 
 Float Perron data come from Noda's inverse iteration: each step shifts by
 the Collatz-Wielandt upper bound max (W x)/x of the Perron root and solves
-one linear system, and the iteration stops when the Collatz-Wielandt
-bracket [min, max] of (W x)/x is within the tolerance.  It converges
-quadratically near the Perron vector, so a tiny spectral gap costs a few
-steps rather than the 1/gap steps of power iteration.  Exact Perron data
-certify an integer eigenvalue of the denominator-cleared weights by
-fraction-free elimination (:func:`perron_exact`).
+one linear system, until the bracket [min, max] of (W x)/x is within the
+tolerance.  It converges quadratically near the Perron vector, so a tiny
+spectral gap costs a few steps rather than the 1/gap steps of power
+iteration, and the run for nu, capped by the bound the run for h converged
+to, usually takes one.  Exact Perron data certify an integer eigenvalue of
+the denominator-cleared weights by fraction-free elimination (:func:`perron_exact`).
 
 Float-mode measures are computed in log space (long words underflow raw
 products).  Exact mode is available when the potential was given as a table
@@ -386,38 +386,43 @@ class PerronData:
         return logs
 
 
-def _noda(w: np.ndarray, tol: float, max_iter: int) -> tuple[np.ndarray, int]:
+def _noda(w: np.ndarray, tol: float, max_iter: int,
+          cap: float = np.inf) -> tuple[np.ndarray, int, float]:
     """Right Perron vector of a nonnegative irreducible matrix by Noda's
-    inverse iteration, from the all-ones vector; returns (x, steps) with x
-    normalised to max 1.
+    inverse iteration, from the all-ones vector; returns (x, steps, sigma)
+    with x normalised to max 1 and sigma the last upper bound.
 
     Each step takes the Collatz-Wielandt bounds min and max of (W x)/x,
-    which bracket the Perron root, shifts by sigma = the upper bound raised
-    one ulp (so sigma I - W is nonsingular with a positive inverse), and
-    sets x <- |(sigma I - W)^-1 x|.  The solve runs on the diagonal
-    similarity B = D^-1 W D, D = diag(x), as x * (I - B / sigma)^-1 1: B
-    has row sums (W x)/x and a Perron vector near all-ones, so small entries
-    of x keep their relative accuracy, and dividing by sigma keeps the
-    solution finite however small or large the weights.  It stops once the
-    bracket is within tol * sigma.  A singular or non-finite solve, or an
-    entry that underflows to zero, raises ConvergenceError.
+    which bracket the Perron root, shifts by sigma = the smaller of the
+    upper bound and `cap` (an upper bound on the same root) raised one ulp
+    (so sigma I - W is nonsingular with a positive inverse), and sets
+    x <- |(sigma I - W)^-1 x|.  The solve runs on the diagonal similarity
+    B = D^-1 W D, D = diag(x), as x * (I - B / sigma)^-1 1: B has row sums
+    (W x)/x and a Perron vector near all-ones, so small entries of x keep
+    their relative accuracy, and dividing by sigma keeps the solution finite
+    however small or large the weights.  It stops once the bracket is within
+    tol * sigma.  A singular or non-finite solve, or an entry that
+    underflows to zero, raises ConvergenceError.
     """
     d = len(w)
     x = np.ones(d)
-    eye = np.eye(d)
+    b = np.empty((d, d))  # B, then I - B / sigma; C order, so reshape is a view
     for steps in range(max_iter + 1):
         with np.errstate(over="ignore"):  # an overflow shows as sigma = inf
-            b = w * x / x[:, None]
+            np.multiply(w, x, out=b)
+            b /= x[:, None]
             ratios = b.sum(axis=1)
         sigma = ratios.max()
         if not np.isfinite(sigma):
             raise ConvergenceError("Noda iteration overflowed")
         if sigma - ratios.min() <= tol * sigma:
-            return x, steps
+            return x, steps, sigma
         if steps == max_iter:
             break
+        b /= -np.nextafter(min(sigma, cap), np.inf)
+        b.reshape(-1)[:: d + 1] += 1.0
         try:
-            z = np.linalg.solve(eye - b / np.nextafter(sigma, np.inf), np.ones(d))
+            z = np.linalg.solve(b, np.ones(d))
         except np.linalg.LinAlgError:
             raise ConvergenceError("Noda iteration hit a singular shifted matrix") from None
         y = np.abs(z) * x
@@ -433,21 +438,24 @@ def perron(tm: TransferMatrix, tol: float = 1e-14, max_iter: int = 100) -> Perro
     shifts (Noda, Numer. Math. 17 (1971)), run on W for h and on W^T for nu.
 
     Each run stops when the Collatz-Wielandt bracket of the Perron root is
-    within tol times its upper end.  Near the Perron vector the convergence
-    is quadratic, so a few steps suffice even for a tiny spectral gap; from
-    the all-ones start on weights spanning many decades the upper bound
-    first falls about twofold per step.  `max_iter` caps the steps
-    of each run, and `iterations` reports the larger of the two step counts
-    (one step is one shifted linear solve).  Mixing of the block shift makes
-    W primitive, so both Perron vectors exist and are positive.
+    within tol, in (0, 1), times its upper end.  Convergence is quadratic
+    near the Perron vector, so a tiny spectral gap costs a few steps; from
+    all-ones on weights spanning many decades the upper bound first falls
+    about twofold per step.  The run for nu shifts by at most the bound h's
+    run converged to (W^T has the same root) and usually takes one step.
+    `max_iter`, an int >= 0, caps each run's steps (one linear solve each);
+    `iterations` is the larger count.  Mixing of the block shift makes W
+    primitive, so both Perron vectors exist and are positive.
     """
-    if tol <= 0:
-        raise ValidationError("tol must be positive")
+    if isinstance(tol, bool) or not isinstance(tol, (int, float, Fraction)) or not 0 < tol < 1:
+        raise ValidationError(f"tol must be a number in (0, 1), got {tol!r}")
+    if isinstance(max_iter, bool) or not isinstance(max_iter, (int, np.integer)) or max_iter < 0:
+        raise ValidationError(f"max_iter must be an int >= 0, got {max_iter!r}")
     if mixing_index(tm.recoding.block_sft) is None:
         raise NotMixingError("block shift is not topologically mixing; Perron data undefined")
     w = tm.weights
-    h, steps_h = _noda(w, tol, max_iter)
-    nu, steps_nu = _noda(w.T, tol, max_iter)
+    h, steps_h, bound = _noda(w, tol, max_iter)
+    nu, steps_nu, _ = _noda(w.T, tol, max_iter, cap=bound)
     lam = float(nu @ w @ h) / float(nu @ h)
     if not lam > 0:
         raise ConvergenceError("Perron root underflowed to zero: weights below float range")

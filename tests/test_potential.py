@@ -19,6 +19,7 @@ from gibbsfactor import (
     NotMixingError,
     ValidationError,
     birkhoff_sum,
+    build_pipeline,
     build_potential,
     build_sft,
     build_system,
@@ -446,6 +447,66 @@ class TestNodaIteration:
         tm = transfer_matrix(ex2_sft, constant_potential(ex2_sft))
         perron_exact(tm)
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("kwargs", [
+        {"tol": 0.0}, {"tol": -1e-14}, {"tol": math.nan}, {"tol": math.inf},
+        {"tol": 1.0}, {"tol": 1.5}, {"tol": True}, {"tol": "1e-14"}, {"tol": None},
+        {"max_iter": -1}, {"max_iter": 2.5}, {"max_iter": True}, {"max_iter": "5"},
+        {"max_iter": None},
+    ], ids=repr)
+    def test_bad_arguments_are_validation_errors(self, rate_demo_float, monkeypatch, kwargs):
+        def solve(a, b):
+            raise AssertionError("perron solved before checking its arguments")
+
+        monkeypatch.setattr(np.linalg, "solve", solve)
+        with pytest.raises(ValidationError, match=next(iter(kwargs))):
+            perron(rate_demo_float.tm, **kwargs)
+
+    def test_argument_checks_accept_numpy_and_edge_values(self, rate_demo_float):
+        tm = rate_demo_float.tm
+        assert perron(tm, tol=np.float64(0.5), max_iter=np.int64(100)).residual < 0.5
+        full = two_state(1.0, 1.0, 1.0, 1.0)  # the all-ones start is exact
+        assert perron(full, tol=Fraction(1, 10**14), max_iter=0).iterations == 0
+
+
+NU_ROUTE_SYSTEMS = {"rate_demo": fixtures.rate_demo(), "example2": fixtures.example2()}
+for seed in range(1, 11):
+    for shape in ((5, 1, 3), (6, 2, 3)):
+        NU_ROUTE_SYSTEMS[f"random_{seed}_{shape}"] = fixtures.random_mixing_system(seed, *shape)
+
+
+class TestNuSecondRoute:
+    """The left Perron vector against a run that does not read h's bound.
+
+    The two-route projection check feeds one PerronData to both routes, so
+    a wrong nu would not show there."""
+
+    @pytest.mark.parametrize("name", list(NU_ROUTE_SYSTEMS))
+    def test_capped_nu_matches_uncapped_run(self, name):
+        from gibbsfactor import potential
+
+        tol = 1e-14
+        pd = perron(build_pipeline(NU_ROUTE_SYSTEMS[name]).tm, tol=tol)
+        w = pd.tm.weights
+        free, _, _ = potential._noda(w.T, tol, 100)
+        free = free / free.sum()
+        assert (np.abs(pd.nu - free) / free).max() <= 1e-11
+        ratios = (pd.nu @ w) / pd.nu  # Collatz-Wielandt bracket under W^T
+        assert ratios.max() - ratios.min() <= tol * pd.lam
+
+    def test_nu_takes_at_most_two_solves_past_h(self, monkeypatch):
+        from gibbsfactor import potential
+
+        tm = build_pipeline(fixtures.random_mixing_system(3, 6, 2, 3)).tm
+        steps_h = potential._noda(tm.weights, 1e-14, 100)[1]
+        calls = []
+        real = np.linalg.solve
+        monkeypatch.setattr(np.linalg, "solve", lambda a, b: calls.append(1) or real(a, b))
+        perron(tm)
+        assert steps_h >= 1 and len(calls) <= steps_h + 2
+
+    def test_example2_float_takes_one_step(self, ex2_float):
+        assert ex2_float.pd.iterations == 1
 
 
 class TestCylinderMeasure:
