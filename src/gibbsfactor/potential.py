@@ -19,14 +19,18 @@ where m is the number of block transitions.  This is exactly the operator
 representation of the measure; additivity, shift-invariance and total mass
 follow from the eigen-equations.
 
-Float Perron data come from Noda's inverse iteration: each step shifts by
-the Collatz-Wielandt upper bound max (W x)/x of the Perron root and solves
-one linear system, until the bracket [min, max] of (W x)/x is within the
-tolerance.  It converges quadratically near the Perron vector, so a tiny
-spectral gap costs a few steps rather than the 1/gap steps of power
-iteration, and the run for nu, capped by the bound the run for h converged
-to, usually takes one.  Exact Perron data certify an integer eigenvalue of
-the denominator-cleared weights by fraction-free elimination (:func:`perron_exact`).
+Float Perron data come from one loop of two kinds of step, run until the
+Collatz-Wielandt bracket [min, max] of (W x)/x of the Perron root is within
+the tolerance.  Power steps x <- W x, one matrix-vector product each, come
+first: W contracts the Hilbert metric (Birkhoff), so they shrink the bracket
+geometrically while the spectral gap is wide.  Once the bracket is below the
+square root of the tolerance, or stops shrinking fast, Noda's inverse
+iteration takes over: each step shifts by the upper bound max (W x)/x and
+solves one linear system.  It converges quadratically near the Perron
+vector, so one solve usually finishes a run, and a tiny spectral gap costs a
+few solves rather than the 1/gap steps of power iteration.  Exact Perron
+data certify an integer eigenvalue of the denominator-cleared weights by
+fraction-free elimination (:func:`perron_exact`).
 
 Float-mode measures are computed in log space (long words underflow raw
 products).  Exact mode is available when the potential was given as a table
@@ -352,7 +356,8 @@ class PerronData:
     and |nu^T W - lambda nu^T| / (lambda max nu) in the maximum norm.  In
     exact mode all three are Fractions and residual is exactly zero, and the
     integer form the exact measures read is kept alongside.
-    `iterations` counts the inverse-iteration steps of :func:`perron`.
+    `iterations` counts the steps of :func:`perron`, power and Noda steps
+    alike, the larger count of its runs for h and nu.
     """
 
     tm: TransferMatrix
@@ -388,30 +393,40 @@ class PerronData:
 
 def _noda(w: np.ndarray, tol: float, max_iter: int,
           cap: float = np.inf) -> tuple[np.ndarray, int, float]:
-    """Right Perron vector of a nonnegative irreducible matrix by Noda's
-    inverse iteration, from the all-ones vector; returns (x, steps, sigma)
-    with x normalised to max 1 and sigma the last upper bound.
+    """Right Perron vector of a nonnegative primitive matrix from the
+    all-ones vector, by power steps while they contract and Noda's inverse
+    iteration to finish; returns (x, steps, sigma) with x normalised to
+    max 1 and sigma the last upper bound.
 
     Each step takes the Collatz-Wielandt bounds min and max of (W x)/x,
-    which bracket the Perron root, shifts by sigma = the smaller of the
-    upper bound and `cap` (an upper bound on the same root) raised one ulp
-    (so sigma I - W is nonsingular with a positive inverse), and sets
+    which bracket the Perron root, and the run stops once the bracket is
+    within tol * sigma, sigma the upper bound.  A power step sets
+    x <- W x / max(W x), one matrix-vector product: W contracts the Hilbert
+    metric (Birkhoff), so the bracket shrinks about |lambda_2| / lambda per
+    step.  Power steps are taken while the bracket is above sqrt(tol) *
+    sigma, it shrank at least fourfold over the last two steps (two, so the
+    wobble of a complex lambda_2 is ridden out) and the new iterate stays
+    positive.  Every later step is Noda's: it shifts by the smaller of sigma
+    and `cap` (an upper bound on the same root) raised one ulp (so sigma I - W
+    is nonsingular with a positive inverse), and sets
     x <- |(sigma I - W)^-1 x|.  The solve runs on the diagonal similarity
     B = D^-1 W D, D = diag(x), as x * (I - B / sigma)^-1 1: B has row sums
     (W x)/x and a Perron vector near all-ones, so small entries of x keep
     their relative accuracy, and dividing by sigma keeps the solution finite
-    however small or large the weights.  It stops once the bracket is within
-    tol * sigma.  A singular or non-finite solve, or an entry that
-    underflows to zero, raises ConvergenceError.
+    however small or large the weights.  Noda converges quadratically, so
+    from the sqrt(tol) handover one solve usually finishes the run.  A
+    singular or non-finite solve, or an entry that underflows to zero,
+    raises ConvergenceError.
     """
     d = len(w)
     x = np.ones(d)
-    b = np.empty((d, d))  # B, then I - B / sigma; C order, so reshape is a view
+    b = None  # B, then I - B / sigma from the first Noda step; C order, so reshape is a view
+    handover = math.sqrt(tol)
+    two_back = one_back = math.inf  # the relative brackets of the last two steps
     for steps in range(max_iter + 1):
         with np.errstate(over="ignore"):  # an overflow shows as sigma = inf
-            np.multiply(w, x, out=b)
-            b /= x[:, None]
-            ratios = b.sum(axis=1)
+            y = w @ x
+            ratios = y / x
         sigma = ratios.max()
         if not np.isfinite(sigma):
             raise ConvergenceError("Noda iteration overflowed")
@@ -419,6 +434,19 @@ def _noda(w: np.ndarray, tol: float, max_iter: int,
             return x, steps, sigma
         if steps == max_iter:
             break
+        bracket = (sigma - ratios.min()) / sigma
+        contracting = 4 * bracket <= two_back
+        two_back, one_back = one_back, bracket
+        if b is None and bracket > handover and contracting:
+            y /= y.max()
+            if (y > 0).all():
+                x = y
+                continue
+        if b is None:
+            b = np.empty((d, d))
+        with np.errstate(over="ignore"):
+            np.multiply(w, x, out=b)
+            b /= x[:, None]
         b /= -np.nextafter(min(sigma, cap), np.inf)
         b.reshape(-1)[:: d + 1] += 1.0
         try:
@@ -434,25 +462,28 @@ def _noda(w: np.ndarray, tol: float, max_iter: int,
 
 
 def perron(tm: TransferMatrix, tol: float = 1e-14, max_iter: int = 100) -> PerronData:
-    """Perron eigendata by Noda's inverse iteration with Collatz-Wielandt
-    shifts (Noda, Numer. Math. 17 (1971)), run on W for h and on W^T for nu.
+    """Perron eigendata by power steps and Noda's inverse iteration with
+    Collatz-Wielandt shifts (Noda, Numer. Math. 17 (1971)), run on W for h
+    and on W^T for nu (see :func:`_noda`).
 
     Each run stops when the Collatz-Wielandt bracket of the Perron root is
-    within tol, in (0, 1), times its upper end.  Convergence is quadratic
-    near the Perron vector, so a tiny spectral gap costs a few steps; from
-    all-ones on weights spanning many decades the upper bound first falls
-    about twofold per step.  The run for nu shifts by at most the bound h's
-    run converged to (W^T has the same root) and usually takes one step.
-    `max_iter`, an int >= 0, caps each run's steps (one linear solve each);
-    `iterations` is the larger count.  Mixing of the block shift makes W
-    primitive, so both Perron vectors exist and are positive.
+    within tol, in (0, 1), times its upper end.  Power steps shrink the
+    bracket to about sqrt(tol) while they contract fast, and Noda's
+    quadratic convergence finishes the run, usually in one solve; a tiny
+    spectral gap stalls the power steps and costs a few solves.  The Noda
+    steps of the run for nu shift by at most the bound h's run converged to
+    (W^T has the same root).  `max_iter`, an int >= 0, caps each run's
+    steps of both kinds; `iterations` is the larger count.  The base shift
+    is tested for mixing: its block presentation is conjugate to it, so W is
+    primitive exactly when it is mixing, and then both Perron vectors exist
+    and are positive.
     """
     if isinstance(tol, bool) or not isinstance(tol, (int, float, Fraction)) or not 0 < tol < 1:
         raise ValidationError(f"tol must be a number in (0, 1), got {tol!r}")
     if isinstance(max_iter, bool) or not isinstance(max_iter, (int, np.integer)) or max_iter < 0:
         raise ValidationError(f"max_iter must be an int >= 0, got {max_iter!r}")
-    if mixing_index(tm.recoding.block_sft) is None:
-        raise NotMixingError("block shift is not topologically mixing; Perron data undefined")
+    if mixing_index(tm.sft) is None:
+        raise NotMixingError("shift is not topologically mixing; Perron data undefined")
     w = tm.weights
     h, steps_h, bound = _noda(w, tol, max_iter)
     nu, steps_nu, _ = _noda(w.T, tol, max_iter, cap=bound)

@@ -28,9 +28,11 @@ from gibbsfactor import (
     enumerate_words,
     fixtures,
     gibbs_ratio_bounds,
+    higher_block_recode,
     holder_envelope,
     level_log_measures,
     ln1_sup_norm,
+    mixing_index,
     parse_system_dict,
     perron,
     perron_exact,
@@ -347,6 +349,50 @@ class TestPerron:
             perron(tm)
 
 
+NOT_MIXING_SHAPES = {
+    "3-cycle": [[0, 1, 0], [0, 0, 1], [1, 0, 0]],
+    "bipartite": [[0, 0, 1, 1], [0, 0, 1, 0], [1, 1, 0, 0], [0, 1, 0, 0]],
+    "reducible": [[1, 1, 1, 0], [1, 1, 0, 0], [0, 0, 1, 1], [0, 0, 1, 1]],
+}
+
+
+def random_sft(seed):
+    """Seeded 2-5 symbol SFT: a permutation (so no symbol is stranded) plus
+    random edges; mixing or not."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 6))
+    adj = (rng.random((n, n)) < 0.3) | np.eye(n, dtype=bool)[rng.permutation(n)]
+    return make_sft(adj.astype(int).tolist())
+
+
+class TestMixingOnBaseShift:
+    """perron tests mixing on the base shift: a k-block presentation is
+    conjugate to it, so the verdicts agree."""
+
+    SFTS = {**{f"random_{seed}": random_sft(seed) for seed in range(40)},
+            **{name: make_sft(adj) for name, adj in NOT_MIXING_SHAPES.items()}}
+
+    def test_random_sample_holds_both_verdicts(self):
+        verdicts = [mixing_index(sft) is None for name, sft in self.SFTS.items()
+                    if name.startswith("random")]
+        assert set(verdicts) == {True, False}
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("name", list(SFTS))
+    def test_block_shift_verdict_matches(self, name, k):
+        sft = self.SFTS[name]
+        block_sft = higher_block_recode(sft, k).block_sft
+        assert (mixing_index(sft) is None) == (mixing_index(block_sft) is None)
+
+    @pytest.mark.parametrize("depth", [1, 2])
+    @pytest.mark.parametrize("name", list(NOT_MIXING_SHAPES))
+    def test_perron_refuses_not_mixing(self, name, depth):
+        sft = make_sft(NOT_MIXING_SHAPES[name])
+        tm = transfer_matrix(sft, constant_potential(sft, depth))
+        with pytest.raises(NotMixingError):
+            perron(tm)
+
+
 def two_state(w00, w01, w10, w11):
     sft = make_sft([[1, 1], [1, 1]])
     table = {(0, 0): w00, (0, 1): w01, (1, 0): w10, (1, 1): w11}
@@ -354,7 +400,7 @@ def two_state(w00, w01, w10, w11):
 
 
 class TestNodaIteration:
-    @pytest.mark.parametrize("eps", [1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8])
+    @pytest.mark.parametrize("eps", [1e-2, 3e-3, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8])
     def test_small_gap_closed_form(self, eps):
         # spectral gap eps * sqrt(5): power iteration needs ~1/eps steps
         pd = perron(two_state(1.0, eps, eps, 1.0 + eps))
@@ -424,18 +470,48 @@ class TestNodaIteration:
             perron(tm, max_iter=steps - 1)
 
     @pytest.mark.parametrize("broken", ["singular", "nan"])
-    def test_failed_solve_is_convergence_error(self, ex2_sft, monkeypatch, broken):
+    def test_failed_solve_is_convergence_error(self, monkeypatch, broken):
+        calls = []
+
         def solve(a, b):
+            calls.append(1)
             if broken == "singular":
                 raise np.linalg.LinAlgError("Singular matrix")
             return np.full(len(b), np.nan)
 
-        tm = transfer_matrix(ex2_sft, constant_potential(ex2_sft))
+        # power steps stall on the small gap, so the run reaches a solve
+        tm = two_state(1.0, 1e-3, 1e-3, 1.0 + 1e-3)
         monkeypatch.setattr(np.linalg, "solve", solve)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ConvergenceError):
                 perron(tm)
+        assert calls
+
+    def test_wide_gap_takes_at_most_two_solves(self, monkeypatch):
+        tm = build_pipeline(fixtures.random_mixing_system(3, 6, 2, 3)).tm
+        calls = []
+        real = np.linalg.solve
+        monkeypatch.setattr(np.linalg, "solve", lambda a, b: calls.append(1) or real(a, b))
+        pd = perron(tm)
+        assert pd.residual <= 1e-13
+        assert len(calls) <= 2
+
+    @pytest.mark.parametrize("seed", range(50))
+    def test_spread_weights_converge_or_raise(self, seed):
+        # weights over 10^-50 .. 10^50: the run either meets the tolerance or
+        # says it did not, never returns a wrong triple
+        desc = fixtures.random_mixing_system(seed, 6, 2, 3)
+        rng = np.random.default_rng(1000 + seed)
+        table = tuple((word, float(10.0 ** rng.uniform(-50, 50))) for word, _ in desc.table)
+        tm = transfer_matrix(*build_system(dataclasses.replace(desc, table=table)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                pd = perron(tm)
+            except ConvergenceError:
+                return
+        assert pd.residual <= 1e-12
 
     def test_exact_runs_mixing_test_once(self, ex2_sft, monkeypatch):
         from gibbsfactor import potential
@@ -507,6 +583,37 @@ class TestNuSecondRoute:
 
     def test_example2_float_takes_one_step(self, ex2_float):
         assert ex2_float.pd.iterations == 1
+
+
+EIG_ROUTE_SYSTEMS = {f"gap_{eps:g}": two_state(1.0, eps, eps, 1.0 + eps)
+                     for eps in (1e-2, 1e-3, 1e-5)}
+# (seed, symbols, depth): 22 to 122 blocks
+for seed, n, depth in ((1, 6, 2), (2, 8, 2), (3, 10, 2), (4, 5, 3), (5, 6, 3),
+                       (6, 6, 2), (7, 8, 2), (8, 10, 2), (9, 8, 3), (10, 6, 3)):
+    desc = fixtures.random_mixing_system(seed, n, depth, 3)
+    EIG_ROUTE_SYSTEMS[f"random_{seed}_{n}_{depth}"] = transfer_matrix(*build_system(desc))
+
+
+class TestPerronSecondRoute:
+    """The Perron triple against a dense eigensolver.
+
+    The two-route projection check feeds one PerronData to both routes, so
+    a wrong h or nu would not show there."""
+
+    @pytest.mark.parametrize("name", list(EIG_ROUTE_SYSTEMS))
+    def test_matches_dense_eigensolver(self, name):
+        tm = EIG_ROUTE_SYSTEMS[name]
+        pd = perron(tm)
+        values, right = np.linalg.eig(tm.weights)
+        lam = values.real.max()
+        h = right[:, values.real.argmax()].real
+        values, left = np.linalg.eig(tm.weights.T)
+        nu = left[:, values.real.argmax()].real
+        nu = nu / nu.sum()
+        h = h / (h @ nu)
+        assert abs(pd.lam - lam) <= 1e-12 * lam
+        assert (np.abs(pd.h - h) / h).max() <= 1e-10
+        assert (np.abs(pd.nu - nu) / nu).max() <= 1e-10
 
 
 class TestCylinderMeasure:
