@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ValidationError
-from .sft import Alphabet, build_sft, mixing_index
+from .sft import Alphabet, build_sft, enumerate_words, mixing_index
 from .sysio import SystemDescription, parse_system_dict
 
 
@@ -29,11 +29,7 @@ def example2() -> SystemDescription:
     eigenvectors (1,1,1,1) and (1,2,2,1)/6.
     """
     adjacency = [[1, 1, 1, 0], [0, 1, 1, 1], [1, 1, 1, 0], [0, 1, 1, 1]]
-    table = {}
-    for i in range(4):
-        for j in range(4):
-            if adjacency[i][j]:
-                table[f"{i}{j}"] = "1"
+    table = {f"{i}{j}": "1" for i in range(4) for j in range(4) if adjacency[i][j]}
     return _desc("0123", adjacency, 1, "weight", table,
                  image="01", fmap={"0": "0", "1": "0", "2": "1", "3": "1"})
 
@@ -112,21 +108,17 @@ def random_mixing_system(seed: int, n_symbols: int, depth: int,
     rng = np.random.default_rng(seed)
     for _ in range(max_tries):
         adj = (rng.random((n_symbols, n_symbols)) < density).astype(int)
-        for i in range(n_symbols):
-            adj[i][(i + 1) % n_symbols] = 1
+        adj |= np.roll(np.eye(n_symbols, dtype=int), 1, axis=1)  # the cycle i -> i + 1
         adj[0][0] = 1
         names = [str(i) for i in range(n_symbols)]
         sft = build_sft(Alphabet(tuple(names)), adj)
         if mixing_index(sft) is None:
             continue
-        from .sft import enumerate_words
-
         words = enumerate_words(sft, depth + 1)
         table = {",".join(names[s] for s in w): float(rng.uniform(0.5, 2.0))
                  for w in words}
-        fmap = {}
-        for i, n in enumerate(names):
-            fmap[n] = str(i) if i < image_size else str(int(rng.integers(image_size)))
+        fmap = {n: str(i) if i < image_size else str(int(rng.integers(image_size)))
+                for i, n in enumerate(names)}
         image = [str(b) for b in range(image_size)]
         return _desc(names, adj.tolist(), depth, "weight", table,
                      image=image, fmap=fmap)

@@ -8,9 +8,12 @@ of length max(k, 1), on which the transfer operator is a nonnegative matrix
     W[i, j] = exp(phi(word_i . last(word_j)))   when block transition i -> j
               is allowed, 0 otherwise,
 
-i.e. rows are indexed by source blocks and columns by target blocks.  With
-W h = lambda h and nu^T W = lambda nu^T, sum(nu) = 1, <h, nu> = 1, the Gibbs
-state of phi has cylinder masses
+i.e. rows are indexed by source blocks and columns by target blocks.  The
+table, the recoding's block transitions and W share one word order, the
+lexicographic order of the admissible (k+1)-words, which is the row-major
+order of the allowed entries of W: :func:`transfer_matrix` fills W with one
+assignment.  With W h = lambda h and nu^T W = lambda nu^T, sum(nu) = 1,
+<h, nu> = 1, the Gibbs state of phi has cylinder masses
 
     mu[w_0 ... w_n] = lambda^{-m} (prod of W along the block word)
                       * nu[first block] * h[last block],
@@ -59,14 +62,15 @@ the values and records how each level grew; the callers that read the
 words (the two bulk forms) build them from that record with
 :func:`domain_words`, and the single-word oracle never builds them.  The
 tables it reads on every call are computed once on the objects that own
-their data: the block words, their last symbols and the boolean block
-adjacency on :class:`TransferMatrix`, and the float log Perron vectors on
-:class:`PerronData`.
+their data: the block words on the recoding, their last symbols and the
+boolean block adjacency on :class:`TransferMatrix`, and the float log Perron
+vectors on :class:`PerronData`.
 """
 
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -84,12 +88,11 @@ from .sft import (
     DEFAULT_MAX_WORDS,
     Recoding,
     Sft,
-    Word,
     block_word,
-    enumerate_words,
     higher_block_recode,
     is_admissible,
     mixing_index,
+    word_matrix,
 )
 
 PHI_MODE = "phi"
@@ -103,6 +106,7 @@ class Potential:
     `phi` maps every admissible (k+1)-word to its potential value; `weights`
     holds e^phi.  `exact_weights` is present when the input was a table of
     positive rationals (weight mode), enabling exact arithmetic downstream.
+    All three list the words in lexicographic order.
     """
 
     sft: Sft
@@ -111,10 +115,6 @@ class Potential:
     phi: dict
     weights: dict
     exact_weights: dict | None
-
-    @property
-    def support_words(self) -> list[Word]:
-        return sorted(self.phi.keys())
 
 
 def check_header(depth, mode) -> None:
@@ -172,17 +172,10 @@ def table_value(mode: str, value) -> Fraction | float:
 
 def build_potential(sft: Sft, depth: int, mode: str, table: dict) -> Potential:
     """Validate a potential table: the header by :func:`check_header`, every
-    value by :func:`table_value` (an error names the word).
-
-    The table must cover every admissible (depth+1)-word.  Entries for other
-    words are ignored with a warning.  Exact arithmetic is available when
-    every weight is exact (weight mode with no float entries).
+    value by :func:`table_value` (an error names the word), then the words
+    by :func:`canonical_potential`.
     """
-    import warnings
-
     check_header(depth, mode)
-    needed = enumerate_words(sft, depth + 1)
-    needed_set = set(needed)
     values: dict = {}
     for key, raw in table.items():
         try:
@@ -190,22 +183,37 @@ def build_potential(sft: Sft, depth: int, mode: str, table: dict) -> Potential:
         except TypeError:
             raise ValidationError(f"potential table key {key!r} is not a word") from None
         try:
-            value = table_value(mode, raw)
+            values[w] = table_value(mode, raw)
         except ValidationError as e:
             raise ValidationError(f"potential value for word {w}: {e}") from None
-        if w in needed_set:
-            values[w] = value
-        else:
-            warnings.warn(f"ignoring entry for inadmissible word {w}", stacklevel=2)
-    missing = [w for w in needed if w not in values]
-    if missing:
-        raise ValidationError(f"missing table entry for admissible word {missing[0]}")
+    return canonical_potential(sft, depth, mode, values)
+
+
+def canonical_potential(sft: Sft, depth: int, mode: str, values: dict) -> Potential:
+    """The potential of a table of words whose values are canonical already
+    (as :func:`table_value` returns them).
+
+    The table must cover every admissible (depth+1)-word; entries for other
+    words are ignored with a warning.  Exact arithmetic is available when
+    every weight is exact (weight mode with no float entries).
+    """
+    words = list(map(tuple, word_matrix(sft, depth + 1).tolist()))
+    if list(values) != words:  # not already the admissible words in order
+        admissible = set(words)
+        for w in values:
+            if w not in admissible:
+                warnings.warn(f"ignoring entry for inadmissible word {w}", stacklevel=3)
+        missing = next((w for w in words if w not in values), None)
+        if missing is not None:
+            raise ValidationError(f"missing table entry for admissible word {missing}")
+        values = {w: values[w] for w in words}
+    canonical = list(values.values())
     if mode == PHI_MODE:
-        phi, weights = values, {w: math.exp(v) for w, v in values.items()}
+        phi, weights = values, dict(zip(words, map(math.exp, canonical)))
     else:
-        weights = {w: float(v) for w, v in values.items()}
-        phi = {w: math.log(v) for w, v in weights.items()}
-    exact = values if all(isinstance(v, Fraction) for v in values.values()) else None
+        floats = list(map(float, canonical))
+        weights, phi = dict(zip(words, floats)), dict(zip(words, map(math.log, floats)))
+    exact = values if all(isinstance(v, Fraction) for v in canonical) else None
     return Potential(sft=sft, depth=depth, mode=mode, phi=phi, weights=weights,
                      exact_weights=exact)
 
@@ -216,12 +224,10 @@ def variations(potential: Potential) -> list[float]:
     (var_n = 0 for all n beyond the depth, by locality)."""
     k = potential.depth
     out = []
-    words = potential.support_words
     for n in range(1, k + 1):
         groups: dict = {}
-        for w in words:
+        for w, v in potential.phi.items():
             lo, hi = groups.get(w[:n], (math.inf, -math.inf))
-            v = potential.phi[w]
             groups[w[:n]] = (min(lo, v), max(hi, v))
         out.append(max((hi - lo for lo, hi in groups.values()), default=0.0))
     return out
@@ -288,16 +294,9 @@ class TransferMatrix:
         return w
 
     @cached_property
-    def block_array(self) -> np.ndarray:
-        """The recoding's block words as a read-only (d, k) intp array."""
-        words = np.array(self.recoding.block_words, dtype=np.intp)
-        words.setflags(write=False)
-        return words
-
-    @cached_property
     def last_symbols(self) -> np.ndarray:
         """The last base symbol of every block, read-only."""
-        return self.block_array[:, -1]
+        return self.recoding.block_array[:, -1]
 
     @cached_property
     def follows(self) -> np.ndarray:
@@ -313,30 +312,22 @@ def transfer_matrix(sft: Sft, potential: Potential,
     """Build the block transfer matrix of a potential.
 
     Depth-k systems are recoded to blocks of length max(k, 1); the entry for
-    an allowed block transition i -> j is the weight of the (k+1)-word
-    word_i . last(word_j) (truncated to the depth window for depth 0).
+    the block transition i -> j, the (k+1)-word word_i . last(word_j), is the
+    weight of that word (of its first symbol for depth 0), read in the
+    potential's word order.
     """
     if potential.sft is not sft:
         raise ValidationError("potential was built for a different SFT")
-    k = max(potential.depth, 1)
-    rec = higher_block_recode(sft, k, max_words)
+    rec = higher_block_recode(sft, max(potential.depth, 1), max_words)
     d = rec.size
+    pick = rec.transitions[:, 0] if potential.depth == 0 else slice(None)  # depth 0: 1st symbol
     w = np.zeros((d, d))
-    exact = ints = den = None
+    w[rec.sources, rec.targets] = np.fromiter(potential.weights.values(), float)[pick]
+    ints = den = None
     if potential.exact_weights is not None:
-        exact = np.full((d, d), Fraction(0), dtype=object)
-    window = potential.depth + 1
-    adj = rec.block_sft.adjacency
-    for i, u in enumerate(rec.block_words):
-        for j in np.flatnonzero(adj[i]):
-            full = u + (rec.block_words[j][-1],)
-            key = full[:window]
-            w[i, j] = potential.weights[key]
-            if exact is not None:
-                exact[i, j] = potential.exact_weights[key]
-    if exact is not None:
-        ints, den = _clear_denominators(exact.flat)
-        ints = ints.reshape(d, d)
+        numerators, den = _clear_denominators(potential.exact_weights.values())
+        ints = np.zeros((d, d), dtype=object)
+        ints[rec.sources, rec.targets] = numerators[pick]
     with np.errstate(divide="ignore"):
         logw = np.log(w)
     for m in (w, logw, ints):
@@ -624,12 +615,6 @@ def measure_ratio(num, den, pd: PerronData):
     return math.exp(num - den)
 
 
-def _short_word_blocks(rec: Recoding, word: Word) -> list[int]:
-    """Block symbols whose base word extends a too-short cylinder word."""
-    n = len(word)
-    return [i for i, bw in enumerate(rec.block_words) if bw[:n] == word]
-
-
 def cylinder_measure(pd: PerronData, word):
     """Gibbs measure of the cylinder [word].
 
@@ -647,7 +632,8 @@ def cylinder_measure(pd: PerronData, word):
         return Fraction(1) if pd.exact else 0.0
     nu, h = pd.vectors
     if len(w) < rec.block_length:
-        total = sum(nu[i] * h[i] for i in _short_word_blocks(rec, w))
+        extensions = np.flatnonzero((rec.block_array[:, :len(w)] == w).all(axis=1))
+        total = sum(nu[i] * h[i] for i in extensions)
         return finish_measure(total, 0.0, 0, pd)
     blocks = block_word(rec, w)
     steps = list(zip(blocks, blocks[1:]))
@@ -683,7 +669,7 @@ def domain_rows(pd: PerronData, allowed: np.ndarray, max_words: int, exact: bool
     weights = tm.int_weights if exact else tm.log_weights
     nu, h = (pd.int_nu, pd.int_h) if exact else pd.log_vectors
     head = min(n, k)
-    rows = np.flatnonzero(allowed[np.arange(head), tm.block_array[:, :head]].all(axis=1))
+    rows = np.flatnonzero(allowed[np.arange(head), tm.recoding.block_array[:, :head]].all(axis=1))
     values, start, levels = nu[rows], rows, []
     # moves[t][i, j]: block j may follow block i and add a symbol allowed at t
     moves = tm.follows & allowed[:, None, tm.last_symbols]
@@ -706,7 +692,7 @@ def domain_words(tm: TransferMatrix, trail) -> np.ndarray:
     """The base words of a :func:`domain_rows` expansion as int rows, in the
     order of its values, grown from its trail one level at a time."""
     rows, head, levels = trail
-    words = tm.block_array[rows, :head]
+    words = tm.recoding.block_array[rows, :head]
     for parent, child in levels:
         words = np.concatenate([words[parent], tm.last_symbols[child, None]], axis=1)
     return words

@@ -31,7 +31,9 @@ class Alphabet:
             raise ValidationError("alphabet must be non-empty")
         if any(not isinstance(s, str) or s == "" for s in self.symbols):
             raise ValidationError("symbol names must be non-empty strings")
-        if len(set(self.symbols)) != len(self.symbols):
+        # name -> index, the dict that index() and sysio.parse_word look names up in
+        object.__setattr__(self, "positions", {s: i for i, s in enumerate(self.symbols)})
+        if len(self.positions) != len(self.symbols):
             raise ValidationError("symbol names must be pairwise distinct")
 
     @property
@@ -40,8 +42,8 @@ class Alphabet:
 
     def index(self, name: str) -> int:
         try:
-            return self.symbols.index(name)
-        except ValueError:
+            return self.positions[name]
+        except (KeyError, TypeError):  # TypeError: an unhashable name
             raise ValidationError(f"unknown symbol {name!r}") from None
 
     def name(self, i: int) -> str:
@@ -76,11 +78,11 @@ def build_sft(alphabet: Alphabet, adjacency) -> Sft:
     if not np.isin(a, (0, 1)).all():
         raise ValidationError("adjacency entries must be 0 or 1")
     a = a.astype(np.uint8)
-    for i in range(a.shape[0]):
-        if not a[i].any():
+    no_successor, no_predecessor = ~a.any(axis=1), ~a.any(axis=0)
+    for i in np.flatnonzero(no_successor | no_predecessor)[:1]:  # the first stranded symbol
+        if no_successor[i]:
             raise ValidationError(f"empty row: symbol {alphabet.name(i)!r} has no successor")
-        if not a[:, i].any():
-            raise ValidationError(f"empty column: symbol {alphabet.name(i)!r} has no predecessor")
+        raise ValidationError(f"empty column: symbol {alphabet.name(i)!r} has no predecessor")
     a.setflags(write=False)
     return Sft(alphabet=alphabet, adjacency=a)
 
@@ -157,23 +159,27 @@ def enumerate_words(sft: Sft, n: int, max_words: int = DEFAULT_MAX_WORDS) -> lis
 @dataclass(frozen=True, eq=False)
 class Recoding:
     """Higher-block presentation: symbols of `block_sft` are the admissible
-    k-words of the base SFT, with transitions given by (k-1)-overlap."""
+    k-words of the base SFT, with transitions given by (k-1)-overlap.  Block
+    transition t is the (k+1)-word ``transitions[t]``; transitions are in the
+    row-major order of the block adjacency, as blocks and words are sorted."""
 
     block_length: int
     block_words: tuple[Word, ...]  # lexicographic admissible k-words
+    block_array: np.ndarray        # the block words as a read-only (d, k) intp array
     block_sft: Sft
     to_block: dict  # Word -> block symbol index
+    transitions: np.ndarray  # (m, k+1) int, the admissible (k+1)-words, lexicographic
+    sources: np.ndarray      # (m,) block index of each transition's k-prefix
+    targets: np.ndarray      # (m,) block index of each transition's k-suffix
 
     @property
     def size(self) -> int:
         return len(self.block_words)
 
 
-def _block_name(alphabet: Alphabet, word: Word) -> str:
-    names = [alphabet.name(s) for s in word]
-    if all(len(x) == 1 for x in names):
-        return "".join(names)
-    return ",".join(names)
+def _dense_ranks(rows: np.ndarray) -> np.ndarray:
+    """Rank of each row of a sorted int matrix among its distinct rows."""
+    return np.cumsum(np.r_[True, (rows[1:] != rows[:-1]).any(axis=1)]) - 1
 
 
 def higher_block_recode(sft: Sft, k: int, max_words: int = DEFAULT_MAX_WORDS) -> Recoding:
@@ -182,26 +188,36 @@ def higher_block_recode(sft: Sft, k: int, max_words: int = DEFAULT_MAX_WORDS) ->
     Block transition u -> v is allowed iff u[1:] == v[:-1] and the final base
     transition u[-1] -> v[-1] is allowed, i.e. iff (w[:-1], w[1:]) = (u, v)
     for an admissible (k+1)-word w; the budget caps the (k+1)-words too.
-    Every k-word is a prefix of some (k+1)-word, as no symbol is stranded.
-    k = 1 yields an isomorphic copy.
+    No symbol is stranded, so every k-word is a prefix and a suffix of some
+    (k+1)-word, and its rank among either is its block index.  k = 1 yields
+    an isomorphic copy.
     """
     if k < 1:
         raise ValidationError("block length must be >= 1")
     longer = word_matrix(sft, k + 1, max_words)  # the admissible (k+1)-words
-    new = np.ones(len(longer), dtype=bool)  # first (k+1)-word of each k-prefix
-    new[1:] = (longer[1:, :-1] != longer[:-1, :-1]).any(axis=1)
-    block_words = tuple(map(tuple, longer[new, :-1].tolist()))
-    first = np.cumsum(new) - 1
-    to_block = {w: i for i, w in enumerate(block_words)}
+    sources, targets = _dense_ranks(longer[:, :-1]), np.empty(len(longer), dtype=np.intp)
+    by_suffix = np.lexsort(longer[:, :0:-1].T)  # columns 1..k, column 1 the primary key
+    targets[by_suffix] = _dense_ranks(longer[by_suffix, 1:])
+    blocks = longer[np.diff(sources, prepend=-1) > 0, :-1]  # each block's first transition
+    block_words = tuple(map(tuple, blocks.tolist()))
     adj = np.zeros((len(block_words), len(block_words)), dtype=np.uint8)
-    adj[first, [to_block[w] for w in map(tuple, longer[:, 1:].tolist())]] = 1
-    names = tuple(_block_name(sft.alphabet, w) for w in block_words)
+    adj[sources, targets] = 1
+    symbols = sft.alphabet.symbols  # a block's names are joined by ',' if one is longer than 1
+    long_names = np.array([len(s) > 1 for s in symbols])[blocks].any(axis=1)
+    names = tuple(("," if long else "").join(map(symbols.__getitem__, w))
+                  for w, long in zip(block_words, long_names.tolist()))
     block_sft = build_sft(Alphabet(names), adj)
+    for a in (longer, sources, targets, blocks):
+        a.setflags(write=False)
     return Recoding(
         block_length=k,
         block_words=block_words,
+        block_array=blocks,
         block_sft=block_sft,
-        to_block=to_block,
+        to_block={w: i for i, w in enumerate(block_words)},
+        transitions=longer,
+        sources=sources,
+        targets=targets,
     )
 
 

@@ -13,11 +13,11 @@ A system description is a single JSON document:
     }
 
 Unknown fields are rejected.  Table keys are words: comma-separated symbol
-names, with bare concatenation accepted when every name is a single
-character.  The potential header and every table value go through the one
-rule that :func:`gibbsfactor.potential.build_potential` applies to Python
-tables (:func:`~gibbsfactor.potential.check_header`,
-:func:`~gibbsfactor.potential.table_value`).
+names (so no name may contain ','), or bare concatenation when every name
+is a single character; two keys that name one word are refused.  The header
+and every table value go through the one rule that
+:func:`gibbsfactor.potential.build_potential` applies to Python tables
+(:func:`~gibbsfactor.potential.check_header`, :func:`~gibbsfactor.potential.table_value`).
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from .potential import (
     PerronData,
     Potential,
     TransferMatrix,
-    build_potential,
+    canonical_potential,
     check_header,
     perron,
     perron_exact,
@@ -56,7 +56,10 @@ def parse_word(text: str, alphabet: Alphabet) -> Word:
         names = list(text)
     else:
         names = [text]
-    return tuple(alphabet.index(n) for n in names)
+    try:
+        return tuple(map(alphabet.positions.__getitem__, names))
+    except KeyError as e:
+        raise ValidationError(f"unknown symbol {e.args[0]!r}") from None
 
 
 def format_word(word: Word, alphabet: Alphabet) -> str:
@@ -87,6 +90,16 @@ def _expect_keys(obj: dict, allowed: set, where: str):
         raise ValidationError(f"unknown field {sorted(unknown)[0]!r} in {where}")
 
 
+def _alphabet(names, field: str) -> Alphabet:
+    """A declared alphabet: a list of strings, none with the word separator ','."""
+    if not isinstance(names, list) or not all(isinstance(s, str) for s in names):
+        raise ValidationError(f"{field} must be a list of strings")
+    for name in names:
+        if "," in name:
+            raise ValidationError(f"{field}: symbol name {name!r} contains ','")
+    return Alphabet(tuple(names))
+
+
 def parse_system_dict(doc: dict) -> SystemDescription:
     """Validate a system document into its canonical description, or raise
     ValidationError naming the field.  Table values are canonicalised by
@@ -100,10 +113,7 @@ def parse_system_dict(doc: dict) -> SystemDescription:
     version = doc.get("schema_version")
     if version != SCHEMA_VERSION:
         raise ValidationError(f"unsupported schema_version {version!r}")
-    names = doc.get("alphabet")
-    if not isinstance(names, list) or not all(isinstance(s, str) for s in names):
-        raise ValidationError("alphabet must be a list of strings")
-    alphabet = Alphabet(tuple(names))
+    alphabet = _alphabet(doc.get("alphabet"), "alphabet")
     adjacency = doc.get("adjacency")
     if not (isinstance(adjacency, list) and adjacency
             and all(isinstance(row, list) and len(row) == len(adjacency[0])
@@ -123,25 +133,24 @@ def parse_system_dict(doc: dict) -> SystemDescription:
     raw_table = pot.get("table")
     if not isinstance(raw_table, dict):
         raise ValidationError("potential.table must be an object")
-    table = {}
+    keys, values = {}, []  # word -> its key; canonical values in key order
     for key, value in raw_table.items():
-        word = parse_word(key, alphabet)
+        first = keys.setdefault(parse_word(key, alphabet), key)
+        if first != key:
+            raise ValidationError(
+                f"potential.table: keys {first!r} and {key!r} name the same word")
         try:
-            table[word] = table_value(mode, value)
+            values.append(table_value(mode, value))
         except ValidationError as e:
             raise ValidationError(f"potential.table[{key!r}]: {e}") from None
 
-    image_alphabet = None
-    factor_map = None
+    image_alphabet = factor_map = None
     fac = doc.get("factor")
     if fac is not None:
         if not isinstance(fac, dict):
             raise ValidationError("factor must be an object")
         _expect_keys(fac, {"image_alphabet", "map"}, "factor")
-        inames = fac.get("image_alphabet")
-        if not isinstance(inames, list) or not all(isinstance(s, str) for s in inames):
-            raise ValidationError("factor.image_alphabet must be a list of strings")
-        image = Alphabet(tuple(inames))
+        image = _alphabet(fac.get("image_alphabet"), "factor.image_alphabet")
         mapping = fac.get("map")
         if not isinstance(mapping, dict):
             raise ValidationError("factor.map must be an object")
@@ -159,7 +168,7 @@ def parse_system_dict(doc: dict) -> SystemDescription:
         adjacency=tuple(tuple(int(x) for x in row) for row in sft.adjacency.tolist()),
         depth=depth,
         mode=mode,
-        table=tuple(sorted(table.items())),
+        table=tuple(sorted(zip(keys, values))),
         image_alphabet=image_alphabet,
         factor_map=factor_map,
     )
@@ -180,10 +189,8 @@ def parse_system(path) -> SystemDescription:
 def emit_system(desc: SystemDescription) -> dict:
     """Canonical JSON document for a description; parse(emit(d)) == d."""
     alphabet = Alphabet(desc.alphabet)
-    table = {}
-    for word, value in desc.table:
-        key = format_word(word, alphabet)
-        table[key] = str(value) if isinstance(value, Fraction) else value
+    table = {format_word(w, alphabet): str(v) if isinstance(v, Fraction) else v
+             for w, v in desc.table}
     doc = {
         "schema_version": desc.schema_version,
         "alphabet": list(desc.alphabet),
@@ -220,10 +227,9 @@ class Pipeline:
 
 
 def build_system(desc: SystemDescription) -> tuple[Sft, Potential]:
-    alphabet = Alphabet(desc.alphabet)
-    sft = build_sft(alphabet, [list(r) for r in desc.adjacency])
-    potential = build_potential(sft, desc.depth, desc.mode, dict(desc.table))
-    return sft, potential
+    """Shift and potential of a canonical description (values not re-checked)."""
+    sft = build_sft(Alphabet(desc.alphabet), [list(r) for r in desc.adjacency])
+    return sft, canonical_potential(sft, desc.depth, desc.mode, dict(desc.table))
 
 
 def build_pipeline(desc: SystemDescription, exact: bool = False) -> Pipeline:

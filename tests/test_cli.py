@@ -109,6 +109,8 @@ class TestParseEmit:
         ("table", "0,0", "1e400", "potential.table['0,0']"),
         ("table", "0,0", 10**400, "potential.table['0,0']"),
         ("table", "0,0", "1e-400", "potential.table['0,0']"),
+        # "01" names the word of the key "0,1" (the alphabet is single-character)
+        ("table", "01", "7", "potential.table: keys '0,1' and '01' name the same word"),
     ])
     def test_rejected_at_parse_time(self, capsys, tmp_path, section, key, value, field):
         doc = emit_system(fixtures.example2())
@@ -120,6 +122,24 @@ class TestParseEmit:
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(doc))
         assert main(["validate", str(path)]) == 2
+
+    @pytest.mark.parametrize("field", ["alphabet", "factor.image_alphabet"])
+    def test_symbol_name_with_a_comma_rejected(self, capsys, tmp_path, field):
+        # a comma separates the names of a word, so no key or --word could name it
+        doc = emit_system(fixtures.example2())
+        if field == "alphabet":
+            doc["alphabet"] = ["0", "1", "2", "3,4"]
+            doc["factor"]["map"] = {"0": "0", "1": "0", "2": "1", "3,4": "1"}
+        else:
+            doc["factor"]["image_alphabet"] = ["0", "1,2"]
+        name = "'3,4'" if field == "alphabet" else "'1,2'"
+        with pytest.raises(ValidationError, match=f"^{re.escape(field)}: symbol name {name}"):
+            parse_system_dict(doc)
+        path = tmp_path / "comma.json"
+        path.write_text(json.dumps(doc))
+        assert main(["validate", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
 
     def test_over_long_integer_literal_is_a_parse_error(self, tmp_path):
         path = tmp_path / "long.json"

@@ -318,7 +318,7 @@ class TestOracleExpansion:
         fs, pd = (pipe.factor, pipe.pd) if hasattr(pipe, "factor") else pipe
         tm, rec = pd.tm, pd.tm.recoding
         tables = [
-            (tm.block_array, np.array(rec.block_words, dtype=np.intp)),
+            (rec.block_array, np.array(rec.block_words, dtype=np.intp)),
             (tm.last_symbols, np.array(rec.block_words, dtype=np.intp)[:, -1]),
             (tm.follows, rec.block_sft.adjacency.astype(bool)),
             (fs.symbol_array, np.asarray(fs.symbol_map, dtype=np.intp)),
@@ -332,7 +332,7 @@ class TestOracleExpansion:
             with pytest.raises(ValueError, match="read-only"):
                 table[first] = table[first]
         # computed once per object
-        assert tm.block_array is tm.block_array and pd.log_vectors is pd.log_vectors
+        assert tm.last_symbols is tm.last_symbols and pd.log_vectors is pd.log_vectors
         assert fs.symbol_array is fs.symbol_array and tm.follows is tm.follows
 
 

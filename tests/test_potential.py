@@ -299,6 +299,186 @@ class TestTransferMatrix:
         assert np.allclose(nz, math.exp(0.1))
 
 
+def per_entry_potential(sft, depth, mode, table):
+    """The per-entry construction the ordered pass replaced, kept as the
+    reference: (phi, weights, exact_weights) of a canonical table."""
+    needed = set(enumerate_words(sft, depth + 1))
+    values = {w: v for w, v in table.items() if w in needed}
+    if mode == "phi":
+        phi, weights = values, {w: math.exp(v) for w, v in values.items()}
+    else:
+        weights = {w: float(v) for w, v in values.items()}
+        phi = {w: math.log(v) for w, v in weights.items()}
+    exact = values if all(isinstance(v, Fraction) for v in values.values()) else None
+    return phi, weights, exact
+
+
+def per_entry_transfer(tm):
+    """W, log W, M and D by the per-row double loop over the block words
+    that the one-assignment fill replaced, kept as the reference."""
+    rec, potential = tm.recoding, tm.potential
+    d, window = rec.size, potential.depth + 1
+    w = np.zeros((d, d))
+    exact = None if potential.exact_weights is None else np.full((d, d), Fraction(0),
+                                                                  dtype=object)
+    for i, u in enumerate(rec.block_words):
+        for j in np.flatnonzero(rec.block_sft.adjacency[i]):
+            key = (u + (rec.block_words[j][-1],))[:window]
+            w[i, j] = potential.weights[key]
+            if exact is not None:
+                exact[i, j] = potential.exact_weights[key]
+    ints = den = None
+    if exact is not None:
+        den = math.lcm(*(v.denominator for v in exact.flat))
+        ints = np.array([v.numerator * (den // v.denominator) for v in exact.flat],
+                        dtype=object).reshape(d, d)
+    with np.errstate(divide="ignore"):
+        return w, np.log(w), ints, den
+
+
+def assert_same_as_per_entry(desc):
+    sft, pot = build_system(desc)
+    phi, weights, exact = per_entry_potential(sft, desc.depth, desc.mode, dict(desc.table))
+    assert (pot.phi, pot.weights, pot.exact_weights) == (phi, weights, exact)
+    assert list(pot.phi) == enumerate_words(sft, desc.depth + 1)  # the one word order
+    tm = transfer_matrix(sft, pot)
+    w, logw, ints, den = per_entry_transfer(tm)
+    for got, want in ((tm.weights, w), (tm.log_weights, logw)):
+        assert got.dtype == want.dtype == np.float64
+        assert np.array_equal(got, want) and got.tobytes() == want.tobytes()
+    assert tm.denominator == den
+    if ints is None:
+        assert tm.int_weights is None
+    else:
+        assert tm.int_weights.dtype == ints.dtype == object
+        assert (tm.int_weights == ints).all()
+        assert all(type(v) is int for v in tm.int_weights.flat)
+    # a Python table in another order is lined up with the same word order
+    shuffled = build_potential(sft, desc.depth, desc.mode, dict(reversed(desc.table)))
+    assert list(shuffled.phi) == list(pot.phi)
+    again = transfer_matrix(sft, shuffled)
+    assert again.weights.tobytes() == tm.weights.tobytes()
+    assert ints is None or (again.int_weights == ints).all()
+
+
+FILL_FIXTURES = {
+    "example2": fixtures.example2(),
+    "rate_demo": fixtures.rate_demo(),
+    "golden_mean": fixtures.golden_mean(),
+    "markov_chain_2x2": fixtures.markov_chain_2x2(),
+    "three_to_two_collapse": fixtures.three_to_two_collapse(),
+    "full_shift_iid": fixtures.full_shift_iid(("1/3", "1/6", "1/2")),
+    "full_shift_iid_float": fixtures.full_shift_iid((0.25, 0.75)),
+}
+
+
+class TestOneWordOrder:
+    """The potential's mappings, W, log W, M and D built in the shared word
+    order equal, bit for bit, their per-entry constructions."""
+
+    @pytest.mark.parametrize("name", list(FILL_FIXTURES))
+    def test_fixtures(self, name):
+        assert_same_as_per_entry(FILL_FIXTURES[name])
+
+    @given(seed=st.integers(0, 2**16), n=st.integers(2, 6), depth=st.integers(0, 3),
+           kind=st.sampled_from(["float weights", "rational weights", "phi"]))
+    @settings(max_examples=40, deadline=None)
+    def test_random_mixing_systems(self, seed, n, depth, kind):
+        desc = fixtures.random_mixing_system(seed, n, depth, 2)
+        if kind == "rational weights":
+            table = tuple((w, Fraction(round(16 * v), 16)) for w, v in desc.table)
+            desc = dataclasses.replace(desc, table=table)
+        elif kind == "phi":
+            table = tuple((w, math.log(v) - 0.3) for w, v in desc.table)
+            desc = dataclasses.replace(desc, mode="phi", table=table)
+        assert_same_as_per_entry(desc)
+
+
+def ex2_table():
+    return dict.fromkeys(enumerate_words(make_sft(EX2_ADJ), 2), Fraction(1))
+
+
+def without(*words):
+    desc = fixtures.example2()
+    return dataclasses.replace(desc, table=tuple(p for p in desc.table if p[0] not in words))
+
+
+def with_entries(table, entries):
+    return {**table, **entries}
+
+
+def doc_with(section, key, value):
+    doc = emit_system(fixtures.example2())
+    {"table": doc["potential"]["table"], "map": doc["factor"]["map"]}[section][key] = value
+    return doc
+
+
+# every message is the one the per-entry table path gave
+TABLE_PATH_MESSAGES = {
+    "missing entry": (
+        lambda: build_potential(make_sft(EX2_ADJ), 1, "weight",
+                                {w: v for w, v in ex2_table().items()
+                                 if w not in ((1, 1), (0, 2))}),
+        "missing table entry for admissible word (0, 2)", []),
+    "missing entry in a description": (
+        lambda: build_system(without((1, 1), (0, 2))),
+        "missing table entry for admissible word (0, 2)", []),
+    "inadmissible entries": (
+        lambda: build_potential(make_sft(EX2_ADJ), 1, "weight",
+                                with_entries(ex2_table(), {(3, 0): 2, (1, 0): 5})),
+        None, ["ignoring entry for inadmissible word (3, 0)",
+               "ignoring entry for inadmissible word (1, 0)"]),
+    "inadmissible entries in a description": (
+        lambda: build_system(dataclasses.replace(
+            fixtures.example2(), table=tuple(sorted(
+                fixtures.example2().table + (((1, 0), Fraction(5)), ((3, 0), Fraction(2))))))),
+        None, ["ignoring entry for inadmissible word (1, 0)",
+               "ignoring entry for inadmissible word (3, 0)"]),
+    "key that is not a word": (
+        lambda: build_potential(make_sft(EX2_ADJ), 1, "weight",
+                                with_entries(ex2_table(), {5: 1})),
+        "potential table key 5 is not a word", []),
+    "bad value": (
+        lambda: build_potential(make_sft(EX2_ADJ), 1, "weight",
+                                with_entries(ex2_table(), {(0, 1): "-1/2"})),
+        "potential value for word (0, 1): non-positive weight", []),
+    "bad value in a file": (
+        lambda: parse_system_dict(doc_with("table", "0,1", "-1/2")),
+        "potential.table['0,1']: non-positive weight", []),
+    "unknown symbol in a key": (
+        lambda: parse_system_dict(doc_with("table", "0,9", "1")),
+        "unknown symbol '9'", []),
+    "unhashable image symbol": (
+        lambda: parse_system_dict(doc_with("map", "0", [1])),
+        "unknown symbol [1]", []),
+    "empty row": (lambda: make_sft([[1, 1], [0, 0]]),
+                  "empty row: symbol '1' has no successor", []),
+    "empty column": (lambda: make_sft([[1, 0], [1, 0]]),
+                     "empty column: symbol '1' has no predecessor", []),
+    "first stranded symbol by column": (
+        lambda: make_sft([[1, 0, 1], [1, 0, 1], [0, 0, 0]]),
+        "empty column: symbol '1' has no predecessor", []),
+    "row named before column": (
+        lambda: make_sft([[0, 0, 0], [0, 1, 1], [0, 1, 1]]),
+        "empty row: symbol '0' has no successor", []),
+}
+
+
+@pytest.mark.parametrize("case", list(TABLE_PATH_MESSAGES))
+def test_table_path_errors_and_warnings(case):
+    build, error, warned = TABLE_PATH_MESSAGES[case]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        if error is None:
+            build()
+        else:
+            with pytest.raises(ValidationError) as info:
+                build()
+            assert str(info.value) == error
+    assert [str(w.message) for w in caught] == warned
+    assert all(w.category is UserWarning for w in caught)
+
+
 class TestPerron:
     def test_example_eigendata_float(self, ex2_sft):
         tm = transfer_matrix(ex2_sft, constant_potential(ex2_sft))

@@ -318,3 +318,27 @@ class TestProperties:
             for j, v in enumerate(rec.block_words):
                 allowed = u[1:] == v[:-1] and is_admissible(sft, u + (v[-1],))
                 assert bool(rec.block_sft.adjacency[i, j]) == allowed
+
+    @given(primitive_sfts(), st.integers(min_value=1, max_value=3))
+    @settings(max_examples=30, deadline=None)
+    def test_transitions_share_the_word_order(self, sft, k):
+        # transition t is the t-th admissible (k+1)-word, from its prefix
+        # block to its suffix block, in the row-major order of the adjacency
+        rec = higher_block_recode(sft, k)
+        words = [tuple(w) for w in rec.transitions.tolist()]
+        assert words == enumerate_words(sft, k + 1)
+        assert [rec.block_words[i] for i in rec.sources] == [w[:-1] for w in words]
+        assert [rec.block_words[j] for j in rec.targets] == [w[1:] for w in words]
+        rows, cols = np.nonzero(rec.block_sft.adjacency)
+        assert np.array_equal(rows, rec.sources) and np.array_equal(cols, rec.targets)
+        assert rec.block_array.dtype == np.intp
+        assert rec.block_array.tolist() == [list(b) for b in rec.block_words]
+        for table in (rec.transitions, rec.sources, rec.targets, rec.block_array):
+            with pytest.raises(ValueError, match="read-only"):
+                table[0] = table[0]
+
+
+def test_block_names_join_with_commas_only_around_long_names():
+    rec = higher_block_recode(make([[1, 1, 1]] * 3, names=("a", "bc", "d")), 2)
+    assert rec.block_sft.alphabet.symbols == (
+        "aa", "a,bc", "ad", "bc,a", "bc,bc", "bc,d", "da", "d,bc", "dd")
