@@ -132,19 +132,25 @@ def stacked_diameters(x: np.ndarray, real: np.ndarray) -> np.ndarray:
     over the columns flagged in real (R, cols); other columns are padding.
     A real column with no positive entry, or two real columns with different
     supports, make the diameter infinite.  Loops over column pairs, each
-    vectorised across the stack."""
-    pos = x > 0
+    vectorised across the stack: the stack is copied once into a transposed
+    (cols, rows, R) layout, so every all/max/min over a column's rows runs
+    along the stack.  Only those exact reductions change their order; the
+    ratios and logs are the same elementwise operations, so the bits equal
+    those of the untransposed reductions."""
+    xt = np.ascontiguousarray(x.transpose(2, 1, 0))
+    pos = xt > 0
+    real = real.T
     diam = np.zeros(len(x))
     with np.errstate(divide="ignore", invalid="ignore"):
-        for i in range(x.shape[2]):
-            for j in range(i + 1, x.shape[2]):
-                same = (pos[:, :, i] == pos[:, :, j]).all(axis=1)
-                ratio = x[:, :, j] / x[:, :, i]
-                beta = np.where(pos[:, :, i], ratio, -np.inf).max(axis=1)
-                alpha = np.where(pos[:, :, i], ratio, np.inf).min(axis=1)
+        for i in range(len(xt)):
+            for j in range(i + 1, len(xt)):
+                same = (pos[i] == pos[j]).all(axis=0)
+                ratio = xt[j] / xt[i]
+                beta = np.where(pos[i], ratio, -np.inf).max(axis=0)
+                alpha = np.where(pos[i], ratio, np.inf).min(axis=0)
                 d = np.where(same, np.log(beta) - np.log(alpha), np.inf)
-                diam = np.where(real[:, i] & real[:, j], np.fmax(diam, d), diam)
-    diam[(real & ~pos.any(axis=1)).any(axis=1)] = np.inf
+                diam = np.where(real[i] & real[j], np.fmax(diam, d), diam)
+    diam[(real & ~pos.any(axis=1)).any(axis=0)] = np.inf
     return diam
 
 

@@ -75,7 +75,7 @@ def build_sft(alphabet: Alphabet, adjacency) -> Sft:
         raise ValidationError(
             f"adjacency dimension {a.shape[0]} != alphabet size {alphabet.size}"
         )
-    if not np.isin(a, (0, 1)).all():
+    if not ((a == 0) | (a == 1)).all():
         raise ValidationError("adjacency entries must be 0 or 1")
     a = a.astype(np.uint8)
     no_successor, no_predecessor = ~a.any(axis=1), ~a.any(axis=0)

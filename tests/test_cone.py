@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from gibbsfactor import (
     ValidationError,
@@ -15,6 +16,8 @@ from gibbsfactor import (
     hilbert_distance,
     projective_diameter,
 )
+from gibbsfactor.cone import stacked_diameters
+from gibbsfactor.factor import reduce_products, rescale_product, rescale_single
 
 
 class TestAlphaBeta:
@@ -225,3 +228,95 @@ class TestMetricProperties:
         u = np.array(data.draw(vec))
         v = np.array(data.draw(vec))
         assert contraction_check(m, u, v)
+
+
+def short_axis_diameters(x, real):
+    """:func:`stacked_diameters` with every all/max/min over a matrix's own
+    rows, on the (R, rows, cols) stack as given: the reference for the
+    transposed layout."""
+    pos = x > 0
+    diam = np.zeros(len(x))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for i in range(x.shape[2]):
+            for j in range(i + 1, x.shape[2]):
+                same = (pos[:, :, i] == pos[:, :, j]).all(axis=1)
+                ratio = x[:, :, j] / x[:, :, i]
+                beta = np.where(pos[:, :, i], ratio, -np.inf).max(axis=1)
+                alpha = np.where(pos[:, :, i], ratio, np.inf).min(axis=1)
+                d = np.where(same, np.log(beta) - np.log(alpha), np.inf)
+                diam = np.where(real[:, i] & real[:, j], np.fmax(diam, d), diam)
+    diam[(real & ~pos.any(axis=1)).any(axis=1)] = np.inf
+    return diam
+
+
+def short_axis_rescale(x, scale):
+    """:func:`rescale_product` on a stack with numpy's reductions over each
+    product's own axes: the reference for the reductions along the stack."""
+    axes = tuple(range(np.ndim(scale), x.ndim))
+    if x.dtype != float:
+        return x, scale, (x != 0).any(axis=axes)
+    top = x.max(axis=axes)
+    alive = top > 0
+    top = top + ~alive
+    return x / np.reshape(top, np.shape(top) + (1,) * len(axes)), scale + np.log(top), alive
+
+
+@st.composite
+def padded_stacks(draw):
+    """A sweep-layout stack: 0-50 products, F = 1-7, each a vector or an
+    F x F matrix zero-padded past its fibers' sizes, with entries drawn so
+    that zero products, zero columns and mismatched supports are common;
+    returns (stack, real columns)."""
+    width = draw(st.integers(1, 7))
+    count = draw(st.integers(0, 50))
+    shape = (count,) + (width,) * draw(st.integers(1, 2))
+    values = st.sampled_from([0.0, 0.0, 0.0, 1.0, 0.5, 2.0, 3.7, 1e-200, 1e100])
+    x = draw(arrays(float, shape, elements=values))
+    sizes = draw(arrays(np.intp, (2, count), elements=st.integers(1, width)))
+    rows, real = np.arange(width) < sizes[..., None]
+    if x.ndim == 3:
+        x *= rows[:, :, None]
+    x *= real.reshape((count,) + (1,) * (x.ndim - 2) + (width,))
+    return x, real
+
+
+def same_bytes(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestStackAxisReductions:
+    """Reductions along the stack axis give the bits of the short-axis forms."""
+
+    @given(padded_stacks())
+    @settings(max_examples=200, deadline=None)
+    def test_stacked_diameters_match_short_axis_loop(self, stack):
+        x, real = stack
+        if x.ndim == 2:
+            x = x[:, None, :]
+        assert same_bytes(stacked_diameters(x, real), short_axis_diameters(x, real))
+
+    @given(padded_stacks())
+    @settings(max_examples=200, deadline=None)
+    def test_reduce_products_match_short_axis_reductions(self, stack):
+        x, _ = stack
+        axes = tuple(range(1, x.ndim))
+        assert same_bytes(reduce_products(np.maximum, x), x.max(axis=axes))
+        assert same_bytes(reduce_products(np.minimum, x), x.min(axis=axes))
+        assert same_bytes(reduce_products(np.logical_or, x != 0), (x != 0).any(axis=axes))
+        assert same_bytes(reduce_products(np.logical_and, x != 0), (x != 0).all(axis=axes))
+        nested = x[:, None]  # two stack axes
+        assert same_bytes(reduce_products(np.maximum, nested, 2), x.max(axis=axes)[:, None])
+
+    @given(padded_stacks(), st.sampled_from([float, bool, object]))
+    @settings(max_examples=200, deadline=None)
+    def test_rescale_product_matches_short_axis_rescale(self, stack, dtype):
+        x, _ = stack
+        x = x.astype(dtype) if dtype is not object else (x > 1).astype(int).astype(object)
+        scales = np.linspace(-1.0, 1.0, len(x))
+        got, want = rescale_product(x, scales), short_axis_rescale(x, scales)
+        for a, b in zip(got, want):
+            assert same_bytes(a, b) if dtype is not object else np.array_equal(a, b)
+        for product in x[:3]:  # a scalar scale is the single-product rule
+            one, scale, alive = rescale_product(product, 0.0)
+            single = rescale_single(product, 0.0)
+            assert np.array_equal(one, single[0]) and (scale, alive) == single[1:]

@@ -322,6 +322,7 @@ class TestOracleExpansion:
             (tm.last_symbols, np.array(rec.block_words, dtype=np.intp)[:, -1]),
             (tm.follows, rec.block_sft.adjacency.astype(bool)),
             (fs.symbol_array, np.asarray(fs.symbol_map, dtype=np.intp)),
+            (fs.fiber_sizes, np.array([len(f) for f in fs.fibers])),
         ]
         tables += zip(pd.log_vectors, (np.log(np.asarray(v, dtype=float))
                                        for v in (pd.nu, pd.h)))
@@ -334,6 +335,7 @@ class TestOracleExpansion:
         # computed once per object
         assert tm.last_symbols is tm.last_symbols and pd.log_vectors is pd.log_vectors
         assert fs.symbol_array is fs.symbol_array and tm.follows is tm.follows
+        assert fs.fiber_sizes is fs.fiber_sizes
 
 
 @st.composite
@@ -918,8 +920,11 @@ class TestCarryProduct:
                     x, scale = start, 0.0
                     for a, b in zip(blocks, blocks[1:]):
                         m = fs.blocks[(a, b)]
-                        x, scale, alive = rescale_product(m if x is None else x @ m, scale)
-                        assert alive
+                        # a stack of one product, so the stacked rule runs
+                        x, scale, alive = rescale_product((m if x is None else x @ m)[None],
+                                                          np.array([scale]))
+                        x, scale = x[0], scale[0]
+                        assert alive[0]
                     got, got_scale = carry_product(fs.blocks, blocks, start)
                     assert np.array_equal(got, x) and got_scale == scale
 

@@ -53,6 +53,31 @@ class TestBuildSft:
         with pytest.raises(ValidationError, match="0 or 1"):
             make([[1, 2], [1, 1]])
 
+    @pytest.mark.parametrize("adj", [
+        [["a", "1"], ["1", "1"]],
+        [["0", "1"], ["1", "1"]],
+        np.array([[b"0", b"1"], [b"1", b"1"]]),
+        np.array([[None, 1], [1, 1]], dtype=object),
+        [[1j, 1], [1, 1]],
+        [[np.nan, 1], [1, 1]],
+        [[2, 1], [1, 1]],
+        [[-1, 1], [1, 1]],
+        [[0.5, 1], [1, 1]],
+    ], ids=["str", "digit-str", "bytes", "object", "complex", "nan", "two", "minus-one", "half"])
+    def test_entries_other_than_zero_and_one_refused(self, adj):
+        with pytest.raises(ValidationError, match="^adjacency entries must be 0 or 1$"):
+            make(adj)
+
+    @pytest.mark.parametrize("adj", [
+        [[True, False], [True, True]],
+        np.array([[1, 0], [1, 1]], dtype=np.uint8),
+        [[1.0, 0.0], [1.0, 1.0]],
+        np.array([[1, 0], [1, True]], dtype=object),
+    ], ids=["bool", "uint8", "float", "object-int"])
+    def test_zero_one_entries_of_any_numeric_type_accepted(self, adj):
+        a = make(adj).adjacency
+        assert a.dtype == np.uint8 and a.tolist() == [[1, 0], [1, 1]]
+
     def test_dimension_mismatch(self):
         with pytest.raises(ValidationError):
             build_sft(Alphabet(("a", "b", "c")), [[1, 1], [1, 1]])
