@@ -134,21 +134,25 @@ def stacked_diameters(x: np.ndarray, real: np.ndarray) -> np.ndarray:
     supports, make the diameter infinite.  Loops over column pairs, each
     vectorised across the stack: the stack is copied once into a transposed
     (cols, rows, R) layout, so every all/max/min over a column's rows runs
-    along the stack.  Only those exact reductions change their order; the
-    ratios and logs are the same elementwise operations, so the bits equal
-    those of the untransposed reductions."""
+    along the stack.  Column ratios are differences of one log of that copy
+    (a zero entry logs to -inf), so a pair's diameter is beta - alpha, the
+    largest minus the smallest log ratio over the rows where the first column
+    is positive; entries that span more than the float range give a finite
+    diameter, where a quotient would overflow."""
     xt = np.ascontiguousarray(x.transpose(2, 1, 0))
     pos = xt > 0
+    with np.errstate(divide="ignore"):
+        logs = np.log(xt)
     real = real.T
     diam = np.zeros(len(x))
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(invalid="ignore"):
         for i in range(len(xt)):
             for j in range(i + 1, len(xt)):
                 same = (pos[i] == pos[j]).all(axis=0)
-                ratio = xt[j] / xt[i]
+                ratio = logs[j] - logs[i]
                 beta = np.where(pos[i], ratio, -np.inf).max(axis=0)
                 alpha = np.where(pos[i], ratio, np.inf).min(axis=0)
-                d = np.where(same, np.log(beta) - np.log(alpha), np.inf)
+                d = np.where(same, beta - alpha, np.inf)
                 diam = np.where(real[i] & real[j], np.fmax(diam, d), diam)
     diam[(real & ~pos.any(axis=1)).any(axis=0)] = np.inf
     return diam

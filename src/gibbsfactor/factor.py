@@ -152,6 +152,13 @@ def build_factor(tm: TransferMatrix, symbol_map, image_alphabet: Alphabet) -> Fa
 
     `symbol_map` gives the image symbol index of every domain symbol.
     Raises on unmapped domain symbols and on image symbols with empty fiber.
+    The map is applied to the whole block word array at once, and
+    :func:`sorted_runs` groups the blocks' image words: its runs are the
+    fibers (ascending block indices) and its run heads the lexicographic
+    image block words.  The image block transitions are the entries of a
+    boolean table filled at the image blocks of the recoding's block
+    transitions, so the block dicts are keyed in sorted order, and each
+    block is one fancy-indexed slice of W (and of M = D W).
     """
     sft = tm.sft
     d = sft.size
@@ -169,17 +176,19 @@ def build_factor(tm: TransferMatrix, symbol_map, image_alphabet: Alphabet) -> Fa
                 f"empty fiber: image symbol {image_alphabet.name(b)!r} has no preimage"
             )
     rec = tm.recoding
-    image_words = sorted({tuple(smap[s] for s in bw) for bw in rec.block_words})
-    index = {w: i for i, w in enumerate(image_words)}
-    bsm = tuple(index[tuple(smap[s] for s in bw)] for bw in rec.block_words)
-    fibers: list[list[int]] = [[] for _ in image_words]
-    for dom, img in enumerate(bsm):
-        fibers[img].append(dom)
-    rows, cols = np.nonzero(rec.block_sft.adjacency)
-    keys = dict.fromkeys((bsm[i], bsm[j]) for i, j in zip(rows.tolist(), cols.tolist()))
+    images = np.array(smap, dtype=np.intp)[rec.block_array]  # every block's image word
+    order, starts = sorted_runs(images)
+    image_words = tuple(map(tuple, images[order[starts]].tolist()))
+    bsm = np.empty(len(order), dtype=np.intp)  # block -> its image block
+    bsm[order] = np.repeat(np.arange(len(starts)), np.diff(starts, append=len(order)))
+    fibers = np.split(order, starts[1:])  # the stable sort keeps each fiber ascending
+    transitions = np.zeros((len(starts), len(starts)), dtype=bool)
+    transitions[bsm[rec.sources], bsm[rec.targets]] = True
+    sources, targets = np.nonzero(transitions)
+    keys = list(zip(sources.tolist(), targets.tolist()))
 
     def sliced(matrix) -> dict:
-        out = {(a, b): matrix[np.ix_(fibers[a], fibers[b])] for a, b in keys}
+        out = {(a, b): matrix[fibers[a][:, None], fibers[b]] for a, b in keys}
         for m in out.values():
             m.setflags(write=False)
         return out
@@ -190,9 +199,9 @@ def build_factor(tm: TransferMatrix, symbol_map, image_alphabet: Alphabet) -> Fa
         tm=tm,
         image_alphabet=image_alphabet,
         symbol_map=tuple(smap),
-        image_block_words=tuple(image_words),
-        image_block_index=index,
-        fibers=tuple(tuple(f) for f in fibers),
+        image_block_words=image_words,
+        image_block_index={w: i for i, w in enumerate(image_words)},
+        fibers=tuple(tuple(f.tolist()) for f in fibers),
         blocks=blocks,
         exact_blocks=exact_blocks,
     )

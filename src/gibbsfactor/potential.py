@@ -26,14 +26,17 @@ Float Perron data come from one loop of two kinds of step, run until the
 Collatz-Wielandt bracket [min, max] of (W x)/x of the Perron root is within
 the tolerance.  Power steps x <- W x, one matrix-vector product each, come
 first: W contracts the Hilbert metric (Birkhoff), so they shrink the bracket
-geometrically while the spectral gap is wide.  Once the bracket is below the
-square root of the tolerance, or stops shrinking fast, Noda's inverse
+geometrically while the spectral gap is wide.  Each step estimates from the
+last two brackets how many power steps are still needed; while that is at
+most d/3 products, about the cost of one LU factorisation of the d x d
+matrix, power steps finish the run.  Otherwise, once the bracket is below
+the square root of the tolerance or stops shrinking fast, Noda's inverse
 iteration takes over: each step shifts by the upper bound max (W x)/x and
 solves one linear system.  It converges quadratically near the Perron
-vector, so one solve usually finishes a run, and a tiny spectral gap costs a
-few solves rather than the 1/gap steps of power iteration.  Exact Perron
-data certify an integer eigenvalue of the denominator-cleared weights by
-fraction-free elimination (:func:`perron_exact`).
+vector, so one or two solves usually finish a run, and a tiny spectral gap
+costs a few solves rather than the 1/gap steps of power iteration.  Exact
+Perron data certify an integer eigenvalue of the denominator-cleared weights
+by fraction-free elimination (:func:`perron_exact`).
 
 Float-mode measures are computed in log space (long words underflow raw
 products).  Exact mode is available when the potential was given as a table
@@ -385,29 +388,35 @@ class PerronData:
 def _noda(w: np.ndarray, tol: float, max_iter: int,
           cap: float = np.inf) -> tuple[np.ndarray, int, float]:
     """Right Perron vector of a nonnegative primitive matrix from the
-    all-ones vector, by power steps while they contract and Noda's inverse
-    iteration to finish; returns (x, steps, sigma) with x normalised to
-    max 1 and sigma the last upper bound.
+    all-ones vector, by power steps while they are the cheaper way to the
+    tolerance and Noda's inverse iteration otherwise; returns (x, steps,
+    sigma) with x normalised to max 1 and sigma the last upper bound.
 
     Each step takes the Collatz-Wielandt bounds min and max of (W x)/x,
     which bracket the Perron root, and the run stops once the bracket is
     within tol * sigma, sigma the upper bound.  A power step sets
     x <- W x / max(W x), one matrix-vector product: W contracts the Hilbert
     metric (Birkhoff), so the bracket shrinks about |lambda_2| / lambda per
-    step.  Power steps are taken while the bracket is above sqrt(tol) *
-    sigma, it shrank at least fourfold over the last two steps (two, so the
-    wobble of a complex lambda_2 is ridden out) and the new iterate stays
-    positive.  Every later step is Noda's: it shifts by the smaller of sigma
-    and `cap` (an upper bound on the same root) raised one ulp (so sigma I - W
-    is nonsingular with a positive inverse), and sets
+    step.  The power steps still needed are estimated from the contraction
+    of the bracket over the last two steps (two, so the wobble of a complex
+    lambda_2 is ridden out).  Power steps are taken while that estimate is
+    at most d/3, the products that cost about as much as one LU
+    factorisation, and fits in the steps `max_iter` leaves; or else while
+    the bracket is above sqrt(tol) * sigma and shrank at least fourfold over
+    the last two steps.  A power step is also refused when the new iterate
+    is not positive.  Every later step is Noda's: it shifts by the smaller
+    of sigma and `cap` (an upper bound on the same root) raised one ulp (so
+    sigma I - W is nonsingular with a positive inverse), and sets
     x <- |(sigma I - W)^-1 x|.  The solve runs on the diagonal similarity
     B = D^-1 W D, D = diag(x), as x * (I - B / sigma)^-1 1: B has row sums
     (W x)/x and a Perron vector near all-ones, so small entries of x keep
     their relative accuracy, and dividing by sigma keeps the solution finite
     however small or large the weights.  Noda converges quadratically, so
     from the sqrt(tol) handover one solve usually finishes the run.  A
-    singular or non-finite solve, or an entry that underflows to zero,
-    raises ConvergenceError.
+    solve that is singular at the cap (which then equals the root to
+    working precision) is repeated in the next step with the cap dropped.
+    Any other singular or non-finite solve, or a normalised iterate with an
+    entry that underflowed to zero, raises ConvergenceError.
     """
     d = len(w)
     x = np.ones(d)
@@ -415,8 +424,8 @@ def _noda(w: np.ndarray, tol: float, max_iter: int,
     handover = math.sqrt(tol)
     two_back = one_back = math.inf  # the relative brackets of the last two steps
     for steps in range(max_iter + 1):
-        with np.errstate(over="ignore"):  # an overflow shows as sigma = inf
-            y = w @ x
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            y = w @ x  # an overflow shows as sigma = inf
             ratios = y / x
         sigma = ratios.max()
         if not np.isfinite(sigma):
@@ -426,9 +435,13 @@ def _noda(w: np.ndarray, tol: float, max_iter: int,
         if steps == max_iter:
             break
         bracket = (sigma - ratios.min()) / sigma
+        # power steps still needed to reach tol at the last two steps' contraction
+        left = (2 * math.log(tol / bracket) / math.log(bracket / two_back)
+                if bracket < two_back < math.inf else math.inf)
+        cheap = left <= min(d / 3, max_iter - steps)
         contracting = 4 * bracket <= two_back
         two_back, one_back = one_back, bracket
-        if b is None and bracket > handover and contracting:
+        if b is None and (cheap or (bracket > handover and contracting)):
             y /= y.max()
             if (y > 0).all():
                 x = y
@@ -443,12 +456,15 @@ def _noda(w: np.ndarray, tol: float, max_iter: int,
         try:
             z = np.linalg.solve(b, np.ones(d))
         except np.linalg.LinAlgError:
+            if cap < sigma:  # the cap is the root to working precision: shift by sigma
+                cap = np.inf
+                continue
             raise ConvergenceError("Noda iteration hit a singular shifted matrix") from None
-        y = np.abs(z) * x
-        top = y.max()
-        if not np.isfinite(top) or not (y > 0).all():
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            x = np.abs(z) * x
+            x /= x.max()
+        if not (x > 0).all():  # a zero, infinite or NaN entry
             raise ConvergenceError("Noda iteration lost a positive finite iterate")
-        x = y / top
     raise ConvergenceError(f"Noda iteration did not converge in {max_iter} steps")
 
 
@@ -458,16 +474,18 @@ def perron(tm: TransferMatrix, tol: float = 1e-14, max_iter: int = 100) -> Perro
     and on W^T for nu (see :func:`_noda`).
 
     Each run stops when the Collatz-Wielandt bracket of the Perron root is
-    within tol, in (0, 1), times its upper end.  Power steps shrink the
-    bracket to about sqrt(tol) while they contract fast, and Noda's
-    quadratic convergence finishes the run, usually in one solve; a tiny
-    spectral gap stalls the power steps and costs a few solves.  The Noda
-    steps of the run for nu shift by at most the bound h's run converged to
-    (W^T has the same root).  `max_iter`, an int >= 0, caps each run's
-    steps of both kinds; `iterations` is the larger count.  The base shift
-    is tested for mixing: its block presentation is conjugate to it, so W is
-    primitive exactly when it is mixing, and then both Perron vectors exist
-    and are positive.
+    within tol, in (0, 1), times its upper end.  Power steps run to the end
+    while the steps still needed, estimated from the bracket's recent
+    contraction, cost less than one LU of the d x d matrix (d/3 products);
+    otherwise they shrink the bracket to about sqrt(tol) while they contract
+    fast, and Noda's quadratic convergence finishes the run, usually in one
+    solve.  A tiny spectral gap stalls the power steps and costs a few
+    solves.  The Noda steps of the run for nu shift by at most the bound h's
+    run converged to (W^T has the same root).  `max_iter`, an int >= 0,
+    caps each run's steps of both kinds; `iterations` is the larger count.
+    The base shift is tested for mixing: its block presentation is
+    conjugate to it, so W is primitive exactly when it is mixing, and then
+    both Perron vectors exist and are positive.
     """
     if isinstance(tol, bool) or not isinstance(tol, (int, float, Fraction)) or not 0 < tol < 1:
         raise ValidationError(f"tol must be a number in (0, 1), got {tol!r}")

@@ -1,6 +1,8 @@
+import dataclasses
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from gibbsfactor import build_pipeline, factor, fixtures
@@ -34,6 +36,22 @@ def rate_demo_float():
 @pytest.fixture(scope="session")
 def markov_exact():
     return build_pipeline(fixtures.markov_chain_2x2(), exact=True)
+
+
+def spread_phi_system(seed, spread):
+    """A seeded small random system (2-4 symbols, depth 0-2, 2 image
+    letters) in phi mode with phi drawn from U(-spread, spread): for spreads
+    of a few hundred its weights span most of the float range, and some of
+    its Perron vectors underflow."""
+    desc = fixtures.random_mixing_system(seed, 2 + seed % 3, seed % 3, 2)
+    rng = np.random.default_rng(seed)
+    table = tuple((word, float(rng.uniform(-spread, spread))) for word, _ in desc.table)
+    return dataclasses.replace(desc, mode="phi", table=table)
+
+
+@pytest.fixture(scope="session")
+def spread_phi():
+    return spread_phi_system
 
 
 @pytest.fixture(scope="session")

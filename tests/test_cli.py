@@ -508,12 +508,13 @@ def test_closed_stdout_keeps_exit_code_contract(example2_file):
     assert len(proc.stderr.strip().splitlines()) == 1
 
 
-def run_cli_process(*argv, stdout=subprocess.PIPE, timeout):
+def run_cli_process(*argv, stdout=subprocess.PIPE, timeout, python_flags=()):
     env = dict(os.environ)
     src = str(Path(__file__).resolve().parents[1] / "src")
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    return subprocess.run([sys.executable, "-m", "gibbsfactor", *argv], stdout=stdout,
-                          stderr=subprocess.PIPE, text=True, env=env, timeout=timeout)
+    return subprocess.run([sys.executable, *python_flags, "-m", "gibbsfactor", *argv],
+                          stdout=stdout, stderr=subprocess.PIPE, text=True, env=env,
+                          timeout=timeout)
 
 
 @pytest.mark.parametrize("literal", ["1e30000000", "1e-30000000"])
@@ -526,6 +527,17 @@ def test_huge_exponent_is_refused_without_stalling(tmp_path, literal):
     proc = run_cli_process("validate", str(path), timeout=10)
     assert proc.returncode == 2
     assert "value outside the float range" in proc.stderr
+
+
+def test_underflowing_perron_iterate_is_an_input_error(tmp_path, spread_phi):
+    # phi over U(-300, 300): a Noda step underflows an entry of h to zero
+    path = tmp_path / "spread.json"
+    path.write_text(json.dumps(emit_system(spread_phi(4, 300))))
+    proc = run_cli_process("perron", str(path), timeout=120,
+                           python_flags=("-W", "error::RuntimeWarning"))
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error:")
+    assert len(proc.stderr.strip().splitlines()) == 1
 
 
 # Generated system documents for the input contract: a well-formed skeleton

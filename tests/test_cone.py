@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,15 +10,24 @@ from hypothesis.extra.numpy import arrays
 from gibbsfactor import (
     ValidationError,
     birkhoff_coefficient,
+    build_pipeline,
     contraction_check,
     contraction_profile,
     dual_formula_check,
+    fixtures,
     hilbert_alpha_beta,
     hilbert_distance,
     projective_diameter,
 )
 from gibbsfactor.cone import stacked_diameters
-from gibbsfactor.factor import reduce_products, rescale_product, rescale_single
+from gibbsfactor.factor import (
+    fiber_mask,
+    reduce_products,
+    rescale_product,
+    rescale_single,
+    walk_image_words,
+)
+from gibbsfactor.sft import DEFAULT_MAX_WORDS
 
 
 class TestAlphaBeta:
@@ -115,6 +125,13 @@ class TestProjectiveDiameter:
                 assert d <= diam + 1e-12
                 best = max(best, d)
         assert best == pytest.approx(diam, abs=1e-12)
+
+    def test_column_quotient_beyond_float_range(self):
+        # the columns' quotient 1e300 / 1e-300 overflows; its log does not
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            diam = projective_diameter([[1e-300, 1e300], [1, 1]])
+        assert diam == pytest.approx(600 * math.log(10), rel=1e-15)
 
     def test_transpose_invariant(self):
         rng = np.random.default_rng(21)
@@ -235,6 +252,27 @@ def short_axis_diameters(x, real):
     rows, on the (R, rows, cols) stack as given: the reference for the
     transposed layout."""
     pos = x > 0
+    with np.errstate(divide="ignore"):
+        logs = np.log(x)
+    diam = np.zeros(len(x))
+    with np.errstate(invalid="ignore"):
+        for i in range(x.shape[2]):
+            for j in range(i + 1, x.shape[2]):
+                same = (pos[:, :, i] == pos[:, :, j]).all(axis=1)
+                ratio = logs[:, :, j] - logs[:, :, i]
+                beta = np.where(pos[:, :, i], ratio, -np.inf).max(axis=1)
+                alpha = np.where(pos[:, :, i], ratio, np.inf).min(axis=1)
+                d = np.where(same, beta - alpha, np.inf)
+                diam = np.where(real[:, i] & real[:, j], np.fmax(diam, d), diam)
+    diam[(real & ~pos.any(axis=1)).any(axis=1)] = np.inf
+    return diam
+
+
+def quotient_diameters(x, real):
+    """Diameters from column quotients, log(max ratio) - log(min ratio):
+    the form before ratios became log differences, for entries whose
+    quotients stay inside the float range."""
+    pos = x > 0
     diam = np.zeros(len(x))
     with np.errstate(divide="ignore", invalid="ignore"):
         for i in range(x.shape[2]):
@@ -320,3 +358,42 @@ class TestStackAxisReductions:
             one, scale, alive = rescale_product(product, 0.0)
             single = rescale_single(product, 0.0)
             assert np.array_equal(one, single[0]) and (scale, alive) == single[1:]
+
+
+DIAMETER_SYSTEMS = {
+    "example2": fixtures.example2(), "rate_demo": fixtures.rate_demo(),
+    "full_shift": fixtures.full_shift_iid(), "markov": fixtures.markov_chain_2x2(),
+    "collapse": fixtures.three_to_two_collapse(),
+    "random_1_6_3": fixtures.random_mixing_system(1, 6, 3, 3),
+    "random_2_8_2": fixtures.random_mixing_system(2, 8, 2, 4),
+    "random_3_5_1": fixtures.random_mixing_system(3, 5, 1, 3),
+}
+
+
+def assert_near_quotient_form(x, real):
+    got, want = stacked_diameters(x, real), quotient_diameters(x, real)
+    assert np.array_equal(np.isinf(got), np.isinf(want))
+    finite = np.isfinite(want)
+    assert np.abs(got[finite] - want[finite]).max(initial=0.0) <= 1e-12
+
+
+class TestLogRatioDiameters:
+    """Log differences move only the low bits of the quotient form's diameters."""
+
+    @pytest.mark.parametrize("name", list(DIAMETER_SYSTEMS))
+    def test_fixture_diameters_match_quotient_form(self, name):
+        fs = build_pipeline(DIAMETER_SYSTEMS[name]).factor
+        w = fs.tm.weights
+        assert_near_quotient_form(np.stack([w, w @ w]), np.ones((2, len(w)), dtype=bool))
+        for n in (1, 2, 3):
+            for rows in walk_image_words(fs, fs.blocks, n, lambda b: np.eye(len(fs.fibers[b])),
+                                         DEFAULT_MAX_WORDS):
+                assert_near_quotient_form(rows.products, fiber_mask(fs, rows.blocks))
+
+    @given(padded_stacks())
+    @settings(max_examples=200, deadline=None)
+    def test_stacks_match_quotient_form(self, stack):
+        x, real = stack
+        if x.ndim == 2:
+            x = x[:, None, :]
+        assert_near_quotient_form(x, real)

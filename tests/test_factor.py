@@ -1,8 +1,12 @@
 import dataclasses
 import itertools
 import math
+import os
+import subprocess
+import sys
 import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -87,6 +91,83 @@ class TestBuildFactor:
         tm = ex2_exact.tm
         with pytest.raises(ValidationError, match="empty fiber"):
             build_factor(tm, (0, 0, 0, 0), Alphabet(("0", "1")))
+
+
+def grouped_per_block(tm, symbol_map):
+    """build_factor's grouping one block at a time: (image block words, their
+    index, fibers, float blocks, exact blocks or None), the image words a
+    sorted set of per-block tuples, the keys in order of first appearance."""
+    rec = tm.recoding
+    image_words = sorted({tuple(symbol_map[s] for s in bw) for bw in rec.block_words})
+    index = {w: i for i, w in enumerate(image_words)}
+    bsm = [index[tuple(symbol_map[s] for s in bw)] for bw in rec.block_words]
+    fibers = [[] for _ in image_words]
+    for dom, img in enumerate(bsm):
+        fibers[img].append(dom)
+    rows, cols = np.nonzero(rec.block_sft.adjacency)
+    keys = dict.fromkeys((bsm[i], bsm[j]) for i, j in zip(rows.tolist(), cols.tolist()))
+
+    def sliced(matrix):
+        return {(a, b): matrix[np.ix_(fibers[a], fibers[b])] for a, b in keys}
+
+    exact = None if tm.int_weights is None else sliced(tm.int_weights)
+    return tuple(image_words), index, tuple(map(tuple, fibers)), sliced(tm.weights), exact
+
+
+def rational(desc):
+    """The description with its float weights rounded to quarters, exact."""
+    table = tuple((w, Fraction(max(1, round(4 * v)), 4)) for w, v in desc.table)
+    return dataclasses.replace(desc, table=table)
+
+
+GROUPING_SYSTEMS = {
+    "example2": fixtures.example2(), "rate_demo": fixtures.rate_demo(),
+    "full_shift": fixtures.full_shift_iid(), "markov": fixtures.markov_chain_2x2(),
+    "collapse": fixtures.three_to_two_collapse(),
+}
+for _seed, _depth in itertools.product(range(3), range(4)):
+    _desc = fixtures.random_mixing_system(_seed, 4 + _seed, _depth, 2 + _seed % 2)
+    GROUPING_SYSTEMS[f"random_{_seed}_{_depth}"] = _desc
+    GROUPING_SYSTEMS[f"rational_{_seed}_{_depth}"] = rational(_desc)
+
+
+class TestFactorGrouping:
+    """build_factor's array grouping against the per-block grouping."""
+
+    @pytest.mark.parametrize("name", list(GROUPING_SYSTEMS))
+    def test_matches_per_block_grouping(self, name):
+        pipe = build_pipeline(GROUPING_SYSTEMS[name])
+        fs = pipe.factor
+        words, index, fibers, blocks, exact = grouped_per_block(pipe.tm, fs.symbol_map)
+        assert fs.image_block_words == words and fs.image_block_index == index
+        assert fs.fibers == fibers
+        flat = [*itertools.chain(*fs.image_block_words, *fs.fibers, *fs.blocks),
+                *fs.image_block_index.values()]
+        assert all(type(i) is int for i in flat)
+        assert list(fs.blocks) == sorted(blocks)
+        assert (fs.exact_blocks is None) == (exact is None)
+        for got, want in ((fs.blocks, blocks), (fs.exact_blocks or {}, exact or {})):
+            assert got.keys() == want.keys()
+            for key, m in want.items():
+                assert got[key].dtype == m.dtype and got[key].shape == m.shape
+                assert not got[key].flags.writeable
+                if m.dtype == object:
+                    assert got[key].tolist() == m.tolist()
+                    assert all(type(v) is int for v in got[key].flat)
+                else:
+                    assert got[key].tobytes() == m.tobytes()
+
+
+def test_example2_pipeline_does_not_import_numpy_ma():
+    # numpy.ma (loaded by np.unique in numpy 2.4) costs about 1 MB resident
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = ("import sys; from gibbsfactor import build_pipeline, fixtures; "
+            "build_pipeline(fixtures.example2()); print('numpy.ma' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
+                         timeout=120, check=True)
+    assert out.stdout.strip() == "False"
 
 
 class TestImageAdmissible:

@@ -677,6 +677,32 @@ class TestNodaIteration:
         assert pd.residual <= 1e-13
         assert len(calls) <= 2
 
+    def test_wide_gap_large_system_takes_no_solve(self, monkeypatch):
+        # |lambda_2| / lambda about 0.3: the power steps left after the
+        # bracket falls below sqrt(tol) cost less than one LU of W
+        tm = transfer_matrix(*build_system(fixtures.random_mixing_system(0, 12, 3, 4)))
+        assert tm.dimension >= 400
+        calls = []
+        real = np.linalg.solve
+        monkeypatch.setattr(np.linalg, "solve", lambda a, b: calls.append(1) or real(a, b))
+        pd = perron(tm)
+        assert pd.residual <= 1e-13
+        assert pd.iterations <= 100
+        assert not calls
+
+    @pytest.mark.parametrize("spread, seed", [(300, 0), (300, 1), (300, 2), (300, 4), (300, 10),
+                                              (300, 79), (700, 0), (700, 1), (700, 4), (700, 52)])
+    def test_spread_phi_converges_or_raises_without_warning(self, spread_phi, spread, seed):
+        # most of these underflow an entry of a normalised Noda iterate
+        tm = transfer_matrix(*build_system(spread_phi(seed, spread)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            try:
+                pd = perron(tm)
+            except ConvergenceError:
+                return
+        assert pd.residual <= 1e-12
+
     @pytest.mark.parametrize("seed", range(50))
     def test_spread_weights_converge_or_raise(self, seed):
         # weights over 10^-50 .. 10^50: the run either meets the tolerance or
@@ -761,6 +787,33 @@ class TestNuSecondRoute:
         perron(tm)
         assert steps_h >= 1 and len(calls) <= steps_h + 2
 
+    def test_cap_at_the_root_is_dropped_after_a_singular_solve(self, monkeypatch):
+        from gibbsfactor import potential
+
+        # h's bound is lambda to working precision here, so the nu run's
+        # first solve, shifted at that bound, finds an exact zero pivot
+        sft = make_sft([[1, 1], [1, 0]])
+        table = {(0, 0): 0.6537415007360388, (0, 1): 1.6385234518833416,
+                 (1, 0): 1.3135982656922154}
+        tm = transfer_matrix(sft, build_potential(sft, 1, "weight", table))
+        assert perron(tm).residual <= 1e-13
+        w = tm.weights
+        bound = potential._noda(w, 1e-14, 100)[2]
+        free = potential._noda(w.T, 1e-14, 100)[0]
+        calls = []
+        real = np.linalg.solve
+
+        def solve(a, b):  # the first solve of the capped run is singular on any LAPACK
+            calls.append(1)
+            if len(calls) == 1:
+                raise np.linalg.LinAlgError("Singular matrix")
+            return real(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", solve)
+        nu = potential._noda(w.T, 1e-14, 100, cap=bound)[0]
+        assert len(calls) >= 2
+        assert np.abs(nu / nu.sum() - free / free.sum()).max() <= 1e-14
+
     def test_example2_float_takes_one_step(self, ex2_float):
         assert ex2_float.pd.iterations == 1
 
@@ -772,6 +825,9 @@ for seed, n, depth in ((1, 6, 2), (2, 8, 2), (3, 10, 2), (4, 5, 3), (5, 6, 3),
                        (6, 6, 2), (7, 8, 2), (8, 10, 2), (9, 8, 3), (10, 6, 3)):
     desc = fixtures.random_mixing_system(seed, n, depth, 3)
     EIG_ROUTE_SYSTEMS[f"random_{seed}_{n}_{depth}"] = transfer_matrix(*build_system(desc))
+# 423 blocks: the run ends in power steps, without a solve
+EIG_ROUTE_SYSTEMS["random_0_12_3"] = transfer_matrix(
+    *build_system(fixtures.random_mixing_system(0, 12, 3, 4)))
 
 
 class TestPerronSecondRoute:
