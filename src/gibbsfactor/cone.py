@@ -33,33 +33,48 @@ def _as_cone_vector(x) -> np.ndarray:
     return v
 
 
+def _cone_pair(x, y) -> tuple[np.ndarray, np.ndarray]:
+    xv = _as_cone_vector(x)
+    yv = _as_cone_vector(y)
+    if xv.shape != yv.shape:
+        raise ValidationError("dimension mismatch")
+    return xv, yv
+
+
 def hilbert_alpha_beta(x, y) -> tuple[float, float]:
     """Extremal order comparisons of two orthant points.
 
     alpha = min over the support of x of y_i/x_i (0 when y vanishes there),
     beta = max over the support of y of y_i/x_i (inf when x vanishes there).
+    These are float quotients: a ratio above the float range reads as inf
+    and one below it as 0, without a warning, so they can look like a
+    support mismatch; :func:`hilbert_distance` takes logs instead.
     """
-    xv = _as_cone_vector(x)
-    yv = _as_cone_vector(y)
-    if xv.shape != yv.shape:
-        raise ValidationError("dimension mismatch")
+    xv, yv = _cone_pair(x, y)
     sx = xv > 0
     sy = yv > 0
-    alpha = float((yv[sx] / xv[sx]).min())
-    if (sy & ~sx).any():
-        beta = math.inf
-    else:
-        beta = float((yv[sy] / xv[sy]).max())
+    with np.errstate(over="ignore", under="ignore"):
+        alpha = float((yv[sx] / xv[sx]).min())
+        beta = math.inf if (sy & ~sx).any() else float((yv[sy] / xv[sy]).max())
     return alpha, beta
 
 
 def hilbert_distance(x, y) -> float:
     """Theta(x, y) = log(beta/alpha); infinite iff the supports differ.
-    Projective: scaling either argument by a positive constant is invisible."""
-    alpha, beta = hilbert_alpha_beta(x, y)
-    if alpha == 0 or beta == math.inf:
+    Projective: scaling either argument by a positive constant is invisible.
+    log beta - log alpha is the largest minus the smallest log ratio over
+    the shared support, the log of y_i / x_i where that quotient is a normal
+    float and log y_i - log x_i where it is not, so points whose ratios
+    leave the float range keep a finite distance."""
+    xv, yv = _cone_pair(x, y)
+    support = xv > 0
+    if (support != (yv > 0)).any():
         return math.inf
-    return math.log(beta) - math.log(alpha)
+    with np.errstate(over="ignore", under="ignore"):
+        ratios = yv[support] / xv[support]
+    normal = (ratios >= np.finfo(float).tiny) & (ratios < math.inf)
+    logs = np.log(ratios, where=normal, out=np.log(yv[support]) - np.log(xv[support]))
+    return float(logs.max() - logs.min())
 
 
 @dataclass(frozen=True)

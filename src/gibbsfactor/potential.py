@@ -11,8 +11,10 @@ of length max(k, 1), on which the transfer operator is a nonnegative matrix
 i.e. rows are indexed by source blocks and columns by target blocks.  The
 table, the recoding's block transitions and W share one word order, the
 lexicographic order of the admissible (k+1)-words, which is the row-major
-order of the allowed entries of W: :func:`transfer_matrix` fills W with one
-assignment.  With W h = lambda h and nu^T W = lambda nu^T, sum(nu) = 1,
+order of the allowed entries of W.  A :class:`Potential` holds its table in
+that order as arrays, a word matrix and phi and weight vectors, so
+:func:`transfer_matrix` fills W with one assignment, and log W takes the
+log of the allowed entries only.  With W h = lambda h and nu^T W = lambda nu^T, sum(nu) = 1,
 <h, nu> = 1, the Gibbs state of phi has cylinder masses
 
     mu[w_0 ... w_n] = lambda^{-m} (prod of W along the block word)
@@ -72,6 +74,7 @@ vectors on :class:`PerronData`.
 
 from __future__ import annotations
 
+import bisect
 import math
 import warnings
 from dataclasses import dataclass
@@ -95,6 +98,7 @@ from .sft import (
     higher_block_recode,
     is_admissible,
     mixing_index,
+    word_codes,
     word_matrix,
 )
 
@@ -104,20 +108,41 @@ WEIGHT_MODE = "weight"
 
 @dataclass(frozen=True, eq=False)
 class Potential:
-    """Depth-k locally constant potential on an SFT.
+    """Depth-k locally constant potential on an SFT, as arrays over the
+    admissible (k+1)-words.
 
-    `phi` maps every admissible (k+1)-word to its potential value; `weights`
-    holds e^phi.  `exact_weights` is present when the input was a table of
-    positive rationals (weight mode), enabling exact arithmetic downstream.
-    All three list the words in lexicographic order.
+    `words` holds those words as the rows of a read-only int matrix in
+    lexicographic order (:func:`~gibbsfactor.sft.word_matrix`), and `values`
+    their table values in the same order: phi in phi mode, the weights e^phi
+    in weight mode.  `phi` and `weights` are both read-only float arrays in
+    that order; the one the table did not give is computed when first read.
+    `exact_weights` is a tuple of the weights as Fractions when the input was
+    a table of positive rationals (weight mode), enabling exact arithmetic
+    downstream, and None otherwise.
     """
 
     sft: Sft
     depth: int
     mode: str
-    phi: dict
-    weights: dict
-    exact_weights: dict | None
+    words: np.ndarray
+    values: np.ndarray
+    exact_weights: tuple | None
+
+    @cached_property
+    def phi(self) -> np.ndarray:
+        return self.values if self.mode == PHI_MODE else _mapped(math.log, self.values.tolist())
+
+    @cached_property
+    def weights(self) -> np.ndarray:
+        return self.values if self.mode == WEIGHT_MODE else _mapped(math.exp, self.values.tolist())
+
+
+def _mapped(f, values) -> np.ndarray:
+    """f of every value of a sequence, one by one (math.exp and math.log, as
+    the per-entry tables took them, bit for bit), as a read-only array."""
+    out = np.fromiter(map(f, values), float, len(values))
+    out.setflags(write=False)
+    return out
 
 
 def check_header(depth, mode) -> None:
@@ -159,7 +184,7 @@ def table_value(mode: str, value) -> Fraction | float:
         except (ValueError, ZeroDivisionError):
             raise ValidationError(f"bad rational literal {value!r}") from None
     if mode == WEIGHT_MODE:
-        value = value if isinstance(value, float) else Fraction(value)
+        value = value if isinstance(value, (float, Fraction)) else Fraction(value)
         if value <= 0:
             raise ValidationError("non-positive weight")
     try:
@@ -173,66 +198,133 @@ def table_value(mode: str, value) -> Fraction | float:
     return value if mode == WEIGHT_MODE else approx
 
 
+def table_values(mode: str, values: list, where) -> np.ndarray | tuple:
+    """The canonical forms of a table's values, as :func:`table_value` gives
+    them one by one: a read-only float array, or a tuple when some weight is
+    an exact Fraction.
+
+    Floats are checked as one array: finite and positive in weight mode,
+    |phi| <= 700 in phi mode (exp(phi) is then well inside the float range).
+    Every other value, and a float that fails that check, goes through
+    :func:`table_value`, so the first bad value raises its ValidationError,
+    prefixed by ``where(i)`` for its position i.
+    """
+    floats = np.fromiter((v if type(v) is float else math.nan for v in values), float,
+                         len(values))
+    plain = (floats > 0) & (floats < math.inf) if mode == WEIGHT_MODE else np.abs(floats) <= 700
+    others = {}
+    for i in np.flatnonzero(~plain).tolist():
+        try:
+            others[i] = table_value(mode, values[i])
+        except ValidationError as e:
+            raise ValidationError(f"{where(i)}: {e}") from None
+    if any(isinstance(v, Fraction) for v in others.values()):
+        out = floats.tolist()
+        for i, v in others.items():
+            out[i] = v
+        return tuple(out)
+    floats[list(others)] = list(others.values())
+    floats.setflags(write=False)
+    return floats
+
+
+def value_list(values: np.ndarray | tuple) -> list:
+    """Table values in either form as a list of Python numbers."""
+    return list(values) if isinstance(values, tuple) else values.tolist()
+
+
+def take_values(values: np.ndarray | tuple, index: np.ndarray) -> np.ndarray | tuple:
+    """The table values at the given positions, in the form they came in."""
+    if isinstance(values, tuple):
+        return tuple(map(values.__getitem__, index.tolist()))
+    out = values[index]
+    out.setflags(write=False)
+    return out
+
+
 def build_potential(sft: Sft, depth: int, mode: str, table: dict) -> Potential:
-    """Validate a potential table: the header by :func:`check_header`, every
-    value by :func:`table_value` (an error names the word), then the words
-    by :func:`canonical_potential`.
+    """Validate a Python potential table, word tuple -> value: the header by
+    :func:`check_header`, the values by :func:`table_values` (an error names
+    the word), then the words by :func:`canonical_potential`.  A key must be
+    a sequence of symbol indices; the first key or value that is not is the
+    error.
     """
     check_header(depth, mode)
-    values: dict = {}
-    for key, raw in table.items():
+    keys, words = list(table), []
+    for key in keys:
         try:
-            w = tuple(key)
+            word = tuple(key)
         except TypeError:
-            raise ValidationError(f"potential table key {key!r} is not a word") from None
-        try:
-            values[w] = table_value(mode, raw)
-        except ValidationError as e:
-            raise ValidationError(f"potential value for word {w}: {e}") from None
-    return canonical_potential(sft, depth, mode, values)
+            break
+        if not all(isinstance(s, (int, np.integer)) for s in word):
+            break
+        words.append(word)
+    values = table_values(mode, list(table.values())[:len(words)],
+                          lambda i: f"potential value for word {words[i]}")
+    if len(words) < len(keys):
+        raise ValidationError(f"potential table key {keys[len(words)]!r} is not a word")
+    fits = np.array([len(w) == depth + 1 and all(0 <= s < sft.size for s in w) for w in words],
+                    dtype=bool)
+    rows, others = np.flatnonzero(fits), np.flatnonzero(~fits)
+    matrix = np.array([words[i] for i in rows.tolist()], dtype=np.intp).reshape(-1, depth + 1)
+    strays = tuple(zip([words[i] for i in others.tolist()], take_values(values, others)))
+    return canonical_potential(sft, depth, mode, matrix, take_values(values, rows), strays)
 
 
-def canonical_potential(sft: Sft, depth: int, mode: str, values: dict) -> Potential:
-    """The potential of a table of words whose values are canonical already
-    (as :func:`table_value` returns them).
+def canonical_potential(sft: Sft, depth: int, mode: str, words: np.ndarray,
+                        values: np.ndarray | tuple, strays: tuple = ()) -> Potential:
+    """The potential of a table whose values are canonical already (as
+    :func:`table_values` gives them): `words` an (m, depth + 1) int matrix
+    of distinct words over the alphabet, `values` theirs in row order, and
+    `strays` the (word, value) entries of words of any other length.
 
-    The table must cover every admissible (depth+1)-word; entries for other
-    words are ignored with a warning.  Exact arithmetic is available when
-    every weight is exact (weight mode with no float entries).
+    The table must cover every admissible (depth+1)-word; the other entries
+    are ignored with a warning each: rows in their order, each stray put in
+    by word order (all in word order when the rows are sorted).  A table
+    whose rows are the admissible words in lexicographic order, as files
+    give them, is taken as it is.  Exact arithmetic is available when every
+    weight is exact (weight mode with no float entries).
     """
-    words = list(map(tuple, word_matrix(sft, depth + 1).tolist()))
-    if list(values) != words:  # not already the admissible words in order
-        admissible = set(words)
-        for w in values:
-            if w not in admissible:
-                warnings.warn(f"ignoring entry for inadmissible word {w}", stacklevel=3)
-        missing = next((w for w in words if w not in values), None)
-        if missing is not None:
-            raise ValidationError(f"missing table entry for admissible word {missing}")
-        values = {w: values[w] for w in words}
-    canonical = list(values.values())
-    if mode == PHI_MODE:
-        phi, weights = values, dict(zip(words, map(math.exp, canonical)))
-    else:
-        floats = list(map(float, canonical))
-        weights, phi = dict(zip(words, floats)), dict(zip(words, map(math.log, floats)))
-    exact = values if all(isinstance(v, Fraction) for v in canonical) else None
-    return Potential(sft=sft, depth=depth, mode=mode, phi=phi, weights=weights,
+    admissible = word_matrix(sft, depth + 1)
+    if strays or not np.array_equal(words, admissible):
+        both = word_codes(np.concatenate([admissible, words]), sft.size)
+        codes, given = both[:len(admissible)], both[len(admissible):]
+        at = np.searchsorted(codes, given).clip(max=len(codes) - 1)
+        found = codes[at] == given
+        ignored = list(map(tuple, words[~found].tolist()))
+        for w, _ in strays:
+            bisect.insort(ignored, w)
+        for w in ignored:
+            warnings.warn(f"ignoring entry for inadmissible word {w}", stacklevel=3)
+        source = np.full(len(codes), -1)
+        source[at[found]] = np.flatnonzero(found)
+        missing = np.flatnonzero(source < 0)
+        if missing.size:
+            word = tuple(admissible[missing[0]].tolist())
+            raise ValidationError(f"missing table entry for admissible word {word}")
+        values = take_values(values, source)
+    exact = None
+    if isinstance(values, tuple):
+        if all(isinstance(v, Fraction) for v in values):
+            exact = values
+        values = _mapped(float, values)
+    admissible.setflags(write=False)
+    return Potential(sft=sft, depth=depth, mode=mode, words=admissible, values=values,
                      exact_weights=exact)
 
 
 def variations(potential: Potential) -> list[float]:
     """var_n(phi) for n = 1..k: max |phi(u) - phi(v)| over admissible
-    (k+1)-word pairs agreeing in coordinates 0..n-1.  Empty for depth 0
-    (var_n = 0 for all n beyond the depth, by locality)."""
-    k = potential.depth
+    (k+1)-word pairs agreeing in coordinates 0..n-1.  Those pairs are the
+    contiguous runs of the lexicographic word matrix that share their first
+    n columns, so var_n is the largest max - min of phi over such a run.
+    Empty for depth 0 (var_n = 0 for all n beyond the depth, by locality)."""
+    words, phi = potential.words, potential.phi
     out = []
-    for n in range(1, k + 1):
-        groups: dict = {}
-        for w, v in potential.phi.items():
-            lo, hi = groups.get(w[:n], (math.inf, -math.inf))
-            groups[w[:n]] = (min(lo, v), max(hi, v))
-        out.append(max((hi - lo for lo, hi in groups.values()), default=0.0))
+    for n in range(1, potential.depth + 1):
+        starts = np.flatnonzero(np.r_[True, (words[1:, :n] != words[:-1, :n]).any(axis=1)])
+        spread = np.maximum.reduceat(phi, starts) - np.minimum.reduceat(phi, starts)
+        out.append(float(spread.max()))
     return out
 
 
@@ -252,21 +344,25 @@ def holder_envelope(potential: Potential, theta: float) -> HolderEnvelope:
         raise ValidationError("theta must lie in (0, 1)")
     var = variations(potential)
     const = max((v / theta**n for n, v in enumerate(var, start=1)), default=0.0)
-    sup = max((abs(v) for v in potential.phi.values()), default=0.0)
+    sup = float(np.abs(potential.phi).max())
     return HolderEnvelope(theta=theta, holder_constant=const, sup_norm=sup,
                           variations=tuple(var))
 
 
 def birkhoff_sum(potential: Potential, word) -> float:
-    """Sum of phi over the sliding (k+1)-windows of an admissible word;
-    the word determines this Birkhoff sum exactly."""
+    """Sum of phi over the sliding (k+1)-windows of an admissible word, in
+    window order; the word determines this Birkhoff sum exactly."""
     w = tuple(word)
     k = potential.depth
     if len(w) < k + 1:
         raise ValidationError(f"word of length {len(w)} too short for depth {k}")
     if not is_admissible(potential.sft, w):
         raise ValidationError("word is not admissible")
-    return sum(potential.phi[w[i:i + k + 1]] for i in range(len(w) - k))
+    windows = np.lib.stride_tricks.sliding_window_view(np.array(w, dtype=np.intp), k + 1)
+    m = len(potential.words)
+    codes = word_codes(np.concatenate([potential.words, windows]), potential.sft.size)
+    rows = np.searchsorted(codes[:m], codes[m:])
+    return sum(potential.phi[rows].tolist())
 
 
 @dataclass(frozen=True, eq=False)
@@ -278,13 +374,23 @@ class TransferMatrix:
     potential: Potential
     recoding: Recoding
     weights: np.ndarray            # (d, d) float
-    log_weights: np.ndarray        # log W, -inf where forbidden
     int_weights: np.ndarray | None  # M = D W, (d, d) int object array, or None
     denominator: int | None        # D, lcm of the rational weights' denominators
 
     @property
     def dimension(self) -> int:
         return self.weights.shape[0]
+
+    @cached_property
+    def log_weights(self) -> np.ndarray:
+        """log W as a read-only (d, d) array, -inf where a transition is
+        forbidden: the log of the allowed entries only, taken when first read
+        (by the float measures)."""
+        rec = self.recoding
+        logw = np.full(self.weights.shape, -np.inf)
+        logw[rec.sources, rec.targets] = np.log(self.weights[rec.sources, rec.targets])
+        logw.setflags(write=False)
+        return logw
 
     @cached_property
     def exact_weights(self) -> np.ndarray | None:
@@ -325,19 +431,17 @@ def transfer_matrix(sft: Sft, potential: Potential,
     d = rec.size
     pick = rec.transitions[:, 0] if potential.depth == 0 else slice(None)  # depth 0: 1st symbol
     w = np.zeros((d, d))
-    w[rec.sources, rec.targets] = np.fromiter(potential.weights.values(), float)[pick]
+    w[rec.sources, rec.targets] = potential.weights[pick]
     ints = den = None
     if potential.exact_weights is not None:
-        numerators, den = _clear_denominators(potential.exact_weights.values())
+        numerators, den = _clear_denominators(potential.exact_weights)
         ints = np.zeros((d, d), dtype=object)
         ints[rec.sources, rec.targets] = numerators[pick]
-    with np.errstate(divide="ignore"):
-        logw = np.log(w)
-    for m in (w, logw, ints):
+    for m in (w, ints):
         if m is not None:
             m.setflags(write=False)
     return TransferMatrix(sft=sft, potential=potential, recoding=rec, weights=w,
-                          log_weights=logw, int_weights=ints, denominator=den)
+                          int_weights=ints, denominator=den)
 
 
 @dataclass(frozen=True, eq=False)

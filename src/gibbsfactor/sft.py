@@ -151,6 +151,22 @@ def word_matrix(sft: Sft, n: int, max_words: int = DEFAULT_MAX_WORDS) -> np.ndar
     return level
 
 
+def word_codes(words: np.ndarray, q: int) -> np.ndarray:
+    """One int64 per row of an (m, n) matrix of words over q symbols,
+    increasing with the rows' lexicographic order and equal for equal rows,
+    so sorting and searching words is sorting and searching codes.  The
+    codes are base-q numerals when q^n fits in int64, else the rows' dense
+    ranks; either way they compare only with codes of the same call, so
+    words to be matched are coded as one matrix."""
+    m, n = words.shape
+    if q == 1 or (n < 64 and q**n <= np.iinfo(np.int64).max):
+        return words.astype(np.int64) @ q ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    order = np.lexsort(words.T[::-1])
+    ranks = np.empty(m, dtype=np.int64)
+    ranks[order] = np.cumsum(np.r_[False, (words[order][1:] != words[order][:-1]).any(axis=1)])
+    return ranks
+
+
 def enumerate_words(sft: Sft, n: int, max_words: int = DEFAULT_MAX_WORDS) -> list[Word]:
     """All admissible words of length n, lexicographic, no duplicates."""
     return [tuple(row) for row in word_matrix(sft, n, max_words).tolist()]

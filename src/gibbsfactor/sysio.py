@@ -17,15 +17,26 @@ names (so no name may contain ','), or bare concatenation when every name
 is a single character; two keys that name one word are refused.  The header
 and every table value go through the one rule that
 :func:`gibbsfactor.potential.build_potential` applies to Python tables
-(:func:`~gibbsfactor.potential.check_header`, :func:`~gibbsfactor.potential.table_value`).
+(:func:`~gibbsfactor.potential.check_header`, :func:`~gibbsfactor.potential.table_values`).
+
+The table is read in one pass, not key by key: every key is split once and
+its names are looked up in one sweep, repeated words are found by sorting
+integer word codes (:func:`~gibbsfactor.sft.word_codes`), and plain float
+values are checked as one array.  The first bad entry in document order is
+the error, as a key-by-key loop would find it.  The description keeps the
+table as arrays in the lexicographic word order that the potential and the
+transfer matrix share: a word matrix and a value array.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
+from itertools import repeat
+
+import numpy as np
 
 from .errors import ValidationError
 from .factor import FactorSystem, build_factor
@@ -37,51 +48,62 @@ from .potential import (
     check_header,
     perron,
     perron_exact,
-    table_value,
+    table_values,
+    take_values,
     transfer_matrix,
+    value_list,
 )
-from .sft import Alphabet, Sft, Word, build_sft
+from .sft import Alphabet, Sft, Word, build_sft, word_codes
 
 SCHEMA_VERSION = 1
 
 
 def parse_word(text: str, alphabet: Alphabet) -> Word:
-    """Word from text: comma-separated names, or bare concatenation when all
-    alphabet names are single characters."""
-    if text == "":
-        return ()
-    if "," in text:
-        names = text.split(",")
-    elif all(len(s) == 1 for s in alphabet.symbols):
-        names = list(text)
-    else:
-        names = [text]
-    try:
-        return tuple(map(alphabet.positions.__getitem__, names))
-    except KeyError as e:
-        raise ValidationError(f"unknown symbol {e.args[0]!r}") from None
+    """Word from text by the rule for table keys (:func:`_key_symbols`)."""
+    symbols, _, names = _key_symbols([text], alphabet)
+    unknown = np.flatnonzero(symbols < 0)[:1]
+    if unknown.size:
+        raise ValidationError(f"unknown symbol {names[unknown[0]]!r}")
+    return tuple(symbols.tolist())
 
 
 def format_word(word: Word, alphabet: Alphabet) -> str:
     return ",".join(alphabet.name(s) for s in word)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SystemDescription:
-    """Validated, canonical form of a system input file."""
+    """Validated, canonical form of a system input file.
+
+    The potential table is held as arrays: `words` is a read-only
+    (m, depth + 1) int matrix of the keys' words in lexicographic order, and
+    `values` their canonical values in that order, a read-only float array,
+    or a tuple (of Fractions, and floats) when some weight is exact.
+    `strays` holds the (word, value) entries whose word has another length,
+    sorted by word; building the potential ignores them with a warning.
+    """
 
     alphabet: tuple[str, ...]
     adjacency: tuple[tuple[int, ...], ...]
     depth: int
     mode: str
-    table: tuple  # sorted ((word, value) ...), values Fraction or float
+    words: np.ndarray
+    values: np.ndarray | tuple
     image_alphabet: tuple[str, ...] | None
     factor_map: tuple[int, ...] | None
+    strays: tuple = ()
     schema_version: int = SCHEMA_VERSION
 
     @property
     def has_factor(self) -> bool:
         return self.factor_map is not None
+
+    def __eq__(self, other):
+        if not isinstance(other, SystemDescription):
+            return NotImplemented
+        pairs = ((getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
+        return all(np.array_equal(a, b) if isinstance(a, np.ndarray) or isinstance(b, np.ndarray)
+                   else a == b for a, b in pairs)
 
 
 def _expect_keys(obj: dict, allowed: set, where: str):
@@ -133,16 +155,7 @@ def parse_system_dict(doc: dict) -> SystemDescription:
     raw_table = pot.get("table")
     if not isinstance(raw_table, dict):
         raise ValidationError("potential.table must be an object")
-    keys, values = {}, []  # word -> its key; canonical values in key order
-    for key, value in raw_table.items():
-        first = keys.setdefault(parse_word(key, alphabet), key)
-        if first != key:
-            raise ValidationError(
-                f"potential.table: keys {first!r} and {key!r} name the same word")
-        try:
-            values.append(table_value(mode, value))
-        except ValidationError as e:
-            raise ValidationError(f"potential.table[{key!r}]: {e}") from None
+    words, values, strays = _parse_table(raw_table, alphabet, depth, mode)
 
     image_alphabet = factor_map = None
     fac = doc.get("factor")
@@ -168,10 +181,66 @@ def parse_system_dict(doc: dict) -> SystemDescription:
         adjacency=tuple(tuple(int(x) for x in row) for row in sft.adjacency.tolist()),
         depth=depth,
         mode=mode,
-        table=tuple(sorted(zip(keys, values))),
+        words=words,
+        values=values,
         image_alphabet=image_alphabet,
         factor_map=factor_map,
+        strays=strays,
     )
+
+
+def _key_symbols(keys: list, alphabet: Alphabet) -> tuple[np.ndarray, np.ndarray, list]:
+    """Every key split into symbol names in one pass: comma-separated names,
+    or bare concatenation when all alphabet names are single characters;
+    "" is the empty word.  Returns the names' symbol indices (-1 for an
+    unknown name) flat in key order, each key's number of names, and the
+    names."""
+    if all(len(s) == 1 for s in alphabet.symbols):  # a bare key spells a name per character
+        keys = [k if "," in k else ",".join(k) for k in keys]
+    lengths = (np.fromiter(map(str.count, keys, repeat(",")), np.intp, len(keys))
+               + np.fromiter(map(bool, keys), np.intp, len(keys)))
+    names = ",".join(filter(None, keys)).split(",") if lengths.any() else []
+    symbols = np.fromiter(map(alphabet.positions.get, names, repeat(-1)), np.intp, len(names))
+    return symbols, lengths, names
+
+
+def _parse_table(raw_table: dict, alphabet: Alphabet, depth: int, mode: str):
+    """(words, values, strays) of a potential table, the parts of a
+    :class:`SystemDescription`, or the ValidationError of the first bad
+    entry in document order: in one entry an unknown symbol comes before a
+    repeated word, and that before a bad value."""
+    keys, n = list(raw_table), depth + 1
+    symbols, lengths, names = _key_symbols(keys, alphabet)
+    ends = np.cumsum(lengths)
+    unknown = np.flatnonzero(symbols < 0)[:1]
+    errors = [(int(np.searchsorted(ends, unknown[0], side="right")),
+               f"unknown symbol {names[unknown[0]]!r}")] if unknown.size else []
+    known = errors[0][0] if errors else len(keys)  # the keys before hold known names only
+    fits = lengths[:known] == n
+    rows, others = np.flatnonzero(fits), np.flatnonzero(~fits)  # keys of n names, the rest
+    words = symbols[(ends[rows] - n)[:, None] + np.arange(n)]
+    codes = word_codes(words, alphabet.size)
+    # a repeated word is a code equal to its neighbour in the stable sort, so
+    # the pair is (the earlier key, the later one)
+    order = np.argsort(codes, kind="stable")
+    repeats = np.flatnonzero(codes[order][1:] == codes[order][:-1]) + 1
+    pairs = [(rows[order[p - 1]], rows[order[p]]) for p in repeats.tolist()]
+    seen = {}  # word -> its keys, for the few keys of another length
+    for i in others.tolist():
+        seen.setdefault(tuple(symbols[ends[i] - lengths[i]:ends[i]].tolist()), []).append(i)
+    pairs += [tuple(group[:2]) for group in seen.values() if len(group) > 1]
+    errors += [(int(second), f"potential.table: keys {keys[first]!r} and {keys[second]!r} "
+                             "name the same word") for first, second in pairs]
+    first_bad = min(errors, default=(len(keys), None))
+    values = table_values(mode, list(raw_table.values())[:first_bad[0]],
+                          lambda i: f"potential.table[{keys[i]!r}]")
+    if first_bad[1] is not None:
+        raise ValidationError(first_bad[1])
+    words = words[order]
+    words.setflags(write=False)
+    listed = value_list(values)
+    strays = tuple(sorted((w, listed[group[0]]) for w, group in seen.items()))
+    return words, take_values(values, rows[order]), strays
 
 
 def parse_system(path) -> SystemDescription:
@@ -189,8 +258,10 @@ def parse_system(path) -> SystemDescription:
 def emit_system(desc: SystemDescription) -> dict:
     """Canonical JSON document for a description; parse(emit(d)) == d."""
     alphabet = Alphabet(desc.alphabet)
+    entries = sorted([*zip(map(tuple, desc.words.tolist()), value_list(desc.values)),
+                      *desc.strays])
     table = {format_word(w, alphabet): str(v) if isinstance(v, Fraction) else v
-             for w, v in desc.table}
+             for w, v in entries}
     doc = {
         "schema_version": desc.schema_version,
         "alphabet": list(desc.alphabet),
@@ -229,7 +300,8 @@ class Pipeline:
 def build_system(desc: SystemDescription) -> tuple[Sft, Potential]:
     """Shift and potential of a canonical description (values not re-checked)."""
     sft = build_sft(Alphabet(desc.alphabet), [list(r) for r in desc.adjacency])
-    return sft, canonical_potential(sft, desc.depth, desc.mode, dict(desc.table))
+    return sft, canonical_potential(sft, desc.depth, desc.mode, desc.words, desc.values,
+                                    desc.strays)
 
 
 def build_pipeline(desc: SystemDescription, exact: bool = False) -> Pipeline:

@@ -45,8 +45,8 @@ def spread_phi_system(seed, spread):
     its Perron vectors underflow."""
     desc = fixtures.random_mixing_system(seed, 2 + seed % 3, seed % 3, 2)
     rng = np.random.default_rng(seed)
-    table = tuple((word, float(rng.uniform(-spread, spread))) for word, _ in desc.table)
-    return dataclasses.replace(desc, mode="phi", table=table)
+    values = rng.uniform(-spread, spread, len(desc.values))
+    return dataclasses.replace(desc, mode="phi", values=values)
 
 
 @pytest.fixture(scope="session")

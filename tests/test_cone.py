@@ -56,6 +56,19 @@ class TestHilbertDistance:
     def test_log4(self):
         assert hilbert_distance((1, 2), (2, 1)) == pytest.approx(math.log(4))
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_ratios_beyond_float_range(self):
+        # y_0 / x_0 = 1e600 overflows a float; the log ratios do not
+        x, y = [1e-300, 1], [1e300, 1]
+        expected = 600 * math.log(10)
+        assert hilbert_distance(x, y) == pytest.approx(expected, rel=1e-12)
+        assert hilbert_distance(y, x) == pytest.approx(expected, rel=1e-12)
+        assert hilbert_distance([5e-324, 1], [1, 5e-324]) < math.inf
+        # entries of one point spanning more than the float range
+        assert hilbert_distance([1e-200, 1e200], [1e-200, 1e200]) == 0.0
+        assert hilbert_distance([1e-200, 1e200], [2e-200, 1e200]) == pytest.approx(math.log(2))
+        assert hilbert_alpha_beta(x, y) == (1.0, math.inf)  # the quotient overflows, quietly
+
     def test_proportional_is_zero(self):
         assert hilbert_distance((3, 6), (1, 2)) == 0.0
 

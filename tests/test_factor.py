@@ -116,8 +116,8 @@ def grouped_per_block(tm, symbol_map):
 
 def rational(desc):
     """The description with its float weights rounded to quarters, exact."""
-    table = tuple((w, Fraction(max(1, round(4 * v)), 4)) for w, v in desc.table)
-    return dataclasses.replace(desc, table=table)
+    values = tuple(Fraction(max(1, round(4 * v)), 4) for v in desc.values.tolist())
+    return dataclasses.replace(desc, values=values)
 
 
 GROUPING_SYSTEMS = {

@@ -47,6 +47,12 @@ def make_sft(adj):
     return build_sft(Alphabet(tuple(str(i) for i in range(len(adj)))), adj)
 
 
+def as_dict(words, values):
+    """A table held as arrays, as a dict: word tuple -> value."""
+    listed = values if isinstance(values, tuple) else values.tolist()
+    return dict(zip(map(tuple, words.tolist()), listed))
+
+
 def constant_potential(sft, depth=1):
     table = {w: Fraction(1) for w in enumerate_words(sft, depth + 1)}
     return build_potential(sft, depth, "weight", table)
@@ -60,14 +66,14 @@ def ex2_sft():
 class TestBuildPotential:
     def test_constant_weights(self, ex2_sft):
         pot = constant_potential(ex2_sft)
-        assert all(v == 0.0 for v in pot.phi.values())
+        assert (pot.phi == 0.0).all()
         assert pot.exact_weights is not None
 
     def test_depth0_iid(self):
         sft = make_sft([[1, 1], [1, 1]])
         pot = build_potential(sft, 0, "phi",
                               {(0,): math.log(0.3), (1,): math.log(0.7)})
-        assert pot.weights[(0,)] == pytest.approx(0.3)
+        assert as_dict(pot.words, pot.weights)[(0,)] == pytest.approx(0.3)
 
     def test_missing_entry(self, ex2_sft):
         table = {w: 1 for w in enumerate_words(ex2_sft, 2)}
@@ -86,7 +92,7 @@ class TestBuildPotential:
         table[(1, 0)] = Fraction(5)
         with pytest.warns(UserWarning, match="inadmissible"):
             pot = build_potential(ex2_sft, 1, "weight", table)
-        assert (1, 0) not in pot.weights
+        assert (1, 0) not in as_dict(pot.words, pot.weights)
 
     def test_float_weights_disable_exact(self, ex2_sft):
         table = {w: 1.5 for w in enumerate_words(ex2_sft, 2)}
@@ -121,7 +127,7 @@ class TestOneValueRule:
             build_potential(sft, 1, "weight", table)
         assert time.perf_counter() - start < 0.5
 
-    @pytest.mark.parametrize("key", [5, None, 1.5])
+    @pytest.mark.parametrize("key", [5, None, 1.5, "01", (0, "1")])
     def test_key_that_is_not_a_word(self, key):
         sft = make_sft([[1, 1], [1, 1]])
         with pytest.raises(ValidationError, match=rf"key {re.escape(repr(key))} is not a word"):
@@ -134,8 +140,9 @@ class TestOneValueRule:
                  for order in (entries, entries[::-1])]
         for pot in built:
             assert pot.exact_weights is None
-            assert pot.weights == {(0, 0): 0.25, (0, 1): 0.5, (1, 0): 3.0, (1, 1): 0.75}
-        assert built[0].phi == built[1].phi
+            assert as_dict(pot.words, pot.weights) == {
+                (0, 0): 0.25, (0, 1): 0.5, (1, 0): 3.0, (1, 1): 0.75}
+        assert built[0].phi.tobytes() == built[1].phi.tobytes()
 
     @pytest.mark.parametrize("depth, mode, field", [
         (True, "weight", "potential.depth"),
@@ -184,12 +191,13 @@ def test_file_and_table_share_one_value_rule(mode, value):
     pot = outcome(lambda: build_potential(make_sft(EX2_ADJ), 1, mode, words))
     assert (desc is None) == (pot is None)
     if desc is not None:
-        stored = dict(desc.table)[(0, 0)]
-        built = pot.phi if mode == "phi" else pot.exact_weights or pot.weights
+        stored = as_dict(desc.words, desc.values)[(0, 0)]
+        built = as_dict(pot.words, pot.phi if mode == "phi" else pot.exact_weights or pot.weights)
         assert type(built[(0, 0)]) is type(stored) and built[(0, 0)] == stored
         from_file = build_system(desc)[1]
-        assert (from_file.phi, from_file.weights, from_file.exact_weights) == (
-            pot.phi, pot.weights, pot.exact_weights)
+        assert from_file.phi.tobytes() == pot.phi.tobytes()
+        assert from_file.weights.tobytes() == pot.weights.tobytes()
+        assert from_file.exact_weights == pot.exact_weights
 
 
 class TestVariations:
@@ -318,15 +326,17 @@ def per_entry_transfer(tm):
     that the one-assignment fill replaced, kept as the reference."""
     rec, potential = tm.recoding, tm.potential
     d, window = rec.size, potential.depth + 1
+    weights = as_dict(potential.words, potential.weights)
+    exact_weights = (None if potential.exact_weights is None
+                     else as_dict(potential.words, potential.exact_weights))
     w = np.zeros((d, d))
-    exact = None if potential.exact_weights is None else np.full((d, d), Fraction(0),
-                                                                  dtype=object)
+    exact = None if exact_weights is None else np.full((d, d), Fraction(0), dtype=object)
     for i, u in enumerate(rec.block_words):
         for j in np.flatnonzero(rec.block_sft.adjacency[i]):
             key = (u + (rec.block_words[j][-1],))[:window]
-            w[i, j] = potential.weights[key]
+            w[i, j] = weights[key]
             if exact is not None:
-                exact[i, j] = potential.exact_weights[key]
+                exact[i, j] = exact_weights[key]
     ints = den = None
     if exact is not None:
         den = math.lcm(*(v.denominator for v in exact.flat))
@@ -338,9 +348,13 @@ def per_entry_transfer(tm):
 
 def assert_same_as_per_entry(desc):
     sft, pot = build_system(desc)
-    phi, weights, exact = per_entry_potential(sft, desc.depth, desc.mode, dict(desc.table))
-    assert (pot.phi, pot.weights, pot.exact_weights) == (phi, weights, exact)
-    assert list(pot.phi) == enumerate_words(sft, desc.depth + 1)  # the one word order
+    table = as_dict(desc.words, desc.values)
+    phi, weights, exact = per_entry_potential(sft, desc.depth, desc.mode, table)
+    assert as_dict(pot.words, pot.phi) == phi and list(phi) == list(as_dict(pot.words, pot.phi))
+    assert pot.phi.tobytes() == np.array(list(phi.values())).tobytes()
+    assert pot.weights.tobytes() == np.array(list(weights.values())).tobytes()
+    assert (None if exact is None else tuple(exact.values())) == pot.exact_weights
+    assert list(map(tuple, pot.words.tolist())) == enumerate_words(sft, desc.depth + 1)
     tm = transfer_matrix(sft, pot)
     w, logw, ints, den = per_entry_transfer(tm)
     for got, want in ((tm.weights, w), (tm.log_weights, logw)):
@@ -354,8 +368,9 @@ def assert_same_as_per_entry(desc):
         assert (tm.int_weights == ints).all()
         assert all(type(v) is int for v in tm.int_weights.flat)
     # a Python table in another order is lined up with the same word order
-    shuffled = build_potential(sft, desc.depth, desc.mode, dict(reversed(desc.table)))
-    assert list(shuffled.phi) == list(pot.phi)
+    shuffled = build_potential(sft, desc.depth, desc.mode, dict(reversed(table.items())))
+    assert shuffled.words.tobytes() == pot.words.tobytes()
+    assert shuffled.phi.tobytes() == pot.phi.tobytes()
     again = transfer_matrix(sft, shuffled)
     assert again.weights.tobytes() == tm.weights.tobytes()
     assert ints is None or (again.int_weights == ints).all()
@@ -372,6 +387,38 @@ FILL_FIXTURES = {
 }
 
 
+def pairwise_variations(potential):
+    """var_n by brute force: the largest |phi(u) - phi(v)| over every pair of
+    admissible (k+1)-words that agree in their first n symbols."""
+    words = enumerate_words(potential.sft, potential.depth + 1)
+    phi = as_dict(potential.words, potential.phi)
+    return [max(abs(phi[u] - phi[v]) for u in words for v in words if u[:n] == v[:n])
+            for n in range(1, potential.depth + 1)]
+
+
+VARIATION_SYSTEMS = {**FILL_FIXTURES, **{
+    f"random_{seed}": fixtures.random_mixing_system(seed, 2 + seed % 3, seed % 4, 2)
+    for seed in range(20)}}
+
+
+class TestVariationRuns:
+    """variations() reads max - min over the runs of the word matrix; the
+    pairwise maximum gives the same floats, bit for bit."""
+
+    @pytest.mark.parametrize("name", list(VARIATION_SYSTEMS))
+    def test_matches_pairwise_reference(self, name):
+        desc = VARIATION_SYSTEMS[name]
+        variants = [desc]
+        if desc.mode == "weight":  # and a phi table of other values
+            values = np.array([math.log(float(v)) * 1.7 - 0.2 for v in desc.values])
+            variants.append(dataclasses.replace(desc, mode="phi", values=values))
+        for desc in variants:
+            pot = build_system(desc)[1]
+            got, want = variations(pot), pairwise_variations(pot)
+            assert len(got) == desc.depth
+            assert [v.hex() for v in got] == [v.hex() for v in want]
+
+
 class TestOneWordOrder:
     """The potential's mappings, W, log W, M and D built in the shared word
     order equal, bit for bit, their per-entry constructions."""
@@ -386,11 +433,11 @@ class TestOneWordOrder:
     def test_random_mixing_systems(self, seed, n, depth, kind):
         desc = fixtures.random_mixing_system(seed, n, depth, 2)
         if kind == "rational weights":
-            table = tuple((w, Fraction(round(16 * v), 16)) for w, v in desc.table)
-            desc = dataclasses.replace(desc, table=table)
+            values = tuple(Fraction(round(16 * v), 16) for v in desc.values.tolist())
+            desc = dataclasses.replace(desc, values=values)
         elif kind == "phi":
-            table = tuple((w, math.log(v) - 0.3) for w, v in desc.table)
-            desc = dataclasses.replace(desc, mode="phi", table=table)
+            values = np.array([math.log(v) - 0.3 for v in desc.values.tolist()])
+            desc = dataclasses.replace(desc, mode="phi", values=values)
         assert_same_as_per_entry(desc)
 
 
@@ -398,9 +445,18 @@ def ex2_table():
     return dict.fromkeys(enumerate_words(make_sft(EX2_ADJ), 2), Fraction(1))
 
 
+def with_table(desc, table):
+    """The description with its table replaced by a dict of words of its
+    length, word tuple -> value."""
+    words = sorted(table)
+    return dataclasses.replace(desc, words=np.array(words).reshape(len(words), desc.depth + 1),
+                               values=tuple(table[w] for w in words))
+
+
 def without(*words):
     desc = fixtures.example2()
-    return dataclasses.replace(desc, table=tuple(p for p in desc.table if p[0] not in words))
+    table = as_dict(desc.words, desc.values)
+    return with_table(desc, {w: v for w, v in table.items() if w not in words})
 
 
 def with_entries(table, entries):
@@ -429,9 +485,9 @@ TABLE_PATH_MESSAGES = {
         None, ["ignoring entry for inadmissible word (3, 0)",
                "ignoring entry for inadmissible word (1, 0)"]),
     "inadmissible entries in a description": (
-        lambda: build_system(dataclasses.replace(
-            fixtures.example2(), table=tuple(sorted(
-                fixtures.example2().table + (((1, 0), Fraction(5)), ((3, 0), Fraction(2))))))),
+        lambda: build_system(with_table(fixtures.example2(), {
+            **as_dict(fixtures.example2().words, fixtures.example2().values),
+            (1, 0): Fraction(5), (3, 0): Fraction(2)})),
         None, ["ignoring entry for inadmissible word (1, 0)",
                "ignoring entry for inadmissible word (3, 0)"]),
     "key that is not a word": (
@@ -709,8 +765,8 @@ class TestNodaIteration:
         # says it did not, never returns a wrong triple
         desc = fixtures.random_mixing_system(seed, 6, 2, 3)
         rng = np.random.default_rng(1000 + seed)
-        table = tuple((word, float(10.0 ** rng.uniform(-50, 50))) for word, _ in desc.table)
-        tm = transfer_matrix(*build_system(dataclasses.replace(desc, table=table)))
+        values = np.array([10.0**x for x in rng.uniform(-50, 50, len(desc.values)).tolist()])
+        tm = transfer_matrix(*build_system(dataclasses.replace(desc, values=values)))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             try:

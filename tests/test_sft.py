@@ -13,7 +13,7 @@ from gibbsfactor import (
     is_admissible,
     mixing_index,
 )
-from gibbsfactor.sft import block_word, wielandt_cap, word_matrix
+from gibbsfactor.sft import block_word, wielandt_cap, word_codes, word_matrix
 
 EX2_ADJ = [[1, 1, 1, 0], [0, 1, 1, 1], [1, 1, 1, 0], [0, 1, 1, 1]]
 
@@ -367,3 +367,17 @@ def test_block_names_join_with_commas_only_around_long_names():
     rec = higher_block_recode(make([[1, 1, 1]] * 3, names=("a", "bc", "d")), 2)
     assert rec.block_sft.alphabet.symbols == (
         "aa", "a,bc", "ad", "bc,a", "bc,bc", "bc,d", "da", "d,bc", "dd")
+
+
+@pytest.mark.parametrize("q, n", [(4, 3), (16, 15), (3, 45), (2, 70), (1, 200)])
+def test_word_codes_follow_lexicographic_order(q, n):
+    # numerals while q^n fits in int64, dense ranks past it (3^45, 2^70)
+    rng = np.random.default_rng(q * n)
+    words = rng.integers(0, q, size=(300, n))
+    words[150:] = words[rng.integers(0, 150, size=150)]  # repeated rows
+    codes = word_codes(words, q)
+    assert codes.dtype == np.int64
+    rows = list(map(tuple, words.tolist()))
+    for i, j in zip(range(300), rng.permutation(300)):
+        assert (codes[i] < codes[j]) == (rows[i] < rows[j])
+        assert (codes[i] == codes[j]) == (rows[i] == rows[j])
