@@ -74,7 +74,6 @@ vectors on :class:`PerronData`.
 
 from __future__ import annotations
 
-import bisect
 import math
 import warnings
 from dataclasses import dataclass
@@ -95,10 +94,10 @@ from .sft import (
     Recoding,
     Sft,
     block_word,
+    find_rows,
     higher_block_recode,
     is_admissible,
     mixing_index,
-    word_codes,
     word_matrix,
 )
 
@@ -275,28 +274,32 @@ def canonical_potential(sft: Sft, depth: int, mode: str, words: np.ndarray,
                         values: np.ndarray | tuple, strays: tuple = ()) -> Potential:
     """The potential of a table whose values are canonical already (as
     :func:`table_values` gives them): `words` an (m, depth + 1) int matrix
-    of distinct words over the alphabet, `values` theirs in row order, and
-    `strays` the (word, value) entries of words of any other length.
+    of words, `values` theirs in row order, and `strays` the (word, value)
+    entries of words of any other length.  An admissible word given twice
+    is refused; a float value array is copied, so the potential's arrays
+    are its own.
 
-    The table must cover every admissible (depth+1)-word; the other entries
-    are ignored with a warning each: rows in their order, each stray put in
-    by word order (all in word order when the rows are sorted).  A table
-    whose rows are the admissible words in lexicographic order, as files
-    give them, is taken as it is.  Exact arithmetic is available when every
-    weight is exact (weight mode with no float entries).
+    The table must cover every admissible (depth+1)-word; the other entries,
+    rows with a symbol outside the alphabet among them, are ignored with a
+    warning each: in row order, or all in word order when there are strays.
+    A table whose rows are the admissible words in lexicographic order, as
+    files give them, is taken as it is.  Exact arithmetic is available when
+    every weight is exact (weight mode with no float entries).
     """
     admissible = word_matrix(sft, depth + 1)
     if strays or not np.array_equal(words, admissible):
-        both = word_codes(np.concatenate([admissible, words]), sft.size)
-        codes, given = both[:len(admissible)], both[len(admissible):]
-        at = np.searchsorted(codes, given).clip(max=len(codes) - 1)
-        found = codes[at] == given
+        at = find_rows(admissible, words, sft.size)
+        found = at >= 0
+        repeated = np.flatnonzero(np.bincount(at[found], minlength=len(admissible)) > 1)
+        if repeated.size:
+            word = tuple(admissible[repeated[0]].tolist())
+            raise ValidationError(f"repeated table entry for word {word}")
         ignored = list(map(tuple, words[~found].tolist()))
-        for w, _ in strays:
-            bisect.insort(ignored, w)
+        if strays:
+            ignored = sorted([*ignored, *(w for w, _ in strays)])
         for w in ignored:
             warnings.warn(f"ignoring entry for inadmissible word {w}", stacklevel=3)
-        source = np.full(len(codes), -1)
+        source = np.full(len(admissible), -1)
         source[at[found]] = np.flatnonzero(found)
         missing = np.flatnonzero(source < 0)
         if missing.size:
@@ -308,6 +311,9 @@ def canonical_potential(sft: Sft, depth: int, mode: str, words: np.ndarray,
         if all(isinstance(v, Fraction) for v in values):
             exact = values
         values = _mapped(float, values)
+    else:
+        values = np.array(values, dtype=float)
+        values.setflags(write=False)
     admissible.setflags(write=False)
     return Potential(sft=sft, depth=depth, mode=mode, words=admissible, values=values,
                      exact_weights=exact)
@@ -358,11 +364,23 @@ def birkhoff_sum(potential: Potential, word) -> float:
         raise ValidationError(f"word of length {len(w)} too short for depth {k}")
     if not is_admissible(potential.sft, w):
         raise ValidationError("word is not admissible")
-    windows = np.lib.stride_tricks.sliding_window_view(np.array(w, dtype=np.intp), k + 1)
-    m = len(potential.words)
-    codes = word_codes(np.concatenate([potential.words, windows]), potential.sft.size)
-    rows = np.searchsorted(codes[:m], codes[m:])
-    return sum(potential.phi[rows].tolist())
+    return float(birkhoff_sums(potential, np.array([w], dtype=np.intp))[0])
+
+
+def birkhoff_sums(potential: Potential, words: np.ndarray) -> np.ndarray:
+    """:func:`birkhoff_sum` of every row of an (N, n) matrix of admissible
+    words, n > depth, unchecked: the rows of all their windows are found in
+    the table at once (:func:`~gibbsfactor.sft.find_rows`), and the sums are
+    taken window by window, left to right, as a Python sum would."""
+    k1 = potential.depth + 1
+    windows = np.lib.stride_tricks.sliding_window_view(words, k1, axis=1)
+    rows = find_rows(potential.words, windows.reshape(-1, k1), potential.sft.size)
+    rows = rows.reshape(windows.shape[:2])
+    terms = potential.phi[rows]
+    total = terms[:, 0].copy()
+    for column in terms.T[1:]:
+        total += column
+    return total
 
 
 @dataclass(frozen=True, eq=False)
@@ -849,10 +867,9 @@ def gibbs_ratio_bounds(pd: PerronData, potential: Potential, max_len: int,
     log_lam = pd.log_lam
     for n in range(k + 1, max_len + 1):
         words, logs = level_log_measures(pd, n, max_words)
-        for w, logmu in zip(words.tolist(), logs.tolist()):
-            ratio = math.exp(logmu + (n - 1) * log_lam - birkhoff_sum(potential, w))
-            lo = min(lo, ratio)
-            hi = max(hi, ratio)
+        exponents = logs + (n - 1) * log_lam - birkhoff_sums(potential, words)
+        ratios = list(map(math.exp, exponents.tolist()))
+        lo, hi = min([lo, *ratios]), max([hi, *ratios])
     return lo, hi
 
 

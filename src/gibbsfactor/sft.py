@@ -151,20 +151,19 @@ def word_matrix(sft: Sft, n: int, max_words: int = DEFAULT_MAX_WORDS) -> np.ndar
     return level
 
 
-def word_codes(words: np.ndarray, q: int) -> np.ndarray:
-    """One int64 per row of an (m, n) matrix of words over q symbols,
-    increasing with the rows' lexicographic order and equal for equal rows,
-    so sorting and searching words is sorting and searching codes.  The
-    codes are base-q numerals when q^n fits in int64, else the rows' dense
-    ranks; either way they compare only with codes of the same call, so
-    words to be matched are coded as one matrix."""
-    m, n = words.shape
-    if q == 1 or (n < 64 and q**n <= np.iinfo(np.int64).max):
-        return words.astype(np.int64) @ q ** np.arange(n - 1, -1, -1, dtype=np.int64)
-    order = np.lexsort(words.T[::-1])
-    ranks = np.empty(m, dtype=np.int64)
-    ranks[order] = np.cumsum(np.r_[False, (words[order][1:] != words[order][:-1]).any(axis=1)])
-    return ranks
+def find_rows(table: np.ndarray, words: np.ndarray, q: int) -> np.ndarray:
+    """The row of `table`, a lexicographically sorted matrix of distinct
+    words over q symbols, equal to each row of `words`, or -1 where none is.
+    One searchsorted per column, within the run of table rows that share
+    the word's prefix so far: the key run * q + symbol increases down the
+    table.  Any symbol values may be looked up."""
+    at = np.zeros(len(words), dtype=np.intp)
+    run = np.zeros(len(table), dtype=np.int64)  # each row's run of equal prefixes
+    for j in range(table.shape[1]):
+        keys = run * q + table[:, j]
+        at = np.searchsorted(keys, run[at] * q + words[:, j]).clip(max=len(table) - 1)
+        run = np.cumsum(np.r_[0, keys[1:] != keys[:-1]])
+    return np.where((table[at] == words).all(axis=1), at, -1)
 
 
 def enumerate_words(sft: Sft, n: int, max_words: int = DEFAULT_MAX_WORDS) -> list[Word]:

@@ -20,8 +20,8 @@ and every table value go through the one rule that
 (:func:`~gibbsfactor.potential.check_header`, :func:`~gibbsfactor.potential.table_values`).
 
 The table is read in one pass, not key by key: every key is split once and
-its names are looked up in one sweep, repeated words are found by sorting
-integer word codes (:func:`~gibbsfactor.sft.word_codes`), and plain float
+its names are looked up in one sweep, repeated words are found as equal
+neighbours in one lexicographic sort of the word matrix, and plain float
 values are checked as one array.  The first bad entry in document order is
 the error, as a key-by-key loop would find it.  The description keeps the
 table as arrays in the lexicographic word order that the potential and the
@@ -53,7 +53,7 @@ from .potential import (
     transfer_matrix,
     value_list,
 )
-from .sft import Alphabet, Sft, Word, build_sft, word_codes
+from .sft import Alphabet, Sft, Word, build_sft
 
 SCHEMA_VERSION = 1
 
@@ -219,11 +219,11 @@ def _parse_table(raw_table: dict, alphabet: Alphabet, depth: int, mode: str):
     fits = lengths[:known] == n
     rows, others = np.flatnonzero(fits), np.flatnonzero(~fits)  # keys of n names, the rest
     words = symbols[(ends[rows] - n)[:, None] + np.arange(n)]
-    codes = word_codes(words, alphabet.size)
-    # a repeated word is a code equal to its neighbour in the stable sort, so
-    # the pair is (the earlier key, the later one)
-    order = np.argsort(codes, kind="stable")
-    repeats = np.flatnonzero(codes[order][1:] == codes[order][:-1]) + 1
+    # a repeated word is a row equal to its neighbour in the stable
+    # lexicographic sort, so the pair is (the earlier key, the later one)
+    order = np.lexsort(words.T[::-1])
+    words = words[order]
+    repeats = np.flatnonzero((words[1:] == words[:-1]).all(axis=1)) + 1
     pairs = [(rows[order[p - 1]], rows[order[p]]) for p in repeats.tolist()]
     seen = {}  # word -> its keys, for the few keys of another length
     for i in others.tolist():
@@ -236,7 +236,6 @@ def _parse_table(raw_table: dict, alphabet: Alphabet, depth: int, mode: str):
                           lambda i: f"potential.table[{keys[i]!r}]")
     if first_bad[1] is not None:
         raise ValidationError(first_bad[1])
-    words = words[order]
     words.setflags(write=False)
     listed = value_list(values)
     strays = tuple(sorted((w, listed[group[0]]) for w, group in seen.items()))

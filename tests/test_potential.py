@@ -94,6 +94,17 @@ class TestBuildPotential:
             pot = build_potential(ex2_sft, 1, "weight", table)
         assert (1, 0) not in as_dict(pot.words, pot.weights)
 
+    def test_arrays_are_its_own_and_read_only(self):
+        desc = fixtures.random_mixing_system(3, 3, 1, 2)
+        values = np.array(desc.values)  # a writable array, as a hand-built description may hold
+        pot = build_system(dataclasses.replace(desc, values=values))[1]
+        before = pot.weights.tobytes()
+        values[0] = 7.0
+        assert pot.weights.tobytes() == before
+        for table in (pot.words, pot.values, pot.phi, pot.weights):
+            with pytest.raises(ValueError, match="read-only"):
+                table[0] = table[0]
+
     def test_float_weights_disable_exact(self, ex2_sft):
         table = {w: 1.5 for w in enumerate_words(ex2_sft, 2)}
         pot = build_potential(ex2_sft, 1, "weight", table)
@@ -490,6 +501,27 @@ TABLE_PATH_MESSAGES = {
             (1, 0): Fraction(5), (3, 0): Fraction(2)})),
         None, ["ignoring entry for inadmissible word (1, 0)",
                "ignoring entry for inadmissible word (3, 0)"]),
+    "inadmissible entries and strays, in word order": (
+        lambda: build_potential(make_sft(EX2_ADJ), 1, "weight",
+                                with_entries(ex2_table(), {(3, 0): 2, (2,): 1, (1, 0): 5,
+                                                           (0, 0, 0): 1})),
+        None, ["ignoring entry for inadmissible word (0, 0, 0)",
+               "ignoring entry for inadmissible word (1, 0)",
+               "ignoring entry for inadmissible word (2,)",
+               "ignoring entry for inadmissible word (3, 0)"]),
+    # (1, 4) has the search key of (2, 0), which keeps its own value
+    "symbols outside the alphabet in a description": (
+        lambda: build_system(with_table(fixtures.example2(), {
+            **as_dict(fixtures.example2().words, fixtures.example2().values),
+            (1, 4): Fraction(5), (0, -1): Fraction(3)})),
+        None, ["ignoring entry for inadmissible word (0, -1)",
+               "ignoring entry for inadmissible word (1, 4)"]),
+    "repeated word in a description": (
+        lambda: build_system(dataclasses.replace(
+            fixtures.example2(),
+            words=np.concatenate([fixtures.example2().words, [[2, 0]]]),
+            values=(*fixtures.example2().values, Fraction(5)))),
+        "repeated table entry for word (2, 0)", []),
     "key that is not a word": (
         lambda: build_potential(make_sft(EX2_ADJ), 1, "weight",
                                 with_entries(ex2_table(), {5: 1})),
@@ -1007,6 +1039,36 @@ class TestGibbsRatioBounds:
         b3 = gibbs_ratio_bounds(golden_float.pd, pot, 3)
         b5 = gibbs_ratio_bounds(golden_float.pd, pot, 5)
         assert b3 == pytest.approx(b5, abs=1e-12)
+
+
+def per_word_ratio_bounds(pd, potential, max_len):
+    """gibbs_ratio_bounds word by word, each Birkhoff sum a Python sum of
+    phi over the word's windows."""
+    phi, k1 = as_dict(potential.words, potential.phi), potential.depth + 1
+    lo, hi = math.inf, -math.inf
+    for n in range(pd.tm.recoding.block_length + 1, max_len + 1):
+        words, logs = level_log_measures(pd, n)
+        for w, logmu in zip(words.tolist(), logs.tolist()):
+            total = sum(phi[tuple(w[i:i + k1])] for i in range(n - k1 + 1))
+            ratio = math.exp(logmu + (n - 1) * pd.log_lam - total)
+            lo, hi = min(lo, ratio), max(hi, ratio)
+    return lo, hi
+
+
+class TestWholeLevelSums:
+    """gibbs_ratio_bounds sums phi for a whole word length at once; the
+    bounds and every Birkhoff sum equal the word-by-word ones, bit for bit."""
+
+    @pytest.mark.parametrize("name", list(VARIATION_SYSTEMS))
+    def test_matches_per_word_reference(self, name):
+        p = build_pipeline(VARIATION_SYSTEMS[name])
+        pot, k = p.potential, p.tm.recoding.block_length
+        got = gibbs_ratio_bounds(p.pd, pot, k + 2)
+        assert [b.hex() for b in got] == [b.hex() for b in per_word_ratio_bounds(p.pd, pot, k + 2)]
+        phi, k1 = as_dict(pot.words, pot.phi), pot.depth + 1
+        for w in enumerate_words(pot.sft, k + 3)[::7]:
+            want = sum(phi[w[i:i + k1]] for i in range(len(w) - k1 + 1))
+            assert birkhoff_sum(pot, w).hex() == float(want).hex()
 
 
 class TestLn1SupNorm:

@@ -13,7 +13,7 @@ from gibbsfactor import (
     is_admissible,
     mixing_index,
 )
-from gibbsfactor.sft import block_word, wielandt_cap, word_codes, word_matrix
+from gibbsfactor.sft import block_word, find_rows, wielandt_cap, word_matrix
 
 EX2_ADJ = [[1, 1, 1, 0], [0, 1, 1, 1], [1, 1, 1, 0], [0, 1, 1, 1]]
 
@@ -370,14 +370,16 @@ def test_block_names_join_with_commas_only_around_long_names():
 
 
 @pytest.mark.parametrize("q, n", [(4, 3), (16, 15), (3, 45), (2, 70), (1, 200)])
-def test_word_codes_follow_lexicographic_order(q, n):
-    # numerals while q^n fits in int64, dense ranks past it (3^45, 2^70)
+def test_find_rows_matches_a_dict(q, n):
+    # long words too, whose base-q numerals would overflow int64 (3^45, 2^70)
     rng = np.random.default_rng(q * n)
-    words = rng.integers(0, q, size=(300, n))
-    words[150:] = words[rng.integers(0, 150, size=150)]  # repeated rows
-    codes = word_codes(words, q)
-    assert codes.dtype == np.int64
-    rows = list(map(tuple, words.tolist()))
-    for i, j in zip(range(300), rng.permutation(300)):
-        assert (codes[i] < codes[j]) == (rows[i] < rows[j])
-        assert (codes[i] == codes[j]) == (rows[i] == rows[j])
+    table = np.array(sorted(set(map(tuple, rng.integers(0, q, size=(200, n)).tolist()))))
+    words = np.concatenate([
+        table[rng.integers(0, len(table), size=100)],  # present, some more than once
+        rng.integers(0, q, size=(100, n)),             # mostly absent
+        rng.integers(-1, q + 2, size=(100, n)),        # symbols outside [0, q) too
+    ])
+    words[-1, -1], words[-2, 0] = q, -1
+    row_of = {w: i for i, w in enumerate(map(tuple, table.tolist()))}
+    want = [row_of.get(w, -1) for w in map(tuple, words.tolist())]
+    assert find_rows(table, words, q).tolist() == want

@@ -247,9 +247,9 @@ def test_each_value_kind_as_the_per_key_loop(mode, value):
         assert typed(entries(desc)) == typed(reference)
 
 
-def test_long_words_past_int64_codes():
+def test_long_words():
     # ten symbols on a cycle with one self-loop: few words of length 20, whose
-    # base-10 numerals (up to 10^20) do not fit in int64
+    # base-10 numerals (up to 10^20) would not fit in int64
     names = [str(i) for i in range(10)]
     adjacency = [[int(j == (i + 1) % 10 or i == j == 0) for j in range(10)] for i in range(10)]
     words = enumerate_words(build_sft(Alphabet(tuple(names)), adjacency), 20)
