@@ -26,19 +26,21 @@ follow from the eigen-equations.
 
 Float Perron data come from one loop of two kinds of step, run until the
 Collatz-Wielandt bracket [min, max] of (W x)/x of the Perron root is within
-the tolerance.  Power steps x <- W x, one matrix-vector product each, come
-first: W contracts the Hilbert metric (Birkhoff), so they shrink the bracket
-geometrically while the spectral gap is wide.  Each step estimates from the
-last two brackets how many power steps are still needed; while that is at
-most d/3 products, about the cost of one LU factorisation of the d x d
-matrix, power steps finish the run.  Otherwise, once the bracket is below
-the square root of the tolerance or stops shrinking fast, Noda's inverse
-iteration takes over: each step shifts by the upper bound max (W x)/x and
-solves one linear system.  It converges quadratically near the Perron
-vector, so one or two solves usually finish a run, and a tiny spectral gap
-costs a few solves rather than the 1/gap steps of power iteration.  Exact
-Perron data certify an integer eigenvalue of the denominator-cleared weights
-by fraction-free elimination (:func:`perron_exact`).
+the tolerance.  Power steps x <- W x, one product on the edge list of W
+(the recoding's transitions) each, come first: W contracts the Hilbert
+metric (Birkhoff), so they shrink the bracket geometrically while the
+spectral gap is wide.  Each step estimates from the last two brackets how
+many power steps are still needed; while that is at most d/3 products,
+about the cost of one LU factorisation of the d x d matrix in dense
+products (so conservative for edge-list ones), power steps finish the run.
+Otherwise, once the bracket is below the square root of the tolerance or
+stops shrinking fast, Noda's inverse iteration takes over: each step shifts
+by the upper bound max (W x)/x and solves one linear system.  It converges
+quadratically near the Perron vector, so one or two solves usually finish a
+run, and a tiny spectral gap costs a few solves rather than the 1/gap steps
+of power iteration.  Exact Perron data certify an integer eigenvalue of the
+denominator-cleared weights by fraction-free elimination and an exact check
+of both eigen-equations (:func:`perron_exact`).
 
 Float-mode measures are computed in log space (long words underflow raw
 products).  Exact mode is available when the potential was given as a table
@@ -400,13 +402,22 @@ class TransferMatrix:
         return self.weights.shape[0]
 
     @cached_property
+    def edge_weights(self) -> np.ndarray:
+        """The allowed entries of W in the recoding's transition order, the
+        row-major order of W, as a read-only array."""
+        rec = self.recoding
+        values = self.weights[rec.sources, rec.targets]
+        values.setflags(write=False)
+        return values
+
+    @cached_property
     def log_weights(self) -> np.ndarray:
         """log W as a read-only (d, d) array, -inf where a transition is
         forbidden: the log of the allowed entries only, taken when first read
         (by the float measures)."""
         rec = self.recoding
         logw = np.full(self.weights.shape, -np.inf)
-        logw[rec.sources, rec.targets] = np.log(self.weights[rec.sources, rec.targets])
+        logw[rec.sources, rec.targets] = np.log(self.edge_weights)
         logw.setflags(write=False)
         return logw
 
@@ -507,38 +518,53 @@ class PerronData:
         return logs
 
 
-def _noda(w: np.ndarray, tol: float, max_iter: int,
+def _edge_products(tm: TransferMatrix) -> tuple:
+    """(x -> W x, x -> W^T x) on the edge list of W, the recoding's
+    transitions with :attr:`TransferMatrix.edge_weights`: each is one
+    ``np.bincount`` of the edge terms by source (target) block, O(edges),
+    summing a row's terms in edge order."""
+    values, rec, d = tm.edge_weights, tm.recoding, tm.dimension
+    return (lambda x: np.bincount(rec.sources, values * x[rec.targets], d),
+            lambda x: np.bincount(rec.targets, values * x[rec.sources], d))
+
+
+def _noda(w: np.ndarray, product, tol: float, max_iter: int,
           cap: float = np.inf) -> tuple[np.ndarray, int, float]:
     """Right Perron vector of a nonnegative primitive matrix from the
     all-ones vector, by power steps while they are the cheaper way to the
     tolerance and Noda's inverse iteration otherwise; returns (x, steps,
     sigma) with x normalised to max 1 and sigma the last upper bound.
+    `product` takes x to W x (one of :func:`_edge_products`, O(edges));
+    the dense `w` is read only by the Noda solves.
 
     Each step takes the Collatz-Wielandt bounds min and max of (W x)/x,
     which bracket the Perron root, and the run stops once the bracket is
     within tol * sigma, sigma the upper bound.  A power step sets
-    x <- W x / max(W x), one matrix-vector product: W contracts the Hilbert
-    metric (Birkhoff), so the bracket shrinks about |lambda_2| / lambda per
-    step.  The power steps still needed are estimated from the contraction
-    of the bracket over the last two steps (two, so the wobble of a complex
-    lambda_2 is ridden out).  Power steps are taken while that estimate is
-    at most d/3, the products that cost about as much as one LU
-    factorisation, and fits in the steps `max_iter` leaves; or else while
-    the bracket is above sqrt(tol) * sigma and shrank at least fourfold over
-    the last two steps.  A power step is also refused when the new iterate
-    is not positive.  Every later step is Noda's: it shifts by the smaller
-    of sigma and `cap` (an upper bound on the same root) raised one ulp (so
-    sigma I - W is nonsingular with a positive inverse), and sets
-    x <- |(sigma I - W)^-1 x|.  The solve runs on the diagonal similarity
-    B = D^-1 W D, D = diag(x), as x * (I - B / sigma)^-1 1: B has row sums
-    (W x)/x and a Perron vector near all-ones, so small entries of x keep
-    their relative accuracy, and dividing by sigma keeps the solution finite
-    however small or large the weights.  Noda converges quadratically, so
-    from the sqrt(tol) handover one solve usually finishes the run.  A
-    solve that is singular at the cap (which then equals the root to
-    working precision) is repeated in the next step with the cap dropped.
-    Any other singular or non-finite solve, or a normalised iterate with an
-    entry that underflowed to zero, raises ConvergenceError.
+    x <- W x / max(W x), the product already taken for the bounds: W
+    contracts the Hilbert metric (Birkhoff), so the bracket shrinks about
+    |lambda_2| / lambda per step.  The power steps still needed are
+    estimated from the contraction of the bracket over the last two steps
+    (two, so the wobble of a complex lambda_2 is ridden out).  Power steps
+    are taken while that estimate is at most d/3 and fits in the steps
+    `max_iter` leaves; or else while the bracket is above sqrt(tol) * sigma
+    and shrank at least fourfold over the last two steps.  d/3 dense
+    products cost about one LU factorisation; an edge-list product costs
+    far less on a sparse W, so the rule is conservative, and it is kept so
+    that step and solve counts stay as they were.  A power step is also
+    refused when the new iterate is not positive.  Every later step is
+    Noda's: it shifts by the smaller of sigma and `cap` (an upper bound on
+    the same root) raised one ulp (so sigma I - W is nonsingular with a
+    positive inverse), and sets x <- |(sigma I - W)^-1 x|.  The solve runs on
+    the diagonal similarity B = D^-1 W D, D = diag(x), as
+    x * (I - B / sigma)^-1 1: B has row sums (W x)/x and a Perron vector
+    near all-ones, so small entries of x keep their relative accuracy, and
+    dividing by sigma keeps the solution finite however small or large the
+    weights.  Noda converges quadratically, so from the sqrt(tol) handover
+    one solve usually finishes the run.  A solve that is singular at the cap
+    (which then equals the root to working precision) is repeated in the
+    next step with the cap dropped.  Any other singular or non-finite solve,
+    or a normalised iterate with an entry that underflowed to zero, raises
+    ConvergenceError.
     """
     d = len(w)
     x = np.ones(d)
@@ -547,7 +573,7 @@ def _noda(w: np.ndarray, tol: float, max_iter: int,
     two_back = one_back = math.inf  # the relative brackets of the last two steps
     for steps in range(max_iter + 1):
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            y = w @ x  # an overflow shows as sigma = inf
+            y = product(x)  # an overflow shows as sigma = inf
             ratios = y / x
         sigma = ratios.max()
         if not np.isfinite(sigma):
@@ -595,10 +621,13 @@ def perron(tm: TransferMatrix, tol: float = 1e-14, max_iter: int = 100) -> Perro
     Collatz-Wielandt shifts (Noda, Numer. Math. 17 (1971)), run on W for h
     and on W^T for nu (see :func:`_noda`).
 
-    Each run stops when the Collatz-Wielandt bracket of the Perron root is
-    within tol, in (0, 1), times its upper end.  Power steps run to the end
-    while the steps still needed, estimated from the bracket's recent
-    contraction, cost less than one LU of the d x d matrix (d/3 products);
+    A power step is one product with W (or W^T) on its edge list, the
+    recoding's transitions: O(edges), not O(d^2).  Each run stops when the
+    Collatz-Wielandt bracket of the Perron root is within tol, in (0, 1),
+    times its upper end.  Power steps run to the end while the steps still
+    needed, estimated from the bracket's recent contraction, are at most
+    d/3, about one LU of the d x d matrix in dense products (conservative
+    for edge-list products, and kept so that step counts do not move);
     otherwise they shrink the bracket to about sqrt(tol) while they contract
     fast, and Noda's quadratic convergence finishes the run, usually in one
     solve.  A tiny spectral gap stalls the power steps and costs a few
@@ -615,18 +644,23 @@ def perron(tm: TransferMatrix, tol: float = 1e-14, max_iter: int = 100) -> Perro
         raise ValidationError(f"max_iter must be an int >= 0, got {max_iter!r}")
     if mixing_index(tm.sft) is None:
         raise NotMixingError("shift is not topologically mixing; Perron data undefined")
+    # mixing: every block has a successor and a predecessor, so every row of
+    # W and of W^T has an edge, and the edge products keep x positive
     w = tm.weights
-    h, steps_h, bound = _noda(w, tol, max_iter)
-    nu, steps_nu, _ = _noda(w.T, tol, max_iter, cap=bound)
-    lam = float(nu @ w @ h) / float(nu @ h)
+    right, left = _edge_products(tm)
+    h, steps_h, bound = _noda(w, right, tol, max_iter)
+    nu, steps_nu, _ = _noda(w.T, left, tol, max_iter, cap=bound)
+    wh, nuw = right(h), left(nu)
+    lam = float(nuw @ h) / float(nu @ h)
     if not lam > 0:
         raise ConvergenceError("Perron root underflowed to zero: weights below float range")
+    # the residual is relative, so it is taken before normalising
+    residual = max(
+        float(np.abs(wh - lam * h).max() / lam / h.max()),
+        float(np.abs(nuw - lam * nu).max() / lam / nu.max()),
+    )
     nu = nu / nu.sum()
     h = h / float(h @ nu)
-    residual = max(
-        float(np.abs(w @ h - lam * h).max() / lam / h.max()),
-        float(np.abs(nu @ w - lam * nu).max() / lam / nu.max()),
-    )
     h.setflags(write=False)
     nu.setflags(write=False)
     return PerronData(tm=tm, lam=lam, h=h, nu=nu, residual=residual,
@@ -656,26 +690,40 @@ def _positive_kernel(a: np.ndarray) -> np.ndarray | None:
     the square integer object matrix `a` when that nullspace is a line
     through a positive vector, else None.
 
-    Fraction-free Gauss-Jordan elimination (Bareiss, Math. Comp. 22 (1968)):
-    a pivot step sets each other row to (pivot * row - row[c] * pivot row)
-    / previous pivot, an exact division, so every pivot ends equal to the
-    last one, p.  The kernel vector is then p at the free column f and
-    -a[r, f] at the pivot column of row r.
+    One forward fraction-free elimination (Bareiss, Math. Comp. 22 (1968))
+    to echelon form, on the active submatrix only: a pivot step sets each
+    entry right of the pivot column in a lower row to (pivot * entry -
+    row[c] * pivot row entry) / previous pivot, an exact division, so every
+    entry is a minor of `a` and the last pivot p is the determinant of the
+    pivot rows on the pivot columns.  With one free column f the kernel
+    vector with x[f] = p is an integer vector by Cramer's rule, so
+    back-substitution from the last echelon row up, x[c] = -(row . x right
+    of c) / row[c], divides exactly too.
     """
+    a = np.array(a, dtype=object)
     d, p = len(a), 1
-    pivots: dict = {}  # pivot column -> its row
+    pivots, free = [], []  # the pivot column of each echelon row, the free columns
     for c in range(d):
-        rows = [r for r in np.flatnonzero(a[:, c]) if r not in pivots.values()]
-        if rows:
-            row = a[rows[0]]
-            a = (row[c] * a - np.outer(a[:, c], row)) // p
-            a[rows[0]] = row
-            pivots[c], p = rows[0], row[c]
-    free = [c for c in range(d) if c not in pivots]
-    if len(free) != 1:
+        r = len(pivots)
+        nonzero = np.flatnonzero(a[r:, c])
+        if not nonzero.size:
+            free.append(c)
+            if len(free) > 1:
+                return None
+            continue
+        if nonzero[0]:
+            a[[r, r + nonzero[0]]] = a[[r + nonzero[0], r]]
+        row = a[r]
+        a[r + 1:, c + 1:] = (row[c] * a[r + 1:, c + 1:] - np.outer(a[r + 1:, c], row[c + 1:])) // p
+        pivots.append(c)
+        p = row[c]
+    if not free:
         return None
-    v = np.array([p if c == free[0] else -a[pivots[c], free[0]] for c in range(d)],
-                 dtype=object)
+    v = np.zeros(d, dtype=object)
+    v[free[0]] = p
+    for r in reversed(range(len(pivots))):
+        c = pivots[r]
+        v[c] = -(a[r, c + 1:] @ v[c + 1:]) // a[r, c]
     v = -v if v[0] < 0 else v
     return v // math.gcd(*v) if (v > 0).all() else None
 
@@ -693,10 +741,13 @@ def perron_exact(tm: TransferMatrix) -> PerronData:
     the simplest rational in bracket / D.  A candidate is certified when
     M - Lambda I and its transpose have kernels spanned by positive vectors,
     which by Perron-Frobenius only the spectral radius has, so no float
-    value is trusted.  Lambda and the primitive kernel vectors h~, nu~ are
-    kept with their pairing <nu~, h~> for the exact measures; the public
-    lambda, h and nu are the normalised Fractions.  Raises ExactModeError
-    when none certifies.
+    value is trusted.  The kernel vectors h~, nu~ found by elimination are
+    then checked on their own: M h~ = Lambda h~ and nu~^T M = Lambda nu~^T
+    exactly, d^2 integer products, so the certificate does not rest on the
+    elimination's bookkeeping.  Lambda and the primitive kernel vectors
+    are kept with their pairing <nu~, h~> for the exact measures; the
+    public lambda, h and nu are the normalised Fractions.  Raises
+    ExactModeError when none certifies or the check fails.
     """
     if tm.int_weights is None:
         raise ExactModeError(
@@ -721,6 +772,8 @@ def perron_exact(tm: TransferMatrix) -> PerronData:
             "leading eigenvalue does not certify as a rational number; "
             "exact mode is unavailable for this system"
         )
+    if not ((m @ h == big * h).all() and (nu @ m == big * nu).all()):
+        raise ExactModeError("exact Perron vectors fail the eigen-equations")
     total, pairing = sum(nu), h @ nu
     h.setflags(write=False)
     nu.setflags(write=False)

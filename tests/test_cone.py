@@ -102,6 +102,15 @@ class TestDualFormula:
         with pytest.raises(ValidationError):
             dual_formula_check((1, 0), (1, 1))
 
+    def test_ratios_beyond_float_range(self):
+        # y_0 / x_0 = 1e600 overflows as a quotient; the supremum does not divide
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rep = dual_formula_check([1e-300, 1], [1e300, 1], sample_count=200)
+        assert rep.closed_form == pytest.approx(600 * math.log(10), rel=1e-15)
+        assert rep.coordinate_sup == pytest.approx(rep.closed_form, rel=1e-15)
+        assert rep.sampled_max <= rep.closed_form
+
     def test_random_positive_pairs(self):
         rng = np.random.default_rng(17)
         for _ in range(25):

@@ -661,6 +661,14 @@ class TestMixingOnBaseShift:
             perron(tm)
 
 
+def spread_weight_system(seed):
+    """Seeded 6-symbol depth-2 transfer matrix with weights over 10^-50 .. 10^50."""
+    desc = fixtures.random_mixing_system(seed, 6, 2, 3)
+    rng = np.random.default_rng(1000 + seed)
+    values = np.array([10.0**x for x in rng.uniform(-50, 50, len(desc.values)).tolist()])
+    return transfer_matrix(*build_system(dataclasses.replace(desc, values=values)))
+
+
 def two_state(w00, w01, w10, w11):
     sft = make_sft([[1, 1], [1, 1]])
     table = {(0, 0): w00, (0, 1): w01, (1, 0): w10, (1, 1): w11}
@@ -795,10 +803,7 @@ class TestNodaIteration:
     def test_spread_weights_converge_or_raise(self, seed):
         # weights over 10^-50 .. 10^50: the run either meets the tolerance or
         # says it did not, never returns a wrong triple
-        desc = fixtures.random_mixing_system(seed, 6, 2, 3)
-        rng = np.random.default_rng(1000 + seed)
-        values = np.array([10.0**x for x in rng.uniform(-50, 50, len(desc.values)).tolist()])
-        tm = transfer_matrix(*build_system(dataclasses.replace(desc, values=values)))
+        tm = spread_weight_system(seed)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             try:
@@ -858,7 +863,7 @@ class TestNuSecondRoute:
         tol = 1e-14
         pd = perron(build_pipeline(NU_ROUTE_SYSTEMS[name]).tm, tol=tol)
         w = pd.tm.weights
-        free, _, _ = potential._noda(w.T, tol, 100)
+        free, _, _ = potential._noda(w.T, potential._edge_products(pd.tm)[1], tol, 100)
         free = free / free.sum()
         assert (np.abs(pd.nu - free) / free).max() <= 1e-11
         ratios = (pd.nu @ w) / pd.nu  # Collatz-Wielandt bracket under W^T
@@ -868,7 +873,7 @@ class TestNuSecondRoute:
         from gibbsfactor import potential
 
         tm = build_pipeline(fixtures.random_mixing_system(3, 6, 2, 3)).tm
-        steps_h = potential._noda(tm.weights, 1e-14, 100)[1]
+        steps_h = potential._noda(tm.weights, potential._edge_products(tm)[0], 1e-14, 100)[1]
         calls = []
         real = np.linalg.solve
         monkeypatch.setattr(np.linalg, "solve", lambda a, b: calls.append(1) or real(a, b))
@@ -886,8 +891,9 @@ class TestNuSecondRoute:
         tm = transfer_matrix(sft, build_potential(sft, 1, "weight", table))
         assert perron(tm).residual <= 1e-13
         w = tm.weights
-        bound = potential._noda(w, 1e-14, 100)[2]
-        free = potential._noda(w.T, 1e-14, 100)[0]
+        right, left = potential._edge_products(tm)
+        bound = potential._noda(w, right, 1e-14, 100)[2]
+        free = potential._noda(w.T, left, 1e-14, 100)[0]
         calls = []
         real = np.linalg.solve
 
@@ -898,7 +904,7 @@ class TestNuSecondRoute:
             return real(a, b)
 
         monkeypatch.setattr(np.linalg, "solve", solve)
-        nu = potential._noda(w.T, 1e-14, 100, cap=bound)[0]
+        nu = potential._noda(w.T, left, 1e-14, 100, cap=bound)[0]
         assert len(calls) >= 2
         assert np.abs(nu / nu.sum() - free / free.sum()).max() <= 1e-14
 
@@ -938,6 +944,216 @@ class TestPerronSecondRoute:
         assert abs(pd.lam - lam) <= 1e-12 * lam
         assert (np.abs(pd.h - h) / h).max() <= 1e-10
         assert (np.abs(pd.nu - nu) / nu).max() <= 1e-10
+
+
+def dense_noda(w, tol, max_iter, cap=np.inf):
+    """The reference for the power steps: potential._noda as it was with
+    dense products, reading w @ x at every step."""
+    d = len(w)
+    x = np.ones(d)
+    b = None
+    handover = math.sqrt(tol)
+    two_back = one_back = math.inf
+    for steps in range(max_iter + 1):
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            y = w @ x
+            ratios = y / x
+        sigma = ratios.max()
+        if not np.isfinite(sigma):
+            raise ConvergenceError("Noda iteration overflowed")
+        if sigma - ratios.min() <= tol * sigma:
+            return x, steps, sigma
+        if steps == max_iter:
+            break
+        bracket = (sigma - ratios.min()) / sigma
+        left = (2 * math.log(tol / bracket) / math.log(bracket / two_back)
+                if bracket < two_back < math.inf else math.inf)
+        cheap = left <= min(d / 3, max_iter - steps)
+        contracting = 4 * bracket <= two_back
+        two_back, one_back = one_back, bracket
+        if b is None and (cheap or (bracket > handover and contracting)):
+            y /= y.max()
+            if (y > 0).all():
+                x = y
+                continue
+        if b is None:
+            b = np.empty((d, d))
+        with np.errstate(over="ignore"):
+            np.multiply(w, x, out=b)
+            b /= x[:, None]
+        b /= -np.nextafter(min(sigma, cap), np.inf)
+        b.reshape(-1)[:: d + 1] += 1.0
+        try:
+            z = np.linalg.solve(b, np.ones(d))
+        except np.linalg.LinAlgError:
+            if cap < sigma:
+                cap = np.inf
+                continue
+            raise ConvergenceError("Noda iteration hit a singular shifted matrix") from None
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            x = np.abs(z) * x
+            x /= x.max()
+        if not (x > 0).all():
+            raise ConvergenceError("Noda iteration lost a positive finite iterate")
+    raise ConvergenceError(f"Noda iteration did not converge in {max_iter} steps")
+
+
+def dense_perron(w, tol=1e-14, max_iter=100):
+    """(lambda, h, nu, iterations) as perron computed them with dense_noda."""
+    h, steps_h, bound = dense_noda(w, tol, max_iter)
+    nu, steps_nu, _ = dense_noda(w.T, tol, max_iter, cap=bound)
+    lam = float(nu @ w @ h) / float(nu @ h)
+    nu = nu / nu.sum()
+    return lam, h / float(h @ nu), nu, max(steps_h, steps_nu)
+
+
+# seeds 0..29, depths 0..3 and 4..12 symbols: 4 to about 500 blocks
+DENSE_ROUTE_SYSTEMS = {f"random_{seed}": (seed, (4, 6, 8, 10, 12)[seed % 5], seed % 4)
+                       for seed in range(30)}
+
+
+class TestEdgeListPowerSteps:
+    """perron's edge-list products against the dense w @ x reference: the
+    same steps and solves, and the same triple to rounding."""
+
+    def assert_same_run(self, tm, monkeypatch):
+        solves = []
+        real = np.linalg.solve
+        monkeypatch.setattr(np.linalg, "solve", lambda a, b: solves.append(1) or real(a, b))
+        try:
+            want = dense_perron(tm.weights)
+        except ConvergenceError:
+            want = None
+        dense_solves = len(solves)
+        solves.clear()
+        if want is None:
+            with pytest.raises(ConvergenceError):
+                perron(tm)
+            return
+        pd = perron(tm)
+        lam, h, nu, steps = want
+        assert (pd.iterations, len(solves)) == (steps, dense_solves)
+        assert abs(pd.lam - lam) <= 1e-14 * lam
+        assert (np.abs(pd.h - h) / h).max() <= 1e-14
+        assert (np.abs(pd.nu - nu) / nu).max() <= 1e-14
+        assert pd.residual <= 1e-12
+
+    @pytest.mark.parametrize("name", list(DENSE_ROUTE_SYSTEMS))
+    def test_random_systems(self, name, monkeypatch):
+        seed, n, depth = DENSE_ROUTE_SYSTEMS[name]
+        tm = transfer_matrix(*build_system(fixtures.random_mixing_system(seed, n, depth, 2)))
+        self.assert_same_run(tm, monkeypatch)
+
+    @pytest.mark.parametrize("seed", range(50))
+    def test_spread_weight_systems(self, seed, monkeypatch):
+        self.assert_same_run(spread_weight_system(seed), monkeypatch)
+
+
+def fraction_kernel(a):
+    """The reference for _positive_kernel: plain Fraction Gauss-Jordan
+    elimination, then the primitive integer vector of the nullspace when it
+    is a line through a positive vector, else None."""
+    d = len(a)
+    rows = [[Fraction(v) for v in row] for row in a]
+    pivots = []
+    for c in range(d):
+        r = len(pivots)
+        found = next((i for i in range(r, d) if rows[i][c]), None)
+        if found is None:
+            continue
+        rows[r], rows[found] = rows[found], rows[r]
+        rows[r] = [v / rows[r][c] for v in rows[r]]
+        for i in range(d):
+            if i != r and rows[i][c]:
+                rows[i] = [u - rows[i][c] * v for u, v in zip(rows[i], rows[r])]
+        pivots.append(c)
+    free = [c for c in range(d) if c not in pivots]
+    if len(free) != 1:
+        return None
+    v = [Fraction(0)] * d
+    v[free[0]] = Fraction(1)
+    for r, c in enumerate(pivots):
+        v[c] = -rows[r][free[0]]
+    if not all(x > 0 for x in v):
+        return None
+    scale = math.lcm(*(x.denominator for x in v))
+    ints = [int(x * scale) for x in v]
+    g = math.gcd(*ints)
+    return [x // g for x in ints]
+
+
+@st.composite
+def kernel_matrices(draw):
+    """Small integer matrices: a planted positive, mixed-sign or
+    zero-holding kernel vector (rows orthogonal to it, each with one column
+    solved for), optionally a first row with a zero lead so elimination
+    must swap rows, or a product of rank at most d - 2."""
+    d = draw(st.integers(1, 6))
+    kind = draw(st.sampled_from(["positive", "mixed", "zeros", "low_rank"]))
+    small = st.integers(-6, 6)
+    if kind == "low_rank":
+        r = draw(st.integers(0, max(d - 2, 0)))
+        x = draw(st.lists(st.lists(small, min_size=r, max_size=r), min_size=d, max_size=d))
+        y = draw(st.lists(st.lists(small, min_size=d, max_size=d), min_size=r, max_size=r))
+        return [[sum(x[i][t] * y[t][j] for t in range(r)) for j in range(d)] for i in range(d)]
+    entry = {"positive": st.integers(1, 6), "mixed": small.filter(bool),
+             "zeros": st.integers(0, 6)}[kind]
+    v = draw(st.lists(entry, min_size=d, max_size=d).filter(any))
+    swap = d > 1 and draw(st.booleans())
+    rows = []
+    for i in range(d):
+        k = draw(st.integers(0, d - 1).filter(lambda k: v[k] and not (swap and i == 0 and k == 0)))
+        c = draw(st.lists(small, min_size=d, max_size=d))
+        if swap and i == 0:
+            c[0] = 0
+        row = [v[k] * c[j] for j in range(d)]
+        row[k] = -sum(c[j] * v[j] for j in range(d) if j != k)
+        rows.append(row)
+    return rows
+
+
+class TestPositiveKernel:
+    """The forward-only fraction-free kernel against plain Fractions."""
+
+    @given(kernel_matrices())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_fraction_reference(self, a):
+        from gibbsfactor import potential
+
+        got = potential._positive_kernel(np.array(a, dtype=object))
+        assert (None if got is None else got.tolist()) == fraction_kernel(a)
+
+    @pytest.mark.parametrize("a, want", [
+        ([[0]], [1]), ([[3]], None), ([[1, -1], [2, -2]], [1, 1]),
+        ([[0, 0], [1, -2]], [2, 1]), ([[1, 1], [0, 0]], None), ([[0, 0], [0, 0]], None),
+        ([[0, 1, 0], [0, 0, 1], [0, 0, 0]], None),  # the free column comes first
+        ([[1, 0, -1], [0, 0, 0], [2, 0, -2]], None),  # rank 1 with a zero column
+    ])
+    def test_small_cases(self, a, want):
+        from gibbsfactor import potential
+
+        got = potential._positive_kernel(np.array(a, dtype=object))
+        assert (None if got is None else got.tolist()) == want == fraction_kernel(a)
+
+    @pytest.mark.parametrize("wrong", ["h", "nu"])
+    def test_certificate_refuses_a_wrong_kernel_vector(self, ex2_sft, monkeypatch, wrong):
+        from gibbsfactor import potential
+
+        calls = []
+        real = potential._positive_kernel
+
+        def kernel(a):  # a positive vector that is not in the kernel
+            calls.append(1)
+            v = real(a)
+            if (len(calls) == 1) == (wrong == "h"):
+                v = v.copy()
+                v[0] += 1
+            return v
+
+        monkeypatch.setattr(potential, "_positive_kernel", kernel)
+        tm = transfer_matrix(ex2_sft, constant_potential(ex2_sft))
+        with pytest.raises(ExactModeError, match="eigen-equations"):
+            perron_exact(tm)
 
 
 class TestCylinderMeasure:
