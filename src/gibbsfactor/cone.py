@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .factor import fiber_mask, walk_image_words
+from .factor import walk_image_words
 from .sft import DEFAULT_MAX_WORDS
 
 
@@ -95,7 +95,10 @@ def dual_formula_check(x, y, sample_count: int = 10_000, seed: int = 0) -> DualF
     On the orthant the supremum is attained at coordinate functionals, so
     the coordinate supremum must reproduce the closed form; random sampled
     duals can never exceed it.  Also asserts the zero-pairing equivalence
-    <x, phi> = 0 iff <y, phi> = 0 on every sample.
+    <x, phi> = 0 iff <y, phi> = 0 on every sample, decided from the supports
+    of x, y and phi (a float pairing can underflow to 0 on a nonzero
+    functional); a sample with a pairing that is zero, or whose float value
+    underflowed or overflowed, gives no log.
 
     The coordinate supremum is log(beta / alpha) for the largest and the
     smallest coordinate ratio y_i / x_i, found without dividing coordinates
@@ -126,14 +129,14 @@ def dual_formula_check(x, y, sample_count: int = 10_000, seed: int = 0) -> DualF
             # sparse functionals exercise the zero-pairing equivalence
             mask = rng.random(dim) < 0.5
             phi = phi * mask
-        xphi, yphi = float(xv @ phi), float(yv @ phi)
-        if (xphi == 0) != (yphi == 0):
+        # a pairing vanishes iff phi vanishes on the point's support
+        if (phi[support] > 0).any() != (phi[yv > 0] > 0).any():
             raise AssertionError("zero-pairing equivalence violated on a sample")
-        xpsi, ypsi = float(xv @ psi), float(yv @ psi)
-        if yphi == 0 or xpsi == 0:
-            continue
-        val = math.log(xphi * ypsi) - math.log(yphi * xpsi)
-        sampled = max(sampled, val)
+        pairings = (float(xv @ phi), float(yv @ psi), float(yv @ phi), float(xv @ psi))
+        if not all(0 < p < math.inf for p in pairings):
+            continue  # a zero pairing, or one that left the float range
+        xphi, ypsi, yphi, xpsi = map(math.log, pairings)
+        sampled = max(sampled, (xphi + ypsi) - (yphi + xpsi))
     return DualFormulaReport(closed_form=closed, coordinate_sup=coordinate_sup,
                              sampled_max=sampled, samples=sample_count, seed=seed)
 
@@ -236,10 +239,9 @@ def contraction_profile(fs, n: int, max_words: int = DEFAULT_MAX_WORDS) -> Contr
         raise ValidationError("span must be >= 1")
     per_word: dict = {}
     deltas = [np.zeros(0)]
-    for rows in walk_image_words(fs, fs.blocks, n, lambda b: np.eye(len(fs.fibers[b])),
-                                 max_words):
+    for rows in walk_image_words(fs, fs.sweep_layout.eye(float), n, max_words):
         # a dead column means the image cone touches the boundary: infinite
-        delta = stacked_diameters(rows.products, fiber_mask(fs, rows.blocks))
+        delta = stacked_diameters(rows.products, fs.sweep_layout.fiber_mask[rows.blocks])
         per_word.update(zip(map(tuple, rows.words.tolist()), delta.tolist()))
         deltas.append(delta)
     delta = np.concatenate(deltas)

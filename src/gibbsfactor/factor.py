@@ -37,18 +37,29 @@ Every product of blocks along image words is carried one way.  The walker
 is level-synchronous: the frontier of one word length is a stack of rows
 (the word as a row of an int matrix, its first and last image block, its
 product zero-padded on every axis to the widest fiber F, and its log scale).
+The padded layout is a :class:`SweepLayout` kept on the factor system
+(:attr:`FactorSystem.sweep_layout`), built on its first walk: one
+zero-padded block stack per arithmetic (float, exact, 0/1 support), the
+transition table ``follows`` with each transition's place in the stack,
+and a fiber index and mask through which a walk's start is one gather.
 A level grows by the step of every level-by-level word expansion here
 (:func:`~gibbsfactor.potential.domain_rows`, :func:`~gibbsfactor.sft.word_matrix`),
 ``parent, blocks = np.nonzero(follows[rows.blocks])``, then one batched
-matmul with the blocks gathered from one stack; ``np.nonzero`` is row-major
-and targets ascend, so rows stay lexicographic without sorting.  Per-word
+matmul with the blocks gathered from the stack; ``np.nonzero`` is row-major
+and targets ascend, so rows stay lexicographic without sorting.  A measure
+walk ends in a dot product: :func:`level_measures` folds h into the last
+block, so the last step of a word takes F multiply-adds, not F^2.  Per-word
 reductions run along the stack axis, not over each product's own F or F^2
 entries: :func:`reduce_products` takes the alive test and a vector product's
-largest entry in :func:`rescale_product` and the gaps in :func:`fwm_check`,
-and :func:`~gibbsfactor.cone.stacked_diameters` copies its stack into a
+largest entry in :func:`rescale_product`, :func:`fwm_check` counts each
+matrix product's positive entries, and
+:func:`~gibbsfactor.cone.stacked_diameters` copies its stack into a
 transposed layout.  Parents and blocks are gathered with ``np.take``.  Only
-exact operations are reordered (max, min, or/and and gathers); every sum
-keeps its order, so the bits do not change.  A level that would exceed
+exact operations are reordered (max, min, or/and, counts and gathers), so
+the bits of a carried product do not change; the one exception is the last
+level of a float measure walk, whose folded sums run in another order than
+a vector-matrix product followed by a dot with h, so its logs may move in
+the last bits.  A level that would exceed
 ``SWEEP_ROW_CAP`` rows is expanded in contiguous lexicographic chunks, depth
 first, so a sweep holds at most one capped chunk per word length, however
 large its budget (which counts visited nodes).  The walker
@@ -75,7 +86,8 @@ step for one product (:func:`carry_product` and the squaring in
 walker's stacked rows.
 Which of the two block tables a product reads is decided in one place,
 :meth:`FactorSystem.operators`, from the caller's mode (the Perron data's
-for measures).
+for measures); a walk reaches it through :meth:`SweepLayout.blocks`, which
+reads the mode from the dtype of the walk's start.
 """
 
 from __future__ import annotations
@@ -128,6 +140,12 @@ class FactorSystem:
         sizes = np.array([len(f) for f in self.fibers])
         sizes.setflags(write=False)
         return sizes
+
+    @cached_property
+    def sweep_layout(self) -> SweepLayout:
+        """The padded layout of the image-word walks (:class:`SweepLayout`),
+        built on the first walk and kept for every later one."""
+        return SweepLayout(self)
 
     def fiber_h(self, pd: PerronData, b: int) -> np.ndarray:
         """h on fiber b in the Perron data's arithmetic (:attr:`PerronData.vectors`)."""
@@ -499,6 +517,72 @@ parent, if more); a larger level is expanded in contiguous lexicographic
 chunks, depth first."""
 
 
+class SweepLayout:
+    """The padded layout every image-word walk of one factor system runs in,
+    built on the system's first walk (:attr:`FactorSystem.sweep_layout`).
+
+    Every product is zero-padded on every axis to the widest fiber, `width`
+    (`sizes` holds every fiber's own length).  `pairs` lists the image block transitions in sorted order, `follows` and
+    `index` are the (blocks, blocks) table of transitions and each one's
+    position in `pairs`, `degree` counts the transitions leaving each block,
+    `words` and `symbols` hold every image block's word and its last symbol,
+    and `fiber_index` and `fiber_mask` the (blocks, width) domain indices of
+    each fiber (0 in the padding) and the mask of its entries.  The padded
+    block stacks, one per arithmetic, are built on first use by
+    :meth:`blocks`.  Every array is read-only.
+    """
+
+    def __init__(self, fs: FactorSystem):
+        sizes = fs.fiber_sizes
+        n_blocks, self.width = len(sizes), int(sizes.max())
+        self.sizes = sizes
+        self.pairs = np.array(sorted(fs.blocks), dtype=np.intp).reshape(-1, 2)
+        self.follows = np.zeros((n_blocks, n_blocks), dtype=bool)
+        self.follows[self.pairs[:, 0], self.pairs[:, 1]] = True
+        self.index = np.zeros((n_blocks, n_blocks), dtype=np.intp)
+        self.index[self.pairs[:, 0], self.pairs[:, 1]] = np.arange(len(self.pairs))
+        self.degree = self.follows.sum(axis=1)
+        self.words = np.array(fs.image_block_words, dtype=np.intp)
+        self.symbols = self.words[:, -1].copy()
+        self.fiber_mask = np.arange(self.width) < sizes[:, None]
+        self.fiber_index = np.zeros((n_blocks, self.width), dtype=np.intp)
+        self.fiber_index[self.fiber_mask] = np.concatenate(fs.fibers)
+        for a in (self.pairs, self.follows, self.index, self.degree, self.words, self.symbols,
+                  self.fiber_mask, self.fiber_index):
+            a.setflags(write=False)
+        self._operators = fs.operators
+        self._stacks: dict = {}
+
+    def blocks(self, dtype) -> np.ndarray:
+        """The (pairs, width, width) padded stack of blocks that a walk from
+        a start of `dtype` multiplies: the integer blocks of M = D W for
+        ``object``, the blocks' 0/1 support as floats for ``bool`` (small
+        counts, and a BLAS matmul), the float blocks otherwise."""
+        kind = {"O": "exact", "b": "support"}.get(np.dtype(dtype).kind, "float")
+        if kind not in self._stacks:
+            if kind == "support":
+                stack = (self.blocks(float) != 0).astype(float)
+            else:
+                mats = self._operators(kind == "exact")
+                stack = np.zeros((len(self.pairs), self.width, self.width),
+                                 dtype=next(iter(mats.values())).dtype)
+                for i, (a, b) in enumerate(self.pairs.tolist()):
+                    stack[i, :self.sizes[a], :self.sizes[b]] = mats[(a, b)]
+            stack.setflags(write=False)
+            self._stacks[kind] = stack
+        return self._stacks[kind]
+
+    def gather(self, v: np.ndarray) -> np.ndarray:
+        """The domain vector v restricted to every fiber: a (blocks, width)
+        start, one gather through `fiber_index`, zero in the padding."""
+        return np.where(self.fiber_mask, v[self.fiber_index], 0)
+
+    def eye(self, dtype) -> np.ndarray:
+        """The identity on every fiber: a (blocks, width, width) start, zero
+        in the padding."""
+        return np.eye(self.width, dtype=dtype) * self.fiber_mask[:, :, None]
+
+
 @dataclass(frozen=True)
 class SweepRows:
     """A stack of image words of one length, lexicographic, with the block
@@ -506,8 +590,9 @@ class SweepRows:
 
     words[i] holds the image symbols of word i, roots[i] and blocks[i] its
     first and last image block, products[i] its product zero-padded on every
-    axis to the widest fiber, and scales[i] its log scale (0 unless float
-    products were renormalised).
+    axis to the widest fiber (in a walk with an end stack, the total that
+    closes it), and scales[i] its log scale (0 unless float products were
+    renormalised).
     """
 
     words: np.ndarray
@@ -524,63 +609,43 @@ class SweepRows:
                          self.products[index], self.scales[index])
 
 
-def fiber_mask(fs: FactorSystem, blocks: np.ndarray) -> np.ndarray:
-    """(len(blocks), F) mask of the entries inside each block's fiber; the
-    rest of a sweep row's axis is zero padding."""
-    sizes = fs.fiber_sizes
-    return np.arange(sizes.max()) < sizes[blocks][:, None]
-
-
-def padded(fs: FactorSystem, x) -> np.ndarray:
-    """x zero-padded on every axis to the widest fiber (the sweep layout)."""
-    x = np.asarray(x)
-    out = np.zeros((fs.fiber_sizes.max(),) * x.ndim, dtype=x.dtype)
-    out[tuple(slice(0, n) for n in x.shape)] = x
-    return out
-
-
-def walk_image_words(fs: FactorSystem, mats: dict, n_steps: int, start, max_words: int):
+def walk_image_words(fs: FactorSystem, start: np.ndarray, n_steps: int, max_words: int,
+                     ends=None):
     """Level-synchronous walk over the admissible image words of n_steps + 1
     block symbols, carrying a product of blocks; yields the full-length words
     as :class:`SweepRows`, chunk by chunk in lexicographic order.
 
-    Each root image block b starts from the array start(b), and every level
-    is cast back to its dtype.  The blocks of `mats` (float or exact) are
-    stacked once, and all are zero-padded on every axis to the widest fiber
-    F; a boolean start stacks their 0/1 support instead, so it walks boolean
-    products.  A level grows by
+    `start` stacks one product per image block in the system's
+    :class:`SweepLayout` (a fiber vector or matrix zero-padded to the widest
+    fiber F, or a scalar for a walk of no steps), and every level is cast
+    back to its dtype, which also picks the blocks (:meth:`SweepLayout.blocks`):
+    an ``object`` start walks the exact blocks, a boolean start their 0/1
+    support, so it walks boolean products, and a float start the float
+    blocks.  A level grows by
     ``parent, blocks = np.nonzero(follows[rows.blocks])`` and one batched
     matmul of each parent's product with its gathered block, which keeps the
-    rows lexicographic.  Every new row goes through :func:`rescale_product`,
-    and rows whose product vanished are pruned.  A level that would exceed
+    rows lexicographic, and every new row goes through
+    :func:`rescale_product`.  `ends`, when given, is a pair (vectors, log
+    scales) with one vector per transition: the last step then dots each
+    parent's vector product with its transition's vector instead, and adds
+    that vector's log scale, so the full-length rows carry their totals.
+    Rows whose product vanished are pruned.  A level that would exceed
     SWEEP_ROW_CAP rows is expanded in contiguous lexicographic chunks, depth
     first.  The budget counts nodes visited, i.e. every prefix and not only
     finished words; exceeding it raises EnumerationLimitError.
     """
-    sizes = fs.fiber_sizes
-    n_blocks, width = len(sizes), int(sizes.max())
-    stack = np.zeros((len(mats), width, width), dtype=next(iter(mats.values())).dtype)
-    follows = np.zeros((n_blocks, n_blocks), dtype=bool)
-    index = np.zeros((n_blocks, n_blocks), dtype=np.intp)
-    for i, (a, b) in enumerate(sorted(mats)):
-        stack[i, :sizes[a], :sizes[b]] = mats[(a, b)]
-        follows[a, b], index[a, b] = True, i
-    degree = follows.sum(axis=1)
-    symbols = np.array([w[-1] for w in fs.image_block_words])
-
-    roots = np.arange(n_blocks)
-    x, scales, alive = rescale_product(np.stack([padded(fs, start(b)) for b in roots]),
-                                       np.zeros(n_blocks))
+    layout = fs.sweep_layout
+    stack, width, follows, degree = (layout.blocks(start.dtype), layout.width,
+                                     layout.follows, layout.degree)
+    roots = np.arange(len(start))
+    x, scales, alive = rescale_product(start, np.zeros(len(start)))
     shape, dtype = x.shape[1:], x.dtype
-    if dtype == bool:  # the 0/1 support as floats: small counts, and a BLAS matmul
-        stack = (stack != 0).astype(float)
-    rows = SweepRows(np.array(fs.image_block_words, dtype=np.intp), roots, roots,
-                     x, scales).take(alive)
+    rows = SweepRows(layout.words, roots, roots, x, scales).take(alive)
     visited = 0
     # depth-first stack of (frontier, steps left, next parent, child-count prefix sums)
     frontiers = [(rows, n_steps, 0, np.cumsum(degree[rows.blocks]))]
     while frontiers:
-        rows, remaining, pos, ends = frontiers.pop()
+        rows, remaining, pos, ends_at = frontiers.pop()
         if pos == 0:  # a frontier is counted when it is first reached
             visited += len(rows)
             if visited > max_words:
@@ -591,23 +656,28 @@ def walk_image_words(fs: FactorSystem, mats: dict, n_steps: int, start, max_word
             continue
         if pos == len(rows):
             continue
-        done = ends[pos - 1] if pos else 0
-        stop = max(pos + 1, int(np.searchsorted(ends, done + SWEEP_ROW_CAP, side="right")))
-        frontiers.append((rows, remaining, stop, ends))
+        done = ends_at[pos - 1] if pos else 0
+        stop = max(pos + 1, int(np.searchsorted(ends_at, done + SWEEP_ROW_CAP, side="right")))
+        frontiers.append((rows, remaining, stop, ends_at))
         chunk = rows.take(slice(pos, stop))
         parent, blocks = np.nonzero(follows[chunk.blocks])
+        pair = layout.index[chunk.blocks[parent], blocks]
         x = np.take(chunk.products, parent, axis=0)
-        # a row's product, vector or matrix, viewed as (-1, F) times its block
-        x = x.reshape(len(x), -1, width) @ np.take(stack, index[chunk.blocks[parent], blocks],
-                                                   axis=0)
-        x, scales, alive = rescale_product(x.reshape((-1,) + shape).astype(dtype, copy=False),
-                                           chunk.scales[parent])
-        words = np.column_stack([np.take(chunk.words, parent, axis=0), symbols[blocks]])
+        if ends is not None and remaining == 1:
+            x = np.einsum("ij,ij->i", x, np.take(ends[0], pair, axis=0))
+            scales, alive = chunk.scales[parent] + ends[1][pair], x != 0
+        else:
+            # a row's product, vector or matrix, viewed as (-1, F) times its block
+            x = x.reshape(len(x), -1, width) @ np.take(stack, pair, axis=0)
+            x, scales, alive = rescale_product(x.reshape((-1,) + shape).astype(dtype, copy=False),
+                                               chunk.scales[parent])
+        words = np.column_stack([np.take(chunk.words, parent, axis=0), layout.symbols[blocks]])
         children = SweepRows(words, chunk.roots[parent], blocks, x, scales)
         if not alive.all():
             children = children.take(alive)
         if len(children):
-            frontiers.append((children, remaining - 1, 0, np.cumsum(degree[children.blocks])))
+            frontiers.append((children, remaining - 1, 0,
+                              None if remaining == 1 else np.cumsum(degree[children.blocks])))
 
 
 def enumerate_image_words(fs: FactorSystem, n: int,
@@ -623,8 +693,7 @@ def enumerate_image_words(fs: FactorSystem, n: int,
     k = fs.block_length
     if n < k:
         return sorted({bw[:n] for bw in fs.image_block_words})
-    walk = walk_image_words(fs, fs.blocks, n - k,
-                            lambda b: np.ones(len(fs.fibers[b]), dtype=bool), max_words)
+    walk = walk_image_words(fs, fs.sweep_layout.fiber_mask, n - k, max_words)
     return [tuple(word) for rows in walk for word in rows.words.tolist()]
 
 
@@ -636,18 +705,25 @@ def level_measures(fs: FactorSystem, pd: PerronData, n: int, max_words: int,
     exact Perron data), else of float logs.
 
     One :func:`walk_image_words` sweep through the blocks of that arithmetic
-    (:meth:`FactorSystem.operators`), from nu on the first fiber, finished
-    by h on the last and lambda^-steps (in exact mode from the integer nu~
-    to h~, each total through :func:`finish_measure`); words shorter than
-    the block length sum nu . h over the image blocks they begin.  The
-    budget counts the sweep's visited nodes.
+    (:meth:`FactorSystem.operators`), from nu on the first fiber, with h
+    folded into the last block: the walk's end stack holds c_p = B_p h_b'
+    for every transition p = (b, b'), so a word's last step is one dot
+    product of F terms instead of a vector-matrix product of F^2.  In float
+    mode each c_p is divided by its largest entry, whose log joins the
+    word's scale (as a renormalised step would), so the last level's sums
+    run in another order than :func:`projected_measure`'s and their bits may
+    differ; exact mode runs the same fold in integers, from nu~ to h~, and
+    its results do not change.  Totals are finished by lambda^-steps (each
+    exact total through :func:`finish_measure`).  Words of one block start
+    from their whole total nu_b . h_b; words shorter than the block length
+    sum nu . h over the image blocks they begin.  The budget counts the
+    sweep's visited nodes.
     """
     if n < 1:
         raise ValidationError("length must be >= 1")
     k = fs.block_length
     nu, h = ((pd.int_nu, pd.int_h) if exact
              else (np.asarray(v, dtype=float) for v in (pd.nu, pd.h)))
-    fibers = [list(f) for f in fs.fibers]
 
     def finish(totals, scales, steps):
         if exact:
@@ -655,21 +731,25 @@ def level_measures(fs: FactorSystem, pd: PerronData, n: int, max_words: int,
                             dtype=object)
         return np.log(totals) + scales - steps * pd.log_lam
 
+    layout = fs.sweep_layout
+    nu_rows, h_rows = layout.gather(nu), layout.gather(h)
+    block_totals = np.einsum("ij,ij->i", nu_rows, h_rows)  # nu_b . h_b
     if n < k:
-        prefixes = np.array(fs.image_block_words, dtype=np.intp)[:, :n]
+        prefixes = layout.words[:, :n]
         order, starts = sorted_runs(prefixes)
-        totals = np.array([nu[f] @ h[f] for f in fibers], dtype=h.dtype)
-        totals = np.add.reduceat(totals[order], starts)
+        totals = np.add.reduceat(block_totals[order], starts)
         return prefixes[order[starts]], finish(totals, 0.0, 0)
     steps = n - k
-    h_rows = np.stack([padded(fs, h[f]) for f in fibers])
+    if steps:
+        ends = layout.blocks(h.dtype) @ h_rows[layout.pairs[:, 1], :, None]
+        start, ends = nu_rows, rescale_product(ends[:, :, 0], np.zeros(len(ends)))[:2]
+    else:
+        start, ends = block_totals, None
     words = [np.zeros((0, n), dtype=np.intp)]
     values = [np.zeros(0, dtype=h.dtype)]
-    for rows in walk_image_words(fs, fs.operators(exact), steps, lambda b: nu[fibers[b]],
-                                 max_words):
+    for rows in walk_image_words(fs, start, steps, max_words, ends):
         words.append(rows.words)
-        totals = np.einsum("ij,ij->i", rows.products, h_rows[rows.blocks])
-        values.append(finish(totals, rows.scales, steps))
+        values.append(finish(rows.products, rows.scales, steps))
     return np.concatenate(words), np.concatenate(values)
 
 
@@ -698,22 +778,24 @@ def fwm_check(fs: FactorSystem, n: int, max_words: int = DEFAULT_MAX_WORDS,
     if n < 1:
         raise ValidationError("fiber-wise mixing span must be >= 1")
     k = fs.block_length
+    layout = fs.sweep_layout
     witnesses: list = []
     checked = 0
     holds = True
-    for rows in walk_image_words(fs, fs.blocks, n,
-                                 lambda b: np.eye(len(fs.fibers[b]), dtype=bool), max_words):
+    for rows in walk_image_words(fs, layout.eye(bool), n, max_words):
         checked += len(rows)
-        gaps = (fiber_mask(fs, rows.roots)[:, :, None] & fiber_mask(fs, rows.blocks)[:, None, :]
-                & ~rows.products)
-        failing = np.flatnonzero(reduce_products(np.logical_or, gaps))
+        # padding is zero: a product is all-positive iff it counts every entry of its fibers
+        positive = np.count_nonzero(rows.products.reshape(len(rows), -1), axis=1)
+        failing = np.flatnonzero(positive < layout.sizes[rows.roots] * layout.sizes[rows.blocks])
         holds = holds and not failing.size
         for r in failing:
             if len(witnesses) >= witness_cap:
                 break
             word = tuple(rows.words[r].tolist())
-            first, last = fs.fibers[rows.roots[r]], fs.fibers[rows.blocks[r]]
-            for i, j in zip(*np.nonzero(gaps[r])):
+            root, block = rows.roots[r], rows.blocks[r]
+            gaps = layout.fiber_mask[root][:, None] & layout.fiber_mask[block] & ~rows.products[r]
+            first, last = fs.fibers[root], fs.fibers[block]
+            for i, j in zip(*np.nonzero(gaps)):
                 if len(witnesses) >= witness_cap:
                     break
                 witnesses.append((word, first[int(i)], last[int(j)]))

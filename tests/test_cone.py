@@ -21,7 +21,6 @@ from gibbsfactor import (
 )
 from gibbsfactor.cone import stacked_diameters
 from gibbsfactor.factor import (
-    fiber_mask,
     reduce_products,
     rescale_product,
     rescale_single,
@@ -110,6 +109,16 @@ class TestDualFormula:
         assert rep.closed_form == pytest.approx(600 * math.log(10), rel=1e-15)
         assert rep.coordinate_sup == pytest.approx(rep.closed_form, rel=1e-15)
         assert rep.sampled_max <= rep.closed_form
+
+    def test_pairings_that_underflow(self):
+        # <x, phi> underflows to 0.0 on functionals that miss the second
+        # coordinate, while <y, phi> does not; both share one support
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rep = dual_formula_check([5e-324, 1], [1.7e308, 1])
+        assert rep.closed_form == pytest.approx(1454.1669088146095, rel=1e-15)
+        assert rep.coordinate_sup == pytest.approx(rep.closed_form, rel=1e-15)
+        assert 0 < rep.sampled_max <= rep.closed_form
 
     def test_random_positive_pairs(self):
         rng = np.random.default_rng(17)
@@ -408,9 +417,8 @@ class TestLogRatioDiameters:
         w = fs.tm.weights
         assert_near_quotient_form(np.stack([w, w @ w]), np.ones((2, len(w)), dtype=bool))
         for n in (1, 2, 3):
-            for rows in walk_image_words(fs, fs.blocks, n, lambda b: np.eye(len(fs.fibers[b])),
-                                         DEFAULT_MAX_WORDS):
-                assert_near_quotient_form(rows.products, fiber_mask(fs, rows.blocks))
+            for rows in walk_image_words(fs, fs.sweep_layout.eye(float), n, DEFAULT_MAX_WORDS):
+                assert_near_quotient_form(rows.products, fs.sweep_layout.fiber_mask[rows.blocks])
 
     @given(padded_stacks())
     @settings(max_examples=200, deadline=None)

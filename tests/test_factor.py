@@ -23,6 +23,7 @@ from gibbsfactor import (
     build_pipeline,
     build_potential,
     build_sft,
+    build_system,
     cylinder_measure,
     enumerate_image_words,
     enumerate_words,
@@ -934,6 +935,98 @@ def test_sweeps_chunked_at_row_cap(monkeypatch, system):
                                                            rel=1e-12, abs=1e-14)
         else:
             assert chunked == whole[name]
+
+
+def row_stochastic(desc, rng):
+    """The description with exact row-stochastic weights (lambda 1): random
+    integers 1-5 over each table prefix's sum."""
+    prefixes = list(map(tuple, desc.words[:, :-1].tolist()))
+    raw = rng.integers(1, 6, len(prefixes)).tolist()
+    sums: dict = {}
+    for p, r in zip(prefixes, raw):
+        sums[p] = sums.get(p, 0) + r
+    return dataclasses.replace(desc, values=tuple(Fraction(r, sums[p])
+                                                  for p, r in zip(prefixes, raw)))
+
+
+@st.composite
+def folded_systems(draw):
+    """(fs, pd, n): a seeded random_mixing_system of 3-5 symbols at depth 0-3
+    over 2-3 image letters (uneven fibers) and a word length n up to three
+    blocks past the block length.  Its weights are the generator's floats
+    in [0.5, 2], or at depth >= 1 either exact row-stochastic rationals or
+    those floats times a coboundary that spreads them over about
+    10^-150 .. 10^150 (a diagonal similarity of W, so Perron still
+    converges)."""
+    seed, depth, size = draw(st.integers(0, 2**16)), draw(st.integers(0, 3)), draw(st.integers(3, 5))
+    desc = fixtures.random_mixing_system(seed, size, depth, draw(st.integers(2, 3)))
+    form = draw(st.sampled_from(["float", "exact", "spread"] if depth else ["float"]))
+    rng = np.random.default_rng(seed)
+    if form == "exact":
+        desc = row_stochastic(desc, rng)
+    elif form == "spread":
+        g = rng.uniform(-75, 75, (size,) * depth) * math.log(10)
+        w = desc.words
+        phi = np.log(desc.values) + g[tuple(w[:, :-1].T)] - g[tuple(w[:, 1:].T)]
+        desc = dataclasses.replace(desc, mode="phi", values=phi)
+    tm = transfer_matrix(*build_system(desc))
+    pd = perron_exact(tm) if form == "exact" else perron(tm, max_iter=1000)
+    fs = build_factor(tm, desc.factor_map, Alphabet(desc.image_alphabet))
+    return fs, pd, draw(st.integers(1, fs.block_length + 3))
+
+
+@given(folded_systems())
+@settings(max_examples=100, deadline=None)
+def test_folded_levels_equal_per_word_products(system):
+    """level_measures folds h into the last block; per word it matches the
+    product formula of projected_measure (exactly in exact mode), and its
+    budget still counts every visited prefix, the last level included."""
+    fs, pd, n = system
+    words, values = level_measures(fs, pd, n, DEFAULT_MAX_WORDS, pd.exact)
+    expected = enumerate_image_words(fs, n)
+    assert list(map(tuple, words.tolist())) == expected
+    for word, value in zip(expected, values.tolist()):
+        want = projected_measure(fs, pd, word)
+        if pd.exact:
+            assert type(value) is Fraction and value == want
+        else:
+            assert abs(value - want) <= 1e-12
+    k = fs.block_length
+    if n >= k:
+        visited = sweep_nodes(fs, n)
+        with pytest.raises(EnumerationLimitError):
+            level_measures(fs, pd, n, visited - 1, pd.exact)
+        assert level_measures(fs, pd, n, visited, pd.exact)[0].tolist() == words.tolist()
+
+
+def test_sweep_layout_is_shared_by_every_arithmetic():
+    """One factor system walked in exact, float and boolean arithmetic gives
+    what a fresh system gives for each walk; its layout is built on the
+    first walk, not by build_factor, once per arithmetic, and read-only."""
+    desc = row_stochastic(fixtures.random_mixing_system(5, 5, 2, 3), np.random.default_rng(5))
+    pipe = build_pipeline(desc, exact=True)
+
+    def fresh():
+        return build_factor(pipe.tm, desc.factor_map, Alphabet(desc.image_alphabet))
+
+    walks = [lambda fs: level_measures(fs, pipe.pd, 5, DEFAULT_MAX_WORDS, True),
+             lambda fs: level_measures(fs, pipe.pd, 5, DEFAULT_MAX_WORDS, False),
+             lambda fs: enumerate_image_words(fs, 5),
+             lambda fs: fwm_check(fs, 2)]
+    shared = fresh()
+    assert "sweep_layout" not in vars(shared) and "sweep_layout" not in vars(pipe.factor)
+    for walk in walks:
+        got, want = walk(shared), walk(fresh())
+        if isinstance(got, tuple) and isinstance(got[0], np.ndarray):
+            assert got[0].tobytes() == want[0].tobytes()
+            assert got[1].dtype == want[1].dtype and got[1].tolist() == want[1].tolist()
+        else:
+            assert got == want
+    layout = shared.sweep_layout
+    stacks = [layout.blocks(dtype) for dtype in (object, float, bool)]
+    assert all(a is b for a, b in zip(stacks, [layout.blocks(d) for d in (object, float, bool)]))
+    arrays = stacks + [v for v in vars(layout).values() if isinstance(v, np.ndarray)]
+    assert not any(a.flags.writeable for a in arrays)
 
 
 class TestExactForm:
