@@ -522,11 +522,12 @@ class SweepLayout:
     built on the system's first walk (:attr:`FactorSystem.sweep_layout`).
 
     Every product is zero-padded on every axis to the widest fiber, `width`
-    (`sizes` holds every fiber's own length).  `pairs` lists the image block transitions in sorted order, `follows` and
-    `index` are the (blocks, blocks) table of transitions and each one's
-    position in `pairs`, `degree` counts the transitions leaving each block,
-    `words` and `symbols` hold every image block's word and its last symbol,
-    and `fiber_index` and `fiber_mask` the (blocks, width) domain indices of
+    (`sizes` holds every fiber's own length).  `pairs` lists the image
+    block transitions in sorted order, `follows` and `index` are the
+    (blocks, blocks) table of transitions and each one's position in
+    `pairs`, `degree` counts the transitions leaving each block, `words`
+    and `symbols` hold every image block's word and its last symbol, and
+    `fiber_index` and `fiber_mask` the (blocks, width) domain indices of
     each fiber (0 in the padding) and the mask of its entries.  The padded
     block stacks, one per arithmetic, are built on first use by
     :meth:`blocks`.  Every array is read-only.
@@ -741,8 +742,8 @@ def level_measures(fs: FactorSystem, pd: PerronData, n: int, max_words: int,
         return prefixes[order[starts]], finish(totals, 0.0, 0)
     steps = n - k
     if steps:
-        ends = layout.blocks(h.dtype) @ h_rows[layout.pairs[:, 1], :, None]
-        start, ends = nu_rows, rescale_product(ends[:, :, 0], np.zeros(len(ends)))[:2]
+        c = (layout.blocks(h.dtype) @ h_rows[layout.pairs[:, 1], :, None])[:, :, 0]
+        start, ends = nu_rows, rescale_product(c, np.zeros(len(c)))[:2]
     else:
         start, ends = block_totals, None
     words = [np.zeros((0, n), dtype=np.intp)]
