@@ -5,17 +5,58 @@ the block-operator product formula against the brute-force preimage sum on
 every admissible image word up to a given length, one whole word length at
 a time (`gibbsfactor.factor.verify_projection`).  Both routes read the same
 Perron data, so each system's Perron residual (the eigen-equations of h and
-nu) and step count are printed as well.  Exits 1 when any word's relative
-disagreement exceeds 1e-10 or any Perron residual exceeds 1e-12.
+nu) and step count are printed as well.  Every checked word then goes
+through the per-word routes (`projected_measure` and
+`projected_measure_bruteforce`) on one factor system, first in
+length-lexicographic order and then in a seeded shuffle, and each result is
+compared with its batched value (`level_measures`, `preimage_measures`):
+equal in exact mode, within 1e-10 relative in float mode.  The per-word
+routes resume the path of the previous call, so the shuffle checks that the
+order of the calls does not matter.  Exits 1 when any word's relative
+disagreement exceeds 1e-10, any per-word result disagrees with its batched
+value, or any Perron residual exceeds 1e-12.
 """
 
 import argparse
+import random
+
+import numpy as np
 
 import gibbsfactor as gf
 from gibbsfactor import fixtures
+from gibbsfactor.factor import level_measures, preimage_measures, route_error
+from gibbsfactor.potential import finish_measure
+from gibbsfactor.sft import DEFAULT_MAX_WORDS
 
 TOL = 1e-10
 PERRON_TOL = 1e-12
+
+
+def per_word_mismatches(fs, pd, max_len: int, seed: int) -> int:
+    """Words of length 1..max_len whose per-word result, in length-lexicographic
+    order and then in a shuffle seeded by `seed`, differs from the batched
+    value of its route (a word one batched route lacks has measure zero)."""
+    zero = finish_measure(0, 0.0, 0, pd)
+    batched = {}
+    for n in range(1, max_len + 1):
+        words, values = level_measures(fs, pd, n, DEFAULT_MAX_WORDS, pd.exact)
+        allowed = np.ones((n, pd.tm.sft.size), dtype=bool)
+        images, measures = preimage_measures(fs, pd, allowed, DEFAULT_MAX_WORDS)
+        product = dict(zip(map(tuple, words.tolist()), values.tolist()))
+        oracle = dict(zip(map(tuple, images.tolist()), measures))
+        for word in sorted(product.keys() | oracle.keys()):
+            batched[word] = (product.get(word, zero), oracle.get(word, zero))
+    words = list(batched)
+    shuffled = words[:]
+    random.Random(seed).shuffle(shuffled)
+    mismatches = 0
+    for word in words + shuffled:
+        want_product, want_oracle = batched[word]
+        got_product = gf.projected_measure(fs, pd, word)
+        got_oracle = gf.projected_measure_bruteforce(fs, pd, word)
+        mismatches += (route_error(got_product, want_product, pd.exact) > TOL
+                       or route_error(got_oracle, want_oracle, pd.exact) > TOL)
+    return mismatches
 
 
 def main():
@@ -30,6 +71,7 @@ def main():
     args = parser.parse_args()
 
     worst_overall = worst_residual = 0.0
+    mismatched = 0
     failed = False
     for i in range(args.systems):
         seed = args.seed + i
@@ -37,12 +79,17 @@ def main():
                                              args.image_size, density=args.density)
         pipe = gf.build_pipeline(desc)
         check = gf.verify_projection(pipe.factor, pipe.pd, args.max_len, TOL)
+        mismatches = per_word_mismatches(pipe.factor, pipe.pd, args.max_len, seed)
         print(f"seed {seed}: {check.checked_words} image words, worst relative error "
-              f"{check.max_relative_error:.3e}, {len(check.failures)} failures; "
+              f"{check.max_relative_error:.3e}, {mismatches} per-word mismatches, "
+              f"{len(check.failures)} failures; "
               f"Perron residual {pipe.pd.residual:.3e}, {pipe.pd.iterations} iterations")
         worst_overall = max(worst_overall, check.max_relative_error)
         worst_residual = max(worst_residual, pipe.pd.residual)
-        failed = failed or not check.passed or not pipe.pd.residual <= PERRON_TOL
+        mismatched += mismatches
+        failed = (failed or not check.passed or mismatches
+                  or not pipe.pd.residual <= PERRON_TOL)
+    print(f"sweep per-word mismatches: {mismatched}")
     print(f"sweep worst relative error: {worst_overall:.3e}")
     print(f"sweep worst Perron residual: {worst_residual:.3e}")
     if failed:

@@ -23,8 +23,19 @@ image word, for which it builds the expansion's domain words
 compares the two level by level under the one comparison rule
 :func:`route_error`.  The single-word oracle
 :func:`projected_measure_bruteforce` is the same expansion under one word's
-fiber mask; every row it keeps is a preimage of that word, so it sums the
-row values directly and never builds the words.
+fiber mask, taken one :func:`~gibbsfactor.potential.domain_step` at a time;
+every row it keeps is a preimage of that word, so it sums the row values
+directly and never builds the words.
+
+The product of a word is the product of its prefix times one more block,
+and the preimages of a word are those of its prefix grown by one level, so
+a per-word call costs only the steps past the longest prefix it shares with
+the previous call of its route on the same factor system and Perron data.
+The system keeps one path per route (:class:`LastPaths`): the word and the
+state after every level, at most one fiber vector per block for the product
+route and the preimage rows one fresh call visits for the oracle.  A call
+replays the same steps a fresh call takes, so its results are bit-identical
+to a fresh call's, and the oracle's budget raises where a fresh call raises.
 
 Image-word admissibility always goes through boolean block products (never a
 plain block adjacency): the image is sofic, so a word is admissible iff some
@@ -64,8 +75,9 @@ the last bits.  A level that would exceed
 first, so a sweep holds at most one capped chunk per word length, however
 large its budget (which counts visited nodes).  The walker
 yields the full-length chunks, and each sweep folds them in a plain loop.
-Single image words go through :func:`carry_product`, the one loop for the
-product along one word.
+Single image words go through :func:`carry_path`, the one loop for the
+product along one word, which extends a path of products
+(:func:`carry_product` is the last state of a fresh path).
 Exact blocks are slices of the integer matrix M = D W of the transfer
 matrix, numpy ``object`` arrays of int, so exact and float products share
 the same ``@`` code and exact products carry Python integers from the
@@ -81,7 +93,7 @@ sums or log-sum-exp), :func:`route_error` (equality or relative error),
 :func:`~gibbsfactor.potential.domain_rows` (integer products or log sums)
 and :func:`~gibbsfactor.ganalysis.g_limit` (Fraction or float stage ratios).
 The rule has two forms with the same bits: :func:`rescale_single`, a scalar
-step for one product (:func:`carry_product` and the squaring in
+step for one product (:func:`carry_path` and the squaring in
 :func:`~gibbsfactor.ganalysis.g_limit`), and :func:`rescale_product` for the
 walker's stacked rows.
 Which of the two block tables a product reads is decided in one place,
@@ -100,7 +112,17 @@ from functools import cached_property
 import numpy as np
 
 from .errors import EnumerationLimitError, ExactModeError, ValidationError
-from .potential import PerronData, TransferMatrix, domain_rows, domain_words, finish_measure
+from .potential import (
+    PerronData,
+    TransferMatrix,
+    count_visited,
+    domain_end,
+    domain_rows,
+    domain_start,
+    domain_step,
+    domain_words,
+    finish_measure,
+)
 from .sft import DEFAULT_MAX_WORDS, Alphabet, Word
 
 
@@ -142,10 +164,26 @@ class FactorSystem:
         return sizes
 
     @cached_property
+    def image_moves(self) -> np.ndarray:
+        """(image symbols, blocks, blocks) read-only boolean table: entry
+        [y, i, j] holds when block j may follow block i and its last symbol
+        maps to y, the moves of a preimage under image symbol y."""
+        images = self.symbol_array[self.tm.last_symbols]
+        moves = self.tm.follows & (images == np.arange(self.image_alphabet.size)[:, None, None])
+        moves.setflags(write=False)
+        return moves
+
+    @cached_property
     def sweep_layout(self) -> SweepLayout:
         """The padded layout of the image-word walks (:class:`SweepLayout`),
         built on the first walk and kept for every later one."""
         return SweepLayout(self)
+
+    @cached_property
+    def last_paths(self) -> LastPaths:
+        """The last path of each per-word route (:class:`LastPaths`), which
+        the next call on this system resumes from."""
+        return LastPaths()
 
     def fiber_h(self, pd: PerronData, b: int) -> np.ndarray:
         """h on fiber b in the Perron data's arithmetic (:attr:`PerronData.vectors`)."""
@@ -163,6 +201,37 @@ class FactorSystem:
         if self.exact_blocks is None:
             raise ExactModeError("exact blocks need a potential with rational weights")
         return self.exact_blocks
+
+
+class LastPaths:
+    """The last path of each per-word route of one factor system:
+    :func:`projected_measure` in `product`, :func:`projected_measure_bruteforce`
+    in `oracle`.  A slot is None or (Perron data, word, states), the states
+    a list with the route's state after every level of the word; a call
+    keeps the states of the longest prefix it shares with the slot's word
+    under the same Perron data (compared with ``is``, and held, so a
+    recycled id cannot match), extends a new list from there and stores it.
+    Stored states are never changed in place.  What is kept is one path per
+    route: at most one fiber vector per block of the last word for the
+    product route, and the rows of every level of the last word's preimage
+    expansion for the oracle, the rows one fresh call visits."""
+
+    def __init__(self):
+        self.product = None
+        self.oracle = None
+
+    @staticmethod
+    def shared(slot, pd: PerronData, word) -> int:
+        """Length of the longest common prefix of `word` and the slot's
+        word, 0 for an empty slot or other Perron data."""
+        if slot is None or slot[0] is not pd:
+            return 0
+        n = 0
+        for a, b in zip(slot[1], word):
+            if a != b:
+                break
+            n += 1
+        return n
 
 
 def build_factor(tm: TransferMatrix, symbol_map, image_alphabet: Alphabet) -> FactorSystem:
@@ -314,26 +383,43 @@ def rescale_single(x: np.ndarray, scale):
     return x / top, scale + np.log(top), True
 
 
-def carry_product(mats: dict, blocks, x=None):
-    """Carry a product of block operators along the image block word
-    `blocks`: x . mats[(b_0, b_1)] ... mats[(b_{n-1}, b_n)], starting from
-    the first operator when x is None, with every step through
-    :func:`rescale_single`.  Returns (product, log scale), or None when a
-    transition has no block or the product vanished; with fewer than two
-    blocks (x, 0.0) comes back.  A boolean start multiplies the blocks'
-    0/1 support, so it carries boolean products."""
-    scale = 0.0
+def carry_path(mats: dict, blocks, states: list) -> list:
+    """Extend a path of products of block operators along the image block
+    word `blocks` and return it: states[i] is the product along
+    blocks[:i + 1], (x . mats[(b_0, b_1)] ... mats[(b_{i-1}, b_i)], log
+    scale), or None once a transition has no block or the product vanished
+    (the path then ends there).  The list, which the caller passes with at
+    least its first state, is appended to up to len(blocks) states; every
+    step is ``x @ m`` through :func:`rescale_single`, the first from the
+    operator itself when the start x is None.  A boolean x multiplies the
+    blocks' 0/1 support, so it carries boolean products.  This is the one
+    loop for the product along a single word: :func:`carry_product` and
+    :func:`projected_measure` (resuming its last path) read it."""
+    if states[-1] is None:
+        return states
+    x, scale = states[-1]
     support = x is not None and x.dtype == bool
-    for a, b in zip(blocks, blocks[1:]):
+    for a, b in zip(blocks[len(states) - 1:], blocks[len(states):]):
         m = mats.get((a, b))
         if m is None:
-            return None
+            states.append(None)
+            break
         if support:
             m = m != 0
         x, scale, alive = rescale_single(m if x is None else x @ m, scale)
+        states.append((x, scale) if alive else None)
         if not alive:
-            return None
-    return x, scale
+            break
+    return states
+
+
+def carry_product(mats: dict, blocks, x=None):
+    """The product of block operators along the image block word `blocks`,
+    x . mats[(b_0, b_1)] ... mats[(b_{n-1}, b_n)] (from the first operator
+    when x is None): the last state of a fresh :func:`carry_path`, (product,
+    log scale), or None when a transition has no block or the product
+    vanished; with fewer than two blocks (x, 0.0) comes back."""
+    return carry_path(mats, blocks, [(x, 0.0)])[-1]
 
 
 def block_product(fs: FactorSystem, yword, exact: bool):
@@ -366,6 +452,14 @@ def projected_measure(fs: FactorSystem, pd: PerronData, yword):
     returns the Fraction, the integer nu~ . (product of M) . h~ finished by
     one division.  Image words shorter than the block length are summed over
     their realized block extensions.
+
+    The product nu_{b_0} L_{b_0 b_1} ... of a word is the product of its
+    prefix times one more block, so a call resumes the system's last
+    product path (:attr:`FactorSystem.last_paths`) from the longest block
+    prefix it shares with the previous call under the same Perron data and
+    takes only the steps past it (:func:`carry_path`).  The kept path is one
+    fiber vector per block of the last word; the steps are the ones a fresh
+    call takes, so the results are bit-identical to it.
     """
     w = _check_image_word(fs, yword)
     if len(w) == 0:
@@ -376,11 +470,17 @@ def projected_measure(fs: FactorSystem, pd: PerronData, yword):
         total = sum(fs.fiber_nu(pd, b) @ fs.fiber_h(pd, b) for b in matching)
         return finish_measure(total, 0.0, 0, pd)
     blocks = image_block_word(fs, w)
-    carried = None if blocks is None else carry_product(fs.operators(pd.exact), blocks,
-                                                        fs.fiber_nu(pd, blocks[0]))
-    if carried is None:
+    if blocks is None:
         return finish_measure(0, 0.0, 0, pd)
-    vec, scale = carried
+    mats, paths = fs.operators(pd.exact), fs.last_paths
+    shared = paths.shared(paths.product, pd, blocks)
+    states = (paths.product[2][:shared] if shared
+              else [(fs.fiber_nu(pd, blocks[0]), 0.0)])
+    states = carry_path(mats, blocks, states)
+    paths.product = (pd, blocks, states)
+    if states[-1] is None:
+        return finish_measure(0, 0.0, 0, pd)
+    vec, scale = states[-1]
     return finish_measure(vec @ fs.fiber_h(pd, blocks[-1]), scale, len(blocks) - 1, pd)
 
 
@@ -390,20 +490,49 @@ def projected_measure_bruteforce(fs: FactorSystem, pd: PerronData, yword,
     every admissible preimage word; the independent oracle for
     :func:`projected_measure`.
 
-    One :func:`~gibbsfactor.potential.domain_rows` expansion under the mask
-    of the word's fibers, so every row is a preimage of the word and the
-    row values are summed directly, without building the preimage words, as
-    the one run of :func:`run_measures` (no rows: measure zero).  The budget
-    counts visited preimage prefixes.
+    The level-by-level expansion of :func:`~gibbsfactor.potential.domain_rows`
+    under the mask of the word's fibers (its :func:`~gibbsfactor.potential.domain_start`
+    and :func:`~gibbsfactor.potential.domain_step`), so every row is a
+    preimage of the word and the row values are summed directly, without
+    building the preimage words, as the one run of :func:`run_measures` (no
+    rows: measure zero).  The budget counts visited preimage prefixes.
+
+    The preimages of a word are those of its prefix, each grown by one
+    level, so a call resumes the system's last oracle path
+    (:attr:`FactorSystem.last_paths`): the state (rows, values, visited
+    count) after every position of the last word, under the same Perron
+    data.  The head rows depend on the first min(n, k) symbols (k the block
+    length), so a path is reused only when the head length and symbols
+    agree; then the call takes the levels past the shared prefix.  The
+    visited count only grows along a path, so checking the last reused
+    state and every new level raises EnumerationLimitError at the budgets
+    where a fresh call raises, with its message.  The kept path is the rows
+    one fresh call visits; the results are bit-identical to a fresh call.
     """
     w = _check_image_word(fs, yword)
     if len(w) == 0:
         raise ValidationError("projected measure needs a nonempty image word")
-    allowed = fs.symbol_array == np.array(w)[:, None]
-    values, steps, _ = domain_rows(pd, allowed, max_words, pd.exact)
-    if not len(values):
+    tm, n = pd.tm, len(w)
+    head = min(n, fs.block_length)
+    paths = fs.last_paths
+    shared = paths.shared(paths.oracle, pd, w)
+    if shared >= head and min(len(paths.oracle[1]), fs.block_length) == head:
+        states = paths.oracle[2][:shared - head + 1]
+        count_visited(states[-1][2], max_words)
+    else:
+        rows, values = domain_start(pd, fs.symbol_array == np.array(w[:head])[:, None],
+                                    pd.exact)
+        states = [(rows, values, count_visited(len(rows), max_words))]
+    rows, values, visited = states[-1]
+    for t in range(head + len(states) - 1, n):
+        _, rows, values = domain_step(tm, rows, values, fs.image_moves[w[t]], pd.exact)
+        visited = count_visited(visited + len(rows), max_words)
+        states.append((rows, values, visited))
+    paths.oracle = (pd, w, states)
+    if not len(rows):
         return finish_measure(0, 0.0, 0, pd)
-    return run_measures(pd, values, [0], steps)[0]
+    return run_measures(pd, domain_end(pd, rows, values, pd.exact), [0],
+                        max(n - fs.block_length, 0))[0]
 
 
 def sorted_runs(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

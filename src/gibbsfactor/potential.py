@@ -64,14 +64,16 @@ Measures of many domain words come from one level-synchronous expansion
 under a per-position symbol mask, :func:`domain_rows`: unmasked it gives
 :func:`level_log_measures` and, grouped by image word, the brute-force
 oracle of the factor module for a whole word length; masked by one image
-word's fibers it is that oracle for one word.  The expansion carries only
-the values and records how each level grew; the callers that read the
-words (the two bulk forms) build them from that record with
-:func:`domain_words`, and the single-word oracle never builds them.  The
-tables it reads on every call are computed once on the objects that own
-their data: the block words on the recoding, their last symbols and the
-boolean block adjacency on :class:`TransferMatrix`, and the float log Perron
-vectors on :class:`PerronData`.
+word's fibers it is that oracle for one word, which takes its levels one
+at a time (:func:`domain_start`, then one :func:`domain_step` per
+position, then :func:`domain_end`) so that it can resume a prefix.  The
+expansion carries only the values and records how each level grew; the
+callers that read the words (the two bulk forms) build them from that
+record with :func:`domain_words`, and the single-word oracle never builds
+them.  The tables it reads on every call are computed once on the objects
+that own their data: the block words on the recoding, their last symbols
+and the boolean block adjacency on :class:`TransferMatrix`, and the float
+log Perron vectors on :class:`PerronData`.
 """
 
 from __future__ import annotations
@@ -519,23 +521,91 @@ class PerronData:
 
 
 def _edge_products(tm: TransferMatrix) -> tuple:
-    """(x -> W x, x -> W^T x) on the edge list of W, the recoding's
-    transitions with :attr:`TransferMatrix.edge_weights`: each is one
-    ``np.bincount`` of the edge terms by source (target) block, O(edges),
-    summing a row's terms in edge order."""
+    """The products of the runs for h and nu on the edge list of W, the
+    recoding's transitions with :attr:`TransferMatrix.edge_weights`: a pair
+    (x -> W x, log x -> log W x) and a pair (x -> W^T x, log x -> log W^T x),
+    O(edges) each.  A product is one ``np.bincount`` of the edge terms by
+    source (target) block, summing a row's terms in edge order; a log
+    product is one log-sum-exp, the edge terms' largest by block from
+    ``np.maximum.at`` and the sum of their exponentials below it from one
+    ``np.bincount``."""
     values, rec, d = tm.edge_weights, tm.recoding, tm.dimension
-    return (lambda x: np.bincount(rec.sources, values * x[rec.targets], d),
-            lambda x: np.bincount(rec.targets, values * x[rec.sources], d))
+
+    def log_product(into, terms_of):
+        def product(lx):
+            with np.errstate(divide="ignore", invalid="ignore"):  # a zero row gives NaN
+                terms = np.log(values) + lx[terms_of]
+                top = np.full(d, -np.inf)
+                np.maximum.at(top, into, terms)
+                return top + np.log(np.bincount(into, np.exp(terms - top[into]), d))
+        return product
+
+    return ((lambda x: np.bincount(rec.sources, values * x[rec.targets], d),
+             log_product(rec.sources, rec.targets)),
+            (lambda x: np.bincount(rec.targets, values * x[rec.sources], d),
+             log_product(rec.targets, rec.sources)))
 
 
-def _noda(w: np.ndarray, product, tol: float, max_iter: int,
+LOG_START_BRACKET = 20.0
+"""Width of the log Collatz-Wielandt bracket log(sigma / min) above which a
+Perron run starts with log-domain power steps (:func:`_log_start`)."""
+
+LOG_START_STEPS = 10
+"""Most log-domain power steps a Perron run starts with."""
+
+
+def _log_start(products, d: int, max_steps: int) -> tuple[np.ndarray, int]:
+    """The start (x, steps) of a Perron run: the ones vector, or, while the
+    log Collatz-Wielandt bracket log(sigma / min) of the iterate exceeds
+    LOG_START_BRACKET, log-domain power steps from it, at most `max_steps`.
+
+    A coboundary g(prefix) - g(suffix) added to phi conjugates W by the
+    diagonal D = diag(e^g): the same root, h and nu rescaled.  A power run
+    on D^-1 W D from the ones vector is the run on W from D 1, so a spread
+    coboundary only moves the start, but it can move it so far (weights
+    over 10^+-150) that the ratios (W x) / x span many orders of magnitude:
+    the relative bracket then saturates near 1, and :func:`_noda`'s power
+    rules cannot see the contraction the power steps make in the Hilbert
+    metric.  Power steps in the log domain (log-sum-exp over the edge list,
+    so nothing overflows or underflows inside a step) bring such a start
+    into range.  The first bracket is read from W 1, which an unspread run
+    takes anyway; its later brackets from the log products.  A step whose
+    normalised iterate is not positive (an entry underflowed, or a row of W
+    vanished) is refused."""
+    product, log_product = products
+    x, steps = np.ones(d), 0
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        y = product(x)
+        first = np.log(y.max() / y.min())
+    if not first > LOG_START_BRACKET:  # NaN: every row sum overflowed or vanished
+        return x, steps
+    lx = np.zeros(d)
+    ly = log_product(lx)
+    while steps < max_steps:
+        ly -= ly.max()
+        with np.errstate(under="ignore"):
+            y = np.exp(ly)
+        if not (y > 0).all():
+            break
+        x, lx, steps = y, ly, steps + 1
+        ly = log_product(lx)
+        ratios = ly - lx
+        if ratios.max() - ratios.min() <= LOG_START_BRACKET:
+            break
+    return x, steps
+
+
+def _noda(w: np.ndarray, products, tol: float, max_iter: int,
           cap: float = np.inf) -> tuple[np.ndarray, int, float]:
     """Right Perron vector of a nonnegative primitive matrix from the
-    all-ones vector, by power steps while they are the cheaper way to the
-    tolerance and Noda's inverse iteration otherwise; returns (x, steps,
-    sigma) with x normalised to max 1 and sigma the last upper bound.
-    `product` takes x to W x (one of :func:`_edge_products`, O(edges));
-    the dense `w` is read only by the Noda solves.
+    start of :func:`_log_start`, by power steps while they are the cheaper
+    way to the tolerance and Noda's inverse iteration otherwise; returns
+    (x, steps, sigma) with x normalised to max 1 and sigma the last upper
+    bound.  `products` takes x to W x and log x to log W x (one pair of
+    :func:`_edge_products`, O(edges)); the dense `w` is read only by the
+    Noda solves.  The start's log-domain power steps count among the steps,
+    so `max_iter` caps them too; they make the run see D^-1 W D, D a
+    positive diagonal, as it sees W, up to its start vector.
 
     Each step takes the Collatz-Wielandt bounds min and max of (W x)/x,
     which bracket the Perron root, and the run stops once the bracket is
@@ -567,11 +637,12 @@ def _noda(w: np.ndarray, product, tol: float, max_iter: int,
     ConvergenceError.
     """
     d = len(w)
-    x = np.ones(d)
+    product = products[0]
+    x, start = _log_start(products, d, min(LOG_START_STEPS, max_iter))
     b = None  # B, then I - B / sigma from the first Noda step; C order, so reshape is a view
     handover = math.sqrt(tol)
     two_back = one_back = math.inf  # the relative brackets of the last two steps
-    for steps in range(max_iter + 1):
+    for steps in range(start, max_iter + 1):
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             y = product(x)  # an overflow shows as sigma = inf
             ratios = y / x
@@ -632,8 +703,11 @@ def perron(tm: TransferMatrix, tol: float = 1e-14, max_iter: int = 100) -> Perro
     fast, and Noda's quadratic convergence finishes the run, usually in one
     solve.  A tiny spectral gap stalls the power steps and costs a few
     solves.  The Noda steps of the run for nu shift by at most the bound h's
-    run converged to (W^T has the same root).  `max_iter`, an int >= 0,
-    caps each run's steps of both kinds; `iterations` is the larger count.
+    run converged to (W^T has the same root).  A run whose first
+    Collatz-Wielandt bracket is very wide starts with log-domain power
+    steps (:func:`_log_start`), so a coboundary added to phi, a diagonal
+    similarity of W, does not stall it.  `max_iter`, an int >= 0, caps
+    each run's steps of every kind; `iterations` is the larger count.
     The base shift is tested for mixing: its block presentation is
     conjugate to it, so W is primitive exactly when it is mixing, and then
     both Perron vectors exist and are positive.
@@ -650,7 +724,7 @@ def perron(tm: TransferMatrix, tol: float = 1e-14, max_iter: int = 100) -> Perro
     right, left = _edge_products(tm)
     h, steps_h, bound = _noda(w, right, tol, max_iter)
     nu, steps_nu, _ = _noda(w.T, left, tol, max_iter, cap=bound)
-    wh, nuw = right(h), left(nu)
+    wh, nuw = right[0](h), left[0](nu)
     lam = float(nuw @ h) / float(nu @ h)
     if not lam > 0:
         raise ConvergenceError("Perron root underflowed to zero: weights below float range")
@@ -839,14 +913,58 @@ def cylinder_measure(pd: PerronData, word):
     return finish_measure(pd.nu[blocks[0]], scale, len(steps), pd)
 
 
+def domain_start(pd: PerronData, allowed: np.ndarray, exact: bool):
+    """The first level of a domain-word expansion: (rows, values), the
+    blocks whose first len(allowed) symbols the (head, d) mask allows (head
+    at most the block length), and each one's start value, nu~ of the block
+    in exact mode, log nu otherwise."""
+    head = len(allowed)
+    rows = np.flatnonzero(allowed[np.arange(head), pd.tm.recoding.block_array[:, :head]]
+                          .all(axis=1))
+    return rows, (pd.int_nu if exact else pd.log_vectors[0])[rows]
+
+
+def domain_step(tm: TransferMatrix, rows: np.ndarray, values: np.ndarray,
+                moves: np.ndarray, exact: bool):
+    """One level of a domain-word expansion: every row grows by the blocks
+    its last block may move to under the (blocks, blocks) boolean table
+    `moves`, the block transitions whose new symbol is allowed at the new
+    position.  Returns (parent, child, values), each child's parent row and
+    block, in row-major order (so rows stay lexicographic), and its value,
+    the parent's times the transition's integer weight of M in exact mode,
+    plus its log weight otherwise."""
+    parent, child = moves[rows].nonzero()
+    if exact:
+        return parent, child, values[parent] * tm.int_weights[rows[parent], child]
+    return parent, child, values[parent] + tm.log_weights[rows[parent], child]
+
+
+def domain_end(pd: PerronData, rows: np.ndarray, values: np.ndarray, exact: bool):
+    """The last level's values closed by h on each row's last block: times
+    h~ in exact mode, plus log h otherwise."""
+    if exact:
+        return values * pd.int_h[rows]
+    return values + pd.log_vectors[1][rows]
+
+
+def count_visited(visited: int, max_words: int) -> int:
+    """The visited-row count of a domain-word expansion, checked against
+    its budget: raises EnumerationLimitError once it is exceeded."""
+    if visited > max_words:
+        raise EnumerationLimitError(
+            f"domain word expansion exceeded its budget of {max_words} visited nodes")
+    return visited
+
+
 def domain_rows(pd: PerronData, allowed: np.ndarray, max_words: int, exact: bool):
     """Level-synchronous expansion of the admissible base words whose symbol
     at position t is allowed by the (n, d) boolean mask `allowed`.
 
     Rows start from the blocks whose first min(n, k) symbols are allowed (k
-    the block length; for n < k one row per block) and grow by the allowed
-    block successors of their last block, so they stay lexicographic.  Each
-    row carries its value from its prefix: the integer nu~[first] . prod M .
+    the block length; for n < k one row per block, :func:`domain_start`)
+    and grow one :func:`domain_step` at a time by the allowed block
+    successors of their last block, so they stay lexicographic.  Each row
+    carries its value from its prefix: the integer nu~[first] . prod M .
     h~[last] in exact mode (which needs exact Perron data), the log of
     nu[first] . prod W . h[last] otherwise.  Returns (values, steps, trail),
     the measure of a row being its value finished by :func:`finish_measure`
@@ -854,31 +972,21 @@ def domain_rows(pd: PerronData, allowed: np.ndarray, max_words: int, exact: bool
     `trail` records the start blocks and every level's (parent, child)
     pairs, from which :func:`domain_words` builds them for callers that read
     them.  The budget counts visited rows, every prefix; exceeding it raises
-    EnumerationLimitError.
+    EnumerationLimitError (:func:`count_visited`).
     """
     tm = pd.tm
     n, k = len(allowed), tm.recoding.block_length
-    combine = np.multiply if exact else np.add
-    weights = tm.int_weights if exact else tm.log_weights
-    nu, h = (pd.int_nu, pd.int_h) if exact else pd.log_vectors
     head = min(n, k)
-    rows = np.flatnonzero(allowed[np.arange(head), tm.recoding.block_array[:, :head]].all(axis=1))
-    values, start, levels = nu[rows], rows, []
+    rows, values = domain_start(pd, allowed[:head], exact)
+    start, levels = rows, []
+    visited = count_visited(len(rows), max_words)
     # moves[t][i, j]: block j may follow block i and add a symbol allowed at t
     moves = tm.follows & allowed[:, None, tm.last_symbols]
-    visited = 0
-    for t in range(head, n + 1):
-        visited += len(rows)
-        if visited > max_words:
-            raise EnumerationLimitError(
-                f"domain word expansion exceeded its budget of {max_words} visited nodes")
-        if t == n:
-            break
-        parent, child = moves[t][rows].nonzero()
-        values = combine(values[parent], weights[rows[parent], child])
-        levels.append((parent, child))
-        rows = child
-    return combine(values, h[rows]), max(n - k, 0), (start, head, levels)
+    for t in range(head, n):
+        parent, rows, values = domain_step(tm, rows, values, moves[t], exact)
+        levels.append((parent, rows))
+        visited = count_visited(visited + len(rows), max_words)
+    return domain_end(pd, rows, values, exact), max(n - k, 0), (start, head, levels)
 
 
 def domain_words(tm: TransferMatrix, trail) -> np.ndarray:

@@ -957,7 +957,7 @@ def folded_systems(draw):
     in [0.5, 2], or at depth >= 1 either exact row-stochastic rationals or
     those floats times a coboundary that spreads them over about
     10^-150 .. 10^150 (a diagonal similarity of W, so Perron still
-    converges)."""
+    converges, at the default cap)."""
     seed, depth = draw(st.integers(0, 2**16)), draw(st.integers(0, 3))
     size = draw(st.integers(3, 5))
     desc = fixtures.random_mixing_system(seed, size, depth, draw(st.integers(2, 3)))
@@ -971,7 +971,7 @@ def folded_systems(draw):
         phi = np.log(desc.values) + g[tuple(w[:, :-1].T)] - g[tuple(w[:, 1:].T)]
         desc = dataclasses.replace(desc, mode="phi", values=phi)
     tm = transfer_matrix(*build_system(desc))
-    pd = perron_exact(tm) if form == "exact" else perron(tm, max_iter=1000)
+    pd = perron_exact(tm) if form == "exact" else perron(tm)
     fs = build_factor(tm, desc.factor_map, Alphabet(desc.image_alphabet))
     return fs, pd, draw(st.integers(1, fs.block_length + 3))
 
@@ -1119,3 +1119,124 @@ def test_boolean_walks_ignore_weight_size():
                     image_admissible(fs, (0, 0, 1, 0)))
 
     assert outcomes(1e308) == outcomes(1.0)
+
+
+@st.composite
+def word_call_sequences(draw):
+    """(tm, factor args, Perron data pair, calls): a seeded random_mixing_system
+    of 3-5 symbols at depth 0-3 over 2-3 image letters (uneven fibers), its
+    two Perron data and a sequence of (route, Perron data index, image
+    word) calls.  At depth >= 1 the weights are exact row-stochastic
+    rationals and the pair is the float and the exact Perron data; at depth
+    0 (no row-stochastic table) the pair is two float runs, equal in value
+    but distinct objects.  The words mix
+    admissible words, random words (some inadmissible, some shorter than
+    the block length), repeats, one-symbol extensions of the previous word
+    and g_approx's alternation of a word and its suffix w[1:]."""
+    seed, depth = draw(st.integers(0, 2**16)), draw(st.integers(0, 3))
+    desc = fixtures.random_mixing_system(seed, draw(st.integers(3, 5)), depth,
+                                         draw(st.integers(2, 3)))
+    if depth:
+        desc = row_stochastic(desc, np.random.default_rng(seed))
+    tm = transfer_matrix(*build_system(desc))
+    args = (desc.factor_map, Alphabet(desc.image_alphabet))
+    fs = build_factor(tm, *args)
+    k, q = fs.block_length, len(desc.image_alphabet)
+    admissible = [w for n in range(1, k + 4) for w in enumerate_image_words(fs, n)]
+    words = [draw(st.sampled_from(admissible))]
+    for kind in draw(st.lists(st.sampled_from(["admissible", "random", "repeat", "extend",
+                                                "suffix"]), max_size=24)):
+        last = words[-1]
+        if kind == "admissible":
+            words.append(draw(st.sampled_from(admissible)))
+        elif kind == "random":
+            words.append(tuple(draw(st.lists(st.integers(0, q - 1), min_size=1,
+                                             max_size=k + 3))))
+        elif kind == "repeat":
+            words.append(last)
+        elif kind == "extend":
+            words.append(last + (draw(st.integers(0, q - 1)),))
+        elif len(last) > 1:  # g_approx's pair: the word, then its suffix
+            words += [last[1:], last]
+    calls = [(draw(st.sampled_from(["product", "oracle"])), draw(st.integers(0, 1)), w)
+             for w in words]
+    return tm, args, (perron(tm), perron_exact(tm) if depth else perron(tm)), calls
+
+
+@given(word_call_sequences())
+@settings(max_examples=60, deadline=None)
+def test_per_word_routes_do_not_depend_on_call_order(system):
+    """Both per-word routes resume the last path of their factor system;
+    every result equals, bit for bit, the same call on a fresh factor
+    system built from the same transfer matrix, whatever came before it,
+    with one system paired in turn with float and exact Perron data."""
+    tm, args, pds, calls = system
+    fs = build_factor(tm, *args)
+    routes = {"product": projected_measure, "oracle": projected_measure_bruteforce}
+    for route, which, word in calls:
+        pd = pds[which]
+        got = routes[route](fs, pd, word)
+        want = routes[route](build_factor(tm, *args), pd, word)
+        assert type(got) is type(want) and got == want, (route, which, word)
+
+
+def visited_prefixes(fs, pd, word):
+    """The preimage prefixes a fresh oracle call on `word` visits."""
+    smap = fs.symbol_map
+    k = pd.tm.recoding.block_length
+
+    def image(u):
+        return tuple(smap[s] for s in u)
+
+    if len(word) < k:
+        return sum(image(bw[:len(word)]) == word for bw in pd.tm.recoding.block_words)
+    return sum(image(u) == word[:t] for t in range(k, len(word) + 1)
+               for u in enumerate_words(pd.tm.sft, t))
+
+
+@pytest.mark.parametrize("system", ["ex2_system", "stochastic_depth2", "seed202"])
+def test_resumed_oracle_keeps_the_budget(request, system):
+    """A resumed oracle call raises at exactly the budgets where a fresh call
+    raises, with its message: budget visited - 1 raises and visited passes,
+    after a large-budget call on the same path and after a raise, and the
+    call after a raise is still right."""
+    fs, pd = request.getfixturevalue(system)
+    for word in [(0,), (1, 0), (0, 0, 1), (1, 0, 0, 1, 1, 0), (0, 1, 1, 0, 1, 0, 0)]:
+        visited = visited_prefixes(fs, pd, word)
+        fresh = dataclasses.replace(fs)  # a new instance: no last paths
+        with pytest.raises(EnumerationLimitError) as raised:
+            projected_measure_bruteforce(fresh, pd, word, visited - 1)
+        want = projected_measure_bruteforce(fresh, pd, word, visited)
+        for before in (word, word[:-1], word[:1], word + (0,)):
+            if before:
+                projected_measure_bruteforce(fs, pd, before)  # a large budget
+            with pytest.raises(EnumerationLimitError) as again:
+                projected_measure_bruteforce(fs, pd, word, visited - 1)
+            assert str(again.value) == str(raised.value)
+            # after the raise: the same path, the smallest budget that passes
+            assert projected_measure_bruteforce(fs, pd, word, visited) == want
+            with pytest.raises(EnumerationLimitError):
+                projected_measure_bruteforce(fs, pd, word, visited - 1)
+            assert projected_measure_bruteforce(fs, pd, word) == want
+
+
+def test_last_paths_hold_one_path_per_route(ex2_system, ex2_float):
+    """Each route keeps one path: the last word, its Perron data (the same
+    object, so another PerronData replaces the slot) and one state per
+    level; stored states are never changed by a later call."""
+    fs, pd = ex2_system
+    fs = dataclasses.replace(fs)
+    word = (0, 1, 1, 0, 1)
+    projected_measure(fs, pd, word)
+    projected_measure_bruteforce(fs, pd, word)
+    paths = fs.last_paths
+    (product_pd, blocks, states), (oracle_pd, oracle_word, rows) = paths.product, paths.oracle
+    assert product_pd is pd and oracle_pd is pd and oracle_word == word
+    assert len(states) == len(blocks) == len(word) and len(rows) == len(word)
+    kept = [x.copy() for x, _ in states]
+    projected_measure(fs, pd, word[:3] + (0, 0))
+    assert all(np.array_equal(x, y) for (x, _), y in zip(states, kept))
+    assert paths.product[2][:3] == states[:3]  # the shared prefix is reused, not recomputed
+    float_pd = dataclasses.replace(ex2_float.pd)
+    projected_measure(fs, float_pd, word)
+    assert paths.product[0] is float_pd and paths.product[2][0] is not states[0]

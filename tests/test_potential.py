@@ -669,6 +669,29 @@ def spread_weight_system(seed):
     return transfer_matrix(*build_system(dataclasses.replace(desc, values=values)))
 
 
+def coboundary_spread(desc, seed):
+    """The description in phi mode with a coboundary g(prefix) - g(suffix)
+    added to log of its weights, g uniform in +-75 ln 10 on the depth-words:
+    W conjugated by diag(e^g), weights over about 10^-150 .. 10^150, the
+    same lambda."""
+    depth = desc.words.shape[1] - 1
+    g = np.random.default_rng(seed).uniform(-75, 75, (len(desc.alphabet),) * depth) * math.log(10)
+    w = desc.words
+    phi = np.log(desc.values) + g[tuple(w[:, :-1].T)] - g[tuple(w[:, 1:].T)]
+    return dataclasses.replace(desc, mode="phi", values=phi)
+
+
+@given(st.integers(0, 2**16), st.integers(3, 5), st.integers(1, 3), st.integers(0, 2**16))
+@settings(max_examples=60, deadline=None)
+def test_lambda_is_invariant_under_a_coboundary(seed, size, depth, g_seed):
+    """A coboundary is a diagonal similarity of W: perron finds the same
+    root, to 1e-13 relative, at the default step cap."""
+    desc = fixtures.random_mixing_system(seed, size, depth, 2)
+    plain = perron(transfer_matrix(*build_system(desc)))
+    pd = perron(transfer_matrix(*build_system(coboundary_spread(desc, g_seed))))
+    assert abs(pd.lam - plain.lam) <= 1e-13 * plain.lam
+
+
 def two_state(w00, w01, w10, w11):
     sft = make_sft([[1, 1], [1, 1]])
     table = {(0, 0): w00, (0, 1): w01, (1, 0): w10, (1, 1): w11}
@@ -717,11 +740,17 @@ class TestNodaIteration:
         assert pd.residual <= 1e-13
 
     def test_overflowing_row_sum_is_convergence_error(self):
-        tm = two_state(1e308, 1e308, 1.0, 1.0)
+        # lambda = 2e308 is beyond the float range
+        tm = two_state(1e308, 1e308, 1e308, 1e308)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ConvergenceError, match="overflowed"):
                 perron(tm)
+            # a row sum of 2e308 with lambda = 1e308 + 1 in range: the log-domain
+            # start steps reach h = (1, 1e-308) up to scale without overflowing
+            pd = perron(two_state(1e308, 1e308, 1.0, 1.0))
+        assert pd.lam == 1e308 and pd.residual <= 1e-13
+        assert pd.nu.tolist() == [0.5, 0.5] and pd.h[1] / pd.h[0] == 1e-308
 
     def test_underflowed_root_is_convergence_error(self):
         # exp(-800) is 0.0 in floats: build_potential refuses such a phi, and
@@ -811,6 +840,21 @@ class TestNodaIteration:
             except ConvergenceError:
                 return
         assert pd.residual <= 1e-12
+
+    @pytest.mark.parametrize("seed", [6, 47])
+    def test_spread_weights_converge(self, seed):
+        # these two took 107-143 steps before the log-domain start steps
+        pd = perron(spread_weight_system(seed))
+        assert pd.residual <= 1e-12 and pd.iterations <= 100
+
+    def test_coboundary_spread_systems_converge(self):
+        # the 80 seeded systems of ROADMAP item 12, phi plus a coboundary of +-75 ln 10
+        for seed in range(80):
+            desc = fixtures.random_mixing_system(seed, 3 + seed % 3, 1 + seed % 3, 2)
+            plain = perron(transfer_matrix(*build_system(desc)))
+            pd = perron(transfer_matrix(*build_system(coboundary_spread(desc, seed))))
+            assert pd.residual <= 1e-12
+            assert abs(pd.lam - plain.lam) <= 1e-13 * plain.lam
 
     def test_exact_runs_mixing_test_once(self, ex2_sft, monkeypatch):
         from gibbsfactor import potential
@@ -946,15 +990,46 @@ class TestPerronSecondRoute:
         assert (np.abs(pd.nu - nu) / nu).max() <= 1e-10
 
 
+def dense_log_start(w, max_steps):
+    """The reference for potential._log_start with dense products: while
+    log(sigma / min) of the iterate exceeds 20, log-domain power steps from
+    the ones vector, the log of w @ x as a log-sum-exp over each row."""
+    d = len(w)
+    x, steps = np.ones(d), 0
+    y = w @ x
+    if not np.log(y.max() / y.min()) > 20:
+        return x, steps
+    with np.errstate(divide="ignore"):
+        logw = np.log(w)
+
+    def log_product(lx):
+        terms = logw + lx
+        top = terms.max(axis=1)
+        return top + np.log(np.exp(terms - top[:, None]).sum(axis=1))
+
+    lx = np.zeros(d)
+    ly = log_product(lx)
+    while steps < max_steps:
+        ly = ly - ly.max()
+        y = np.exp(ly)
+        if not (y > 0).all():
+            break
+        x, lx, steps = y, ly, steps + 1
+        ly = log_product(lx)
+        if (ly - lx).max() - (ly - lx).min() <= 20:
+            break
+    return x, steps
+
+
 def dense_noda(w, tol, max_iter, cap=np.inf):
     """The reference for the power steps: potential._noda as it was with
-    dense products, reading w @ x at every step."""
+    dense products, reading w @ x at every step, from the same start."""
     d = len(w)
-    x = np.ones(d)
+    x, start = dense_log_start(w, min(10, max_iter))
     b = None
     handover = math.sqrt(tol)
     two_back = one_back = math.inf
-    for steps in range(max_iter + 1):
+    for steps in range(start, max_iter + 1):
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             y = w @ x
             ratios = y / x

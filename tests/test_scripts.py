@@ -42,11 +42,15 @@ def test_oracle_sweep_reports_perron_data():
     assert re.fullmatch(r"sweep worst Perron residual: \S+", lines[-1])
 
 
+def load_script(name):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "scripts" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def test_oracle_sweep_exits_one_on_a_large_perron_residual(monkeypatch, capsys):
-    spec = importlib.util.spec_from_file_location("oracle_sweep",
-                                                  ROOT / "scripts" / "oracle_sweep.py")
-    sweep = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(sweep)
+    sweep = load_script("oracle_sweep")
     real = sweep.gf.build_pipeline
 
     def build_pipeline(desc):
@@ -59,3 +63,46 @@ def test_oracle_sweep_exits_one_on_a_large_perron_residual(monkeypatch, capsys):
         sweep.main()
     assert exit_info.value.code == 1
     assert "Perron residual 2.000e-12" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("route", ["projected_measure", "projected_measure_bruteforce"])
+def test_oracle_sweep_exits_one_on_a_per_word_mismatch(monkeypatch, capsys, route):
+    sweep = load_script("oracle_sweep")
+    real = getattr(sweep.gf, route)
+    calls = []
+
+    def skewed(fs, pd, word):  # the 50th call is off by 1e-6
+        calls.append(word)
+        value = real(fs, pd, word)
+        return value + 1e-6 if len(calls) == 50 else value
+
+    monkeypatch.setattr(sweep.gf, route, skewed)
+    monkeypatch.setattr(sys, "argv", ["oracle_sweep.py", "--systems", "1", "--max-len", "3"])
+    with pytest.raises(SystemExit) as exit_info:
+        sweep.main()
+    assert exit_info.value.code == 1
+    assert len(calls) > 50
+    assert "sweep per-word mismatches: 1" in capsys.readouterr().out
+
+
+def test_bench_pairs_summary_on_canned_pairs():
+    bench = load_script("bench_pairs")
+    run_s = [(1.0, 0.6), (1.2, 0.7), (0.9, 0.95), (1.1, 1.1), (1.0, 0.5)]
+    pairs = [{"parent": {"run_s": p, "setup_s": 0.25, "peak_rss_mb": 37.5 + i},
+              "change": {"run_s": c, "setup_s": 0.25, "peak_rss_mb": 37.0 + i}}
+             for i, (p, c) in enumerate(run_s)]
+    summary = bench.summarize(pairs)
+    run = summary["run_s"]
+    # parent 0.9, 1.0, 1.0, 1.1, 1.2: inclusive quartiles 1.0 and 1.1
+    assert run["parent"] == {"median": 1.0, "iqr": pytest.approx(0.1)}
+    # change 0.5, 0.6, 0.7, 0.95, 1.1: quartiles 0.6 and 0.95
+    assert run["change"] == {"median": 0.7, "iqr": pytest.approx(0.35)}
+    assert (run["pairs"], run["change_won"], run["parent_won"]) == (5, 3, 1)  # one tie
+    assert run["gain_beyond_parent_iqr"]
+    setup = summary["setup_s"]
+    assert (setup["change_won"], setup["parent_won"]) == (0, 0)
+    assert not setup["gain_beyond_parent_iqr"]
+    rss = summary["peak_rss_mb"]
+    assert rss["change_won"] == 5 and rss["parent"]["iqr"] == 2.0
+    assert not rss["gain_beyond_parent_iqr"]  # 0.5 MB apart, parent IQR 2 MB
+    assert bench.spread([3.0]) == {"median": 3.0, "iqr": 0.0}
