@@ -8,18 +8,19 @@ once per side per pair, alternating which side goes first (the parent on
 even pairs, the change on odd ones).  Each run is a fresh process started
 in its checkout, which imports the library from that checkout's src/.  The
 record holds, per workload: the commit and machine line of each side (from
-the benchmark's `record` line), the seed, the run length, whether Python
-wrote bytecode, every pair's end-to-end metrics, and per side the median
-and the interquartile range of each metric, with the number of pairs the
-change won (lower is better for every end-to-end metric; ties count for
-neither side).  An existing record is updated in place, one workload at a
-time, so several invocations build one file.  Exits 1 when a run fails an
-output check.
+the benchmark's `record` line), the date, the seed, the run length,
+whether Python wrote bytecode, every pair's end-to-end metrics, and per
+side the median and the interquartile range of each metric, with the
+number of pairs the change won (lower is better for every end-to-end
+metric; ties count for neither side).  An existing record is updated in place, one entry per
+workload and seed ("verify_ex2/seed1"), so several invocations build one
+file.  Exits 1 when a run fails an output check.
 """
 
 from __future__ import annotations
 
 import argparse
+import datetime
 import json
 import os
 import statistics
@@ -106,7 +107,9 @@ def main(argv=None) -> int:
             f"{side} run_s {pair[side]['run_s']:.4f}" for side in ("parent", "change")))
 
     doc = json.loads(args.out.read_text()) if args.out.exists() else {"workloads": {}}
-    doc["workloads"][args.workload] = {
+    key = f"{args.workload}/seed{args.seed}"
+    doc["workloads"][key] = {
+        "date": datetime.date.today().isoformat(),
         "seed": args.seed,
         "seconds": args.seconds,
         "bytecode_written": not os.environ.get("PYTHONDONTWRITEBYTECODE"),
@@ -117,7 +120,7 @@ def main(argv=None) -> int:
         "summary": summarize(pairs),
     }
     args.out.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-    for name, s in doc["workloads"][args.workload]["summary"].items():
+    for name, s in doc["workloads"][key]["summary"].items():
         print(f"{name:12s} parent {s['parent']['median']:.6g} (IQR {s['parent']['iqr']:.3g}) "
               f"change {s['change']['median']:.6g} (IQR {s['change']['iqr']:.3g}) "
               f"change won {s['change_won']}/{s['pairs']}")

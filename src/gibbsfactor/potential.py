@@ -568,8 +568,9 @@ def _log_start(products, d: int, max_steps: int) -> tuple[np.ndarray, int]:
     rules cannot see the contraction the power steps make in the Hilbert
     metric.  Power steps in the log domain (log-sum-exp over the edge list,
     so nothing overflows or underflows inside a step) bring such a start
-    into range.  The first bracket is read from W 1, which an unspread run
-    takes anyway; its later brackets from the log products.  A step whose
+    into range.  The first bracket is read from one float product W 1,
+    O(edges), so an unspread run pays no log step; the later brackets come
+    from the log products.  A step whose
     normalised iterate is not positive (an entry underflowed, or a row of W
     vanished) is refused."""
     product, log_product = products
