@@ -10,7 +10,8 @@ through the per-word routes (`projected_measure` and
 `projected_measure_bruteforce`) on one factor system, first in
 length-lexicographic order and then in a seeded shuffle, and each result is
 compared with its batched value (`level_measures`, `preimage_measures`):
-equal in exact mode, within 1e-10 relative in float mode.  The per-word
+equal in exact mode, within 1e-10 relative in float mode.  Each system's
+line also gives each route's microseconds per word in each order.  The per-word
 routes resume the path of the previous call, so the shuffle checks that the
 order of the calls does not matter.  Exits 1 when any word's relative
 disagreement exceeds 1e-10, any per-word result disagrees with its batched
@@ -19,6 +20,7 @@ value, or any Perron residual exceeds 1e-12.
 
 import argparse
 import random
+import time
 
 import numpy as np
 
@@ -30,12 +32,17 @@ from gibbsfactor.sft import DEFAULT_MAX_WORDS
 
 TOL = 1e-10
 PERRON_TOL = 1e-12
+ROUTES = ("projected_measure", "projected_measure_bruteforce")  # per-word routes, in gf
 
 
-def per_word_mismatches(fs, pd, max_len: int, seed: int) -> int:
-    """Words of length 1..max_len whose per-word result, in length-lexicographic
-    order and then in a shuffle seeded by `seed`, differs from the batched
-    value of its route (a word one batched route lacks has measure zero)."""
+def per_word_mismatches(fs, pd, max_len: int, seed: int) -> tuple[int, dict]:
+    """Mismatches and timings of the per-word routes on words of length
+    1..max_len: (mismatches, timings).  Each route runs over every word in
+    length-lexicographic order and then in a shuffle seeded by `seed`;
+    a mismatch is a (word, route, order) whose result differs from the
+    batched value of its route (a word one batched route lacks has measure
+    zero), and timings[route, order] is the route's microseconds per word
+    in that order."""
     zero = finish_measure(0, 0.0, 0, pd)
     batched = {}
     for n in range(1, max_len + 1):
@@ -49,14 +56,16 @@ def per_word_mismatches(fs, pd, max_len: int, seed: int) -> int:
     words = list(batched)
     shuffled = words[:]
     random.Random(seed).shuffle(shuffled)
-    mismatches = 0
-    for word in words + shuffled:
-        want_product, want_oracle = batched[word]
-        got_product = gf.projected_measure(fs, pd, word)
-        got_oracle = gf.projected_measure_bruteforce(fs, pd, word)
-        mismatches += (route_error(got_product, want_product, pd.exact) > TOL
-                       or route_error(got_oracle, want_oracle, pd.exact) > TOL)
-    return mismatches
+    mismatches, timings = 0, {}
+    for order, sequence in (("lexicographic", words), ("shuffled", shuffled)):
+        for slot, route in enumerate(ROUTES):
+            measure = getattr(gf, route)
+            start = time.perf_counter()
+            got = [measure(fs, pd, word) for word in sequence]
+            timings[route, order] = (time.perf_counter() - start) / len(sequence) * 1e6
+            mismatches += sum(route_error(value, batched[word][slot], pd.exact) > TOL
+                              for value, word in zip(got, sequence))
+    return mismatches, timings
 
 
 def main():
@@ -79,9 +88,14 @@ def main():
                                              args.image_size, density=args.density)
         pipe = gf.build_pipeline(desc)
         check = gf.verify_projection(pipe.factor, pipe.pd, args.max_len, TOL)
-        mismatches = per_word_mismatches(pipe.factor, pipe.pd, args.max_len, seed)
+        mismatches, timings = per_word_mismatches(pipe.factor, pipe.pd, args.max_len, seed)
+        per_word = ", ".join(
+            f"{route} " + "/".join(f"{timings[route, order]:.1f}"
+                                   for order in ("lexicographic", "shuffled"))
+            for route in ROUTES)
         print(f"seed {seed}: {check.checked_words} image words, worst relative error "
-              f"{check.max_relative_error:.3e}, {mismatches} per-word mismatches, "
+              f"{check.max_relative_error:.3e}, {mismatches} per-word mismatches "
+              f"(us per word, lexicographic/shuffled: {per_word}), "
               f"{len(check.failures)} failures; "
               f"Perron residual {pipe.pd.residual:.3e}, {pipe.pd.iterations} iterations")
         worst_overall = max(worst_overall, check.max_relative_error)

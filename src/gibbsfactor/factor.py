@@ -36,6 +36,11 @@ state after every level, at most one fiber vector per block for the product
 route and the preimage rows one fresh call visits for the oracle.  A call
 replays the same steps a fresh call takes, so its results are bit-identical
 to a fresh call's, and the oracle's budget raises where a fresh call raises.
+Past those steps a call pays little else: it compares and range-checks
+symbols only past the shared prefix, the product route translates only the
+new windows into image blocks and reads nu_b and h_b from fiber vectors
+read once per path, and the oracle finishes its one run of row values
+directly instead of through the batched :func:`run_measures`.
 
 Image-word admissibility always goes through boolean block products (never a
 plain block adjacency): the image is sofic, so a word is admissible iff some
@@ -65,7 +70,7 @@ entries: :func:`reduce_products` takes the alive test and a vector product's
 largest entry in :func:`rescale_product`, :func:`fwm_check` counts each
 matrix product's positive entries, and
 :func:`~gibbsfactor.cone.stacked_diameters` copies its stack into a
-transposed layout.  Parents and blocks are gathered with ``np.take``.  Only
+transposed layout.  Parents and blocks are gathered with ``ndarray.take``.  Only
 exact operations are reordered (max, min, or/and, counts and gathers), so
 the bits of a carried product do not change; the one exception is the last
 level of a float measure walk, whose folded sums run in another order than
@@ -75,6 +80,10 @@ the last bits.  A level that would exceed
 first, so a sweep holds at most one capped chunk per word length, however
 large its budget (which counts visited nodes).  The walker
 yields the full-length chunks, and each sweep folds them in a plain loop.
+A walk may start from a frontier, one whole level of an earlier walk with
+that walk's visited count, and it returns its own count, so
+:func:`fwm_search` extends one walk from span to span while a span's
+full-length rows come in one chunk.
 Single image words go through :func:`carry_path`, the one loop for the
 product along one word, which extends a path of products
 (:func:`carry_product` is the last state of a fresh path).
@@ -206,32 +215,42 @@ class FactorSystem:
 class LastPaths:
     """The last path of each per-word route of one factor system:
     :func:`projected_measure` in `product`, :func:`projected_measure_bruteforce`
-    in `oracle`.  A slot is None or (Perron data, word, states), the states
-    a list with the route's state after every level of the word; a call
-    keeps the states of the longest prefix it shares with the slot's word
-    under the same Perron data (compared with ``is``, and held, so a
-    recycled id cannot match), extends a new list from there and stores it.
-    Stored states are never changed in place.  What is kept is one path per
-    route: at most one fiber vector per block of the last word for the
-    product route, and the rows of every level of the last word's preimage
-    expansion for the oracle, the rows one fresh call visits."""
+    in `oracle`.  A slot is None or a tuple that begins (Perron data, word):
+    the product slot goes on with the word's image blocks, its states and
+    the path's fiber vectors (one nu_b and one h_b per image block, read
+    once per path), the oracle slot with its states; the states list holds
+    the route's state after every level of the word.  A call keeps the
+    states of the longest prefix it shares with the slot's word under the
+    same Perron data (compared with ``is``, and held, so a recycled id
+    cannot match), extends a new list from there and stores it.  Stored
+    states are never changed in place.  What is kept is one path per route:
+    at most one fiber vector per block of the last word, and nu_b and h_b
+    for every image block, for the product route, and the rows of every
+    level of the last word's preimage expansion for the oracle, the rows
+    one fresh call visits."""
 
     def __init__(self):
         self.product = None
         self.oracle = None
 
     @staticmethod
-    def shared(slot, pd: PerronData, word) -> int:
-        """Length of the longest common prefix of `word` and the slot's
-        word, 0 for an empty slot or other Perron data."""
-        if slot is None or slot[0] is not pd:
-            return 0
+    def resume(fs: FactorSystem, slot, pd: PerronData, yword) -> tuple[Word, int, tuple | None]:
+        """(word, shared, slot): the image word as a tuple, the length of
+        the longest prefix it shares with the slot's word, and the slot;
+        (word, 0, None) for an empty slot or other Perron data.  Only the
+        symbols past the shared prefix are range-checked; the slot's word
+        passed the same check, so a bad symbol raises the ValidationError
+        of a fresh call."""
+        w = tuple(yword)
+        if slot is not None and slot[0] is not pd:
+            slot = None
         n = 0
-        for a, b in zip(slot[1], word):
+        for a, b in zip(slot[1] if slot else (), w):
             if a != b:
                 break
             n += 1
-        return n
+        _check_symbols(fs, w[n:])
+        return w, n, slot
 
 
 def build_factor(tm: TransferMatrix, symbol_map, image_alphabet: Alphabet) -> FactorSystem:
@@ -307,12 +326,16 @@ def image_block_word(fs: FactorSystem, yword: Word) -> list[int] | None:
     return out
 
 
-def _check_image_word(fs: FactorSystem, yword) -> Word:
-    w = tuple(yword)
+def _check_symbols(fs: FactorSystem, symbols) -> None:
     size = fs.image_alphabet.size
-    for s in w:
+    for s in symbols:
         if not 0 <= s < size:
             raise ValidationError(f"image symbol index {s} out of bounds")
+
+
+def _check_image_word(fs: FactorSystem, yword) -> Word:
+    w = tuple(yword)
+    _check_symbols(fs, w)
     return w
 
 
@@ -374,10 +397,18 @@ def rescale_product(x: np.ndarray, scale):
 def rescale_single(x: np.ndarray, scale):
     """:func:`rescale_product` for a single product with a scalar log
     scale: (product, scale, alive), with the same bits, minus the stack's
-    axis bookkeeping."""
+    axis bookkeeping and the ufunc calls.  An exact or boolean product is
+    alive when ``any(x.flat)``.  A float vector's largest entry is Python's
+    ``max`` of its list, a float matrix's ``x.max()``.  The two differ only
+    on a NaN that is not the first entry, which cannot reach a vector here:
+    its entries come from ``x @ m`` with x in [0, 1] or NaN and m finite
+    and positive, so a NaN arises only as inf / inf after an overflowing
+    step, and once x holds one, every entry of x @ m is NaN, where both
+    give NaN, a dead product.  ``x / top`` and ``np.log(top)`` give the
+    same bits for a Python float as for a numpy one."""
     if x.dtype != float:
-        return x, scale, bool(x.any())
-    top = x.max()
+        return x, scale, any(x.flat)
+    top = max(x.tolist()) if x.ndim == 1 else x.max()
     if not top > 0:
         return x, scale, False
     return x / top, scale + np.log(top), True
@@ -455,13 +486,19 @@ def projected_measure(fs: FactorSystem, pd: PerronData, yword):
 
     The product nu_{b_0} L_{b_0 b_1} ... of a word is the product of its
     prefix times one more block, so a call resumes the system's last
-    product path (:attr:`FactorSystem.last_paths`) from the longest block
-    prefix it shares with the previous call under the same Perron data and
-    takes only the steps past it (:func:`carry_path`).  The kept path is one
-    fiber vector per block of the last word; the steps are the ones a fresh
-    call takes, so the results are bit-identical to it.
+    product path (:attr:`FactorSystem.last_paths`).  It compares the word
+    with the path's word symbol by symbol under the same Perron data: with
+    s shared symbols the first s - k + 1 image blocks are shared (k the
+    block length), so it range-checks only the symbols past s, translates
+    only the windows past the shared blocks and takes only the steps past
+    them (:func:`carry_path`), and reads nu_b and h_b from the fiber vectors
+    the path read once.  The kept path is one fiber vector per block of the
+    last word; the steps are the ones a fresh call takes, so the results
+    are bit-identical to it.  A word shorter than k or with an unrealized
+    window leaves the path as it was.
     """
-    w = _check_image_word(fs, yword)
+    paths = fs.last_paths
+    w, shared, last = paths.resume(fs, paths.product, pd, yword)
     if len(w) == 0:
         raise ValidationError("projected measure needs a nonempty image word")
     k = fs.block_length
@@ -469,19 +506,21 @@ def projected_measure(fs: FactorSystem, pd: PerronData, yword):
         matching = [b for b, bw in enumerate(fs.image_block_words) if bw[:len(w)] == w]
         total = sum(fs.fiber_nu(pd, b) @ fs.fiber_h(pd, b) for b in matching)
         return finish_measure(total, 0.0, 0, pd)
-    blocks = image_block_word(fs, w)
+    kept = max(shared - k + 1, 0)
+    blocks = image_block_word(fs, w[kept:])
     if blocks is None:
         return finish_measure(0, 0.0, 0, pd)
-    mats, paths = fs.operators(pd.exact), fs.last_paths
-    shared = paths.shared(paths.product, pd, blocks)
-    states = (paths.product[2][:shared] if shared
-              else [(fs.fiber_nu(pd, blocks[0]), 0.0)])
-    states = carry_path(mats, blocks, states)
-    paths.product = (pd, blocks, states)
+    vectors = last[4] if last else tuple([v[list(f)] for f in fs.fibers] for v in pd.vectors)
+    if kept:
+        blocks, states = last[2][:kept] + blocks, last[3][:kept]
+    else:
+        states = [(vectors[0][blocks[0]], 0.0)]
+    states = carry_path(fs.operators(pd.exact), blocks, states)
+    paths.product = (pd, w, blocks, states, vectors)
     if states[-1] is None:
         return finish_measure(0, 0.0, 0, pd)
     vec, scale = states[-1]
-    return finish_measure(vec @ fs.fiber_h(pd, blocks[-1]), scale, len(blocks) - 1, pd)
+    return finish_measure(vec @ vectors[1][blocks[-1]], scale, len(blocks) - 1, pd)
 
 
 def projected_measure_bruteforce(fs: FactorSystem, pd: PerronData, yword,
@@ -494,30 +533,33 @@ def projected_measure_bruteforce(fs: FactorSystem, pd: PerronData, yword,
     under the mask of the word's fibers (its :func:`~gibbsfactor.potential.domain_start`
     and :func:`~gibbsfactor.potential.domain_step`), so every row is a
     preimage of the word and the row values are summed directly, without
-    building the preimage words, as the one run of :func:`run_measures` (no
-    rows: measure zero).  The budget counts visited preimage prefixes.
+    building the preimage words (no rows: measure zero).  The one run is
+    finished here: the integer sum in exact mode, else the largest log and
+    ``np.add.reduceat`` of the exponentials over the run, whose summation
+    order (and so its bits) is the batched :func:`run_measures`'.  The
+    budget counts visited preimage prefixes.
 
     The preimages of a word are those of its prefix, each grown by one
     level, so a call resumes the system's last oracle path
     (:attr:`FactorSystem.last_paths`): the state (rows, values, visited
     count) after every position of the last word, under the same Perron
-    data.  The head rows depend on the first min(n, k) symbols (k the block
-    length), so a path is reused only when the head length and symbols
-    agree; then the call takes the levels past the shared prefix.  The
-    visited count only grows along a path, so checking the last reused
+    data.  Only the symbols past the prefix shared with the last word are
+    range-checked.  The head rows depend on the first min(n, k) symbols (k
+    the block length), so a path is reused only when the head length and
+    symbols agree; then the call takes the levels past the shared prefix.
+    The visited count only grows along a path, so checking the last reused
     state and every new level raises EnumerationLimitError at the budgets
     where a fresh call raises, with its message.  The kept path is the rows
     one fresh call visits; the results are bit-identical to a fresh call.
     """
-    w = _check_image_word(fs, yword)
+    paths = fs.last_paths
+    w, shared, last = paths.resume(fs, paths.oracle, pd, yword)
     if len(w) == 0:
         raise ValidationError("projected measure needs a nonempty image word")
-    tm, n = pd.tm, len(w)
-    head = min(n, fs.block_length)
-    paths = fs.last_paths
-    shared = paths.shared(paths.oracle, pd, w)
-    if shared >= head and min(len(paths.oracle[1]), fs.block_length) == head:
-        states = paths.oracle[2][:shared - head + 1]
+    tm, n, k = pd.tm, len(w), fs.block_length
+    head = min(n, k)
+    if shared >= head and min(len(last[1]), k) == head:
+        states = last[2][:shared - head + 1]
         count_visited(states[-1][2], max_words)
     else:
         rows, values = domain_start(pd, fs.symbol_array == np.array(w[:head])[:, None],
@@ -531,8 +573,15 @@ def projected_measure_bruteforce(fs: FactorSystem, pd: PerronData, yword,
     paths.oracle = (pd, w, states)
     if not len(rows):
         return finish_measure(0, 0.0, 0, pd)
-    return run_measures(pd, domain_end(pd, rows, values, pd.exact), [0],
-                        max(n - fs.block_length, 0))[0]
+    values = domain_end(pd, rows, values, pd.exact)
+    steps = max(n - k, 0)
+    if pd.exact:
+        return finish_measure(sum(values.tolist()), 0.0, steps, pd)
+    scale = max(values.tolist())
+    return finish_measure(np.add.reduceat(np.exp(values - scale), _FIRST)[0], scale, steps, pd)
+
+
+_FIRST = np.zeros(1, dtype=np.intp)  # the start of a single run, for reduceat
 
 
 def sorted_runs(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -739,11 +788,12 @@ class SweepRows:
                          self.products[index], self.scales[index])
 
 
-def walk_image_words(fs: FactorSystem, start: np.ndarray, n_steps: int, max_words: int,
-                     ends=None):
+def walk_image_words(fs: FactorSystem, start, n_steps: int, max_words: int,
+                     ends=None, visited: int = 0):
     """Level-synchronous walk over the admissible image words of n_steps + 1
     block symbols, carrying a product of blocks; yields the full-length words
-    as :class:`SweepRows`, chunk by chunk in lexicographic order.
+    as :class:`SweepRows`, chunk by chunk in lexicographic order, and
+    returns (as the generator's value) its count of visited nodes.
 
     `start` stacks one product per image block in the system's
     :class:`SweepLayout` (a fiber vector or matrix zero-padded to the widest
@@ -751,7 +801,10 @@ def walk_image_words(fs: FactorSystem, start: np.ndarray, n_steps: int, max_word
     back to its dtype, which also picks the blocks (:meth:`SweepLayout.blocks`):
     an ``object`` start walks the exact blocks, a boolean start their 0/1
     support, so it walks boolean products, and a float start the float
-    blocks.  A level grows by
+    blocks.  A walk may also start from a frontier: `start` is then the
+    :class:`SweepRows` of one whole level of an earlier walk, already
+    counted in `visited`, the earlier walk's count, and the walk takes
+    n_steps more steps from it.  A level grows by
     ``parent, blocks = np.nonzero(follows[rows.blocks])`` and one batched
     matmul of each parent's product with its gathered block, which keeps the
     rows lexicographic, and every new row goes through
@@ -761,53 +814,68 @@ def walk_image_words(fs: FactorSystem, start: np.ndarray, n_steps: int, max_word
     that vector's log scale, so the full-length rows carry their totals.
     Rows whose product vanished are pruned.  A level that would exceed
     SWEEP_ROW_CAP rows is expanded in contiguous lexicographic chunks, depth
-    first.  The budget counts nodes visited, i.e. every prefix and not only
-    finished words; exceeding it raises EnumerationLimitError.
+    first; a level that fits is expanded whole.  The budget counts nodes
+    visited, i.e. every prefix and not only finished words, each level when
+    it is reached; exceeding it raises EnumerationLimitError.
     """
     layout = fs.sweep_layout
-    stack, width, follows, degree = (layout.blocks(start.dtype), layout.width,
+    if isinstance(start, SweepRows):
+        rows = start
+    else:
+        roots = np.arange(len(start))
+        x, scales, alive = rescale_product(start, np.zeros(len(start)))
+        rows = SweepRows(layout.words, roots, roots, x, scales).take(alive)
+        visited = _count_nodes(visited + len(rows), max_words)
+    shape, dtype = rows.products.shape[1:], rows.products.dtype
+    stack, width, follows, degree = (layout.blocks(dtype), layout.width,
                                      layout.follows, layout.degree)
-    roots = np.arange(len(start))
-    x, scales, alive = rescale_product(start, np.zeros(len(start)))
-    shape, dtype = x.shape[1:], x.dtype
-    rows = SweepRows(layout.words, roots, roots, x, scales).take(alive)
-    visited = 0
     # depth-first stack of (frontier, steps left, next parent, child-count prefix sums)
-    frontiers = [(rows, n_steps, 0, np.cumsum(degree[rows.blocks]))]
+    frontiers = [(rows, n_steps, 0, None if n_steps == 0 else np.cumsum(degree[rows.blocks]))]
     while frontiers:
         rows, remaining, pos, ends_at = frontiers.pop()
-        if pos == 0:  # a frontier is counted when it is first reached
-            visited += len(rows)
-            if visited > max_words:
-                raise EnumerationLimitError(
-                    f"image word sweep exceeded its budget of {max_words} visited nodes")
         if remaining == 0:
             yield rows
             continue
-        if pos == len(rows):
+        if not len(rows):  # an empty start
             continue
         done = ends_at[pos - 1] if pos else 0
-        stop = max(pos + 1, int(np.searchsorted(ends_at, done + SWEEP_ROW_CAP, side="right")))
-        frontiers.append((rows, remaining, stop, ends_at))
-        chunk = rows.take(slice(pos, stop))
+        if ends_at[-1] - done <= SWEEP_ROW_CAP:  # the rest of the level is one chunk
+            chunk = rows if pos == 0 else rows.take(slice(pos, None))
+        else:
+            stop = max(pos + 1, int(np.searchsorted(ends_at, done + SWEEP_ROW_CAP, side="right")))
+            if stop < len(rows):
+                frontiers.append((rows, remaining, stop, ends_at))
+            chunk = rows.take(slice(pos, stop))
         parent, blocks = np.nonzero(follows[chunk.blocks])
         pair = layout.index[chunk.blocks[parent], blocks]
-        x = np.take(chunk.products, parent, axis=0)
+        x = chunk.products.take(parent, axis=0)
         if ends is not None and remaining == 1:
-            x = np.einsum("ij,ij->i", x, np.take(ends[0], pair, axis=0))
+            x = np.einsum("ij,ij->i", x, ends[0].take(pair, axis=0))
             scales, alive = chunk.scales[parent] + ends[1][pair], x != 0
         else:
             # a row's product, vector or matrix, viewed as (-1, F) times its block
-            x = x.reshape(len(x), -1, width) @ np.take(stack, pair, axis=0)
+            x = x.reshape(len(x), -1, width) @ stack.take(pair, axis=0)
             x, scales, alive = rescale_product(x.reshape((-1,) + shape).astype(dtype, copy=False),
                                                chunk.scales[parent])
-        words = np.column_stack([np.take(chunk.words, parent, axis=0), layout.symbols[blocks]])
+        words = np.concatenate([chunk.words.take(parent, axis=0),
+                                layout.symbols.take(blocks)[:, None]], axis=1)
         children = SweepRows(words, chunk.roots[parent], blocks, x, scales)
         if not alive.all():
             children = children.take(alive)
         if len(children):
+            visited = _count_nodes(visited + len(children), max_words)
             frontiers.append((children, remaining - 1, 0,
                               None if remaining == 1 else np.cumsum(degree[children.blocks])))
+    return visited
+
+
+def _count_nodes(visited: int, max_words: int) -> int:
+    """The visited-node count of an image-word walk, checked against its
+    budget: raises EnumerationLimitError once it is exceeded."""
+    if visited > max_words:
+        raise EnumerationLimitError(
+            f"image word sweep exceeded its budget of {max_words} visited nodes")
+    return visited
 
 
 def enumerate_image_words(fs: FactorSystem, n: int,
@@ -907,13 +975,28 @@ def fwm_check(fs: FactorSystem, n: int, max_words: int = DEFAULT_MAX_WORDS,
     """
     if n < 1:
         raise ValidationError("fiber-wise mixing span must be >= 1")
-    k = fs.block_length
+    walk = walk_image_words(fs, fs.sweep_layout.eye(bool), n, max_words)
+    return fwm_span(fs, n, walk, witness_cap)[0]
+
+
+def fwm_span(fs: FactorSystem, n: int, walk, witness_cap: int = 100):
+    """The fiber-wise mixing report of span N from the full-length chunks of
+    a boolean :func:`walk_image_words` walk, with the walk's frontier:
+    (report, frontier), the frontier (full-length rows, visited count) when
+    those rows came in one chunk, from which span N + 1 is one more step,
+    else None."""
     layout = fs.sweep_layout
     witnesses: list = []
-    checked = 0
+    checked = chunks = 0
     holds = True
-    for rows in walk_image_words(fs, layout.eye(bool), n, max_words):
+    while True:
+        try:
+            rows = next(walk)
+        except StopIteration as stop:
+            visited = stop.value
+            break
         checked += len(rows)
+        chunks += 1
         # padding is zero: a product is all-positive iff it counts every entry of its fibers
         positive = np.count_nonzero(rows.products.reshape(len(rows), -1), axis=1)
         failing = np.flatnonzero(positive < layout.sizes[rows.roots] * layout.sizes[rows.blocks])
@@ -929,8 +1012,9 @@ def fwm_check(fs: FactorSystem, n: int, max_words: int = DEFAULT_MAX_WORDS,
                 if len(witnesses) >= witness_cap:
                     break
                 witnesses.append((word, first[int(i)], last[int(j)]))
-    return FwmReport(n=n, holds=holds, witnesses=tuple(witnesses),
-                     words_checked=checked, recoded=k > 1)
+    report = FwmReport(n=n, holds=holds, witnesses=tuple(witnesses),
+                       words_checked=checked, recoded=fs.block_length > 1)
+    return report, (rows, visited) if chunks == 1 else None
 
 
 @dataclass(frozen=True)
@@ -942,12 +1026,25 @@ class FwmSearchResult:
 def fwm_search(fs: FactorSystem, max_n: int,
                max_words: int = DEFAULT_MAX_WORDS) -> FwmSearchResult:
     """Try N = 1..max_n independently (no monotonicity assumed) and return
-    the first N at which fiber-wise mixing holds, with all per-N reports."""
+    the first N at which fiber-wise mixing holds, with all per-N reports.
+
+    The reports, and the budgets at which EnumerationLimitError is raised,
+    are those of :func:`fwm_check` called for N = 1, 2, ... until the first
+    pass.  The walks extend one another: span N's levels 0..N are span N's
+    walk, so when its full-length rows came in one chunk, span N + 1 is one
+    more step from them, counting on from N's visited count (the same count
+    a fresh walk reaches, so the same raise points); otherwise span N + 1
+    walks from the roots.  The budget caps each span's walk, as it does
+    each :func:`fwm_check`.
+    """
     if max_n < 1:
         raise ValidationError("max_n must be >= 1")
-    reports = []
+    start = fs.sweep_layout.eye(bool)
+    reports, frontier = [], None
     for n in range(1, max_n + 1):
-        rep = fwm_check(fs, n, max_words)
+        walk = (walk_image_words(fs, start, n, max_words) if frontier is None
+                else walk_image_words(fs, frontier[0], 1, max_words, visited=frontier[1]))
+        rep, frontier = fwm_span(fs, n, walk)
         reports.append(rep)
         if rep.holds:
             return FwmSearchResult(found=n, reports=tuple(reports))

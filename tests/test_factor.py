@@ -42,6 +42,7 @@ from gibbsfactor import (
 from gibbsfactor import factor as factor_module
 from gibbsfactor.cone import contraction_profile, projective_diameter
 from gibbsfactor.factor import (
+    FwmSearchResult,
     carry_product,
     image_block_word,
     level_measures,
@@ -1132,7 +1133,11 @@ def word_call_sequences(draw):
     but distinct objects.  The words mix
     admissible words, random words (some inadmissible, some shorter than
     the block length), repeats, one-symbol extensions of the previous word
-    and g_approx's alternation of a word and its suffix w[1:]."""
+    and g_approx's alternation of a word and its suffix w[1:].  They also
+    share a prefix with the previous word and then differ: by an
+    out-of-range symbol, by a window that is no image block (block length
+    k >= 2), or only inside their last k - 1 symbols; the previous word is
+    called again after each of the first two."""
     seed, depth = draw(st.integers(0, 2**16)), draw(st.integers(0, 3))
     desc = fixtures.random_mixing_system(seed, draw(st.integers(3, 5)), depth,
                                          draw(st.integers(2, 3)))
@@ -1143,11 +1148,23 @@ def word_call_sequences(draw):
     fs = build_factor(tm, *args)
     k, q = fs.block_length, len(desc.image_alphabet)
     admissible = [w for n in range(1, k + 4) for w in enumerate_image_words(fs, n)]
+    unrealized = [w for w in itertools.product(range(q), repeat=k)
+                  if w not in fs.image_block_index]
     words = [draw(st.sampled_from(admissible))]
     for kind in draw(st.lists(st.sampled_from(["admissible", "random", "repeat", "extend",
-                                                "suffix"]), max_size=24)):
+                                                "suffix", "bad symbol", "bad window",
+                                                "last symbols"]), max_size=24)):
         last = words[-1]
-        if kind == "admissible":
+        cut = draw(st.integers(0, len(last)))
+        if kind == "bad symbol":
+            words += [last[:cut] + (draw(st.sampled_from([-1, q, q + 2])),), last]
+        elif kind == "bad window" and unrealized:
+            words += [last[:cut] + draw(st.sampled_from(unrealized)), last]
+        elif kind == "last symbols" and k > 1 and len(last) >= k:
+            j = draw(st.integers(1, k - 1))
+            words.append(last[:-j] + tuple(draw(st.lists(st.integers(0, q - 1),
+                                                         min_size=j, max_size=j))))
+        elif kind == "admissible":
             words.append(draw(st.sampled_from(admissible)))
         elif kind == "random":
             words.append(tuple(draw(st.lists(st.integers(0, q - 1), min_size=1,
@@ -1169,14 +1186,23 @@ def test_per_word_routes_do_not_depend_on_call_order(system):
     """Both per-word routes resume the last path of their factor system;
     every result equals, bit for bit, the same call on a fresh factor
     system built from the same transfer matrix, whatever came before it,
-    with one system paired in turn with float and exact Perron data."""
+    with one system paired in turn with float and exact Perron data, and
+    a word with an out-of-range symbol raises the fresh call's
+    ValidationError."""
     tm, args, pds, calls = system
     fs = build_factor(tm, *args)
     routes = {"product": projected_measure, "oracle": projected_measure_bruteforce}
+
+    def outcome(route, fs, pd, word):
+        try:
+            return routes[route](fs, pd, word)
+        except ValidationError as exc:
+            return str(exc)
+
     for route, which, word in calls:
         pd = pds[which]
-        got = routes[route](fs, pd, word)
-        want = routes[route](build_factor(tm, *args), pd, word)
+        got = outcome(route, fs, pd, word)
+        want = outcome(route, build_factor(tm, *args), pd, word)
         assert type(got) is type(want) and got == want, (route, which, word)
 
 
@@ -1223,20 +1249,97 @@ def test_resumed_oracle_keeps_the_budget(request, system):
 def test_last_paths_hold_one_path_per_route(ex2_system, ex2_float):
     """Each route keeps one path: the last word, its Perron data (the same
     object, so another PerronData replaces the slot) and one state per
-    level; stored states are never changed by a later call."""
+    level, and the product route its image blocks and the fiber vectors it
+    read once for the path; stored states are never changed by a later
+    call."""
     fs, pd = ex2_system
     fs = dataclasses.replace(fs)
     word = (0, 1, 1, 0, 1)
     projected_measure(fs, pd, word)
     projected_measure_bruteforce(fs, pd, word)
     paths = fs.last_paths
-    (product_pd, blocks, states), (oracle_pd, oracle_word, rows) = paths.product, paths.oracle
-    assert product_pd is pd and oracle_pd is pd and oracle_word == word
+    product, (oracle_pd, oracle_word, rows) = paths.product, paths.oracle
+    product_pd, product_word, blocks, states, (nus, hs) = product
+    assert product_pd is pd and oracle_pd is pd and product_word == oracle_word == word
     assert len(states) == len(blocks) == len(word) and len(rows) == len(word)
+    assert len(nus) == len(hs) == len(fs.fibers)
     kept = [x.copy() for x, _ in states]
     projected_measure(fs, pd, word[:3] + (0, 0))
     assert all(np.array_equal(x, y) for (x, _), y in zip(states, kept))
-    assert paths.product[2][:3] == states[:3]  # the shared prefix is reused, not recomputed
+    assert paths.product[3][:3] == states[:3]  # the shared prefix is reused, not recomputed
+    assert paths.product[4][0] is nus  # the fiber vectors are read once per path
     float_pd = dataclasses.replace(ex2_float.pd)
     projected_measure(fs, float_pd, word)
-    assert paths.product[0] is float_pd and paths.product[2][0] is not states[0]
+    assert paths.product[0] is float_pd and paths.product[3][0] is not states[0]
+    assert paths.product[4][0] is not nus
+
+
+@st.composite
+def fwm_search_cases(draw):
+    """(fs, max_n): a seeded random_mixing_system of 3-5 symbols at depth 0-3
+    over 2-3 image letters (uneven fibers), edge density 0.3-0.7, and a
+    span bound of 1-6."""
+    seed, depth = draw(st.integers(0, 2**16)), draw(st.integers(0, 3))
+    desc = fixtures.random_mixing_system(seed, draw(st.integers(3, 5)), depth,
+                                         draw(st.integers(2, 3)),
+                                         density=draw(st.sampled_from([0.3, 0.5, 0.7])))
+    fs = build_factor(transfer_matrix(*build_system(desc)), desc.factor_map,
+                      Alphabet(desc.image_alphabet))
+    return fs, draw(st.integers(1, 6))
+
+
+def fwm_outcome(search):
+    """The search's result, or the message of its EnumerationLimitError."""
+    try:
+        return search()
+    except EnumerationLimitError as exc:
+        return str(exc)
+
+
+def fwm_per_span(fs, max_n, budget):
+    """Independent fwm_check calls for N = 1, 2, ... until the first pass."""
+    reports = []
+    for n in range(1, max_n + 1):
+        reports.append(fwm_check(fs, n, budget))
+        if reports[-1].holds:
+            return FwmSearchResult(found=n, reports=tuple(reports))
+    return FwmSearchResult(found=None, reports=tuple(reports))
+
+
+@given(fwm_search_cases())
+@settings(max_examples=40, deadline=None)
+def test_fwm_search_equals_per_span_checks(case):
+    """fwm_search extends one walk per span where it can, and its reports
+    and budget raises equal those of independent fwm_check calls run in
+    turn until the first pass: at budgets on both sides of every span's
+    raise point (its visited nodes), and under a row cap of 8, so that
+    both extended walks and fresh walks from the roots run."""
+    fs, max_n = case
+    budgets = {DEFAULT_MAX_WORDS}
+    for n in range(1, max_n + 1):
+        nodes = sweep_nodes(fs, n + fs.block_length)
+        budgets |= {nodes - 1, nodes}
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(factor_module, "SWEEP_ROW_CAP", 8)
+        for budget in sorted(budgets):
+            got = fwm_outcome(lambda: fwm_search(fs, max_n, budget))
+            assert got == fwm_outcome(lambda: fwm_per_span(fs, max_n, budget)), budget
+
+
+def test_fwm_search_extends_one_chunk_spans(monkeypatch, ex2_exact):
+    """On Example 2 (2^(N+1) words at span N) under a row cap of 8, spans 2
+    and 3 extend the walk of the span before, whose full-length rows came
+    in one chunk, and spans 4-6 walk from the roots; the result equals the
+    per-span checks."""
+    fs = ex2_exact.factor
+    monkeypatch.setattr(factor_module, "SWEEP_ROW_CAP", 8)
+    walk, extended = factor_module.walk_image_words, []
+
+    def spy(fs, start, n_steps, max_words, ends=None, visited=0):
+        extended.append(isinstance(start, factor_module.SweepRows))
+        return walk(fs, start, n_steps, max_words, ends, visited)
+
+    monkeypatch.setattr(factor_module, "walk_image_words", spy)
+    result = fwm_search(fs, 6)
+    assert extended == [False, True, True, False, False, False]
+    assert result == fwm_per_span(fs, 6, DEFAULT_MAX_WORDS)
