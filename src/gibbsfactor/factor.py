@@ -578,10 +578,7 @@ def projected_measure_bruteforce(fs: FactorSystem, pd: PerronData, yword,
     if pd.exact:
         return finish_measure(sum(values.tolist()), 0.0, steps, pd)
     scale = max(values.tolist())
-    return finish_measure(np.add.reduceat(np.exp(values - scale), _FIRST)[0], scale, steps, pd)
-
-
-_FIRST = np.zeros(1, dtype=np.intp)  # the start of a single run, for reduceat
+    return finish_measure(np.add.reduceat(np.exp(values - scale), [0])[0], scale, steps, pd)
 
 
 def sorted_runs(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
