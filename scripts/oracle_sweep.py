@@ -11,9 +11,9 @@ through the per-word routes (`projected_measure` and
 length-lexicographic order and then in a seeded shuffle, and each result is
 compared with its batched value (`level_measures`, `preimage_measures`):
 equal in exact mode, within 1e-10 relative in float mode.  Each system's
-line also gives each route's microseconds per word in each order.  The per-word
-routes resume the path of the previous call, so the shuffle checks that the
-order of the calls does not matter.  Exits 1 when any word's relative
+line also gives each route's microseconds per word in each order.  The
+per-word routes resume the path of the previous call, so the shuffle checks
+that the order of the calls does not matter.  Exits 1 when any word's relative
 disagreement exceeds 1e-10, any per-word result disagrees with its batched
 value, or any Perron residual exceeds 1e-12.
 """
