@@ -22,8 +22,6 @@ import argparse
 import random
 import time
 
-import numpy as np
-
 import gibbsfactor as gf
 from gibbsfactor import fixtures
 from gibbsfactor.factor import level_measures, preimage_measures, route_error
@@ -47,8 +45,7 @@ def per_word_mismatches(fs, pd, max_len: int, seed: int) -> tuple[int, dict]:
     batched = {}
     for n in range(1, max_len + 1):
         words, values = level_measures(fs, pd, n, DEFAULT_MAX_WORDS, pd.exact)
-        allowed = np.ones((n, pd.tm.sft.size), dtype=bool)
-        images, measures = preimage_measures(fs, pd, allowed, DEFAULT_MAX_WORDS)
+        images, measures = preimage_measures(fs, pd, n, DEFAULT_MAX_WORDS)
         product = dict(zip(map(tuple, words.tolist()), values.tolist()))
         oracle = dict(zip(map(tuple, images.tolist()), measures))
         for word in sorted(product.keys() | oracle.keys()):

@@ -52,7 +52,7 @@ def main():
         else:
             bound = gf.eta_optimize(env.theta, env.holder_constant,
                                     n_steps=search.found, sup_norm=env.sup_norm,
-                                    ln1_sup_norm=gf.ln1_sup_norm(pipe.tm, search.found),
+                                    log_ln1_sup_norm=gf.log_ln1_sup_norm(pipe.tm, search.found),
                                     grid_size=args.grid)
         print(f"rate bound: eta = {bound.eta:.5f} at sigma = {bound.sigma:.4f} "
               f"(per-symbol rate {bound.eta ** (1 / bound.n_steps):.5f})")

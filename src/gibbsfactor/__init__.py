@@ -63,7 +63,7 @@ from .potential import (
     gibbs_ratio_bounds,
     holder_envelope,
     level_log_measures,
-    ln1_sup_norm,
+    log_ln1_sup_norm,
     perron,
     perron_exact,
     transfer_matrix,

@@ -51,7 +51,7 @@ from .ganalysis import (
     g_limit,
     variation_profile,
 )
-from .potential import cylinder_measure, holder_envelope, ln1_sup_norm
+from .potential import cylinder_measure, holder_envelope, log_ln1_sup_norm
 from .sft import DEFAULT_MAX_WORDS, mixing_index
 from .sysio import (
     Pipeline,
@@ -290,14 +290,14 @@ def cmd_fit(args, pipe):
 
 def cmd_eta(args, pipe):
     env = holder_envelope(pipe.potential, args.theta)
-    ln1 = ln1_sup_norm(pipe.tm, args.N)
+    log_ln1 = log_ln1_sup_norm(pipe.tm, args.N)
     if args.optimize:
         bound = eta_optimize(args.theta, env.holder_constant, n_steps=args.N,
-                             sup_norm=env.sup_norm, ln1_sup_norm=ln1,
+                             sup_norm=env.sup_norm, log_ln1_sup_norm=log_ln1,
                              grid_size=args.grid)
     else:
         bound = eta_general(args.theta, env.holder_constant, env.sup_norm,
-                            ln1, args.N, args.sigma)
+                            log_ln1, args.N, args.sigma)
     results = {
         "theta": bound.theta,
         "sigma": bound.sigma,

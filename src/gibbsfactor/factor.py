@@ -17,15 +17,15 @@ matrix, the Perron data and the symbol map, never the fiber blocks.
 
 Both routes also come one whole word length at a time: :func:`level_measures`
 sweeps the product formula over every image word of a length, and
-:func:`preimage_measures` groups one domain-word expansion of that length by
-image word, for which it builds the expansion's domain words
-(:func:`~gibbsfactor.potential.domain_words`).  :func:`verify_projection`
-compares the two level by level under the one comparison rule
-:func:`route_error`.  The single-word oracle
-:func:`projected_measure_bruteforce` is the same expansion under one word's
-fiber mask, taken one :func:`~gibbsfactor.potential.domain_step` at a time;
-every row it keeps is a preimage of that word, so it sums the row values
-directly and never builds the words.
+:func:`preimage_measures` groups the domain words of that length
+(:func:`~gibbsfactor.potential.domain_rows`) by image word.
+:func:`verify_projection` compares the two level by level under the one
+comparison rule :func:`route_error`.  The single-word oracle
+:func:`projected_measure_bruteforce` runs the same level loop,
+:func:`~gibbsfactor.potential.domain_path`, from the blocks over the word's
+head with one table of moves per later image symbol; every row it keeps is
+a preimage of that word, so it sums the row values directly and never
+builds the words.
 
 The product of a word is the product of its prefix times one more block,
 and the preimages of a word are those of its prefix grown by one level, so
@@ -40,7 +40,8 @@ Past those steps a call pays little else: it compares and range-checks
 symbols only past the shared prefix, the product route translates only the
 new windows into image blocks and reads nu_b and h_b from fiber vectors
 read once per path, and the oracle finishes its one run of row values
-directly instead of through the batched :func:`run_measures`.
+directly instead of grouping it by image word as :func:`preimage_measures`
+does.
 
 Image-word admissibility always goes through boolean block products (never a
 plain block adjacency): the image is sofic, so a word is admissible iff some
@@ -59,7 +60,7 @@ zero-padded block stack per arithmetic (float, exact, 0/1 support), the
 transition table ``follows`` with each transition's place in the stack,
 and a fiber index and mask through which a walk's start is one gather.
 A level grows by the step of every level-by-level word expansion here
-(:func:`~gibbsfactor.potential.domain_rows`, :func:`~gibbsfactor.sft.word_matrix`),
+(:func:`~gibbsfactor.potential.domain_path`, :func:`~gibbsfactor.sft.word_matrix`),
 ``parent, blocks = np.nonzero(follows[rows.blocks])``, then one batched
 matmul with the blocks gathered from the stack; ``np.nonzero`` is row-major
 and targets ascend, so rows stay lexicographic without sorting.  A measure
@@ -97,9 +98,10 @@ by :func:`~gibbsfactor.potential.finish_measure` (in the potential module:
 log space for float, one division into a Fraction for exact).  The
 routines that choose a product's inputs or combine its results still
 branch on the arithmetic: :func:`level_measures` and :func:`block_product`
-(the Perron vectors and the final division), :func:`run_measures` (integer
-sums or log-sum-exp), :func:`route_error` (equality or relative error),
-:func:`~gibbsfactor.potential.domain_rows` (integer products or log sums)
+(the Perron vectors and the final division), :func:`preimage_measures`
+(integer sums or log-sum-exp), :func:`route_error` (equality or relative
+error), :func:`~gibbsfactor.potential.domain_path` (integer products or log
+sums)
 and :func:`~gibbsfactor.ganalysis.g_limit` (Fraction or float stage ratios).
 The rule has two forms with the same bits: :func:`rescale_single`, a scalar
 step for one product (:func:`carry_path` and the squaring in
@@ -120,16 +122,14 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import EnumerationLimitError, ExactModeError, ValidationError
+from .errors import ExactModeError, ValidationError
 from .potential import (
     PerronData,
     TransferMatrix,
     count_visited,
     domain_end,
+    domain_path,
     domain_rows,
-    domain_start,
-    domain_step,
-    domain_words,
     finish_measure,
 )
 from .sft import DEFAULT_MAX_WORDS, Alphabet, Word
@@ -173,14 +173,14 @@ class FactorSystem:
         return sizes
 
     @cached_property
-    def image_moves(self) -> np.ndarray:
-        """(image symbols, blocks, blocks) read-only boolean table: entry
-        [y, i, j] holds when block j may follow block i and its last symbol
-        maps to y, the moves of a preimage under image symbol y."""
+    def image_moves(self) -> tuple[np.ndarray, ...]:
+        """One read-only (blocks, blocks) boolean table per image symbol y:
+        entry [i, j] holds when block j may follow block i and its last
+        symbol maps to y, the moves of a preimage under y."""
         images = self.symbol_array[self.tm.last_symbols]
         moves = self.tm.follows & (images == np.arange(self.image_alphabet.size)[:, None, None])
         moves.setflags(write=False)
-        return moves
+        return tuple(moves)
 
     @cached_property
     def sweep_layout(self) -> SweepLayout:
@@ -218,11 +218,11 @@ class LastPaths:
     in `oracle`.  A slot is None or a tuple that begins (Perron data, word):
     the product slot goes on with the word's image blocks, its states and
     the path's fiber vectors (one nu_b and one h_b per image block, read
-    once per path), the oracle slot with its states; the states list holds
-    the route's state after every level of the word.  A call keeps the
-    states of the longest prefix it shares with the slot's word under the
-    same Perron data (compared with ``is``, and held, so a recycled id
-    cannot match), extends a new list from there and stores it.  Stored
+    once per path), the oracle slot with its domain-path states; the states
+    list holds the route's state after every level of the word.  A call
+    keeps the states of the longest prefix it shares with the slot's word
+    under the same Perron data (compared with ``is``, and held, so a
+    recycled id cannot match), extends a new list from there and stores it.  Stored
     states are never changed in place.  What is kept is one path per route:
     at most one fiber vector per block of the last word, and nu_b and h_b
     for every image block, for the product route, and the rows of every
@@ -529,24 +529,25 @@ def projected_measure_bruteforce(fs: FactorSystem, pd: PerronData, yword,
     every admissible preimage word; the independent oracle for
     :func:`projected_measure`.
 
-    The level-by-level expansion of :func:`~gibbsfactor.potential.domain_rows`
-    under the mask of the word's fibers (its :func:`~gibbsfactor.potential.domain_start`
-    and :func:`~gibbsfactor.potential.domain_step`), so every row is a
-    preimage of the word and the row values are summed directly, without
-    building the preimage words (no rows: measure zero).  The one run is
-    finished here: the integer sum in exact mode, else the largest log and
-    ``np.add.reduceat`` of the exponentials over the run, whose summation
-    order (and so its bits) is the batched :func:`run_measures`'.  The
-    budget counts visited preimage prefixes.
+    The rows start from the blocks whose first min(n, k) symbols map to
+    the word's (k the block length) and grow by one
+    :func:`~gibbsfactor.potential.domain_path` level per later symbol y
+    under ``image_moves[y]``, so every row is a preimage of the word and
+    the row values are summed directly, without building the preimage
+    words (no rows: measure zero).  The one run is finished here: the
+    integer sum in exact mode, else the largest log and ``np.add.reduceat``
+    of the exponentials over the run, whose summation order (and so its
+    bits) is that of :func:`preimage_measures`' runs.  The budget counts
+    visited preimage prefixes.
 
     The preimages of a word are those of its prefix, each grown by one
     level, so a call resumes the system's last oracle path
-    (:attr:`FactorSystem.last_paths`): the state (rows, values, visited
-    count) after every position of the last word, under the same Perron
-    data.  Only the symbols past the prefix shared with the last word are
-    range-checked.  The head rows depend on the first min(n, k) symbols (k
-    the block length), so a path is reused only when the head length and
-    symbols agree; then the call takes the levels past the shared prefix.
+    (:attr:`FactorSystem.last_paths`): the path's state after every
+    position of the last word, under the same Perron data.  Only the
+    symbols past the prefix shared with the last word are range-checked.
+    The head rows depend on the first min(n, k) symbols (k the block
+    length), so a path is reused only when the head length and symbols
+    agree; then the call takes the levels past the shared prefix.
     The visited count only grows along a path, so checking the last reused
     state and every new level raises EnumerationLimitError at the budgets
     where a fresh call raises, with its message.  The kept path is the rows
@@ -556,21 +557,20 @@ def projected_measure_bruteforce(fs: FactorSystem, pd: PerronData, yword,
     w, shared, last = paths.resume(fs, paths.oracle, pd, yword)
     if len(w) == 0:
         raise ValidationError("projected measure needs a nonempty image word")
-    tm, n, k = pd.tm, len(w), fs.block_length
+    n, k = len(w), fs.block_length
     head = min(n, k)
     if shared >= head and min(len(last[1]), k) == head:
         states = last[2][:shared - head + 1]
-        count_visited(states[-1][2], max_words)
+        count_visited(states[-1][3], max_words)
     else:
-        rows, values = domain_start(pd, fs.symbol_array == np.array(w[:head])[:, None],
-                                    pd.exact)
-        states = [(rows, values, count_visited(len(rows), max_words))]
-    rows, values, visited = states[-1]
-    for t in range(head + len(states) - 1, n):
-        _, rows, values = domain_step(tm, rows, values, fs.image_moves[w[t]], pd.exact)
-        visited = count_visited(visited + len(rows), max_words)
-        states.append((rows, values, visited))
+        heads = fs.symbol_array[pd.tm.recoding.block_array[:, :head]]
+        rows = np.flatnonzero((heads == w[:head]).all(axis=1))
+        states = [(None, rows, (pd.int_nu if pd.exact else pd.log_vectors[0])[rows],
+                   count_visited(len(rows), max_words))]
+    moves = map(fs.image_moves.__getitem__, w[head + len(states) - 1:])
+    states = domain_path(pd, states, moves, max_words, pd.exact)
     paths.oracle = (pd, w, states)
+    _, rows, values, _ = states[-1]
     if not len(rows):
         return finish_measure(0, 0.0, 0, pd)
     values = domain_end(pd, rows, values, pd.exact)
@@ -606,32 +606,27 @@ def log_sum_runs(logs: np.ndarray, starts: np.ndarray):
     return np.add.reduceat(np.exp(logs - np.repeat(scales, sizes)), starts), scales
 
 
-def run_measures(pd: PerronData, values: np.ndarray, starts, steps: int) -> list:
-    """The oracle's measures of the runs of row values beginning at `starts`:
-    integer sums in exact mode, else :func:`log_sum_runs`; then finish_measure."""
+def preimage_measures(fs: FactorSystem, pd: PerronData, n: int, max_words: int):
+    """Brute-force projected measures of the admissible image words of
+    length n: (words, measures), the words as int rows, lexicographic, and a
+    list.
+
+    One :func:`~gibbsfactor.potential.domain_rows` expansion in the Perron
+    data's arithmetic, its preimage words grouped by image word (symbol
+    map, :func:`sorted_runs`), and each group's row values summed: integer
+    sums in exact mode, else :func:`log_sum_runs`, then finish_measure.
+    The budget counts visited preimage prefixes.
+    """
+    words, values, steps = domain_rows(pd, n, max_words, pd.exact)
+    images = fs.symbol_array[words]
+    order, starts = sorted_runs(images)
+    values = values[order]
     if pd.exact:
         totals, scales = np.add.reduceat(values, starts), np.zeros(len(starts))
     else:
         totals, scales = log_sum_runs(values, starts)
-    return [finish_measure(t, s, steps, pd) for t, s in zip(totals.tolist(), scales.tolist())]
-
-
-def preimage_measures(fs: FactorSystem, pd: PerronData, allowed: np.ndarray,
-                      max_words: int):
-    """Brute-force projected measures of the image words of length
-    len(allowed) with a preimage under the (n, d) symbol mask: (words,
-    measures), the words as int rows, lexicographic, and a list.
-
-    One :func:`~gibbsfactor.potential.domain_rows` expansion in the Perron
-    data's arithmetic, its preimage words built by
-    :func:`~gibbsfactor.potential.domain_words` and grouped by image word
-    (symbol map, :func:`sorted_runs`), each group one run of
-    :func:`run_measures`.  The budget counts visited preimage prefixes.
-    """
-    values, steps, trail = domain_rows(pd, allowed, max_words, pd.exact)
-    images = fs.symbol_array[domain_words(pd.tm, trail)]
-    order, starts = sorted_runs(images)
-    return images[order[starts]], run_measures(pd, values[order], starts, steps)
+    measures = [finish_measure(t, s, steps, pd) for t, s in zip(totals.tolist(), scales.tolist())]
+    return images[order[starts]], measures
 
 
 def route_error(got, oracle, exact: bool) -> float:
@@ -661,8 +656,8 @@ class ProjectionCheck:
 def verify_projection(fs: FactorSystem, pd: PerronData, max_len: int, tol: float,
                       max_words: int = DEFAULT_MAX_WORDS) -> ProjectionCheck:
     """The two-route check on every admissible image word of length
-    1..max_len, a whole length at a time: :func:`level_measures` against the
-    unmasked :func:`preimage_measures`, in the Perron data's arithmetic.
+    1..max_len, a whole length at a time: :func:`level_measures` against
+    :func:`preimage_measures`, in the Perron data's arithmetic.
 
     A word fails when its :func:`route_error` exceeds `tol` (in exact mode:
     unless equal); a word only one route produces is compared with measure
@@ -673,8 +668,7 @@ def verify_projection(fs: FactorSystem, pd: PerronData, max_len: int, tol: float
     for n in range(1, max_len + 1):
         words, values = level_measures(fs, pd, n, max_words, pd.exact)
         product = dict(zip(map(tuple, words.tolist()), values.tolist()))
-        allowed = np.ones((n, fs.tm.sft.size), dtype=bool)
-        images, measures = preimage_measures(fs, pd, allowed, max_words)
+        images, measures = preimage_measures(fs, pd, n, max_words)
         oracle = dict(zip(map(tuple, images.tolist()), measures))
         for word in sorted(product.keys() | oracle.keys()):
             err = route_error(product.get(word, zero), oracle.get(word, zero), pd.exact)
@@ -822,7 +816,7 @@ def walk_image_words(fs: FactorSystem, start, n_steps: int, max_words: int,
         roots = np.arange(len(start))
         x, scales, alive = rescale_product(start, np.zeros(len(start)))
         rows = SweepRows(layout.words, roots, roots, x, scales).take(alive)
-        visited = _count_nodes(visited + len(rows), max_words)
+        visited = count_visited(visited + len(rows), max_words, "image word sweep")
     shape, dtype = rows.products.shape[1:], rows.products.dtype
     stack, width, follows, degree = (layout.blocks(dtype), layout.width,
                                      layout.follows, layout.degree)
@@ -860,18 +854,9 @@ def walk_image_words(fs: FactorSystem, start, n_steps: int, max_words: int,
         if not alive.all():
             children = children.take(alive)
         if len(children):
-            visited = _count_nodes(visited + len(children), max_words)
+            visited = count_visited(visited + len(children), max_words, "image word sweep")
             frontiers.append((children, remaining - 1, 0,
                               None if remaining == 1 else np.cumsum(degree[children.blocks])))
-    return visited
-
-
-def _count_nodes(visited: int, max_words: int) -> int:
-    """The visited-node count of an image-word walk, checked against its
-    budget: raises EnumerationLimitError once it is exceeded."""
-    if visited > max_words:
-        raise EnumerationLimitError(
-            f"image word sweep exceeded its budget of {max_words} visited nodes")
     return visited
 
 

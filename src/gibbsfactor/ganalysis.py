@@ -306,14 +306,16 @@ class EtaBound:
 
 
 def eta_general(theta: float, holder_constant: float, sup_norm: float,
-                ln1_sup_norm: float, n_steps: int, sigma: float) -> EtaBound:
+                log_ln1_sup_norm: float, n_steps: int, sigma: float) -> EtaBound:
     """General rate bound for a fiber-wise mixing factor with span N.
 
     K = C/(sigma - theta^N) * sum_{i=1}^{N} theta^i picks the invariant cone;
     the diameter bound is
         M = 2 log((1+sigma)/(1-sigma)) + 2 N ||phi||_inf + 2 theta K
             + 2 log ||L^N 1||_inf
-    and eta = tanh(M/4).  Requires theta^N < sigma < 1.
+    and eta = tanh(M/4), with log ||L^N 1||_inf given as `log_ln1_sup_norm`
+    (:func:`~gibbsfactor.potential.log_ln1_sup_norm`).  Requires
+    theta^N < sigma < 1.
     """
     if n_steps < 1:
         raise ValidationError("n_steps must be >= 1")
@@ -321,15 +323,15 @@ def eta_general(theta: float, holder_constant: float, sup_norm: float,
         raise ValidationError("theta must lie in (0, 1)")
     if not theta**n_steps < sigma < 1:
         raise ValidationError("need theta^N < sigma < 1")
-    if ln1_sup_norm <= 0:
-        raise ValidationError("ln1_sup_norm must be positive")
+    if not math.isfinite(log_ln1_sup_norm):
+        raise ValidationError("log_ln1_sup_norm must be finite")
     geo = sum(theta**i for i in range(1, n_steps + 1))
     cone_k = holder_constant / (sigma - theta**n_steps) * geo
     m_const = (
         2 * math.log((1 + sigma) / (1 - sigma))
         + 2 * n_steps * sup_norm
         + 2 * theta * cone_k
-        + 2 * math.log(ln1_sup_norm)
+        + 2 * log_ln1_sup_norm
     )
     eta = math.tanh(m_const / 4.0)
     fse = eta_full_shift(theta, holder_constant, sigma) if n_steps == 1 else None
@@ -348,7 +350,7 @@ def _full_shift_bound(theta: float, holder_constant: float, sigma: float) -> Eta
 
 
 def eta_optimize(theta: float, holder_constant: float, n_steps: int = 1,
-                 sup_norm: float | None = None, ln1_sup_norm: float | None = None,
+                 sup_norm: float | None = None, log_ln1_sup_norm: float | None = None,
                  grid_size: int = 64, full_shift: bool = False) -> EtaBound:
     """Minimize the rate bound over sigma on a geometric grid in
     (theta^N, 1); ties break toward smaller sigma.  With full_shift=True the
@@ -357,8 +359,8 @@ def eta_optimize(theta: float, holder_constant: float, n_steps: int = 1,
         raise ValidationError("grid_size must be >= 2")
     if full_shift and n_steps != 1:
         raise ValidationError("full-shift formula applies only at N = 1")
-    if not full_shift and (sup_norm is None or ln1_sup_norm is None):
-        raise ValidationError("general bound needs sup_norm and ln1_sup_norm")
+    if not full_shift and (sup_norm is None or log_ln1_sup_norm is None):
+        raise ValidationError("general bound needs sup_norm and log_ln1_sup_norm")
     lo = theta**n_steps
     offsets = np.geomspace(1e-4, 1 - 1e-9, grid_size)
     best: EtaBound | None = None
@@ -369,7 +371,7 @@ def eta_optimize(theta: float, holder_constant: float, n_steps: int = 1,
         if full_shift:
             bound = _full_shift_bound(theta, holder_constant, sigma)
         else:
-            bound = eta_general(theta, holder_constant, sup_norm, ln1_sup_norm,
+            bound = eta_general(theta, holder_constant, sup_norm, log_ln1_sup_norm,
                                 n_steps, sigma)
         if best is None or bound.eta < best.eta:
             best = bound

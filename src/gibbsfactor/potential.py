@@ -60,20 +60,19 @@ measures) lives here, next to :class:`PerronData`: the Gibbs cylinder
 measures here and the projected measures of the factor module both finish
 through it.
 
-Measures of many domain words come from one level-synchronous expansion
-under a per-position symbol mask, :func:`domain_rows`: unmasked it gives
+Measures of many domain words come from one loop over domain-word levels,
+:func:`domain_path`: it extends a path of level states (each row's parent,
+last block and value, and the visited count) by one level per boolean
+block table.  :func:`domain_rows` runs it from every block under the block
+adjacency and builds the words from the states, which gives
 :func:`level_log_measures` and, grouped by image word, the brute-force
-oracle of the factor module for a whole word length; masked by one image
-word's fibers it is that oracle for one word, which takes its levels one
-at a time (:func:`domain_start`, then one :func:`domain_step` per
-position, then :func:`domain_end`) so that it can resume a prefix.  The
-expansion carries only the values and records how each level grew; the
-callers that read the words (the two bulk forms) build them from that
-record with :func:`domain_words`, and the single-word oracle never builds
-them.  The tables it reads on every call are computed once on the objects
-that own their data: the block words on the recoding, their last symbols
-and the boolean block adjacency on :class:`TransferMatrix`, and the float
-log Perron vectors on :class:`PerronData`.
+oracle of the factor module for a whole word length; that oracle for one
+word runs it from the blocks over the word's head, one table of moves per
+image symbol, and never builds the words.  The tables it reads on every
+call are computed once on the objects that own their data: the block words
+on the recoding, their last symbols and the boolean block adjacency on
+:class:`TransferMatrix`, and the float log Perron vectors on
+:class:`PerronData`.
 """
 
 from __future__ import annotations
@@ -914,30 +913,33 @@ def cylinder_measure(pd: PerronData, word):
     return finish_measure(pd.nu[blocks[0]], scale, len(steps), pd)
 
 
-def domain_start(pd: PerronData, allowed: np.ndarray, exact: bool):
-    """The first level of a domain-word expansion: (rows, values), the
-    blocks whose first len(allowed) symbols the (head, d) mask allows (head
-    at most the block length), and each one's start value, nu~ of the block
-    in exact mode, log nu otherwise."""
-    head = len(allowed)
-    rows = np.flatnonzero(allowed[np.arange(head), pd.tm.recoding.block_array[:, :head]]
-                          .all(axis=1))
-    return rows, (pd.int_nu if exact else pd.log_vectors[0])[rows]
+def domain_path(pd: PerronData, states: list, moves, max_words: int, exact: bool) -> list:
+    """Extend a path of domain-word levels by one level per (blocks, blocks)
+    boolean table in `moves`, and return it.
 
-
-def domain_step(tm: TransferMatrix, rows: np.ndarray, values: np.ndarray,
-                moves: np.ndarray, exact: bool):
-    """One level of a domain-word expansion: every row grows by the blocks
-    its last block may move to under the (blocks, blocks) boolean table
-    `moves`, the block transitions whose new symbol is allowed at the new
-    position.  Returns (parent, child, values), each child's parent row and
-    block, in row-major order (so rows stay lexicographic), and its value,
-    the parent's times the transition's integer weight of M in exact mode,
-    plus its log weight otherwise."""
-    parent, child = moves[rows].nonzero()
-    if exact:
-        return parent, child, values[parent] * tm.int_weights[rows[parent], child]
-    return parent, child, values[parent] + tm.log_weights[rows[parent], child]
+    A state (parent, rows, values, visited) holds a level's rows (their
+    last blocks), each row's parent row in the level before (None at the
+    first level) and value from its prefix (an integer in exact mode, a log
+    otherwise), and the count of rows visited so far.  A level grows every
+    row by the blocks its last block may move to under the table, in
+    row-major order, so rows stay lexicographic; a child's value is its
+    parent's times the transition's integer weight of M in exact mode, plus
+    its log weight otherwise.  The list, passed with at least its first
+    state, is appended to; exceeding the budget raises EnumerationLimitError
+    (:func:`count_visited`).  This is the one loop over domain-word levels:
+    :func:`domain_rows` and the factor module's single-word oracle extend
+    their paths with it."""
+    tm = pd.tm
+    _, rows, values, visited = states[-1]
+    for table in moves:
+        parent, child = table[rows].nonzero()
+        if exact:
+            values = values[parent] * tm.int_weights[rows[parent], child]
+        else:
+            values = values[parent] + tm.log_weights[rows[parent], child]
+        rows, visited = child, count_visited(visited + len(child), max_words)
+        states.append((parent, rows, values, visited))
+    return states
 
 
 def domain_end(pd: PerronData, rows: np.ndarray, values: np.ndarray, exact: bool):
@@ -948,71 +950,54 @@ def domain_end(pd: PerronData, rows: np.ndarray, values: np.ndarray, exact: bool
     return values + pd.log_vectors[1][rows]
 
 
-def count_visited(visited: int, max_words: int) -> int:
-    """The visited-row count of a domain-word expansion, checked against
-    its budget: raises EnumerationLimitError once it is exceeded."""
+def count_visited(visited: int, max_words: int, walk: str = "domain word expansion") -> int:
+    """The visited-node count of a walk, checked against its budget: raises
+    EnumerationLimitError, naming the walk, once it is exceeded."""
     if visited > max_words:
-        raise EnumerationLimitError(
-            f"domain word expansion exceeded its budget of {max_words} visited nodes")
+        raise EnumerationLimitError(f"{walk} exceeded its budget of {max_words} visited nodes")
     return visited
 
 
-def domain_rows(pd: PerronData, allowed: np.ndarray, max_words: int, exact: bool):
-    """Level-synchronous expansion of the admissible base words whose symbol
-    at position t is allowed by the (n, d) boolean mask `allowed`.
+def domain_rows(pd: PerronData, n: int, max_words: int, exact: bool):
+    """Level-synchronous expansion of the admissible base words of length
+    n >= 1: (words, values, steps), the words as int rows, lexicographic.
 
-    Rows start from the blocks whose first min(n, k) symbols are allowed (k
-    the block length; for n < k one row per block, :func:`domain_start`)
-    and grow one :func:`domain_step` at a time by the allowed block
-    successors of their last block, so they stay lexicographic.  Each row
-    carries its value from its prefix: the integer nu~[first] . prod M .
-    h~[last] in exact mode (which needs exact Perron data), the log of
-    nu[first] . prod W . h[last] otherwise.  Returns (values, steps, trail),
-    the measure of a row being its value finished by :func:`finish_measure`
-    with `steps` block transitions.  The words themselves are not built:
-    `trail` records the start blocks and every level's (parent, child)
-    pairs, from which :func:`domain_words` builds them for callers that read
-    them.  The budget counts visited rows, every prefix; exceeding it raises
-    EnumerationLimitError (:func:`count_visited`).
+    One :func:`domain_path` from every block, stepped n - min(n, k) times
+    under the block adjacency (k the block length); for n < k each block
+    gives the row of its first n symbols, so a word appears once per block
+    it begins.  Each row carries its value from its prefix: the integer
+    nu~[first] . prod M . h~[last] in exact mode (which needs exact Perron
+    data), the log of nu[first] . prod W . h[last] otherwise, the measure of
+    a row being its value finished by :func:`finish_measure` with `steps`
+    block transitions.  The words are built from the path's (parent, rows)
+    levels.  The budget counts visited rows, every prefix; exceeding it
+    raises EnumerationLimitError (:func:`count_visited`).
     """
     tm = pd.tm
-    n, k = len(allowed), tm.recoding.block_length
+    k = tm.recoding.block_length
     head = min(n, k)
-    rows, values = domain_start(pd, allowed[:head], exact)
-    start, levels = rows, []
-    visited = count_visited(len(rows), max_words)
-    # moves[t][i, j]: block j may follow block i and add a symbol allowed at t
-    moves = tm.follows & allowed[:, None, tm.last_symbols]
-    for t in range(head, n):
-        parent, rows, values = domain_step(tm, rows, values, moves[t], exact)
-        levels.append((parent, rows))
-        visited = count_visited(visited + len(rows), max_words)
-    return domain_end(pd, rows, values, exact), max(n - k, 0), (start, head, levels)
-
-
-def domain_words(tm: TransferMatrix, trail) -> np.ndarray:
-    """The base words of a :func:`domain_rows` expansion as int rows, in the
-    order of its values, grown from its trail one level at a time."""
-    rows, head, levels = trail
+    rows = np.arange(tm.dimension)
+    states = [(None, rows, (pd.int_nu if exact else pd.log_vectors[0])[rows],
+               count_visited(len(rows), max_words))]
+    states = domain_path(pd, states, [tm.follows] * (n - head), max_words, exact)
     words = tm.recoding.block_array[rows, :head]
-    for parent, child in levels:
-        words = np.concatenate([words[parent], tm.last_symbols[child, None]], axis=1)
-    return words
+    for parent, rows, _, _ in states[1:]:
+        words = np.concatenate([words[parent], tm.last_symbols[rows, None]], axis=1)
+    _, rows, values, _ = states[-1]
+    return words, domain_end(pd, rows, values, exact), max(n - k, 0)
 
 
 def level_log_measures(pd: PerronData, n: int,
                        max_words: int = DEFAULT_MAX_WORDS):
     """Bulk form of cylinder_measure: (words, float log measures) for all
     admissible base words of length n >= the block length, lexicographic,
-    from the unmasked :func:`domain_rows` expansion and its
-    :func:`domain_words` (the budget counts its visited rows).  Used by the
-    consistency test suites."""
+    from one :func:`domain_rows` expansion (the budget counts its visited
+    rows).  Used by the consistency test suites."""
     k = pd.tm.recoding.block_length
     if n < k:
         raise ValidationError(f"bulk measures need length >= block length {k}")
-    allowed = np.ones((n, pd.tm.sft.size), dtype=bool)
-    logs, steps, trail = domain_rows(pd, allowed, max_words, exact=False)
-    return domain_words(pd.tm, trail), logs - steps * pd.log_lam
+    words, logs, steps = domain_rows(pd, n, max_words, exact=False)
+    return words, logs - steps * pd.log_lam
 
 
 def gibbs_ratio_bounds(pd: PerronData, potential: Potential, max_len: int,
@@ -1035,10 +1020,29 @@ def gibbs_ratio_bounds(pd: PerronData, potential: Potential, max_len: int,
     return lo, hi
 
 
-def ln1_sup_norm(tm: TransferMatrix, n: int) -> float:
-    """Sup norm of the n-th transfer iterate applied to the constant one
-    function: the largest column sum of W^n."""
+def log_ln1_sup_norm(tm: TransferMatrix, n: int) -> float:
+    """Log of the sup norm of the n-th transfer iterate applied to the
+    constant one function: the log of the largest column sum of W^n.
+
+    W^n is taken by repeated squaring, each product divided by its largest
+    entry with that entry's log carried (the rule of the factor module's
+    ``rescale_single``), so no power overflows however large n is; at
+    n = 1 the column sums of W are read as they are."""
     if n < 1:
         raise ValidationError("n must be >= 1")
-    p = np.linalg.matrix_power(tm.weights, n)
-    return float(p.sum(axis=0).max())
+
+    def rescaled(x, scale):
+        top = x.max()
+        return x / top, scale + math.log(top)
+
+    product, power = None, (tm.weights, 0.0)  # (matrix, log scale): W^n so far, W^(2^i)
+    while True:
+        if n & 1:
+            product = power if product is None else rescaled(product[0] @ power[0],
+                                                             product[1] + power[1])
+        n >>= 1
+        if not n:
+            break
+        power = rescaled(power[0] @ power[0], 2 * power[1])
+    matrix, scale = product
+    return scale + math.log(float(matrix.sum(axis=0).max()))

@@ -76,11 +76,11 @@ def misnormalised_oracle(request, monkeypatch):
     value off by a factor 1 + 1e-3 (a log shift of about 1e-3 in float)."""
     expand = factor.domain_rows
 
-    def faulty(pd, allowed, max_words, exact):
-        values, steps, trail = expand(pd, allowed, max_words, exact)
+    def faulty(pd, n, max_words, exact):
+        words, values, steps = expand(pd, n, max_words, exact)
         if request.param == "lambda_step":
-            return values, steps + 1, trail
+            return words, values, steps + 1
         shifted = values * Fraction(1001, 1000) if exact else values + math.log1p(1e-3)
-        return shifted, steps, trail
+        return words, shifted, steps
 
     monkeypatch.setattr(factor, "domain_rows", faulty)

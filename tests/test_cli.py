@@ -3,6 +3,7 @@ import csv
 import io
 import itertools
 import json
+import math
 import os
 import re
 import subprocess
@@ -538,6 +539,16 @@ def test_underflowing_perron_iterate_is_an_input_error(tmp_path, spread_phi):
     assert proc.returncode == 2
     assert proc.stderr.startswith("error:")
     assert len(proc.stderr.strip().splitlines()) == 1
+
+
+def test_eta_with_a_long_span_stays_finite(example2_file):
+    # lambda = 3: W^700 overflows a float, so the log of ||L^N 1|| is carried scaled
+    proc = run_cli_process("eta", example2_file, "--sigma", "0.9", "--N", "700", timeout=60,
+                           python_flags=("-W", "error::RuntimeWarning"))
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    results = json.loads(proc.stdout)["results"]
+    assert math.isfinite(results["m_const"]) and math.isfinite(results["prefactor"])
 
 
 # Generated system documents for the input contract: a well-formed skeleton

@@ -52,8 +52,8 @@ from gibbsfactor.factor import (
     verify_projection,
 )
 from gibbsfactor.ganalysis import image_log_measure_map
-from gibbsfactor.potential import domain_rows, domain_words, perron_exact
-from gibbsfactor.sft import DEFAULT_MAX_WORDS
+from gibbsfactor.potential import count_visited, domain_path, domain_rows, perron_exact
+from gibbsfactor.sft import DEFAULT_MAX_WORDS, word_matrix
 
 U = np.array([[1.0, 1.0], [0.0, 1.0]])
 L = np.array([[1.0, 0.0], [1.0, 1.0]])
@@ -341,8 +341,8 @@ def _logsumexp(logs):
 
 
 class TestOracleExpansion:
-    """The oracle is one domain_rows expansion masked by the image word's
-    fibers, and reads nothing of the product route."""
+    """The oracle sums the rows of one domain_rows expansion that map to the
+    image word, and reads nothing of the product route."""
 
     def test_independent_of_fiber_blocks(self, ex2_system, seed202):
         for fs, pd in (ex2_system, seed202):
@@ -357,9 +357,7 @@ class TestOracleExpansion:
         fs, pd = request.getfixturevalue(system)
         smap = np.array(fs.symbol_map)
         for length in range(1, 9):  # includes words shorter than the block
-            allowed = np.ones((length, pd.tm.sft.size), dtype=bool)
-            values, steps, trail = domain_rows(pd, allowed, DEFAULT_MAX_WORDS, pd.exact)
-            words = domain_words(pd.tm, trail)
+            words, values, steps = domain_rows(pd, length, DEFAULT_MAX_WORDS, pd.exact)
             groups: dict = {}
             for y, v in zip(map(tuple, smap[words].tolist()), values.tolist()):
                 groups.setdefault(y, []).append(v)
@@ -409,6 +407,9 @@ class TestOracleExpansion:
         ]
         tables += zip(pd.log_vectors, (np.log(np.asarray(v, dtype=float))
                                        for v in (pd.nu, pd.h)))
+        assert len(fs.image_moves) == fs.image_alphabet.size
+        tables += [(moves, tm.follows & (fs.symbol_array[tm.last_symbols] == y))
+                   for y, moves in enumerate(fs.image_moves)]
         for table, per_call in tables:
             assert table.dtype == per_call.dtype
             assert np.array_equal(table, per_call)
@@ -418,7 +419,7 @@ class TestOracleExpansion:
         # computed once per object
         assert tm.last_symbols is tm.last_symbols and pd.log_vectors is pd.log_vectors
         assert fs.symbol_array is fs.symbol_array and tm.follows is tm.follows
-        assert fs.fiber_sizes is fs.fiber_sizes
+        assert fs.fiber_sizes is fs.fiber_sizes and fs.image_moves is fs.image_moves
 
 
 @st.composite
@@ -456,8 +457,7 @@ class TestBatchedRoutes:
         for length in range(1, 9):  # includes words shorter than the block
             expected = enumerate_image_words(fs, length)
             words, values = level_measures(fs, pd, length, DEFAULT_MAX_WORDS, pd.exact)
-            allowed = np.ones((length, pd.tm.sft.size), dtype=bool)
-            images, measures = preimage_measures(fs, pd, allowed, DEFAULT_MAX_WORDS)
+            images, measures = preimage_measures(fs, pd, length, DEFAULT_MAX_WORDS)
             assert list(map(tuple, words.tolist())) == expected
             assert list(map(tuple, images.tolist())) == expected
             for word, product, oracle in zip(expected, values.tolist(), measures):
@@ -482,8 +482,8 @@ class TestBatchedRoutes:
         fs, pd = ex2_system
         real = factor_module.preimage_measures
 
-        def drop_first(fs, pd, allowed, max_words):
-            images, measures = real(fs, pd, allowed, max_words)
+        def drop_first(fs, pd, n, max_words):
+            images, measures = real(fs, pd, n, max_words)
             return images[1:], measures[1:]
 
         monkeypatch.setattr(factor_module, "preimage_measures", drop_first)
@@ -831,8 +831,7 @@ def test_exact_results_are_fractions(ex2_exact, stochastic_depth2, skewed_golden
                 values.extend(np.ravel(block_product(fs, y, exact=True)[0]))
         for n in range(1, k + 3):
             values.extend(level_measures(fs, pd, n, DEFAULT_MAX_WORDS, True)[1])
-            values += preimage_measures(fs, pd, np.ones((n, size), dtype=bool),
-                                        DEFAULT_MAX_WORDS)[1]
+            values += preimage_measures(fs, pd, n, DEFAULT_MAX_WORDS)[1]
         res = g_limit(fs, pd, (), (0,), jmax=6)
         assert res.exact_stages
         values += res.exact_stages
@@ -999,6 +998,54 @@ def test_folded_levels_equal_per_word_products(system):
         with pytest.raises(EnumerationLimitError):
             level_measures(fs, pd, n, visited - 1, pd.exact)
         assert level_measures(fs, pd, n, visited, pd.exact)[0].tolist() == words.tolist()
+
+
+def path_state_bytes(state):
+    parent, rows, values, visited = state
+    return (None if parent is None else parent.tobytes(), rows.tobytes(),
+            values.dtype.str, repr(values.tolist()) if values.dtype == object
+            else values.tobytes(), visited)
+
+
+@given(folded_systems(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_domain_path_extends_from_any_split(system, data):
+    """domain_rows gives the admissible words of every length 1..k+2 (k the
+    block length; below k the first symbols of every block), and a
+    domain_path extended from any split point of a path equals the fresh
+    path state by state, leaves the states it extends untouched, and raises
+    at the same budgets as the fresh path, with its message."""
+    fs, pd, _ = system
+    tm, k = pd.tm, fs.block_length
+    for n in range(1, k + 3):
+        words, values, steps = domain_rows(pd, n, DEFAULT_MAX_WORDS, pd.exact)
+        want = word_matrix(tm.sft, n)
+        if n < k:
+            assert words.tolist() == tm.recoding.block_array[:, :n].tolist()
+            words = np.unique(words, axis=0)
+        assert words.tolist() == want.tolist() and len(values) >= len(want)
+        assert steps == max(n - k, 0)
+    tables = data.draw(st.lists(st.sampled_from([tm.follows, *fs.image_moves]), max_size=k + 3))
+    rows = np.arange(tm.dimension)
+    head = (None, rows, (pd.int_nu if pd.exact else pd.log_vectors[0])[rows], len(rows))
+    fresh = domain_path(pd, [head], tables, DEFAULT_MAX_WORDS, pd.exact)
+    assert len(fresh) == len(tables) + 1
+    split = data.draw(st.integers(0, len(tables)))
+    kept = list(map(path_state_bytes, fresh[:split + 1]))
+    extended = domain_path(pd, fresh[:split + 1], tables[split:], DEFAULT_MAX_WORDS, pd.exact)
+    assert list(map(path_state_bytes, extended)) == list(map(path_state_bytes, fresh))
+    assert list(map(path_state_bytes, fresh[:split + 1])) == kept
+
+    def outcome(states, moves, budget):
+        try:
+            count_visited(states[-1][3], budget)
+            return domain_path(pd, states, moves, budget, pd.exact)[-1][3]
+        except EnumerationLimitError as e:
+            return str(e)
+
+    for budget in {b for state in fresh for b in (state[3] - 1, state[3])}:
+        assert (outcome(fresh[:split + 1], tables[split:], budget)
+                == outcome([head], tables, budget))
 
 
 def test_sweep_layout_is_shared_by_every_arithmetic():

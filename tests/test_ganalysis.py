@@ -284,7 +284,7 @@ class TestEtaGeneral:
     def test_constant_potential_full_q_shift(self):
         # K = 0; M = 2 log 3 + 2 log q at sigma 1/2
         for q in (2, 3, 5):
-            bound = eta_general(0.25, 0.0, 0.0, float(q), 1, 0.5)
+            bound = eta_general(0.25, 0.0, 0.0, math.log(q), 1, 0.5)
             assert bound.m_const == pytest.approx(2 * math.log(3) + 2 * math.log(q), abs=1e-12)
             assert bound.eta == pytest.approx(math.tanh(bound.m_const / 4), abs=1e-15)
 
@@ -328,7 +328,7 @@ class TestEtaOptimize:
         assert 0.5 < bound.sigma < 1
 
     def test_general_mode(self):
-        bound = eta_optimize(0.5, 0.8, n_steps=1, sup_norm=0.4, ln1_sup_norm=3.65,
+        bound = eta_optimize(0.5, 0.8, n_steps=1, sup_norm=0.4, log_ln1_sup_norm=math.log(3.65),
                              grid_size=64)
         assert 0 < bound.eta < 1
 

@@ -31,7 +31,7 @@ from gibbsfactor import (
     higher_block_recode,
     holder_envelope,
     level_log_measures,
-    ln1_sup_norm,
+    log_ln1_sup_norm,
     mixing_index,
     parse_system_dict,
     perron,
@@ -1367,8 +1367,16 @@ class TestLn1SupNorm:
         for q in (2, 3, 5):
             sft = make_sft([[1] * q for _ in range(q)])
             tm = transfer_matrix(sft, constant_potential(sft))
-            assert ln1_sup_norm(tm, 1) == pytest.approx(q)
-            assert ln1_sup_norm(tm, 3) == pytest.approx(q**3)
+            assert log_ln1_sup_norm(tm, 1) == pytest.approx(math.log(q))
+            assert log_ln1_sup_norm(tm, 3) == pytest.approx(3 * math.log(q))
+
+    def test_equals_exact_power_past_float_range(self, ex2_exact):
+        # W = M / D: the column sums of M^n in Python integers, past 1e308 for n = 700
+        tm = ex2_exact.pd.tm
+        for n in (*range(1, 9), 700):
+            power = np.linalg.matrix_power(tm.int_weights, n)
+            want = math.log(max(power.sum(axis=0).tolist())) - n * math.log(tm.denominator)
+            assert log_ln1_sup_norm(tm, n) == pytest.approx(want, rel=1e-12)
 
 
 @st.composite
@@ -1588,8 +1596,7 @@ class TestExactMeasuresAgainstFractions:
             positive = {y: m for y, m in want.items() if m}
             words, values = level_measures(fs, pd, length, DEFAULT_MAX_WORDS, True)
             assert dict(zip(map(tuple, words.tolist()), values.tolist())) == positive
-            allowed = np.ones((length, n), dtype=bool)
-            words, values = preimage_measures(fs, pd, allowed, DEFAULT_MAX_WORDS)
+            words, values = preimage_measures(fs, pd, length, DEFAULT_MAX_WORDS)
             assert dict(zip(map(tuple, words.tolist()), values)) == positive
             assert all(type(v) is Fraction for v in values)
         # 0 -> 0 and n-1 -> 0 are always allowed, so both points are admissible
