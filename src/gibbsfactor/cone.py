@@ -141,19 +141,29 @@ def dual_formula_check(x, y, sample_count: int = 10_000, seed: int = 0) -> DualF
                              sampled_max=sampled, samples=sample_count, seed=seed)
 
 
-def projective_diameter(m) -> float:
-    """Projective diameter of the image of the orthant under a nonnegative
-    matrix: the largest Hilbert distance between two columns.  Infinite when
-    two columns have different supports; zero columns are rejected."""
+def _matrix_diameter(m, zero_columns_refused: bool) -> float:
+    """The projective diameter of one nonnegative matrix, after the checks
+    of :func:`projective_diameter` (`zero_columns_refused`, any zero column
+    refused) and :func:`birkhoff_coefficient` (only the zero matrix)."""
     a = np.asarray(m, dtype=float)
     if a.ndim != 2:
         raise ValidationError("matrix expected")
     if (a < 0).any():
         raise ValidationError("matrix must be nonnegative")
-    for j, c in enumerate(a.T):
-        if not (c > 0).any():
-            raise ValidationError(f"zero column {j}")
+    if zero_columns_refused:
+        for j, c in enumerate(a.T):
+            if not (c > 0).any():
+                raise ValidationError(f"zero column {j}")
+    elif not a.any():
+        raise ValidationError("matrix must be nonzero")
     return float(stacked_diameters(a[None], np.ones((1, a.shape[1]), dtype=bool))[0])
+
+
+def projective_diameter(m) -> float:
+    """Projective diameter of the image of the orthant under a nonnegative
+    matrix: the largest Hilbert distance between two columns.  Infinite when
+    two columns have different supports; zero columns are rejected."""
+    return _matrix_diameter(m, zero_columns_refused=True)
 
 
 def stacked_diameters(x: np.ndarray, real: np.ndarray) -> np.ndarray:
@@ -190,14 +200,7 @@ def stacked_diameters(x: np.ndarray, real: np.ndarray) -> np.ndarray:
 def birkhoff_coefficient(m) -> float:
     """Contraction coefficient tanh(diam/4) of a nonnegative matrix; 1 when
     the diameter is infinite (including matrices with a zero column)."""
-    a = np.asarray(m, dtype=float)
-    if a.ndim != 2:
-        raise ValidationError("matrix expected")
-    if (a < 0).any():
-        raise ValidationError("matrix must be nonnegative")
-    if not a.any():
-        raise ValidationError("matrix must be nonzero")
-    diam = stacked_diameters(a[None], np.ones((1, a.shape[1]), dtype=bool))[0]
+    diam = _matrix_diameter(m, zero_columns_refused=False)
     return 1.0 if diam == math.inf else math.tanh(diam / 4.0)
 
 
@@ -239,9 +242,9 @@ def contraction_profile(fs, n: int, max_words: int = DEFAULT_MAX_WORDS) -> Contr
         raise ValidationError("span must be >= 1")
     per_word: dict = {}
     deltas = [np.zeros(0)]
-    for rows in walk_image_words(fs, fs.sweep_layout.eye(float), n, max_words):
+    for rows in walk_image_words(fs, fs.eye(float), n, max_words):
         # a dead column means the image cone touches the boundary: infinite
-        delta = stacked_diameters(rows.products, fs.sweep_layout.fiber_mask[rows.blocks])
+        delta = stacked_diameters(rows.products, fs.fiber_mask[rows.blocks])
         per_word.update(zip(map(tuple, rows.words.tolist()), delta.tolist()))
         deltas.append(delta)
     delta = np.concatenate(deltas)

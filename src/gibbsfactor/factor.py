@@ -54,13 +54,16 @@ Every product of blocks along image words is carried one way.  The walker
 is level-synchronous: the frontier of one word length is a stack of rows
 (the word as a row of an int matrix, its first and last image block, its
 product zero-padded on every axis to the widest fiber F, and its log scale).
-The padded layout is a :class:`SweepLayout` kept on the factor system
-(:attr:`FactorSystem.sweep_layout`), built on its first walk: one
-zero-padded block stack per arithmetic (float, exact, 0/1 support), the
-transition table ``follows`` with each transition's place in the stack,
-and a fiber index and mask through which a walk's start is one gather.
-A level grows by the step of every level-by-level word expansion here
-(:func:`~gibbsfactor.potential.domain_path`, :func:`~gibbsfactor.sft.word_matrix`),
+:func:`build_factor` keeps the tables of the padded layout on the
+:class:`FactorSystem`: the transition table ``follows`` with each
+transition's place in the stack, and a fiber index and mask through which
+a walk's start is one gather.  The blocks are cut on first use, each
+arithmetic's zero-padded stack (float, exact, 0/1 support) on its first
+walk as one gather of W (or M) through the fiber index
+(:meth:`FactorSystem.stack`), and the per-word tables on the first
+per-word call.  A level grows by the step of every level-by-level word
+expansion here (:func:`~gibbsfactor.potential.domain_path`,
+:func:`~gibbsfactor.sft.word_matrix`),
 ``parent, blocks = np.nonzero(follows[rows.blocks])``, then one batched
 matmul with the blocks gathered from the stack; ``np.nonzero`` is row-major
 and targets ascend, so rows stay lexicographic without sorting.  A measure
@@ -107,9 +110,9 @@ The rule has two forms with the same bits: :func:`rescale_single`, a scalar
 step for one product (:func:`carry_path` and the squaring in
 :func:`~gibbsfactor.ganalysis.g_limit`), and :func:`rescale_product` for the
 walker's stacked rows.
-Which of the two block tables a product reads is decided in one place,
-:meth:`FactorSystem.operators`, from the caller's mode (the Perron data's
-for measures); a walk reaches it through :meth:`SweepLayout.blocks`, which
+Which of the two block tables a product reads is decided from the
+caller's mode (the Perron data's for measures) by
+:meth:`FactorSystem.operators`; a walk's stack, :meth:`FactorSystem.stack`,
 reads the mode from the dtype of the walk's start.
 """
 
@@ -139,54 +142,108 @@ from .sft import DEFAULT_MAX_WORDS, Alphabet, Word
 class FactorSystem:
     """A factor map bundled with its fiber decomposition and block operators.
 
-    fibers[b] lists the domain block symbols over image block word b; blocks
-    holds the nonzero operators keyed by image block transitions.  For
+    fibers[b] lists the domain block symbols over image block word b.  For
     depth >= 2 potentials everything lives on the block recoding and image
-    block words are sliding windows of image symbol words.
+    block words are sliding windows of image symbol words.  Every array is
+    read-only and built once by :func:`build_factor`; the walks pad each
+    fiber to the widest one, F: `fiber_index` and `fiber_mask` hold the
+    (blocks, F) domain indices of each fiber (0 in the padding) and the mask
+    of its entries.  The transitions b -> b' are the entries of `follows`,
+    listed in sorted order in `pairs`; `index` holds each one's row in
+    `pairs` and `degree` counts those leaving each block.  The blocks
+    themselves are cut from the transfer matrix on first use: the padded
+    stacks of a walk by :meth:`stack`, the per-word tables by :attr:`blocks`
+    and :attr:`exact_blocks`.
     """
 
     tm: TransferMatrix
     image_alphabet: Alphabet
-    symbol_map: tuple[int, ...]              # domain symbol -> image symbol
-    image_block_words: tuple[Word, ...]      # realized image k-words, lexicographic
+    symbol_map: np.ndarray                   # domain symbol -> image symbol
+    words: np.ndarray                        # (blocks, k) image block words, lexicographic
+    last_symbols: np.ndarray                 # each image block word's last symbol
     image_block_index: dict                  # image k-word -> index
     fibers: tuple[tuple[int, ...], ...]      # per image block, domain block indices
-    blocks: dict                             # (b, b') -> float ndarray
-    exact_blocks: dict | None                # (b, b') -> int object ndarray, slice of M = D W
+    fiber_sizes: np.ndarray
+    fiber_index: np.ndarray
+    fiber_mask: np.ndarray
+    follows: np.ndarray
+    pairs: np.ndarray
+    index: np.ndarray
+    degree: np.ndarray
 
     @property
     def block_length(self) -> int:
         return self.tm.recoding.block_length
 
     @cached_property
-    def symbol_array(self) -> np.ndarray:
-        """The symbol map as a read-only intp array."""
-        smap = np.array(self.symbol_map, dtype=np.intp)
-        smap.setflags(write=False)
-        return smap
-
-    @cached_property
-    def fiber_sizes(self) -> np.ndarray:
-        """The length of every fiber as a read-only int array."""
-        sizes = np.array([len(f) for f in self.fibers])
-        sizes.setflags(write=False)
-        return sizes
-
-    @cached_property
     def image_moves(self) -> tuple[np.ndarray, ...]:
         """One read-only (blocks, blocks) boolean table per image symbol y:
         entry [i, j] holds when block j may follow block i and its last
         symbol maps to y, the moves of a preimage under y."""
-        images = self.symbol_array[self.tm.last_symbols]
+        images = self.symbol_map[self.tm.last_symbols]
         moves = self.tm.follows & (images == np.arange(self.image_alphabet.size)[:, None, None])
         moves.setflags(write=False)
         return tuple(moves)
 
     @cached_property
-    def sweep_layout(self) -> SweepLayout:
-        """The padded layout of the image-word walks (:class:`SweepLayout`),
-        built on the first walk and kept for every later one."""
-        return SweepLayout(self)
+    def blocks(self) -> dict:
+        """The float blocks of the per-word routes, (b, b') -> the slice of
+        W with rows in fiber(b) and columns in fiber(b')."""
+        return self._sliced(self._weights(False))
+
+    @cached_property
+    def exact_blocks(self) -> dict:
+        """The exact blocks of the per-word routes, slices of the integer
+        matrix M = D W (``object`` arrays of int)."""
+        return self._sliced(self._weights(True))
+
+    def _weights(self, exact: bool) -> np.ndarray:
+        if not exact:
+            return self.tm.weights
+        if self.tm.int_weights is None:
+            raise ExactModeError("exact blocks need a potential with rational weights")
+        return self.tm.int_weights
+
+    def _sliced(self, matrix: np.ndarray) -> dict:
+        fibers = [np.array(f, dtype=np.intp) for f in self.fibers]
+        out = {}
+        for a, b in self.pairs.tolist():
+            out[a, b] = m = matrix[fibers[a][:, None], fibers[b]]
+            m.setflags(write=False)
+        return out
+
+    @cached_property
+    def _stacks(self) -> dict:
+        return {}
+
+    def stack(self, dtype) -> np.ndarray:
+        """The (pairs, F, F) zero-padded stack of blocks that a walk from a
+        start of `dtype` multiplies, built on its first use: one gather of W
+        through the fiber index for a float start, of M = D W for
+        ``object``, and the float stack's 0/1 support as floats for ``bool``
+        (small counts, and a BLAS matmul)."""
+        kind = {"O": "exact", "b": "support"}.get(np.dtype(dtype).kind, "float")
+        if kind not in self._stacks:
+            if kind == "support":
+                stack = (self.stack(float) != 0).astype(float)
+            else:
+                a, b = self.pairs.T
+                stack = self._weights(kind == "exact")[self.fiber_index[a][:, :, None],
+                                                       self.fiber_index[b][:, None, :]]
+                stack[~(self.fiber_mask[a][:, :, None] & self.fiber_mask[b][:, None, :])] = 0
+            stack.setflags(write=False)
+            self._stacks[kind] = stack
+        return self._stacks[kind]
+
+    def gather(self, v: np.ndarray) -> np.ndarray:
+        """The domain vector v restricted to every fiber: a (blocks, F)
+        start, one gather through `fiber_index`, zero in the padding."""
+        return np.where(self.fiber_mask, v[self.fiber_index], 0)
+
+    def eye(self, dtype) -> np.ndarray:
+        """The identity on every fiber: a (blocks, F, F) start, zero in the
+        padding."""
+        return np.eye(self.fiber_mask.shape[1], dtype=dtype) * self.fiber_mask[:, :, None]
 
     @cached_property
     def last_paths(self) -> LastPaths:
@@ -204,12 +261,9 @@ class FactorSystem:
 
     def operators(self, exact: bool) -> dict:
         """The block table of one arithmetic: the integer blocks of M = D W
-        in exact mode, the float blocks otherwise."""
-        if not exact:
-            return self.blocks
-        if self.exact_blocks is None:
-            raise ExactModeError("exact blocks need a potential with rational weights")
-        return self.exact_blocks
+        in exact mode (ExactModeError without rational weights), the float
+        blocks otherwise."""
+        return self.exact_blocks if exact else self.blocks
 
 
 class LastPaths:
@@ -263,8 +317,7 @@ def build_factor(tm: TransferMatrix, symbol_map, image_alphabet: Alphabet) -> Fa
     fibers (ascending block indices) and its run heads the lexicographic
     image block words.  The image block transitions are the entries of a
     boolean table filled at the image blocks of the recoding's block
-    transitions, so the block dicts are keyed in sorted order, and each
-    block is one fancy-indexed slice of W (and of M = D W).
+    transitions.  No block is cut here (see :class:`FactorSystem`).
     """
     sft = tm.sft
     d = sft.size
@@ -282,34 +335,32 @@ def build_factor(tm: TransferMatrix, symbol_map, image_alphabet: Alphabet) -> Fa
                 f"empty fiber: image symbol {image_alphabet.name(b)!r} has no preimage"
             )
     rec = tm.recoding
-    images = np.array(smap, dtype=np.intp)[rec.block_array]  # every block's image word
+    smap = np.array(smap, dtype=np.intp)
+    images = smap[rec.block_array]  # every block's image word
     order, starts = sorted_runs(images)
-    image_words = tuple(map(tuple, images[order[starts]].tolist()))
+    words = images[order[starts]]
+    sizes = np.diff(starts, append=len(order))
     bsm = np.empty(len(order), dtype=np.intp)  # block -> its image block
-    bsm[order] = np.repeat(np.arange(len(starts)), np.diff(starts, append=len(order)))
-    fibers = np.split(order, starts[1:])  # the stable sort keeps each fiber ascending
-    transitions = np.zeros((len(starts), len(starts)), dtype=bool)
-    transitions[bsm[rec.sources], bsm[rec.targets]] = True
-    sources, targets = np.nonzero(transitions)
-    keys = list(zip(sources.tolist(), targets.tolist()))
-
-    def sliced(matrix) -> dict:
-        out = {(a, b): matrix[fibers[a][:, None], fibers[b]] for a, b in keys}
-        for m in out.values():
-            m.setflags(write=False)
-        return out
-
-    blocks = sliced(tm.weights)
-    exact_blocks = None if tm.int_weights is None else sliced(tm.int_weights)
+    bsm[order] = np.repeat(np.arange(len(starts)), sizes)
+    follows = np.zeros((len(starts), len(starts)), dtype=bool)
+    follows[bsm[rec.sources], bsm[rec.targets]] = True
+    pairs = np.argwhere(follows)
+    index = np.zeros(follows.shape, dtype=np.intp)
+    index[follows] = np.arange(len(pairs))
+    fiber_mask = np.arange(sizes.max()) < sizes[:, None]
+    fiber_index = np.zeros(fiber_mask.shape, dtype=np.intp)
+    fiber_index[fiber_mask] = order  # the stable sort keeps each fiber ascending
+    tables = dict(symbol_map=smap, words=words, last_symbols=words[:, -1].copy(),
+                  fiber_sizes=sizes, fiber_index=fiber_index, fiber_mask=fiber_mask,
+                  follows=follows, pairs=pairs, index=index, degree=follows.sum(axis=1))
+    for a in tables.values():
+        a.setflags(write=False)
     return FactorSystem(
         tm=tm,
         image_alphabet=image_alphabet,
-        symbol_map=tuple(smap),
-        image_block_words=image_words,
-        image_block_index={w: i for i, w in enumerate(image_words)},
-        fibers=tuple(tuple(f.tolist()) for f in fibers),
-        blocks=blocks,
-        exact_blocks=exact_blocks,
+        image_block_index={w: i for i, w in enumerate(map(tuple, words.tolist()))},
+        fibers=tuple(tuple(f.tolist()) for f in np.split(order, starts[1:])),
+        **tables,
     )
 
 
@@ -345,7 +396,7 @@ def image_admissible(fs: FactorSystem, yword) -> bool:
     w = _check_image_word(fs, yword)
     k = fs.block_length
     if len(w) < k:
-        return any(bw[:len(w)] == w for bw in fs.image_block_words)
+        return bool((fs.words[:, :len(w)] == w).all(axis=1).any())
     blocks = image_block_word(fs, w)
     return blocks is not None and carry_product(
         fs.blocks, blocks, np.ones(len(fs.fibers[blocks[0]]), dtype=bool)) is not None
@@ -503,7 +554,7 @@ def projected_measure(fs: FactorSystem, pd: PerronData, yword):
         raise ValidationError("projected measure needs a nonempty image word")
     k = fs.block_length
     if len(w) < k:
-        matching = [b for b, bw in enumerate(fs.image_block_words) if bw[:len(w)] == w]
+        matching = np.flatnonzero((fs.words[:, :len(w)] == w).all(axis=1)).tolist()
         total = sum(fs.fiber_nu(pd, b) @ fs.fiber_h(pd, b) for b in matching)
         return finish_measure(total, 0.0, 0, pd)
     kept = max(shared - k + 1, 0)
@@ -563,7 +614,7 @@ def projected_measure_bruteforce(fs: FactorSystem, pd: PerronData, yword,
         states = last[2][:shared - head + 1]
         count_visited(states[-1][3], max_words)
     else:
-        heads = fs.symbol_array[pd.tm.recoding.block_array[:, :head]]
+        heads = fs.symbol_map[pd.tm.recoding.block_array[:, :head]]
         rows = np.flatnonzero((heads == w[:head]).all(axis=1))
         states = [(None, rows, (pd.int_nu if pd.exact else pd.log_vectors[0])[rows],
                    count_visited(len(rows), max_words))]
@@ -618,7 +669,7 @@ def preimage_measures(fs: FactorSystem, pd: PerronData, n: int, max_words: int):
     The budget counts visited preimage prefixes.
     """
     words, values, steps = domain_rows(pd, n, max_words, pd.exact)
-    images = fs.symbol_array[words]
+    images = fs.symbol_map[words]
     order, starts = sorted_runs(images)
     values = values[order]
     if pd.exact:
@@ -686,73 +737,6 @@ parent, if more); a larger level is expanded in contiguous lexicographic
 chunks, depth first."""
 
 
-class SweepLayout:
-    """The padded layout every image-word walk of one factor system runs in,
-    built on the system's first walk (:attr:`FactorSystem.sweep_layout`).
-
-    Every product is zero-padded on every axis to the widest fiber, `width`
-    (`sizes` holds every fiber's own length).  `pairs` lists the image
-    block transitions in sorted order, `follows` and `index` are the
-    (blocks, blocks) table of transitions and each one's position in
-    `pairs`, `degree` counts the transitions leaving each block, `words`
-    and `symbols` hold every image block's word and its last symbol, and
-    `fiber_index` and `fiber_mask` the (blocks, width) domain indices of
-    each fiber (0 in the padding) and the mask of its entries.  The padded
-    block stacks, one per arithmetic, are built on first use by
-    :meth:`blocks`.  Every array is read-only.
-    """
-
-    def __init__(self, fs: FactorSystem):
-        sizes = fs.fiber_sizes
-        n_blocks, self.width = len(sizes), int(sizes.max())
-        self.sizes = sizes
-        self.pairs = np.array(sorted(fs.blocks), dtype=np.intp).reshape(-1, 2)
-        self.follows = np.zeros((n_blocks, n_blocks), dtype=bool)
-        self.follows[self.pairs[:, 0], self.pairs[:, 1]] = True
-        self.index = np.zeros((n_blocks, n_blocks), dtype=np.intp)
-        self.index[self.pairs[:, 0], self.pairs[:, 1]] = np.arange(len(self.pairs))
-        self.degree = self.follows.sum(axis=1)
-        self.words = np.array(fs.image_block_words, dtype=np.intp)
-        self.symbols = self.words[:, -1].copy()
-        self.fiber_mask = np.arange(self.width) < sizes[:, None]
-        self.fiber_index = np.zeros((n_blocks, self.width), dtype=np.intp)
-        self.fiber_index[self.fiber_mask] = np.concatenate(fs.fibers)
-        for a in (self.pairs, self.follows, self.index, self.degree, self.words, self.symbols,
-                  self.fiber_mask, self.fiber_index):
-            a.setflags(write=False)
-        self._operators = fs.operators
-        self._stacks: dict = {}
-
-    def blocks(self, dtype) -> np.ndarray:
-        """The (pairs, width, width) padded stack of blocks that a walk from
-        a start of `dtype` multiplies: the integer blocks of M = D W for
-        ``object``, the blocks' 0/1 support as floats for ``bool`` (small
-        counts, and a BLAS matmul), the float blocks otherwise."""
-        kind = {"O": "exact", "b": "support"}.get(np.dtype(dtype).kind, "float")
-        if kind not in self._stacks:
-            if kind == "support":
-                stack = (self.blocks(float) != 0).astype(float)
-            else:
-                mats = self._operators(kind == "exact")
-                stack = np.zeros((len(self.pairs), self.width, self.width),
-                                 dtype=next(iter(mats.values())).dtype)
-                for i, (a, b) in enumerate(self.pairs.tolist()):
-                    stack[i, :self.sizes[a], :self.sizes[b]] = mats[(a, b)]
-            stack.setflags(write=False)
-            self._stacks[kind] = stack
-        return self._stacks[kind]
-
-    def gather(self, v: np.ndarray) -> np.ndarray:
-        """The domain vector v restricted to every fiber: a (blocks, width)
-        start, one gather through `fiber_index`, zero in the padding."""
-        return np.where(self.fiber_mask, v[self.fiber_index], 0)
-
-    def eye(self, dtype) -> np.ndarray:
-        """The identity on every fiber: a (blocks, width, width) start, zero
-        in the padding."""
-        return np.eye(self.width, dtype=dtype) * self.fiber_mask[:, :, None]
-
-
 @dataclass(frozen=True)
 class SweepRows:
     """A stack of image words of one length, lexicographic, with the block
@@ -786,10 +770,11 @@ def walk_image_words(fs: FactorSystem, start, n_steps: int, max_words: int,
     as :class:`SweepRows`, chunk by chunk in lexicographic order, and
     returns (as the generator's value) its count of visited nodes.
 
-    `start` stacks one product per image block in the system's
-    :class:`SweepLayout` (a fiber vector or matrix zero-padded to the widest
-    fiber F, or a scalar for a walk of no steps), and every level is cast
-    back to its dtype, which also picks the blocks (:meth:`SweepLayout.blocks`):
+    `start` stacks one product per image block in the system's padded
+    layout (a fiber vector or matrix zero-padded to the widest fiber F, as
+    :meth:`FactorSystem.gather` and :meth:`FactorSystem.eye` build it, or a
+    scalar for a walk of no steps), and every level is cast back to its
+    dtype, which also picks the blocks (:meth:`FactorSystem.stack`):
     an ``object`` start walks the exact blocks, a boolean start their 0/1
     support, so it walks boolean products, and a float start the float
     blocks.  A walk may also start from a frontier: `start` is then the
@@ -809,17 +794,16 @@ def walk_image_words(fs: FactorSystem, start, n_steps: int, max_words: int,
     visited, i.e. every prefix and not only finished words, each level when
     it is reached; exceeding it raises EnumerationLimitError.
     """
-    layout = fs.sweep_layout
     if isinstance(start, SweepRows):
         rows = start
     else:
         roots = np.arange(len(start))
         x, scales, alive = rescale_product(start, np.zeros(len(start)))
-        rows = SweepRows(layout.words, roots, roots, x, scales).take(alive)
+        rows = SweepRows(fs.words, roots, roots, x, scales).take(alive)
         visited = count_visited(visited + len(rows), max_words, "image word sweep")
     shape, dtype = rows.products.shape[1:], rows.products.dtype
-    stack, width, follows, degree = (layout.blocks(dtype), layout.width,
-                                     layout.follows, layout.degree)
+    stack, width, follows, degree = (fs.stack(dtype), fs.fiber_mask.shape[1],
+                                     fs.follows, fs.degree)
     # depth-first stack of (frontier, steps left, next parent, child-count prefix sums)
     frontiers = [(rows, n_steps, 0, None if n_steps == 0 else np.cumsum(degree[rows.blocks]))]
     while frontiers:
@@ -838,7 +822,7 @@ def walk_image_words(fs: FactorSystem, start, n_steps: int, max_words: int,
                 frontiers.append((rows, remaining, stop, ends_at))
             chunk = rows.take(slice(pos, stop))
         parent, blocks = np.nonzero(follows[chunk.blocks])
-        pair = layout.index[chunk.blocks[parent], blocks]
+        pair = fs.index[chunk.blocks[parent], blocks]
         x = chunk.products.take(parent, axis=0)
         if ends is not None and remaining == 1:
             x = np.einsum("ij,ij->i", x, ends[0].take(pair, axis=0))
@@ -849,7 +833,7 @@ def walk_image_words(fs: FactorSystem, start, n_steps: int, max_words: int,
             x, scales, alive = rescale_product(x.reshape((-1,) + shape).astype(dtype, copy=False),
                                                chunk.scales[parent])
         words = np.concatenate([chunk.words.take(parent, axis=0),
-                                layout.symbols.take(blocks)[:, None]], axis=1)
+                                fs.last_symbols.take(blocks)[:, None]], axis=1)
         children = SweepRows(words, chunk.roots[parent], blocks, x, scales)
         if not alive.all():
             children = children.take(alive)
@@ -872,8 +856,8 @@ def enumerate_image_words(fs: FactorSystem, n: int,
         return [()]
     k = fs.block_length
     if n < k:
-        return sorted({bw[:n] for bw in fs.image_block_words})
-    walk = walk_image_words(fs, fs.sweep_layout.fiber_mask, n - k, max_words)
+        return sorted(set(map(tuple, fs.words[:, :n].tolist())))
+    walk = walk_image_words(fs, fs.fiber_mask, n - k, max_words)
     return [tuple(word) for rows in walk for word in rows.words.tolist()]
 
 
@@ -911,17 +895,16 @@ def level_measures(fs: FactorSystem, pd: PerronData, n: int, max_words: int,
                             dtype=object)
         return np.log(totals) + scales - steps * pd.log_lam
 
-    layout = fs.sweep_layout
-    nu_rows, h_rows = layout.gather(nu), layout.gather(h)
+    nu_rows, h_rows = fs.gather(nu), fs.gather(h)
     block_totals = np.einsum("ij,ij->i", nu_rows, h_rows)  # nu_b . h_b
     if n < k:
-        prefixes = layout.words[:, :n]
+        prefixes = fs.words[:, :n]
         order, starts = sorted_runs(prefixes)
         totals = np.add.reduceat(block_totals[order], starts)
         return prefixes[order[starts]], finish(totals, 0.0, 0)
     steps = n - k
     if steps:
-        c = (layout.blocks(h.dtype) @ h_rows[layout.pairs[:, 1], :, None])[:, :, 0]
+        c = (fs.stack(h.dtype) @ h_rows[fs.pairs[:, 1], :, None])[:, :, 0]
         start, ends = nu_rows, rescale_product(c, np.zeros(len(c)))[:2]
     else:
         start, ends = block_totals, None
@@ -957,7 +940,7 @@ def fwm_check(fs: FactorSystem, n: int, max_words: int = DEFAULT_MAX_WORDS,
     """
     if n < 1:
         raise ValidationError("fiber-wise mixing span must be >= 1")
-    walk = walk_image_words(fs, fs.sweep_layout.eye(bool), n, max_words)
+    walk = walk_image_words(fs, fs.eye(bool), n, max_words)
     return fwm_span(fs, n, walk, witness_cap)[0]
 
 
@@ -967,7 +950,6 @@ def fwm_span(fs: FactorSystem, n: int, walk, witness_cap: int = 100):
     (report, frontier), the frontier (full-length rows, visited count) when
     those rows came in one chunk, from which span N + 1 is one more step,
     else None."""
-    layout = fs.sweep_layout
     witnesses: list = []
     checked = chunks = 0
     holds = True
@@ -981,14 +963,15 @@ def fwm_span(fs: FactorSystem, n: int, walk, witness_cap: int = 100):
         chunks += 1
         # padding is zero: a product is all-positive iff it counts every entry of its fibers
         positive = np.count_nonzero(rows.products.reshape(len(rows), -1), axis=1)
-        failing = np.flatnonzero(positive < layout.sizes[rows.roots] * layout.sizes[rows.blocks])
+        sizes = fs.fiber_sizes
+        failing = np.flatnonzero(positive < sizes[rows.roots] * sizes[rows.blocks])
         holds = holds and not failing.size
         for r in failing:
             if len(witnesses) >= witness_cap:
                 break
             word = tuple(rows.words[r].tolist())
             root, block = rows.roots[r], rows.blocks[r]
-            gaps = layout.fiber_mask[root][:, None] & layout.fiber_mask[block] & ~rows.products[r]
+            gaps = fs.fiber_mask[root][:, None] & fs.fiber_mask[block] & ~rows.products[r]
             first, last = fs.fibers[root], fs.fibers[block]
             for i, j in zip(*np.nonzero(gaps)):
                 if len(witnesses) >= witness_cap:
@@ -1021,7 +1004,7 @@ def fwm_search(fs: FactorSystem, max_n: int,
     """
     if max_n < 1:
         raise ValidationError("max_n must be >= 1")
-    start = fs.sweep_layout.eye(bool)
+    start = fs.eye(bool)
     reports, frontier = [], None
     for n in range(1, max_n + 1):
         walk = (walk_image_words(fs, start, n, max_words) if frontier is None

@@ -325,7 +325,8 @@ def eta_general(theta: float, holder_constant: float, sup_norm: float,
         raise ValidationError("need theta^N < sigma < 1")
     if not math.isfinite(log_ln1_sup_norm):
         raise ValidationError("log_ln1_sup_norm must be finite")
-    geo = sum(theta**i for i in range(1, n_steps + 1))
+    # sum_{i=1}^{N} theta^i in closed form; expm1 keeps it accurate near theta = 1
+    geo = theta * -math.expm1(n_steps * math.log(theta)) / (1 - theta)
     cone_k = holder_constant / (sigma - theta**n_steps) * geo
     m_const = (
         2 * math.log((1 + sigma) / (1 - sigma))

@@ -417,8 +417,8 @@ class TestLogRatioDiameters:
         w = fs.tm.weights
         assert_near_quotient_form(np.stack([w, w @ w]), np.ones((2, len(w)), dtype=bool))
         for n in (1, 2, 3):
-            for rows in walk_image_words(fs, fs.sweep_layout.eye(float), n, DEFAULT_MAX_WORDS):
-                assert_near_quotient_form(rows.products, fs.sweep_layout.fiber_mask[rows.blocks])
+            for rows in walk_image_words(fs, fs.eye(float), n, DEFAULT_MAX_WORDS):
+                assert_near_quotient_form(rows.products, fs.fiber_mask[rows.blocks])
 
     @given(padded_stacks())
     @settings(max_examples=200, deadline=None)

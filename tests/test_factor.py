@@ -94,12 +94,24 @@ class TestBuildFactor:
         with pytest.raises(ValidationError, match="empty fiber"):
             build_factor(tm, (0, 0, 0, 0), Alphabet(("0", "1")))
 
+    @pytest.mark.parametrize("name", ["example2", "rate_demo", "random_0_2", "rational_1_3"])
+    def test_builds_no_block_table(self, name):
+        desc = GROUPING_SYSTEMS[name]
+        tm = build_pipeline(desc).tm
+        fs = build_factor(tm, desc.factor_map, Alphabet(desc.image_alphabet))
+        assert not BLOCK_TABLES & vars(fs).keys()
+
+
+BLOCK_TABLES = {"blocks", "exact_blocks", "_stacks"}
+"""The names under which a factor system caches the blocks it cuts."""
+
 
 def grouped_per_block(tm, symbol_map):
     """build_factor's grouping one block at a time: (image block words, their
     index, fibers, float blocks, exact blocks or None), the image words a
     sorted set of per-block tuples, the keys in order of first appearance."""
     rec = tm.recoding
+    symbol_map = symbol_map.tolist()
     image_words = sorted({tuple(symbol_map[s] for s in bw) for bw in rec.block_words})
     index = {w: i for i, w in enumerate(image_words)}
     bsm = [index[tuple(symbol_map[s] for s in bw)] for bw in rec.block_words]
@@ -141,18 +153,50 @@ class TestFactorGrouping:
         pipe = build_pipeline(GROUPING_SYSTEMS[name])
         fs = pipe.factor
         words, index, fibers, blocks, exact = grouped_per_block(pipe.tm, fs.symbol_map)
-        assert fs.image_block_words == words and fs.image_block_index == index
+        assert list(map(tuple, fs.words.tolist())) == list(words)
+        assert fs.image_block_index == index
         assert fs.fibers == fibers
-        flat = [*itertools.chain(*fs.image_block_words, *fs.fibers, *fs.blocks),
+        flat = [*itertools.chain(*fs.fibers, *fs.image_block_index, *fs.blocks),
                 *fs.image_block_index.values()]
         assert all(type(i) is int for i in flat)
         assert list(fs.blocks) == sorted(blocks)
-        assert (fs.exact_blocks is None) == (exact is None)
-        for got, want in ((fs.blocks, blocks), (fs.exact_blocks or {}, exact or {})):
+        # the walks' tables against their per-block forms
+        sizes = [len(f) for f in fibers]
+        width = max(sizes)
+        pairs = sorted(blocks)
+        follows = np.zeros((len(words), len(words)), dtype=bool)
+        index_of = np.zeros((len(words), len(words)), dtype=np.intp)
+        for i, (a, b) in enumerate(pairs):
+            follows[a, b], index_of[a, b] = True, i
+        tables = [
+            (fs.symbol_map, np.array(GROUPING_SYSTEMS[name].factor_map, dtype=np.intp)),
+            (fs.words, np.array(words, dtype=np.intp)),
+            (fs.last_symbols, np.array([w[-1] for w in words], dtype=np.intp)),
+            (fs.fiber_sizes, np.array(sizes, dtype=np.intp)),
+            (fs.fiber_index, np.array([list(f) + [0] * (width - len(f)) for f in fibers],
+                                      dtype=np.intp)),
+            (fs.fiber_mask, np.array([[j < n for j in range(width)] for n in sizes])),
+            (fs.follows, follows),
+            (fs.pairs, np.array(pairs, dtype=np.intp)),
+            (fs.index, index_of),
+            (fs.degree, follows.sum(axis=1)),
+        ]
+        for table, want in tables:
+            assert table.dtype == want.dtype and np.array_equal(table, want)
+            assert not table.flags.writeable
+        if exact is None:
+            with pytest.raises(ExactModeError):
+                fs.operators(True)
+        # every per-word block is its slice of W (or M), contiguous and read-only
+        for mode, want in ((False, blocks), (True, exact)):
+            if want is None:
+                continue
+            got = fs.operators(mode)
+            assert got is (fs.exact_blocks if mode else fs.blocks)
             assert got.keys() == want.keys()
             for key, m in want.items():
                 assert got[key].dtype == m.dtype and got[key].shape == m.shape
-                assert not got[key].flags.writeable
+                assert got[key].flags.c_contiguous and not got[key].flags.writeable
                 if m.dtype == object:
                     assert got[key].tolist() == m.tolist()
                     assert all(type(v) is int for v in got[key].flat)
@@ -345,12 +389,19 @@ class TestOracleExpansion:
     image word, and reads nothing of the product route."""
 
     def test_independent_of_fiber_blocks(self, ex2_system, seed202):
+        """A fresh system, whose words are enumerated on another one, answers
+        every oracle call and level to length 6 without cutting a block."""
         for fs, pd in (ex2_system, seed202):
-            bare = dataclasses.replace(fs, blocks={}, exact_blocks={})
+            fresh = build_factor(fs.tm, fs.symbol_map, fs.image_alphabet)
             for length in range(1, 7):
                 for word in enumerate_image_words(fs, length):
-                    assert (projected_measure_bruteforce(bare, pd, word)
+                    assert (projected_measure_bruteforce(fresh, pd, word)
                             == projected_measure_bruteforce(fs, pd, word))
+            for length in range(1, 7):
+                got = preimage_measures(fresh, pd, length, DEFAULT_MAX_WORDS)
+                want = preimage_measures(fs, pd, length, DEFAULT_MAX_WORDS)
+                assert got[0].tobytes() == want[0].tobytes() and got[1] == want[1]
+            assert not BLOCK_TABLES & vars(fresh).keys()
 
     @pytest.mark.parametrize("system", ["ex2_system", "stochastic_depth2", "seed202"])
     def test_masked_equals_grouped_unrestricted_rows(self, request, system):
@@ -402,13 +453,12 @@ class TestOracleExpansion:
             (rec.block_array, np.array(rec.block_words, dtype=np.intp)),
             (tm.last_symbols, np.array(rec.block_words, dtype=np.intp)[:, -1]),
             (tm.follows, rec.block_sft.adjacency.astype(bool)),
-            (fs.symbol_array, np.asarray(fs.symbol_map, dtype=np.intp)),
             (fs.fiber_sizes, np.array([len(f) for f in fs.fibers])),
         ]
         tables += zip(pd.log_vectors, (np.log(np.asarray(v, dtype=float))
                                        for v in (pd.nu, pd.h)))
         assert len(fs.image_moves) == fs.image_alphabet.size
-        tables += [(moves, tm.follows & (fs.symbol_array[tm.last_symbols] == y))
+        tables += [(moves, tm.follows & (fs.symbol_map[tm.last_symbols] == y))
                    for y, moves in enumerate(fs.image_moves)]
         for table, per_call in tables:
             assert table.dtype == per_call.dtype
@@ -418,8 +468,7 @@ class TestOracleExpansion:
                 table[first] = table[first]
         # computed once per object
         assert tm.last_symbols is tm.last_symbols and pd.log_vectors is pd.log_vectors
-        assert fs.symbol_array is fs.symbol_array and tm.follows is tm.follows
-        assert fs.fiber_sizes is fs.fiber_sizes and fs.image_moves is fs.image_moves
+        assert tm.follows is tm.follows and fs.image_moves is fs.image_moves
 
 
 @st.composite
@@ -510,7 +559,7 @@ class TestDepth2Pipeline:
     def test_blocks_are_image_2_words(self, depth2):
         fs, _ = depth2
         assert fs.block_length == 2
-        assert all(len(w) == 2 for w in fs.image_block_words)
+        assert fs.words.shape == (len(fs.fibers), 2)
 
     def test_short_word_consistency(self, depth2):
         fs, pd = depth2
@@ -1048,10 +1097,11 @@ def test_domain_path_extends_from_any_split(system, data):
                 == outcome([head], tables, budget))
 
 
-def test_sweep_layout_is_shared_by_every_arithmetic():
+def test_stacks_are_shared_by_every_arithmetic():
     """One factor system walked in exact, float and boolean arithmetic gives
-    what a fresh system gives for each walk; its layout is built on the
-    first walk, not by build_factor, once per arithmetic, and read-only."""
+    what a fresh system gives for each walk; its padded block stacks are
+    built on the first walk, not by build_factor, once per arithmetic, are
+    read-only, hold every block and are zero in their padding."""
     desc = row_stochastic(fixtures.random_mixing_system(5, 5, 2, 3), np.random.default_rng(5))
     pipe = build_pipeline(desc, exact=True)
 
@@ -1063,7 +1113,7 @@ def test_sweep_layout_is_shared_by_every_arithmetic():
              lambda fs: enumerate_image_words(fs, 5),
              lambda fs: fwm_check(fs, 2)]
     shared = fresh()
-    assert "sweep_layout" not in vars(shared) and "sweep_layout" not in vars(pipe.factor)
+    assert not BLOCK_TABLES & vars(shared).keys()
     for walk in walks:
         got, want = walk(shared), walk(fresh())
         if isinstance(got, tuple) and isinstance(got[0], np.ndarray):
@@ -1071,11 +1121,21 @@ def test_sweep_layout_is_shared_by_every_arithmetic():
             assert got[1].dtype == want[1].dtype and got[1].tolist() == want[1].tolist()
         else:
             assert got == want
-    layout = shared.sweep_layout
-    stacks = [layout.blocks(dtype) for dtype in (object, float, bool)]
-    assert all(a is b for a, b in zip(stacks, [layout.blocks(d) for d in (object, float, bool)]))
-    arrays = stacks + [v for v in vars(layout).values() if isinstance(v, np.ndarray)]
-    assert not any(a.flags.writeable for a in arrays)
+    dtypes = (object, float, bool)
+    stacks = [shared.stack(dtype) for dtype in dtypes]
+    assert all(a is b for a, b in zip(stacks, [shared.stack(d) for d in dtypes]))
+    assert not any(a.flags.writeable for a in stacks)
+    exact, floats, support = stacks
+    assert exact.dtype == object and support.dtype == floats.dtype == float
+    assert np.array_equal(support, floats != 0)
+    sizes = shared.fiber_sizes
+    for stack, blocks in ((exact, shared.exact_blocks), (floats, shared.blocks)):
+        assert len(stack) == len(blocks)
+        for i, (a, b) in enumerate(shared.pairs.tolist()):
+            assert stack[i, :sizes[a], :sizes[b]].tolist() == blocks[a, b].tolist()
+            padding = stack[i].copy()
+            padding[:sizes[a], :sizes[b]] = 0
+            assert not padding.any()
 
 
 class TestExactForm:

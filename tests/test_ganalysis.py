@@ -308,6 +308,14 @@ class TestEtaGeneral:
         assert bound.full_shift_eta == pytest.approx(eta_full_shift(0.3, 0.5, 0.6), abs=1e-15)
         assert eta_general(0.3, 0.5, 0.2, 3.0, 2, 0.6).full_shift_eta is None
 
+    @pytest.mark.parametrize("theta", [0.1, 0.5, 0.9, 0.999, 0.999999, 1 - 2**-40])
+    def test_geometric_sum_matches_termwise_sum(self, theta):
+        for n in (1, 2, 3, 10, 100, 1000):
+            sigma = (1 + theta**n) / 2
+            got = eta_general(theta, 1.0, 0.0, 0.0, n, sigma).cone_constant
+            want = 1.0 / (sigma - theta**n) * math.fsum(theta**i for i in range(1, n + 1))
+            assert abs(got - want) <= 1e-15 * want, n
+
 
 class TestEtaOptimize:
     def test_constant_potential_takes_smallest_sigma(self):
@@ -331,6 +339,12 @@ class TestEtaOptimize:
         bound = eta_optimize(0.5, 0.8, n_steps=1, sup_norm=0.4, log_ln1_sup_norm=math.log(3.65),
                              grid_size=64)
         assert 0 < bound.eta < 1
+
+    def test_long_span_returns(self):
+        # the sum over the span is one closed form, not N terms per grid point
+        bound = eta_optimize(0.5, 1.0, n_steps=10**7, sup_norm=0.4, log_ln1_sup_norm=1e7,
+                             grid_size=64)
+        assert bound.n_steps == 10**7 and math.isfinite(bound.m_const)
 
 
 class TestRateCompare:
