@@ -18,7 +18,8 @@ matrix, the Perron data and the symbol map, never the fiber blocks.
 Both routes also come one whole word length at a time: :func:`level_measures`
 sweeps the product formula over every image word of a length, and
 :func:`preimage_measures` groups the domain words of that length
-(:func:`~gibbsfactor.potential.domain_rows`) by image word.
+(:func:`~gibbsfactor.potential.domain_rows`) by image word, one stable
+sort of integer keys (:func:`sorted_runs`).
 :func:`verify_projection` compares the two level by level under the one
 comparison rule :func:`route_error`.  The single-word oracle
 :func:`projected_measure_bruteforce` runs the same level loop,
@@ -53,41 +54,43 @@ Every product of blocks along image words is carried one way.  The walker
 :func:`walk_image_words` is the single traversal of the image language.  It
 is level-synchronous: the frontier of one word length is a stack of rows
 (the word as a row of an int matrix, its first and last image block, its
-product zero-padded on every axis to the widest fiber F, and its log scale).
-:func:`build_factor` keeps the tables of the padded layout on the
-:class:`FactorSystem`: the transition table ``follows`` with each
-transition's place in the stack, and a fiber index and mask through which
-a walk's start is one gather.  The blocks are cut on first use, each
-arithmetic's zero-padded stack (float, exact, 0/1 support) on its first
-walk as one gather of W (or M) through the fiber index
-(:meth:`FactorSystem.stack`), and the per-word tables on the first
-per-word call.  A level grows by the step of every level-by-level word
-expansion here (:func:`~gibbsfactor.potential.domain_path`,
+product zero-padded on every axis to the widest fiber F, a boolean one as
+packed bits, and its log scale).  :func:`build_factor` keeps the tables of
+the padded layout on the :class:`FactorSystem`: the transition table
+``follows`` with each transition's place in the stack, and a fiber index
+and mask through which a walk's start is one gather.  The blocks are cut on
+first use, each arithmetic's table on its first walk
+(:meth:`FactorSystem.stack`: a zero-padded stack, one gather of W or M
+through the fiber index, or the byte table of the packed 0/1 support
+rows), and the per-word tables on the first per-word call.  A level grows
+by the step of every level-by-level word expansion here
+(:func:`~gibbsfactor.potential.domain_path`,
 :func:`~gibbsfactor.sft.word_matrix`),
 ``parent, blocks = np.nonzero(follows[rows.blocks])``, then one batched
-matmul with the blocks gathered from the stack; ``np.nonzero`` is row-major
-and targets ascend, so rows stay lexicographic without sorting.  A measure
-walk ends in a dot product: :func:`level_measures` folds h into the last
-block, so the last step of a word takes F multiply-adds, not F^2.  Per-word
-reductions run along the stack axis, not over each product's own F or F^2
-entries: :func:`reduce_products` takes the alive test and a vector product's
-largest entry in :func:`rescale_product`, :func:`fwm_check` counts each
-matrix product's positive entries, and
+matmul with the blocks gathered from the stack (W gathers from the byte
+table for packed rows); ``np.nonzero`` is row-major and targets ascend, so
+rows stay lexicographic without sorting.  A measure walk ends in a dot
+product: :func:`level_measures` folds h into the last block, so the last
+step of a word takes F multiply-adds, not F^2.  Per-word reductions run
+along the stack axis, not over each product's own F or F^2 entries:
+:func:`reduce_products` takes the alive test and a vector product's
+largest entry in :func:`rescale_product`, :func:`fwm_check` counts the
+bits set in each packed matrix product, and
 :func:`~gibbsfactor.cone.stacked_diameters` copies its stack into a
-transposed layout.  Parents and blocks are gathered with ``ndarray.take``.  Only
-exact operations are reordered (max, min, or/and, counts and gathers), so
-the bits of a carried product do not change; the one exception is the last
-level of a float measure walk, whose folded sums run in another order than
-a vector-matrix product followed by a dot with h, so its logs may move in
-the last bits.  A level that would exceed
-``SWEEP_ROW_CAP`` rows is expanded in contiguous lexicographic chunks, depth
-first, so a sweep holds at most one capped chunk per word length, however
-large its budget (which counts visited nodes).  The walker
-yields the full-length chunks, and each sweep folds them in a plain loop.
-A walk may start from a frontier, one whole level of an earlier walk with
-that walk's visited count, and it returns its own count, so
-:func:`fwm_search` extends one walk from span to span while a span's
-full-length rows come in one chunk.
+transposed layout.  Parents and blocks are gathered with ``ndarray.take``.
+Only exact operations are reordered (max, min, or/and, counts and
+gathers), so the bits of a carried product do not change; the one
+exception is the last level of a float measure walk, whose folded sums run
+in another order than a vector-matrix product followed by a dot with h, so
+its logs may move in the last bits.  A level that would exceed
+``SWEEP_ROW_CAP`` rows is expanded in contiguous lexicographic chunks,
+depth first, so a sweep holds at most one capped chunk per word length,
+however large its budget (which counts visited nodes).  The walker yields
+the full-length chunks, and each sweep folds them in a plain loop.  A walk
+may start from a frontier, one whole level of an earlier walk with that
+walk's visited count, and it returns its own count, so :func:`fwm_search`
+extends one walk from span to span while a span's full-length rows come in
+one chunk.
 Single image words go through :func:`carry_path`, the one loop for the
 product along one word, which extends a path of products
 (:func:`carry_product` is the last state of a fresh path).
@@ -104,16 +107,15 @@ branch on the arithmetic: :func:`level_measures` and :func:`block_product`
 (the Perron vectors and the final division), :func:`preimage_measures`
 (integer sums or log-sum-exp), :func:`route_error` (equality or relative
 error), :func:`~gibbsfactor.potential.domain_path` (integer products or log
-sums)
-and :func:`~gibbsfactor.ganalysis.g_limit` (Fraction or float stage ratios).
-The rule has two forms with the same bits: :func:`rescale_single`, a scalar
-step for one product (:func:`carry_path` and the squaring in
+sums) and :func:`~gibbsfactor.ganalysis.g_limit` (Fraction or float stage
+ratios).  The rule has two forms with the same bits: :func:`rescale_single`,
+a scalar step for one product (:func:`carry_path` and the squaring in
 :func:`~gibbsfactor.ganalysis.g_limit`), and :func:`rescale_product` for the
 walker's stacked rows.
 Which of the two block tables a product reads is decided from the
 caller's mode (the Perron data's for measures) by
-:meth:`FactorSystem.operators`; a walk's stack, :meth:`FactorSystem.stack`,
-reads the mode from the dtype of the walk's start.
+:meth:`FactorSystem.operators`; a walk's table, :meth:`FactorSystem.stack`,
+from the dtype of its rows (uint8 for packed boolean rows).
 """
 
 from __future__ import annotations
@@ -121,7 +123,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -151,9 +153,9 @@ class FactorSystem:
     of its entries.  The transitions b -> b' are the entries of `follows`,
     listed in sorted order in `pairs`; `index` holds each one's row in
     `pairs` and `degree` counts those leaving each block.  The blocks
-    themselves are cut from the transfer matrix on first use: the padded
-    stacks of a walk by :meth:`stack`, the per-word tables by :attr:`blocks`
-    and :attr:`exact_blocks`.
+    themselves are cut from the transfer matrix on first use: the tables of
+    a walk by :meth:`stack`, the per-word tables by :attr:`blocks` and
+    :attr:`exact_blocks`.
     """
 
     tm: TransferMatrix
@@ -217,20 +219,32 @@ class FactorSystem:
         return {}
 
     def stack(self, dtype) -> np.ndarray:
-        """The (pairs, F, F) zero-padded stack of blocks that a walk from a
-        start of `dtype` multiplies, built on its first use: one gather of W
-        through the fiber index for a float start, of M = D W for
-        ``object``, and the float stack's 0/1 support as floats for ``bool``
-        (small counts, and a BLAS matmul)."""
-        kind = {"O": "exact", "b": "support"}.get(np.dtype(dtype).kind, "float")
+        """The per-transition table a walk carrying rows of `dtype` steps
+        through, built on its first use.  Float and ``object`` rows multiply
+        the (pairs, F, F) zero-padded stack of blocks, one gather of W or of
+        M = D W through the fiber index.  ``uint8`` rows are boolean products
+        packed into W bytes (:class:`SweepRows`); they step through the
+        (pairs, W, 256, W) table whose entry [p, w, v] ORs the packed rows
+        8w + b of transition p's 0/1 support (``tm.follows``: every weight
+        is positive) over the bits b set in v, filled in 8 doubling steps:
+        W^2 * 256 bytes per transition, for F >= 4 at most the 16 F^2 bytes
+        of a float F x F block and its 0/1 float copy."""
+        kind = np.dtype(dtype).kind
         if kind not in self._stacks:
-            if kind == "support":
-                stack = (self.stack(float) != 0).astype(float)
+            a, b = self.pairs.T
+            rows, cols = self.fiber_index[a][:, :, None], self.fiber_index[b][:, None, :]
+            mask = self.fiber_mask[a][:, :, None] & self.fiber_mask[b][:, None, :]
+            if kind == "u":
+                nbytes = -(-mask.shape[1] // 8)
+                support = np.zeros((len(a), 8 * nbytes, nbytes), dtype=np.uint8)  # row 8w + b
+                support[:, :mask.shape[1]] = np.packbits(self.tm.follows[rows, cols] & mask,
+                                                         axis=-1, bitorder="little")
+                stack = np.zeros((len(a), nbytes, 256, nbytes), dtype=np.uint8)
+                for i in range(8):  # the bytes whose top bit is i: a byte below 2^i OR row i
+                    stack[:, :, 1 << i:2 << i] = stack[:, :, :1 << i] | support[:, i::8, None]
             else:
-                a, b = self.pairs.T
-                stack = self._weights(kind == "exact")[self.fiber_index[a][:, :, None],
-                                                       self.fiber_index[b][:, None, :]]
-                stack[~(self.fiber_mask[a][:, :, None] & self.fiber_mask[b][:, None, :])] = 0
+                stack = self._weights(kind == "O")[rows, cols]
+                stack[~mask] = 0
             stack.setflags(write=False)
             self._stacks[kind] = stack
         return self._stacks[kind]
@@ -633,18 +647,20 @@ def projected_measure_bruteforce(fs: FactorSystem, pd: PerronData, yword,
 
 
 def sorted_runs(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Group the equal rows of an (r, c) matrix of nonnegative symbols, c >= 1:
-    (order, starts), `order` the stable permutation that sorts the rows
-    lexicographically and `starts` the position in rows[order] of the first
-    row of every run of equal rows (for ``reduceat``).  The sort key is one
-    bytes string per row, its symbols big-endian unsigned, so that bytewise
-    order is the rows' lexicographic order."""
-    big = np.ascontiguousarray(rows, dtype=">u4")
-    keys = big.view(np.dtype((np.void, 4 * big.shape[1]))).ravel()
-    order = np.argsort(keys, kind="stable")
-    keys = keys[order]
-    new = np.ones(len(keys), dtype=bool)
-    new[1:] = keys[1:] != keys[:-1]
+    """Group the equal rows of an (r, c) matrix of nonnegative int64 symbols,
+    c >= 1: (order, starts), `order` the stable permutation that sorts the
+    rows lexicographically and `starts` the position in rows[order] of the
+    first row of every run of equal rows (for ``reduceat``).  Each sort key
+    reads as many columns as stay below 2^63 as the digits of one int64 in
+    base max + 1, so a stable ``np.lexsort`` of the fewest keys sorts rows."""
+    rows = np.asarray(rows, dtype=np.int64)
+    q, c = int(rows.max(initial=0)) + 1, rows.shape[1]
+    per = max(m for m in range(1, c + 1) if q**m <= 2**63)
+    powers = np.array([q**i for i in range(per - 1, -1, -1)], dtype=np.int64)
+    keys = [rows[:, j:j + per] @ powers[max(j + per - c, 0):] for j in range(0, c, per)]
+    order = np.lexsort(keys[::-1])
+    new = np.ones(len(order), dtype=bool)
+    new[1:] = np.any([key[1:] != key[:-1] for key in (key[order] for key in keys)], axis=0)
     return order, np.flatnonzero(new)
 
 
@@ -744,9 +760,11 @@ class SweepRows:
 
     words[i] holds the image symbols of word i, roots[i] and blocks[i] its
     first and last image block, products[i] its product zero-padded on every
-    axis to the widest fiber (in a walk with an end stack, the total that
+    axis to the widest fiber F (in a walk with an end stack, the total that
     closes it), and scales[i] its log scale (0 unless float products were
-    renormalised).
+    renormalised).  A boolean product is packed along its last axis into
+    W = ceil(F / 8) uint8 bytes (``np.packbits``, little bit order: bit b of
+    byte w is entry 8w + b).
     """
 
     words: np.ndarray
@@ -774,16 +792,17 @@ def walk_image_words(fs: FactorSystem, start, n_steps: int, max_words: int,
     layout (a fiber vector or matrix zero-padded to the widest fiber F, as
     :meth:`FactorSystem.gather` and :meth:`FactorSystem.eye` build it, or a
     scalar for a walk of no steps), and every level is cast back to its
-    dtype, which also picks the blocks (:meth:`FactorSystem.stack`):
-    an ``object`` start walks the exact blocks, a boolean start their 0/1
-    support, so it walks boolean products, and a float start the float
-    blocks.  A walk may also start from a frontier: `start` is then the
+    dtype, which also picks the blocks (:meth:`FactorSystem.stack`): an
+    ``object`` start walks the exact blocks, a float start the float blocks,
+    and a boolean start, packed into uint8 rows (:class:`SweepRows`), their
+    0/1 support.  A walk may also start from a frontier: `start` is then the
     :class:`SweepRows` of one whole level of an earlier walk, already
     counted in `visited`, the earlier walk's count, and the walk takes
     n_steps more steps from it.  A level grows by
     ``parent, blocks = np.nonzero(follows[rows.blocks])`` and one batched
-    matmul of each parent's product with its gathered block, which keeps the
-    rows lexicographic, and every new row goes through
+    matmul of each parent's product with its gathered block (a packed row x
+    steps to the OR over its bytes w of the table rows [pair, w, x[w]]),
+    which keeps the rows lexicographic, and every new row goes through
     :func:`rescale_product`.  `ends`, when given, is a pair (vectors, log
     scales) with one vector per transition: the last step then dots each
     parent's vector product with its transition's vector instead, and adds
@@ -798,6 +817,7 @@ def walk_image_words(fs: FactorSystem, start, n_steps: int, max_words: int,
         rows = start
     else:
         roots = np.arange(len(start))
+        start = np.packbits(start, axis=-1, bitorder="little") if start.dtype == bool else start
         x, scales, alive = rescale_product(start, np.zeros(len(start)))
         rows = SweepRows(fs.words, roots, roots, x, scales).take(alive)
         visited = count_visited(visited + len(rows), max_words, "image word sweep")
@@ -828,8 +848,13 @@ def walk_image_words(fs: FactorSystem, start, n_steps: int, max_words: int,
             x = np.einsum("ij,ij->i", x, ends[0].take(pair, axis=0))
             scales, alive = chunk.scales[parent] + ends[1][pair], x != 0
         else:
-            # a row's product, vector or matrix, viewed as (-1, F) times its block
-            x = x.reshape(len(x), -1, width) @ stack.take(pair, axis=0)
+            if dtype == np.uint8:  # packed rows: OR_w T[pair, w, x[..., w]], W gathers
+                at = (pair * 256 * shape[-1]).reshape((-1,) + (1,) * (x.ndim - 2))
+                flat, packed = stack.reshape(-1, shape[-1]), x  # (p, w, v) at 256 (p W + w) + v
+                x = reduce(np.bitwise_or, (flat.take(at + 256 * w + packed[..., w], axis=0)
+                                           for w in range(shape[-1])))
+            else:  # a row's product, vector or matrix, viewed as (-1, F) times its block
+                x = x.reshape(len(x), -1, width) @ stack.take(pair, axis=0)
             x, scales, alive = rescale_product(x.reshape((-1,) + shape).astype(dtype, copy=False),
                                                chunk.scales[parent])
         words = np.concatenate([chunk.words.take(parent, axis=0),
@@ -944,6 +969,9 @@ def fwm_check(fs: FactorSystem, n: int, max_words: int = DEFAULT_MAX_WORDS,
     return fwm_span(fs, n, walk, witness_cap)[0]
 
 
+POPCOUNT = np.array([bin(v).count("1") for v in range(256)])  # the bits set in each byte
+
+
 def fwm_span(fs: FactorSystem, n: int, walk, witness_cap: int = 100):
     """The fiber-wise mixing report of span N from the full-length chunks of
     a boolean :func:`walk_image_words` walk, with the walk's frontier:
@@ -962,7 +990,7 @@ def fwm_span(fs: FactorSystem, n: int, walk, witness_cap: int = 100):
         checked += len(rows)
         chunks += 1
         # padding is zero: a product is all-positive iff it counts every entry of its fibers
-        positive = np.count_nonzero(rows.products.reshape(len(rows), -1), axis=1)
+        positive = POPCOUNT.take(rows.products.reshape(len(rows), -1)).sum(axis=1)
         sizes = fs.fiber_sizes
         failing = np.flatnonzero(positive < sizes[rows.roots] * sizes[rows.blocks])
         holds = holds and not failing.size
@@ -971,7 +999,9 @@ def fwm_span(fs: FactorSystem, n: int, walk, witness_cap: int = 100):
                 break
             word = tuple(rows.words[r].tolist())
             root, block = rows.roots[r], rows.blocks[r]
-            gaps = fs.fiber_mask[root][:, None] & fs.fiber_mask[block] & ~rows.products[r]
+            product = np.unpackbits(rows.products[r], axis=-1, count=fs.fiber_mask.shape[1],
+                                    bitorder="little").astype(bool)
+            gaps = fs.fiber_mask[root][:, None] & fs.fiber_mask[block] & ~product
             first, last = fs.fibers[root], fs.fibers[block]
             for i, j in zip(*np.nonzero(gaps)):
                 if len(witnesses) >= witness_cap:

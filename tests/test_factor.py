@@ -473,16 +473,28 @@ class TestOracleExpansion:
 
 @st.composite
 def symbol_rows(draw):
-    """0-60 rows of 1-6 symbols drawn from at most 8 values up to 300, so that
-    equal rows are common and symbols past one byte are too."""
-    cols = draw(st.integers(1, 6))
-    symbols = st.sampled_from(draw(st.lists(st.integers(0, 300), min_size=1, max_size=8)))
-    rows = draw(st.lists(st.lists(symbols, min_size=cols, max_size=cols), max_size=60))
+    """0-60 rows of 1-40 symbols drawn from at most 8 values up to 300 or up
+    to 2**40, so that symbols past one byte are common and rows often need
+    several int64 keys.  The rows are copies of a base row, each with at
+    most one symbol changed, or rows drawn whole, so that equal rows and
+    rows that differ in a single column of any key are common."""
+    cols = draw(st.integers(1, 40))
+    top = draw(st.sampled_from([300, 2**40]))
+    symbols = st.sampled_from(draw(st.lists(st.integers(0, top), min_size=1, max_size=8)))
+    row = st.lists(symbols, min_size=cols, max_size=cols)
+    base = draw(row)
+    edits = st.tuples(st.integers(0, cols - 1), symbols).map(
+        lambda e: base[:e[0]] + [e[1]] + base[e[0] + 1:])
+    rows = draw(st.lists(st.one_of(edits, row), max_size=60))
     return np.array(rows, dtype=np.intp).reshape(len(rows), cols)
 
 
 @given(symbol_rows())
 @example(np.array([[256], [1], [256]]))
+@example(np.zeros((5, 3), dtype=np.intp))  # q = 1
+@example(np.zeros((0, 40), dtype=np.intp))
+@example(np.array([[2**40] * 40, [2**40] * 39 + [0], [2**40] * 40, [0] * 40]))
+@example(np.array([[249] * 8, [0] * 8]))  # 250^8 lies between 2^63 and 2^64
 @settings(max_examples=200, deadline=None)
 def test_sorted_runs_matches_sorted(rows):
     listed = [tuple(r) for r in rows.tolist()]
@@ -1101,7 +1113,8 @@ def test_stacks_are_shared_by_every_arithmetic():
     """One factor system walked in exact, float and boolean arithmetic gives
     what a fresh system gives for each walk; its padded block stacks are
     built on the first walk, not by build_factor, once per arithmetic, are
-    read-only, hold every block and are zero in their padding."""
+    read-only, hold every block and are zero in their padding; the packed
+    boolean table ORs the packed 0/1 support rows of the bits of each byte."""
     desc = row_stochastic(fixtures.random_mixing_system(5, 5, 2, 3), np.random.default_rng(5))
     pipe = build_pipeline(desc, exact=True)
 
@@ -1121,13 +1134,19 @@ def test_stacks_are_shared_by_every_arithmetic():
             assert got[1].dtype == want[1].dtype and got[1].tolist() == want[1].tolist()
         else:
             assert got == want
-    dtypes = (object, float, bool)
+    dtypes = (object, float, np.uint8)
     stacks = [shared.stack(dtype) for dtype in dtypes]
     assert all(a is b for a, b in zip(stacks, [shared.stack(d) for d in dtypes]))
     assert not any(a.flags.writeable for a in stacks)
-    exact, floats, support = stacks
-    assert exact.dtype == object and support.dtype == floats.dtype == float
-    assert np.array_equal(support, floats != 0)
+    exact, floats, table = stacks
+    assert exact.dtype == object and floats.dtype == float
+    assert table.dtype == np.uint8 and table.shape == (len(floats), 1, 256, 1)
+    # entry [p, 0, v]: the OR of the packed support rows b of block p over the bits b of v
+    packed = np.packbits(floats != 0, axis=-1, bitorder="little")[..., 0]
+    for v in range(256):
+        rows = [b for b in range(floats.shape[1]) if v >> b & 1]
+        assert table[:, 0, v, 0].tolist() == np.bitwise_or.reduce(packed[:, rows], axis=1,
+                                                                 initial=0).tolist()
     sizes = shared.fiber_sizes
     for stack, blocks in ((exact, shared.exact_blocks), (floats, shared.blocks)):
         assert len(stack) == len(blocks)
@@ -1450,3 +1469,93 @@ def test_fwm_search_extends_one_chunk_spans(monkeypatch, ex2_exact):
     result = fwm_search(fs, 6)
     assert extended == [False, True, True, False, False, False]
     assert result == fwm_per_span(fs, 6, DEFAULT_MAX_WORDS)
+
+
+def boolean_walk_system(spec):
+    """The factor system of a spec drawn by :func:`boolean_walk_specs`."""
+    if spec[0] == "mixing":
+        _, seed, size, depth, image_size, density = spec
+        desc = fixtures.random_mixing_system(seed, size, depth, image_size, density=density)
+        return build_factor(transfer_matrix(*build_system(desc)), desc.factor_map,
+                            Alphabet(desc.image_alphabet))
+    _, seed, sizes, density = spec
+    n = sum(sizes)
+    rng = np.random.default_rng(seed)
+    adj = (rng.random((n, n)) < density) | np.roll(np.eye(n, dtype=bool), 1, axis=1)
+    sft = build_sft(Alphabet(tuple(map(str, range(n)))), adj.astype(int).tolist())
+    pot = build_potential(sft, 1, "weight",
+                          {w: float(rng.uniform(0.5, 2.0)) for w in enumerate_words(sft, 2)})
+    smap = [b for b, size in enumerate(sizes) for _ in range(size)]
+    rng.shuffle(smap)
+    return build_factor(transfer_matrix(sft, pot), smap,
+                        Alphabet(tuple(chr(97 + b) for b in range(len(sizes)))))
+
+
+@st.composite
+def boolean_walk_specs(draw):
+    """A seeded random_mixing_system of 3-5 symbols at depth 0-3 over 2-3
+    image letters (uneven fibers), or a depth-1 system whose widest fiber
+    has 8, 9 or 17 symbols, so its packed rows take 1, 2 or 3 bytes, beside
+    one or two fibers of 1-3 symbols; edge density 0.3-0.8."""
+    seed, density = draw(st.integers(0, 2**16)), draw(st.sampled_from([0.3, 0.5, 0.8]))
+    if draw(st.booleans()):
+        return ("mixing", seed, draw(st.integers(3, 5)), draw(st.integers(0, 3)),
+                draw(st.integers(2, 3)), density)
+    sizes = (draw(st.sampled_from([8, 9, 17])),
+             *draw(st.lists(st.integers(1, 3), min_size=1, max_size=2)))
+    return ("wide", seed, sizes, density)
+
+
+def fwm_per_word(fs, n, witness_cap=100):
+    """fwm_check's report fields from the per-word boolean route: every
+    admissible word (image_admissible) of N + k symbols in lexicographic
+    order, its boolean product carry_product from the identity on the first
+    fiber over the per-word blocks (all False when it vanished)."""
+    words = all_image_words(fs, n + fs.block_length)
+    witnesses = []
+    for word in words:
+        blocks = image_block_word(fs, word)
+        first, last = fs.fibers[blocks[0]], fs.fibers[blocks[-1]]
+        carried = carry_product(fs.blocks, blocks, np.eye(len(first), dtype=bool))
+        mat = np.zeros((len(first), len(last)), dtype=bool) if carried is None else carried[0]
+        witnesses += [(word, first[i], last[j]) for i, j in zip(*np.nonzero(~mat))]
+    return not witnesses, tuple(witnesses[:witness_cap]), len(words)
+
+
+@given(boolean_walk_specs())
+@example(("wide", 1, (8, 2), 0.5))
+@example(("wide", 2, (9, 3, 1), 0.8))
+@example(("wide", 3, (17, 2), 0.3))
+@example(("wide", 4, (17, 1), 0.8))
+@settings(max_examples=40, deadline=None)
+def test_packed_walks_equal_per_word_boolean_products(spec):
+    """The walker's packed boolean rows give the per-word boolean route's
+    words and fiber-wise mixing reports: enumerate_image_words equals the
+    words image_admissible keeps, and fwm_check's verdict, witnesses and
+    word count equal those of carry_product's boolean products, at spans
+    1-3, whole and under a row cap of 3.  The wide fibers put entries in
+    every bit of a packed byte and in a second and third byte."""
+    fs = boolean_walk_system(spec)
+    k = fs.block_length
+    words = {length: all_image_words(fs, length) for length in range(k, k + 4)}
+    reports = {n: fwm_per_word(fs, n) for n in range(1, 4)}
+    for cap in (factor_module.SWEEP_ROW_CAP, 3):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(factor_module, "SWEEP_ROW_CAP", cap)
+            for length, want in words.items():
+                assert enumerate_image_words(fs, length) == want
+            for n, want in reports.items():
+                rep = fwm_check(fs, n)
+                assert (rep.holds, rep.witnesses, rep.words_checked) == want
+
+
+def test_boolean_walks_build_no_float_stack():
+    """fwm_search, fwm_check and enumerate_image_words on a fresh factor
+    system build the packed boolean table and nothing else: no float block
+    stack and no per-word block table."""
+    fs = boolean_walk_system(("mixing", 3, 6, 2, 3, 0.4))
+    fwm_search(fs, 3)
+    fwm_check(fs, 2)
+    enumerate_image_words(fs, 4)
+    assert [stack.dtype for stack in fs._stacks.values()] == [np.uint8]
+    assert not {"blocks", "exact_blocks"} & vars(fs).keys()
