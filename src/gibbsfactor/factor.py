@@ -660,7 +660,7 @@ def sorted_runs(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     keys = [rows[:, j:j + per] @ powers[max(j + per - c, 0):] for j in range(0, c, per)]
     order = np.lexsort(keys[::-1])
     new = np.ones(len(order), dtype=bool)
-    new[1:] = np.any([key[1:] != key[:-1] for key in (key[order] for key in keys)], axis=0)
+    new[1:] = np.diff(np.stack(keys)[:, order], axis=1).any(axis=0)  # where any key changes
     return order, np.flatnonzero(new)
 
 
