@@ -914,12 +914,22 @@ def bool_block_product(fs, word):
     return blocks, mat
 
 
-def fwm_word_by_word(fs, n, witness_cap=100):
+def carried_block_product(fs, word):
+    """The per-word boolean route: (blocks, product), the product
+    carry_product's from the identity on the first fiber over the per-word
+    blocks, all False when it vanished."""
+    blocks = image_block_word(fs, word)
+    first, last = (len(fs.fibers[b]) for b in (blocks[0], blocks[-1]))
+    carried = carry_product(fs.blocks, blocks, np.eye(first, dtype=bool))
+    return blocks, np.zeros((first, last), dtype=bool) if carried is None else carried[0]
+
+
+def fwm_word_by_word(fs, n, witness_cap=100, product=bool_block_product):
     words = all_image_words(fs, n + fs.block_length)
     witnesses = []
     holds = True
     for word in words:
-        blocks, mat = bool_block_product(fs, word)
+        blocks, mat = product(fs, word)
         if mat.all():
             continue
         holds = False
@@ -1506,22 +1516,6 @@ def boolean_walk_specs(draw):
     return ("wide", seed, sizes, density)
 
 
-def fwm_per_word(fs, n, witness_cap=100):
-    """fwm_check's report fields from the per-word boolean route: every
-    admissible word (image_admissible) of N + k symbols in lexicographic
-    order, its boolean product carry_product from the identity on the first
-    fiber over the per-word blocks (all False when it vanished)."""
-    words = all_image_words(fs, n + fs.block_length)
-    witnesses = []
-    for word in words:
-        blocks = image_block_word(fs, word)
-        first, last = fs.fibers[blocks[0]], fs.fibers[blocks[-1]]
-        carried = carry_product(fs.blocks, blocks, np.eye(len(first), dtype=bool))
-        mat = np.zeros((len(first), len(last)), dtype=bool) if carried is None else carried[0]
-        witnesses += [(word, first[i], last[j]) for i, j in zip(*np.nonzero(~mat))]
-    return not witnesses, tuple(witnesses[:witness_cap]), len(words)
-
-
 @given(boolean_walk_specs())
 @example(("wide", 1, (8, 2), 0.5))
 @example(("wide", 2, (9, 3, 1), 0.8))
@@ -1538,7 +1532,7 @@ def test_packed_walks_equal_per_word_boolean_products(spec):
     fs = boolean_walk_system(spec)
     k = fs.block_length
     words = {length: all_image_words(fs, length) for length in range(k, k + 4)}
-    reports = {n: fwm_per_word(fs, n) for n in range(1, 4)}
+    reports = {n: fwm_word_by_word(fs, n, product=carried_block_product) for n in range(1, 4)}
     for cap in (factor_module.SWEEP_ROW_CAP, 3):
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(factor_module, "SWEEP_ROW_CAP", cap)
@@ -1546,7 +1540,7 @@ def test_packed_walks_equal_per_word_boolean_products(spec):
                 assert enumerate_image_words(fs, length) == want
             for n, want in reports.items():
                 rep = fwm_check(fs, n)
-                assert (rep.holds, rep.witnesses, rep.words_checked) == want
+                assert (rep.holds, rep.words_checked, list(rep.witnesses)) == want
 
 
 def test_boolean_walks_build_no_float_stack():
