@@ -33,16 +33,16 @@ and the preimages of a word are those of its prefix grown by one level, so
 a per-word call costs only the steps past the longest prefix it shares with
 the previous call of its route on the same factor system and Perron data.
 The system keeps one path per route (:class:`LastPaths`): the word and the
-state after every level, at most one fiber vector per block for the product
-route and the preimage rows one fresh call visits for the oracle.  A call
+state after every level, one padded vector per block for the product route
+and the preimage rows one fresh call visits for the oracle.  A call
 replays the same steps a fresh call takes, so its results are bit-identical
 to a fresh call's, and the oracle's budget raises where a fresh call raises.
 Past those steps a call pays little else: it compares and range-checks
 symbols only past the shared prefix, the product route translates only the
 new windows into image blocks and reads nu_b and h_b from fiber vectors
-read once per path, and the oracle finishes its one run of row values
-directly instead of grouping it by image word as :func:`preimage_measures`
-does.
+gathered once per Perron data, and the oracle finishes its one run of row
+values directly instead of grouping it by image word as
+:func:`preimage_measures` does.
 
 Image-word admissibility always goes through boolean block products (never a
 plain block adjacency): the image is sofic, so a word is admissible iff some
@@ -59,11 +59,11 @@ packed bits, and its log scale).  :func:`build_factor` keeps the tables of
 the padded layout on the :class:`FactorSystem`: the transition table
 ``follows`` with each transition's place in the stack, and a fiber index
 and mask through which a walk's start is one gather.  The blocks are cut on
-first use, each arithmetic's table on its first walk
-(:meth:`FactorSystem.stack`: a zero-padded stack, one gather of W or M
-through the fiber index, or the byte table of the packed 0/1 support
-rows), and the per-word tables on the first per-word call.  A level grows
-by the step of every level-by-level word expansion here
+first use, each arithmetic's table on its first product
+(:meth:`FactorSystem.stack`: a zero-padded stack, one gather of W, M or
+the 0/1 support through the fiber index, or the byte table of the packed
+0/1 support rows).  A level grows by the step of every level-by-level
+word expansion here
 (:func:`~gibbsfactor.potential.domain_path`,
 :func:`~gibbsfactor.sft.word_matrix`),
 ``parent, blocks = np.nonzero(follows[rows.blocks])``, then one batched
@@ -93,8 +93,12 @@ extends one walk from span to span while a span's full-length rows come in
 one chunk.
 Single image words go through :func:`carry_path`, the one loop for the
 product along one word, which extends a path of products
-(:func:`carry_product` is the last state of a fresh path).
-Exact blocks are slices of the integer matrix M = D W of the transfer
+(:func:`carry_product` is the last state of a fresh path).  It reads the
+walker's padded table, a step ``x @ stack[index[b, b']]`` from a padded
+start (a row of :meth:`FactorSystem.gather` or of
+:meth:`FactorSystem.eye`), so a single word and a walk run the same
+matmul on the same blocks.
+Exact blocks are cut from the integer matrix M = D W of the transfer
 matrix, numpy ``object`` arrays of int, so exact and float products share
 the same ``@`` code and exact products carry Python integers from the
 integer Perron vector nu~ to h~.  Within a product the two arithmetics
@@ -104,7 +108,7 @@ by :func:`~gibbsfactor.potential.finish_measure` (in the potential module:
 log space for float, one division into a Fraction for exact).  The
 routines that choose a product's inputs or combine its results still
 branch on the arithmetic: :func:`level_measures` and :func:`block_product`
-(the Perron vectors and the final division), :func:`preimage_measures`
+(the Perron vectors and the final division), :func:`sum_runs`
 (integer sums or log-sum-exp), :func:`route_error` (equality or relative
 error), :func:`~gibbsfactor.potential.domain_path` (integer products or log
 sums) and :func:`~gibbsfactor.ganalysis.g_limit` (Fraction or float stage
@@ -112,10 +116,9 @@ ratios).  The rule has two forms with the same bits: :func:`rescale_single`,
 a scalar step for one product (:func:`carry_path` and the squaring in
 :func:`~gibbsfactor.ganalysis.g_limit`), and :func:`rescale_product` for the
 walker's stacked rows.
-Which of the two block tables a product reads is decided from the
-caller's mode (the Perron data's for measures) by
-:meth:`FactorSystem.operators`; a walk's table, :meth:`FactorSystem.stack`,
-from the dtype of its rows (uint8 for packed boolean rows).
+Which table a product reads is decided by one method,
+:meth:`FactorSystem.stack`, from the dtype of its start: ``object`` for
+exact, float, bool for the 0/1 support and uint8 for packed boolean rows.
 """
 
 from __future__ import annotations
@@ -153,9 +156,10 @@ class FactorSystem:
     of its entries.  The transitions b -> b' are the entries of `follows`,
     listed in sorted order in `pairs`; `index` holds each one's row in
     `pairs` and `degree` counts those leaving each block.  The blocks
-    themselves are cut from the transfer matrix on first use: the tables of
-    a walk by :meth:`stack`, the per-word tables by :attr:`blocks` and
-    :attr:`exact_blocks`.
+    themselves are cut from the transfer matrix on first use, one table per
+    arithmetic (:meth:`stack`), which every product reads: the walks and the
+    products along one word alike, the latter from padded fiber vectors,
+    rows of :meth:`gather`.
     """
 
     tm: TransferMatrix
@@ -188,45 +192,20 @@ class FactorSystem:
         return tuple(moves)
 
     @cached_property
-    def blocks(self) -> dict:
-        """The float blocks of the per-word routes, (b, b') -> the slice of
-        W with rows in fiber(b) and columns in fiber(b')."""
-        return self._sliced(self._weights(False))
-
-    @cached_property
-    def exact_blocks(self) -> dict:
-        """The exact blocks of the per-word routes, slices of the integer
-        matrix M = D W (``object`` arrays of int)."""
-        return self._sliced(self._weights(True))
-
-    def _weights(self, exact: bool) -> np.ndarray:
-        if not exact:
-            return self.tm.weights
-        if self.tm.int_weights is None:
-            raise ExactModeError("exact blocks need a potential with rational weights")
-        return self.tm.int_weights
-
-    def _sliced(self, matrix: np.ndarray) -> dict:
-        fibers = [np.array(f, dtype=np.intp) for f in self.fibers]
-        out = {}
-        for a, b in self.pairs.tolist():
-            out[a, b] = m = matrix[fibers[a][:, None], fibers[b]]
-            m.setflags(write=False)
-        return out
-
-    @cached_property
     def _stacks(self) -> dict:
         return {}
 
     def stack(self, dtype) -> np.ndarray:
-        """The per-transition table a walk carrying rows of `dtype` steps
-        through, built on its first use.  Float and ``object`` rows multiply
-        the (pairs, F, F) zero-padded stack of blocks, one gather of W or of
-        M = D W through the fiber index.  ``uint8`` rows are boolean products
-        packed into W bytes (:class:`SweepRows`); they step through the
-        (pairs, W, 256, W) table whose entry [p, w, v] ORs the packed rows
-        8w + b of transition p's 0/1 support (``tm.follows``: every weight
-        is positive) over the bits b set in v, filled in 8 doubling steps:
+        """The per-transition table a product carrying rows of `dtype` steps
+        through, built on its first use; transition (b, b') is entry
+        ``index[b, b']``.  Float, ``object`` and boolean rows multiply the
+        (pairs, F, F) zero-padded stack of blocks, one gather through the
+        fiber index of W, of M = D W (ExactModeError without rational
+        weights) or of the 0/1 support ``tm.follows`` (every weight is
+        positive).  ``uint8`` rows are boolean products packed into W bytes
+        (:class:`SweepRows`); they step through the (pairs, W, 256, W) table
+        whose entry [p, w, v] ORs the packed support rows 8w + b of
+        transition p over the bits b set in v, filled in 8 doubling steps:
         W^2 * 256 bytes per transition, for F >= 4 at most the 16 F^2 bytes
         of a float F x F block and its 0/1 float copy."""
         kind = np.dtype(dtype).kind
@@ -234,17 +213,18 @@ class FactorSystem:
             a, b = self.pairs.T
             rows, cols = self.fiber_index[a][:, :, None], self.fiber_index[b][:, None, :]
             mask = self.fiber_mask[a][:, :, None] & self.fiber_mask[b][:, None, :]
+            if kind == "O" and self.tm.int_weights is None:
+                raise ExactModeError("exact blocks need a potential with rational weights")
+            weights = {"f": self.tm.weights, "O": self.tm.int_weights}.get(kind, self.tm.follows)
+            stack = weights[rows, cols]
+            stack[~mask] = 0
             if kind == "u":
                 nbytes = -(-mask.shape[1] // 8)
                 support = np.zeros((len(a), 8 * nbytes, nbytes), dtype=np.uint8)  # row 8w + b
-                support[:, :mask.shape[1]] = np.packbits(self.tm.follows[rows, cols] & mask,
-                                                         axis=-1, bitorder="little")
+                support[:, :mask.shape[1]] = np.packbits(stack, axis=-1, bitorder="little")
                 stack = np.zeros((len(a), nbytes, 256, nbytes), dtype=np.uint8)
                 for i in range(8):  # the bytes whose top bit is i: a byte below 2^i OR row i
                     stack[:, :, 1 << i:2 << i] = stack[:, :, :1 << i] | support[:, i::8, None]
-            else:
-                stack = self._weights(kind == "O")[rows, cols]
-                stack[~mask] = 0
             stack.setflags(write=False)
             self._stacks[kind] = stack
         return self._stacks[kind]
@@ -265,37 +245,23 @@ class FactorSystem:
         the next call on this system resumes from."""
         return LastPaths()
 
-    def fiber_h(self, pd: PerronData, b: int) -> np.ndarray:
-        """h on fiber b in the Perron data's arithmetic (:attr:`PerronData.vectors`)."""
-        return pd.vectors[1][list(self.fibers[b])]
-
-    def fiber_nu(self, pd: PerronData, b: int) -> np.ndarray:
-        """nu on fiber b in the Perron data's arithmetic (:attr:`PerronData.vectors`)."""
-        return pd.vectors[0][list(self.fibers[b])]
-
-    def operators(self, exact: bool) -> dict:
-        """The block table of one arithmetic: the integer blocks of M = D W
-        in exact mode (ExactModeError without rational weights), the float
-        blocks otherwise."""
-        return self.exact_blocks if exact else self.blocks
-
 
 class LastPaths:
     """The last path of each per-word route of one factor system:
     :func:`projected_measure` in `product`, :func:`projected_measure_bruteforce`
     in `oracle`.  A slot is None or a tuple that begins (Perron data, word):
     the product slot goes on with the word's image blocks, its states and
-    the path's fiber vectors (one nu_b and one h_b per image block, read
-    once per path), the oracle slot with its domain-path states; the states
-    list holds the route's state after every level of the word.  A call
-    keeps the states of the longest prefix it shares with the slot's word
-    under the same Perron data (compared with ``is``, and held, so a
-    recycled id cannot match), extends a new list from there and stores it.  Stored
-    states are never changed in place.  What is kept is one path per route:
-    at most one fiber vector per block of the last word, and nu_b and h_b
-    for every image block, for the product route, and the rows of every
-    level of the last word's preimage expansion for the oracle, the rows
-    one fresh call visits."""
+    the fiber vectors nu and h of the Perron data (:meth:`FactorSystem.gather`
+    rows, read once per Perron data), the oracle slot with its domain-path
+    states; the states list holds the route's state after every level of
+    the word.  A call keeps the states of the longest prefix it shares with
+    the slot's word under the same Perron data (compared with ``is``, and
+    held, so a recycled id cannot match), extends a new list from there and
+    stores it.  Stored states are never changed in place.  What is kept is
+    one path per route: one padded vector per block of the last word, and
+    the two gathered fiber vectors, for the product route, and the rows of
+    every level of the last word's preimage expansion for the oracle, the
+    rows one fresh call visits."""
 
     def __init__(self):
         self.product = None
@@ -412,8 +378,7 @@ def image_admissible(fs: FactorSystem, yword) -> bool:
     if len(w) < k:
         return bool((fs.words[:, :len(w)] == w).all(axis=1).any())
     blocks = image_block_word(fs, w)
-    return blocks is not None and carry_product(
-        fs.blocks, blocks, np.ones(len(fs.fibers[blocks[0]]), dtype=bool)) is not None
+    return blocks is not None and carry_product(fs, blocks, fs.fiber_mask[blocks[0]]) is not None
 
 
 def reduce_products(ufunc: np.ufunc, x: np.ndarray, stack_ndim: int = 1) -> np.ndarray:
@@ -479,48 +444,50 @@ def rescale_single(x: np.ndarray, scale):
     return x / top, scale + np.log(top), True
 
 
-def carry_path(mats: dict, blocks, states: list) -> list:
+def carry_path(fs: FactorSystem, blocks, states: list) -> list:
     """Extend a path of products of block operators along the image block
     word `blocks` and return it: states[i] is the product along
-    blocks[:i + 1], (x . mats[(b_0, b_1)] ... mats[(b_{i-1}, b_i)], log
-    scale), or None once a transition has no block or the product vanished
-    (the path then ends there).  The list, which the caller passes with at
-    least its first state, is appended to up to len(blocks) states; every
-    step is ``x @ m`` through :func:`rescale_single`, the first from the
-    operator itself when the start x is None.  A boolean x multiplies the
-    blocks' 0/1 support, so it carries boolean products.  This is the one
-    loop for the product along a single word: :func:`carry_product` and
+    blocks[:i + 1], (x . L_{b_0 b_1} ... L_{b_{i-1} b_i}, log scale), or
+    None once a transition is missing (not in ``follows``) or the product
+    vanished (the path then ends there).  The list, which the caller passes
+    with at least its first state, is appended to up to len(blocks) states.
+    The products are zero-padded to the widest fiber F, as the walker's
+    rows: every step is ``x @ stack[index[a, b]]`` through
+    :func:`rescale_single`, with the table the start's dtype picks
+    (:meth:`FactorSystem.stack`), so a boolean start carries boolean
+    products through the blocks' 0/1 support.  This is the one loop for the
+    product along a single word: :func:`carry_product` and
     :func:`projected_measure` (resuming its last path) read it."""
     if states[-1] is None:
         return states
     x, scale = states[-1]
-    support = x is not None and x.dtype == bool
+    stack, follows, index = fs.stack(x.dtype), fs.follows, fs.index
     for a, b in zip(blocks[len(states) - 1:], blocks[len(states):]):
-        m = mats.get((a, b))
-        if m is None:
+        if not follows[a, b]:
             states.append(None)
             break
-        if support:
-            m = m != 0
-        x, scale, alive = rescale_single(m if x is None else x @ m, scale)
+        x, scale, alive = rescale_single(x @ stack[index[a, b]], scale)
         states.append((x, scale) if alive else None)
         if not alive:
             break
     return states
 
 
-def carry_product(mats: dict, blocks, x=None):
+def carry_product(fs: FactorSystem, blocks, x):
     """The product of block operators along the image block word `blocks`,
-    x . mats[(b_0, b_1)] ... mats[(b_{n-1}, b_n)] (from the first operator
-    when x is None): the last state of a fresh :func:`carry_path`, (product,
-    log scale), or None when a transition has no block or the product
-    vanished; with fewer than two blocks (x, 0.0) comes back."""
-    return carry_path(mats, blocks, [(x, 0.0)])[-1]
+    x . L_{b_0 b_1} ... L_{b_{n-1} b_n}, from the padded start x (a row of
+    :meth:`FactorSystem.gather` or :meth:`FactorSystem.eye`, or a stack of
+    rows): the last state of a fresh :func:`carry_path`, (product, log
+    scale), or None when a transition is missing or the product vanished;
+    with fewer than two blocks (x, 0.0) comes back."""
+    return carry_path(fs, blocks, [(x, 0.0)])[-1]
 
 
 def block_product(fs: FactorSystem, yword, exact: bool):
     """Product of block operators along an admissible image word of length
-    >= 2 (in block coordinates), in the caller's arithmetic.
+    >= 2 (in block coordinates), in the caller's arithmetic: the leading
+    |fiber(b_0)| x |fiber(b_n)| corner of the padded product carried from
+    the identity on the first fiber.
 
     Float mode (exact False) returns (matrix, log_scale) with the product
     renormalized by its maximum entry at every step; exact mode returns the
@@ -532,10 +499,13 @@ def block_product(fs: FactorSystem, yword, exact: bool):
     if len(w) < k + 1:
         raise ValidationError("block products need at least two block symbols")
     blocks = image_block_word(fs, w)
-    carried = None if blocks is None else carry_product(fs.operators(exact), blocks)
-    if carried is None:
+    if blocks is not None:
+        eye = np.eye(fs.fiber_mask.shape[1], dtype=object if exact else float)
+        carried = carry_product(fs, blocks, eye * fs.fiber_mask[blocks[0]])
+    if blocks is None or carried is None:
         raise ValidationError("image word is not admissible")
     prod, scale = carried
+    prod = prod[:fs.fiber_sizes[blocks[0]], :fs.fiber_sizes[blocks[-1]]]
     if exact:
         prod = prod * Fraction(1, fs.tm.denominator ** (len(blocks) - 1))
     return prod, float(scale)
@@ -556,36 +526,35 @@ def projected_measure(fs: FactorSystem, pd: PerronData, yword):
     s shared symbols the first s - k + 1 image blocks are shared (k the
     block length), so it range-checks only the symbols past s, translates
     only the windows past the shared blocks and takes only the steps past
-    them (:func:`carry_path`), and reads nu_b and h_b from the fiber vectors
-    the path read once.  The kept path is one fiber vector per block of the
-    last word; the steps are the ones a fresh call takes, so the results
-    are bit-identical to it.  A word shorter than k or with an unrealized
-    window leaves the path as it was.
+    them (:func:`carry_path`), and reads nu_b and h_b as rows of the fiber
+    vectors the path gathered once for its Perron data.  The kept path is
+    one padded vector per block of the last word; the steps are the ones a
+    fresh call takes, so the results are bit-identical to it.  A word
+    shorter than k or with an unrealized window leaves the path as it was.
     """
     paths = fs.last_paths
     w, shared, last = paths.resume(fs, paths.product, pd, yword)
     if len(w) == 0:
         raise ValidationError("projected measure needs a nonempty image word")
+    nu, h = vectors = last[4] if last else tuple(map(fs.gather, pd.vectors))
     k = fs.block_length
     if len(w) < k:
         matching = np.flatnonzero((fs.words[:, :len(w)] == w).all(axis=1)).tolist()
-        total = sum(fs.fiber_nu(pd, b) @ fs.fiber_h(pd, b) for b in matching)
-        return finish_measure(total, 0.0, 0, pd)
+        return finish_measure(sum(nu[b] @ h[b] for b in matching), 0.0, 0, pd)
     kept = max(shared - k + 1, 0)
     blocks = image_block_word(fs, w[kept:])
     if blocks is None:
         return finish_measure(0, 0.0, 0, pd)
-    vectors = last[4] if last else tuple([v[list(f)] for f in fs.fibers] for v in pd.vectors)
     if kept:
         blocks, states = last[2][:kept] + blocks, last[3][:kept]
     else:
-        states = [(vectors[0][blocks[0]], 0.0)]
-    states = carry_path(fs.operators(pd.exact), blocks, states)
+        states = [(nu[blocks[0]], 0.0)]
+    states = carry_path(fs, blocks, states)
     paths.product = (pd, w, blocks, states, vectors)
     if states[-1] is None:
         return finish_measure(0, 0.0, 0, pd)
     vec, scale = states[-1]
-    return finish_measure(vec @ vectors[1][blocks[-1]], scale, len(blocks) - 1, pd)
+    return finish_measure(vec @ h[blocks[-1]], scale, len(blocks) - 1, pd)
 
 
 def projected_measure_bruteforce(fs: FactorSystem, pd: PerronData, yword,
@@ -599,10 +568,8 @@ def projected_measure_bruteforce(fs: FactorSystem, pd: PerronData, yword,
     :func:`~gibbsfactor.potential.domain_path` level per later symbol y
     under ``image_moves[y]``, so every row is a preimage of the word and
     the row values are summed directly, without building the preimage
-    words (no rows: measure zero).  The one run is finished here: the
-    integer sum in exact mode, else the largest log and ``np.add.reduceat``
-    of the exponentials over the run, whose summation order (and so its
-    bits) is that of :func:`preimage_measures`' runs.  The budget counts
+    words (no rows: measure zero), as one run of :func:`sum_runs`, the sum
+    :func:`preimage_measures` takes of each of its runs.  The budget counts
     visited preimage prefixes.
 
     The preimages of a word are those of its prefix, each grown by one
@@ -638,12 +605,8 @@ def projected_measure_bruteforce(fs: FactorSystem, pd: PerronData, yword,
     _, rows, values, _ = states[-1]
     if not len(rows):
         return finish_measure(0, 0.0, 0, pd)
-    values = domain_end(pd, rows, values, pd.exact)
-    steps = max(n - k, 0)
-    if pd.exact:
-        return finish_measure(sum(values.tolist()), 0.0, steps, pd)
-    scale = max(values.tolist())
-    return finish_measure(np.add.reduceat(np.exp(values - scale), [0])[0], scale, steps, pd)
+    totals, scales = sum_runs(domain_end(pd, rows, values, pd.exact), np.zeros(1, int))
+    return finish_measure(totals[0], scales[0], max(n - k, 0), pd)
 
 
 def sorted_runs(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -664,13 +627,18 @@ def sorted_runs(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return order, np.flatnonzero(new)
 
 
-def log_sum_runs(logs: np.ndarray, starts: np.ndarray):
-    """Log-sum-exp of every run of a stack of float logs, the runs beginning
-    at `starts` (for ``reduceat``): (totals, scales), run i summing to
-    totals[i] e^scales[i], with scales[i] the run's largest log."""
-    scales = np.maximum.reduceat(logs, starts)
-    sizes = np.diff(np.append(starts, len(logs)))
-    return np.add.reduceat(np.exp(logs - np.repeat(scales, sizes)), starts), scales
+def sum_runs(values: np.ndarray, starts: np.ndarray):
+    """The sum of every run of a stack of row values, the runs beginning at
+    the int array `starts` (for ``reduceat``): (totals, scales), run i
+    summing to totals[i] e^scales[i].  Exact (``object``) values are
+    integers, summed whole with scales 0; float values are logs, summed by
+    log-sum-exp with scales[i] the run's largest log."""
+    if values.dtype == object:
+        return np.add.reduceat(values, starts), np.zeros(len(starts))
+    scales = shift = np.maximum.reduceat(values, starts)  # one run's scale broadcasts
+    if len(starts) > 1:
+        shift = scales.repeat(np.concatenate((starts[1:], [len(values)])) - starts)
+    return np.add.reduceat(np.exp(values - shift), starts), scales
 
 
 def preimage_measures(fs: FactorSystem, pd: PerronData, n: int, max_words: int):
@@ -680,18 +648,14 @@ def preimage_measures(fs: FactorSystem, pd: PerronData, n: int, max_words: int):
 
     One :func:`~gibbsfactor.potential.domain_rows` expansion in the Perron
     data's arithmetic, its preimage words grouped by image word (symbol
-    map, :func:`sorted_runs`), and each group's row values summed: integer
-    sums in exact mode, else :func:`log_sum_runs`, then finish_measure.
+    map, :func:`sorted_runs`), and each group's row values summed by
+    :func:`sum_runs` and finished by finish_measure.
     The budget counts visited preimage prefixes.
     """
     words, values, steps = domain_rows(pd, n, max_words, pd.exact)
     images = fs.symbol_map[words]
     order, starts = sorted_runs(images)
-    values = values[order]
-    if pd.exact:
-        totals, scales = np.add.reduceat(values, starts), np.zeros(len(starts))
-    else:
-        totals, scales = log_sum_runs(values, starts)
+    totals, scales = sum_runs(values[order], starts)
     measures = [finish_measure(t, s, steps, pd) for t, s in zip(totals.tolist(), scales.tolist())]
     return images[order[starts]], measures
 
@@ -894,7 +858,7 @@ def level_measures(fs: FactorSystem, pd: PerronData, n: int, max_words: int,
     exact Perron data), else of float logs.
 
     One :func:`walk_image_words` sweep through the blocks of that arithmetic
-    (:meth:`FactorSystem.operators`), from nu on the first fiber, with h
+    (:meth:`FactorSystem.stack`), from nu on the first fiber, with h
     folded into the last block: the walk's end stack holds c_p = B_p h_b'
     for every transition p = (b, b'), so a word's last step is one dot
     product of F terms instead of a vector-matrix product of F^2.  In float
@@ -994,19 +958,18 @@ def fwm_span(fs: FactorSystem, n: int, walk, witness_cap: int = 100):
         sizes = fs.fiber_sizes
         failing = np.flatnonzero(positive < sizes[rows.roots] * sizes[rows.blocks])
         holds = holds and not failing.size
-        for r in failing:
-            if len(witnesses) >= witness_cap:
-                break
-            word = tuple(rows.words[r].tolist())
-            root, block = rows.roots[r], rows.blocks[r]
-            product = np.unpackbits(rows.products[r], axis=-1, count=fs.fiber_mask.shape[1],
+        # every failing row has a gap, so the first `room` failing rows hold the witnesses
+        room = witness_cap - len(witnesses)
+        if failing.size and room > 0:
+            take = failing[:room]
+            roots, blocks = rows.roots[take], rows.blocks[take]
+            product = np.unpackbits(rows.products[take], axis=-1, count=fs.fiber_mask.shape[1],
                                     bitorder="little").astype(bool)
-            gaps = fs.fiber_mask[root][:, None] & fs.fiber_mask[block] & ~product
-            first, last = fs.fibers[root], fs.fibers[block]
-            for i, j in zip(*np.nonzero(gaps)):
-                if len(witnesses) >= witness_cap:
-                    break
-                witnesses.append((word, first[int(i)], last[int(j)]))
+            gaps = fs.fiber_mask[roots][:, :, None] & fs.fiber_mask[blocks][:, None, :] & ~product
+            r, i, j = (a[:room] for a in np.nonzero(gaps))  # (row, i, j) order
+            words = rows.words[take[r]].tolist()
+            witnesses += zip(map(tuple, words), fs.fiber_index[roots[r], i].tolist(),
+                             fs.fiber_index[blocks[r], j].tolist())
     report = FwmReport(n=n, holds=holds, witnesses=tuple(witnesses),
                        words_checked=checked, recoded=fs.block_length > 1)
     return report, (rows, visited) if chunks == 1 else None

@@ -32,10 +32,10 @@ from .factor import (
     carry_product,
     image_block_word,
     level_measures,
-    log_sum_runs,
     projected_measure,
     rescale_single,
     sorted_runs,
+    sum_runs,
 )
 from .potential import PerronData, measure_ratio
 from .sft import DEFAULT_MAX_WORDS, Word
@@ -92,7 +92,13 @@ def g_limit(fs: FactorSystem, pd: PerronData, prefix, tail,
     Lambda), Lambda = D lambda.  From stage j to j+1 the word grows by 2^j
     full tail cycles: the rows take one product with P^(2^j), P the
     one-cycle product from the block the word ends in, which is then
-    squared.  Aitken delta-squared acceleration is applied to the last three
+    squared.  The rows and P step through the padded block table of their
+    arithmetic (:meth:`~gibbsfactor.factor.FactorSystem.stack`), from the
+    fiber vectors of :meth:`~gibbsfactor.factor.FactorSystem.gather`.
+    Admissibility is decided on the 0/1 supports, carried beside, so a
+    float stage that underflows to zero (a renormalised power of a
+    non-primitive cycle product loses its small entries) ends the stages
+    there.  Aitken delta-squared acceleration is applied to the last three
     stages.  Convergence is reported, never raised: slow sequences (e.g. 1/n
     gaps) still return their best value.
     """
@@ -107,35 +113,44 @@ def g_limit(fs: FactorSystem, pd: PerronData, prefix, tail,
         j0 += 1
     # the stage-j0 word, then one more cycle for the cycle product
     blocks = image_block_word(fs, word + tail * (2**j0 - shift + 1))
-    mats = fs.operators(pd.exact)
-    first = None if blocks is None else mats.get((blocks[0], blocks[1]))
-    if first is None:
+    if blocks is None or not fs.follows[blocks[0], blocks[1]]:
         raise ValidationError("point is not admissible")
     n = len(blocks) - c
-    rows = np.stack([fs.fiber_nu(pd, blocks[0]) @ first, fs.fiber_nu(pd, blocks[1])])
-    carried = [carry_product(mats, blocks[1:n], rows), carry_product(mats, blocks[n - 1:])]
+    nu, h = map(fs.gather, pd.vectors)
+    stack = fs.stack(nu.dtype)
+    rows = np.stack([nu[blocks[0]] @ stack[fs.index[blocks[0], blocks[1]]], nu[blocks[1]]])
+    eye = fs.eye(nu.dtype)[blocks[n - 1]]
+    carried = [carry_product(fs, blocks[1:n], rows), carry_product(fs, blocks[n - 1:], eye)]
     if None in carried:
         raise ValidationError("point is not admissible")
     (rows, _), (power, _) = carried
     if j0 > jmax:
         raise ValidationError("jmax too small for this point's block structure")
-    h = fs.fiber_h(pd, blocks[n - 1])
+    h = h[blocks[n - 1]]
 
     def times(x, m):
         return rescale_single(x @ m, 0.0)[0]
 
+    # the 0/1 supports of the rows and the power, carried in boolean
+    # arithmetic, which cannot underflow: a stage word lifts iff no row of
+    # its support is empty
+    live, cycle = rows != 0, power != 0
     for _ in range(j0):
-        power = times(power, power)
+        power, cycle = times(power, power), cycle @ cycle
     stages = []
     ratios = []
     for j in range(j0, jmax + 1):
         if j > j0:
-            rows = times(rows, power)
+            rows, live = times(rows, power), live @ cycle
             if j < jmax:
-                power = times(power, power)
+                power, cycle = times(power, power), cycle @ cycle
         num, den = rows @ h
         if not (num > 0 and den > 0):
-            raise ValidationError("point is not admissible")
+            if not live.any(axis=1).all():
+                raise ValidationError("point is not admissible")
+            if not stages:
+                raise ValidationError("g limit underflowed at its first stage")
+            break  # the float stage underflowed: report the stages before it
         ratios.append(Fraction(num, den * pd.int_lam) if pd.exact else num / den / pd.lam)
         stages.append((len(word) + c * (2**j - shift) - 1, float(ratios[-1])))
     values = [v for _, v in stages]
@@ -203,7 +218,7 @@ def variation_profile(fs: FactorSystem, pd: PerronData, m: int, n_max: int,
     words, logs = level_measures(fs, pd, m + 1, max_words, exact=False)
     # shift invariance: the suffix y_1..y_m has measure sum_a proj[a y_1..y_m]
     order, starts = sorted_runs(words[:, 1:])
-    totals, scales = log_sum_runs(logs[order], starts)
+    totals, scales = sum_runs(logs[order], starts)
     suffix_logs = np.empty_like(logs)
     suffix_logs[order] = np.repeat(np.log(totals) + scales, np.diff(starts, append=len(logs)))
     ghat = logs - suffix_logs

@@ -242,6 +242,13 @@ class TestCommands:
         assert code == 0
         assert abs(report["results"]["value"] - expected) <= 1e-12
 
+    def test_gfun_limit_ends_at_the_last_positive_stage(self, capsys, example2_file):
+        # from --jmax 540 on, the renormalised cycle power underflows; the
+        # report is the one of --jmax 539, whose stages are all positive
+        _, want = run(capsys, "gfun-limit", example2_file, "--tail", "0", "--jmax", "539")
+        code, report = run(capsys, "gfun-limit", example2_file, "--tail", "0", "--jmax", "540")
+        assert code == 0 and report["results"] == want["results"]
+
     def test_gfun_limit_exact_stages_past_the_digit_limit(self, capsys, example2_file):
         # the late exact stages hold integers longer than Python's default
         # int -> str limit of 4300 digits (no limit before Python 3.10.7)

@@ -1,9 +1,12 @@
+import collections
 import dataclasses
+import functools
 import itertools
 import math
 import os
 import subprocess
 import sys
+import types
 import warnings
 from fractions import Fraction
 from pathlib import Path
@@ -43,13 +46,16 @@ from gibbsfactor import factor as factor_module
 from gibbsfactor.cone import contraction_profile, projective_diameter
 from gibbsfactor.factor import (
     FwmSearchResult,
+    carry_path,
     carry_product,
     image_block_word,
     level_measures,
     preimage_measures,
     rescale_product,
+    rescale_single,
     sorted_runs,
     verify_projection,
+    walk_image_words,
 )
 from gibbsfactor.ganalysis import image_log_measure_map
 from gibbsfactor.potential import count_visited, domain_path, domain_rows, perron_exact
@@ -63,17 +69,14 @@ class TestBuildFactor:
     def test_example_fibers_and_blocks(self, ex2_exact):
         fs = ex2_exact.factor
         assert fs.fibers == ((0, 1), (2, 3))
-        assert set(fs.blocks) == {(0, 0), (0, 1), (1, 0), (1, 1)}
-        assert np.array_equal(fs.blocks[(0, 0)], U)
-        assert np.array_equal(fs.blocks[(0, 1)], L)
-        assert np.array_equal(fs.blocks[(1, 0)], U)
-        assert np.array_equal(fs.blocks[(1, 1)], L)
+        assert fs.pairs.tolist() == [[0, 0], [0, 1], [1, 0], [1, 1]]
+        assert np.array_equal(fs.stack(float), [U, L, U, L])
 
     def test_reassembly_recovers_transfer_matrix(self, ex2_exact):
         fs = ex2_exact.factor
         tm = fs.tm
         rebuilt = np.zeros_like(tm.weights)
-        for (b0, b1), m in fs.blocks.items():
+        for (b0, b1), m in zip(fs.pairs.tolist(), fs.stack(float)):
             for p, i in enumerate(fs.fibers[b0]):
                 for q, j in enumerate(fs.fibers[b1]):
                     rebuilt[i, j] = m[p, q]
@@ -82,7 +85,7 @@ class TestBuildFactor:
     def test_identity_factor_singleton_fibers(self, full2_exact):
         fs = full2_exact.factor
         assert fs.fibers == ((0,), (1,))
-        assert all(m.shape == (1, 1) for m in fs.blocks.values())
+        assert fs.stack(float).shape == (4, 1, 1)
 
     def test_unmapped_symbol_rejected(self, ex2_exact):
         tm = ex2_exact.tm
@@ -102,8 +105,8 @@ class TestBuildFactor:
         assert not BLOCK_TABLES & vars(fs).keys()
 
 
-BLOCK_TABLES = {"blocks", "exact_blocks", "_stacks"}
-"""The names under which a factor system caches the blocks it cuts."""
+BLOCK_TABLES = {"_stacks"}
+"""The name under which a factor system caches the block tables it cuts."""
 
 
 def grouped_per_block(tm, symbol_map):
@@ -156,10 +159,9 @@ class TestFactorGrouping:
         assert list(map(tuple, fs.words.tolist())) == list(words)
         assert fs.image_block_index == index
         assert fs.fibers == fibers
-        flat = [*itertools.chain(*fs.fibers, *fs.image_block_index, *fs.blocks),
+        flat = [*itertools.chain(*fs.fibers, *fs.image_block_index),
                 *fs.image_block_index.values()]
         assert all(type(i) is int for i in flat)
-        assert list(fs.blocks) == sorted(blocks)
         # the walks' tables against their per-block forms
         sizes = [len(f) for f in fibers]
         width = max(sizes)
@@ -186,22 +188,30 @@ class TestFactorGrouping:
             assert not table.flags.writeable
         if exact is None:
             with pytest.raises(ExactModeError):
-                fs.operators(True)
-        # every per-word block is its slice of W (or M), contiguous and read-only
-        for mode, want in ((False, blocks), (True, exact)):
-            if want is None:
-                continue
-            got = fs.operators(mode)
-            assert got is (fs.exact_blocks if mode else fs.blocks)
-            assert got.keys() == want.keys()
-            for key, m in want.items():
-                assert got[key].dtype == m.dtype and got[key].shape == m.shape
-                assert got[key].flags.c_contiguous and not got[key].flags.writeable
-                if m.dtype == object:
-                    assert got[key].tolist() == m.tolist()
-                    assert all(type(v) is int for v in got[key].flat)
-                else:
-                    assert got[key].tobytes() == m.tobytes()
+                fs.stack(object)
+        support = {key: m > 0 for key, m in blocks.items()}
+        for want in (blocks, exact, support):
+            if want is not None:
+                assert_stack_holds(fs, want)
+
+
+def assert_stack_holds(fs, blocks):
+    """The padded stack of the blocks' dtype holds every block of the dict
+    `blocks`, (b, b') -> block, at entry index[b, b'], as its leading
+    corner, with zeros around it; the stack is read-only."""
+    dtype = next(iter(blocks.values())).dtype
+    stack = fs.stack(dtype)
+    assert stack.dtype == dtype and len(stack) == len(blocks) and not stack.flags.writeable
+    for (a, b), m in blocks.items():
+        got = stack[fs.index[a, b]]
+        corner = got[:len(fs.fibers[a]), :len(fs.fibers[b])]
+        if dtype == object:
+            assert corner.tolist() == m.tolist() and all(type(v) is int for v in got.flat)
+        else:
+            assert corner.tobytes() == np.ascontiguousarray(m).tobytes()
+        padding = got.copy()
+        padding[:len(fs.fibers[a]), :len(fs.fibers[b])] = 0
+        assert not padding.any()
 
 
 def test_example2_pipeline_does_not_import_numpy_ma():
@@ -906,22 +916,32 @@ def all_image_words(fs, length):
             if image_admissible(fs, w)]
 
 
+@functools.lru_cache(maxsize=4)
+def per_block_support(fs):
+    """The 0/1 support of every block of the per-block grouping of `fs`,
+    (b, b') -> int matrix."""
+    blocks = grouped_per_block(fs.tm, fs.symbol_map)[3]
+    return {key: (m > 0).astype(int) for key, m in blocks.items()}
+
+
 def bool_block_product(fs, word):
     blocks = image_block_word(fs, word)
     mat = np.eye(len(fs.fibers[blocks[0]]), dtype=bool)
     for a, b in zip(blocks, blocks[1:]):
-        mat = (mat.astype(int) @ (fs.blocks[(a, b)] > 0)) > 0
+        mat = (mat.astype(int) @ per_block_support(fs)[a, b]) > 0
     return blocks, mat
 
 
 def carried_block_product(fs, word):
-    """The per-word boolean route: (blocks, product), the product
-    carry_product's from the identity on the first fiber over the per-word
-    blocks, all False when it vanished."""
+    """The per-word boolean route: (blocks, product), the leading corner of
+    the product carry_product carries from the identity on the first fiber
+    through the padded boolean stack, all False when it vanished."""
     blocks = image_block_word(fs, word)
     first, last = (len(fs.fibers[b]) for b in (blocks[0], blocks[-1]))
-    carried = carry_product(fs.blocks, blocks, np.eye(first, dtype=bool))
-    return blocks, np.zeros((first, last), dtype=bool) if carried is None else carried[0]
+    carried = carry_product(fs, blocks, fs.eye(bool)[blocks[0]])
+    if carried is None:
+        return blocks, np.zeros((first, last), dtype=bool)
+    return blocks, carried[0][:first, :last]
 
 
 def fwm_word_by_word(fs, n, witness_cap=100, product=bool_block_product):
@@ -1123,8 +1143,9 @@ def test_stacks_are_shared_by_every_arithmetic():
     """One factor system walked in exact, float and boolean arithmetic gives
     what a fresh system gives for each walk; its padded block stacks are
     built on the first walk, not by build_factor, once per arithmetic, are
-    read-only, hold every block and are zero in their padding; the packed
-    boolean table ORs the packed 0/1 support rows of the bits of each byte."""
+    read-only, hold every block of the per-block grouping and are zero in
+    their padding; the packed boolean table ORs the packed 0/1 support rows
+    of the bits of each byte."""
     desc = row_stochastic(fixtures.random_mixing_system(5, 5, 2, 3), np.random.default_rng(5))
     pipe = build_pipeline(desc, exact=True)
 
@@ -1144,11 +1165,11 @@ def test_stacks_are_shared_by_every_arithmetic():
             assert got[1].dtype == want[1].dtype and got[1].tolist() == want[1].tolist()
         else:
             assert got == want
-    dtypes = (object, float, np.uint8)
+    dtypes = (object, float, np.uint8, bool)
     stacks = [shared.stack(dtype) for dtype in dtypes]
     assert all(a is b for a, b in zip(stacks, [shared.stack(d) for d in dtypes]))
     assert not any(a.flags.writeable for a in stacks)
-    exact, floats, table = stacks
+    exact, floats, table, _ = stacks
     assert exact.dtype == object and floats.dtype == float
     assert table.dtype == np.uint8 and table.shape == (len(floats), 1, 256, 1)
     # entry [p, 0, v]: the OR of the packed support rows b of block p over the bits b of v
@@ -1157,14 +1178,9 @@ def test_stacks_are_shared_by_every_arithmetic():
         rows = [b for b in range(floats.shape[1]) if v >> b & 1]
         assert table[:, 0, v, 0].tolist() == np.bitwise_or.reduce(packed[:, rows], axis=1,
                                                                  initial=0).tolist()
-    sizes = shared.fiber_sizes
-    for stack, blocks in ((exact, shared.exact_blocks), (floats, shared.blocks)):
-        assert len(stack) == len(blocks)
-        for i, (a, b) in enumerate(shared.pairs.tolist()):
-            assert stack[i, :sizes[a], :sizes[b]].tolist() == blocks[a, b].tolist()
-            padding = stack[i].copy()
-            padding[:sizes[a], :sizes[b]] = 0
-            assert not padding.any()
+    *_, blocks, exact = grouped_per_block(pipe.tm, shared.symbol_map)
+    for want in (blocks, exact, {key: m > 0 for key, m in blocks.items()}):
+        assert_stack_holds(shared, want)
 
 
 class TestExactForm:
@@ -1189,33 +1205,40 @@ class TestExactForm:
         assert all(type(x) is Fraction for x in w.ravel())
         assert type(den) is int and den >= 1
         assert all(Fraction(x, den) == y for x, y in zip(ints.ravel(), w.ravel()))
-        assert set(fs.exact_blocks) == set(fs.blocks)
-        for (a, b), m in fs.exact_blocks.items():
-            ref = ints[np.ix_(fs.fibers[a], fs.fibers[b])]
-            assert m.dtype == object and m.shape == ref.shape
-            assert all(type(x) is int for x in m.ravel())
-            assert (m == ref).all()
+        assert_stack_holds(fs, grouped_per_block(tm, fs.symbol_map)[4])
+
+
+def stub_system(blocks: dict):
+    """A stand-in for a factor system of three image blocks with the three
+    tables carry_path reads, from a dict (b, b') -> block of one dtype."""
+    pairs = sorted(blocks)
+    follows, index = np.zeros((3, 3), dtype=bool), np.zeros((3, 3), dtype=np.intp)
+    for i, (a, b) in enumerate(pairs):
+        follows[a, b], index[a, b] = True, i
+    stack = np.stack([blocks[p] for p in pairs])
+    return types.SimpleNamespace(follows=follows, index=index, stack=lambda dtype: stack)
 
 
 class TestCarryProduct:
     @pytest.mark.parametrize("dtype", [bool, float])
     def test_missing_transition_and_vanished_product(self, dtype):
-        mats = {(0, 1): np.array([[1, 0], [0, 0]], dtype=dtype),
-                (1, 0): np.array([[0, 0], [0, 1]], dtype=dtype),
-                (1, 1): np.array([[1, 1], [0, 1]], dtype=dtype)}
-        assert carry_product(mats, [0, 0]) is None
-        assert carry_product(mats, [0, 1, 2]) is None
-        assert carry_product(mats, [0, 1, 0]) is None
-        assert carry_product(mats, [1, 1, 0], np.array([1, 0], dtype=dtype)) is not None
-        assert carry_product(mats, [1, 0], np.array([1, 0], dtype=dtype)) is None
-        x, scale = carry_product(mats, [0, 1, 1])
+        fs = stub_system({(0, 1): np.array([[1, 0], [0, 0]], dtype=dtype),
+                          (1, 0): np.array([[0, 0], [0, 1]], dtype=dtype),
+                          (1, 1): np.array([[1, 1], [0, 1]], dtype=dtype)})
+        eye = np.eye(2, dtype=dtype)
+        assert carry_product(fs, [0, 0], eye) is None
+        assert carry_product(fs, [0, 1, 2], eye) is None
+        assert carry_product(fs, [0, 1, 0], eye) is None
+        assert carry_product(fs, [1, 1, 0], np.array([1, 0], dtype=dtype)) is not None
+        assert carry_product(fs, [1, 0], np.array([1, 0], dtype=dtype)) is None
+        x, scale = carry_product(fs, [0, 1, 1], eye)
         assert x.dtype == dtype and (x == np.array([[1, 1], [0, 0]], dtype=dtype)).all()
         assert scale == 0.0
 
     def test_short_word_returns_start(self):
-        start = np.ones(2)
-        assert carry_product({}, [3], start) == (start, 0.0)
-        assert carry_product({}, [], None) == (None, 0.0)
+        start, fs = np.ones(2), stub_system({(0, 1): np.eye(2)})
+        assert carry_product(fs, [2], start) == (start, 0.0)
+        assert carry_product(fs, [], start) == (start, 0.0)
 
     @pytest.mark.parametrize("system", ["ex2_float", "rate_demo_float", "seed202", "seed303",
                                         "depth2"])
@@ -1224,20 +1247,19 @@ class TestCarryProduct:
         as the stacked rule the walker uses."""
         fixture = request.getfixturevalue(system)  # a pipeline or an (fs, pd) pair
         fs, pd = (fixture.factor, fixture.pd) if hasattr(fixture, "factor") else fixture
-        k = fs.block_length
+        k, stack = fs.block_length, fs.stack(float)
         for length in range(k + 1, 9):
             for word in enumerate_image_words(fs, length):
                 blocks = image_block_word(fs, word)
-                for start in (None, fs.fiber_nu(pd, blocks[0])):
+                for start in (fs.eye(float)[blocks[0]], fs.gather(pd.nu)[blocks[0]]):
                     x, scale = start, 0.0
                     for a, b in zip(blocks, blocks[1:]):
-                        m = fs.blocks[(a, b)]
                         # a stack of one product, so the stacked rule runs
-                        x, scale, alive = rescale_product((m if x is None else x @ m)[None],
+                        x, scale, alive = rescale_product((x @ stack[fs.index[a, b]])[None],
                                                           np.array([scale]))
                         x, scale = x[0], scale[0]
                         assert alive[0]
-                    got, got_scale = carry_product(fs.blocks, blocks, start)
+                    got, got_scale = carry_product(fs, blocks, start)
                     assert np.array_equal(got, x) and got_scale == scale
 
 
@@ -1481,11 +1503,15 @@ def test_fwm_search_extends_one_chunk_spans(monkeypatch, ex2_exact):
     assert result == fwm_per_span(fs, 6, DEFAULT_MAX_WORDS)
 
 
-def boolean_walk_system(spec):
-    """The factor system of a spec drawn by :func:`boolean_walk_specs`."""
+def boolean_walk_system(spec, exact=False):
+    """The factor system of a spec drawn by :func:`boolean_walk_specs`; with
+    `exact`, on the same fibers, with exact row-stochastic weights instead
+    (lambda 1; a "mixing" spec then needs depth >= 1)."""
     if spec[0] == "mixing":
         _, seed, size, depth, image_size, density = spec
         desc = fixtures.random_mixing_system(seed, size, depth, image_size, density=density)
+        if exact:
+            desc = row_stochastic(desc, np.random.default_rng(seed))
         return build_factor(transfer_matrix(*build_system(desc)), desc.factor_map,
                             Alphabet(desc.image_alphabet))
     _, seed, sizes, density = spec
@@ -1493,8 +1519,13 @@ def boolean_walk_system(spec):
     rng = np.random.default_rng(seed)
     adj = (rng.random((n, n)) < density) | np.roll(np.eye(n, dtype=bool), 1, axis=1)
     sft = build_sft(Alphabet(tuple(map(str, range(n)))), adj.astype(int).tolist())
-    pot = build_potential(sft, 1, "weight",
-                          {w: float(rng.uniform(0.5, 2.0)) for w in enumerate_words(sft, 2)})
+    weights = {w: float(rng.uniform(0.5, 2.0)) for w in enumerate_words(sft, 2)}
+    if exact:  # each weight rounded to quarters, over its row's sum
+        sums = collections.Counter()
+        for w, v in weights.items():
+            sums[w[0]] += round(4 * v)
+        weights = {w: Fraction(round(4 * v), sums[w[0]]) for w, v in weights.items()}
+    pot = build_potential(sft, 1, "weight", weights)
     smap = [b for b, size in enumerate(sizes) for _ in range(size)]
     rng.shuffle(smap)
     return build_factor(transfer_matrix(sft, pot), smap,
@@ -1527,8 +1558,10 @@ def test_packed_walks_equal_per_word_boolean_products(spec):
     words and fiber-wise mixing reports: enumerate_image_words equals the
     words image_admissible keeps, and fwm_check's verdict, witnesses and
     word count equal those of carry_product's boolean products, at spans
-    1-3, whole and under a row cap of 3.  The wide fibers put entries in
-    every bit of a packed byte and in a second and third byte."""
+    1-3, whole and under a row cap of 3, and at witness caps 0, 1, 5 and
+    100 the capped prefix of the word-by-word witnesses.  The wide fibers
+    put entries in every bit of a packed byte and in a second and third
+    byte."""
     fs = boolean_walk_system(spec)
     k = fs.block_length
     words = {length: all_image_words(fs, length) for length in range(k, k + 4)}
@@ -1538,18 +1571,50 @@ def test_packed_walks_equal_per_word_boolean_products(spec):
             patch.setattr(factor_module, "SWEEP_ROW_CAP", cap)
             for length, want in words.items():
                 assert enumerate_image_words(fs, length) == want
-            for n, want in reports.items():
-                rep = fwm_check(fs, n)
-                assert (rep.holds, rep.words_checked, list(rep.witnesses)) == want
+            for n, (holds, checked, witnesses) in reports.items():
+                for witness_cap in (0, 1, 5, 100):
+                    rep = fwm_check(fs, n, witness_cap=witness_cap)
+                    assert (rep.holds, rep.words_checked, list(rep.witnesses)) == (
+                        holds, checked, witnesses[:witness_cap])
+
+
+@given(boolean_walk_specs(), st.booleans())
+@example(("wide", 1, (8, 2), 0.5), False)
+@example(("wide", 2, (9, 3, 1), 0.8), True)
+@example(("wide", 3, (17, 2), 0.3), False)
+@example(("wide", 4, (17, 1), 0.8), True)
+@settings(max_examples=30, deadline=None)
+def test_walks_carry_the_per_word_products(spec, exact):
+    """walk_image_words from fs.gather(nu) carries along every word of up to
+    three steps the product and log scale that carry_path carries from the
+    walker's renormalised start, bit for bit, in float and in exact mode:
+    either step is a padded matmul with the same block of the same stack.
+    The wide fibers pad the narrow ones with up to 16 zeros."""
+    exact = exact and not (spec[0] == "mixing" and spec[3] == 0)
+    fs = boolean_walk_system(spec, exact)
+    pd = perron_exact(fs.tm) if exact else perron(fs.tm)
+    nu = fs.gather(pd.vectors[0])
+    assert nu.dtype == (object if exact else float)
+    for steps in range(4):
+        for rows in walk_image_words(fs, nu, steps, DEFAULT_MAX_WORDS):
+            for word, x, scale in zip(rows.words.tolist(), rows.products, rows.scales.tolist()):
+                blocks = image_block_word(fs, word)
+                start = rescale_single(nu[blocks[0]], 0.0)[:2]
+                got, got_scale = carry_path(fs, blocks, [start])[-1]
+                assert got.dtype == x.dtype and got.shape == x.shape
+                if exact:
+                    assert got.tolist() == x.tolist()
+                else:
+                    assert got.tobytes() == x.tobytes()
+                assert got_scale == scale
 
 
 def test_boolean_walks_build_no_float_stack():
     """fwm_search, fwm_check and enumerate_image_words on a fresh factor
-    system build the packed boolean table and nothing else: no float block
-    stack and no per-word block table."""
+    system build the packed boolean table and nothing else: no float or
+    unpacked boolean block stack."""
     fs = boolean_walk_system(("mixing", 3, 6, 2, 3, 0.4))
     fwm_search(fs, 3)
     fwm_check(fs, 2)
     enumerate_image_words(fs, 4)
     assert [stack.dtype for stack in fs._stacks.values()] == [np.uint8]
-    assert not {"blocks", "exact_blocks"} & vars(fs).keys()

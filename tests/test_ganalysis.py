@@ -5,8 +5,16 @@ import numpy as np
 import pytest
 
 from gibbsfactor import (
+    Alphabet,
     ValidationError,
+    build_factor,
+    build_potential,
+    build_sft,
+    enumerate_words,
     fixtures,
+    perron,
+    perron_exact,
+    transfer_matrix,
     VariationProfile,
     decay_fit,
     enumerate_image_words,
@@ -142,6 +150,30 @@ class TestGLimit:
     def test_inadmissible_point_rejected_in_both_modes(self, skewed_golden, prefix, tail):
         with pytest.raises(ValidationError, match="not admissible"):
             g_limit(skewed_golden.factor, skewed_golden.pd, prefix, tail, jmax=6)
+
+    @pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])
+    def test_point_inadmissible_past_the_first_stage(self, exact):
+        # z -> z | x1 -> x2 -> x3 -> z with z -> b and x_i -> a: b a^m lifts
+        # only for m <= 3, so stage 1 (b a a) lifts and stage 2 (b a^4) does not
+        sft = build_sft(Alphabet(("z", "x1", "x2", "x3")),
+                        [[1, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], [1, 0, 0, 0]])
+        table = {w: Fraction(1, 2 if w[0] == 0 else 1) for w in enumerate_words(sft, 2)}
+        tm = transfer_matrix(sft, build_potential(sft, 1, "weight", table))
+        fs = build_factor(tm, (1, 0, 0, 0), Alphabet(("a", "b")))
+        assert image_admissible(fs, (1, 0, 0, 0)) and not image_admissible(fs, (1, 0, 0, 0, 0))
+        with pytest.raises(ValidationError, match="not admissible"):
+            g_limit(fs, perron_exact(tm) if exact else perron(tm), (1,), (0,), jmax=6)
+
+    def test_underflowed_stage_ends_the_stages(self, ex2_float):
+        # the renormalised power of the cycle block [[1, 1], [0, 1]] is
+        # [[2^-j, 1], [0, 2^-j]]; its square underflows to [[0, 1], [0, 0]]
+        # past 2^-1074, so from jmax 540 on the stages end at the last
+        # positive one, that of jmax 539
+        fs, pd = ex2_float.factor, ex2_float.pd
+        last = g_limit(fs, pd, (), (0,), jmax=539)
+        assert len(last.stages) == 538 and last.converged
+        for jmax in (540, 600):
+            assert g_limit(fs, pd, (), (0,), jmax=jmax) == last
 
     def test_rate_demo_converges(self, rate_demo_float):
         fs = rate_demo_float.factor
