@@ -206,8 +206,7 @@ class FactorSystem:
         (:class:`SweepRows`); they step through the (pairs, W, 256, W) table
         whose entry [p, w, v] ORs the packed support rows 8w + b of
         transition p over the bits b set in v, filled in 8 doubling steps:
-        W^2 * 256 bytes per transition, for F >= 4 at most the 16 F^2 bytes
-        of a float F x F block and its 0/1 float copy."""
+        W^2 * 256 bytes per transition."""
         kind = np.dtype(dtype).kind
         if kind not in self._stacks:
             a, b = self.pairs.T
@@ -499,10 +498,9 @@ def block_product(fs: FactorSystem, yword, exact: bool):
     if len(w) < k + 1:
         raise ValidationError("block products need at least two block symbols")
     blocks = image_block_word(fs, w)
-    if blocks is not None:
-        eye = np.eye(fs.fiber_mask.shape[1], dtype=object if exact else float)
-        carried = carry_product(fs, blocks, eye * fs.fiber_mask[blocks[0]])
-    if blocks is None or carried is None:
+    carried = None if blocks is None else carry_product(
+        fs, blocks, fs.eye(object if exact else float)[blocks[0]])
+    if carried is None:
         raise ValidationError("image word is not admissible")
     prod, scale = carried
     prod = prod[:fs.fiber_sizes[blocks[0]], :fs.fiber_sizes[blocks[-1]]]
