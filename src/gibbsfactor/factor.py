@@ -954,12 +954,13 @@ def fwm_span(fs: FactorSystem, n: int, walk, witness_cap: int = 100):
         # padding is zero: a product is all-positive iff it counts every entry of its fibers
         positive = POPCOUNT.take(rows.products.reshape(len(rows), -1)).sum(axis=1)
         sizes = fs.fiber_sizes
-        failing = np.flatnonzero(positive < sizes[rows.roots] * sizes[rows.blocks])
+        zeros = sizes[rows.roots] * sizes[rows.blocks] - positive  # per product, in its fibers
+        failing = np.flatnonzero(zeros)
         holds = holds and not failing.size
-        # every failing row has a gap, so the first `room` failing rows hold the witnesses
         room = witness_cap - len(witnesses)
         if failing.size and room > 0:
-            take = failing[:room]
+            # the first failing rows whose zeros fill the room hold the witnesses
+            take = failing[:np.searchsorted(zeros[failing].cumsum(), room) + 1]
             roots, blocks = rows.roots[take], rows.blocks[take]
             product = np.unpackbits(rows.products[take], axis=-1, count=fs.fiber_mask.shape[1],
                                     bitorder="little").astype(bool)

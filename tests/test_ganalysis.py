@@ -152,15 +152,21 @@ class TestGLimit:
             g_limit(skewed_golden.factor, skewed_golden.pd, prefix, tail, jmax=6)
 
     @pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])
-    def test_point_inadmissible_past_the_first_stage(self, exact):
-        # z -> z | x1 -> x2 -> x3 -> z with z -> b and x_i -> a: b a^m lifts
-        # only for m <= 3, so stage 1 (b a a) lifts and stage 2 (b a^4) does not
-        sft = build_sft(Alphabet(("z", "x1", "x2", "x3")),
-                        [[1, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], [1, 0, 0, 0]])
+    @pytest.mark.parametrize("chain", [3, 7])
+    def test_point_inadmissible_past_the_first_stage(self, exact, chain):
+        # z -> z | x1 -> ... -> x_chain -> z with z -> b and x_i -> a: b a^m
+        # lifts only for m <= chain; stage j is b a^(2^j), so with chain 3
+        # stage 2 (b a^4) is the first that does not lift, and with chain 7
+        # stage 3 (b a^8), which only the support squared at stage 2 tells
+        names = ("z", *(f"x{i}" for i in range(1, chain + 1)))
+        adjacency = np.roll(np.eye(chain + 1, dtype=int), 1, axis=1)
+        adjacency[0, 0] = 1
+        sft = build_sft(Alphabet(names), adjacency.tolist())
         table = {w: Fraction(1, 2 if w[0] == 0 else 1) for w in enumerate_words(sft, 2)}
         tm = transfer_matrix(sft, build_potential(sft, 1, "weight", table))
-        fs = build_factor(tm, (1, 0, 0, 0), Alphabet(("a", "b")))
-        assert image_admissible(fs, (1, 0, 0, 0)) and not image_admissible(fs, (1, 0, 0, 0, 0))
+        fs = build_factor(tm, (1,) + (0,) * chain, Alphabet(("a", "b")))
+        assert image_admissible(fs, (1,) + (0,) * chain)
+        assert not image_admissible(fs, (1,) + (0,) * (chain + 1))
         with pytest.raises(ValidationError, match="not admissible"):
             g_limit(fs, perron_exact(tm) if exact else perron(tm), (1,), (0,), jmax=6)
 
