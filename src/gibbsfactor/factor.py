@@ -228,6 +228,24 @@ class FactorSystem:
             self._stacks[kind] = stack
         return self._stacks[kind]
 
+    @cached_property
+    def _steps(self) -> dict:
+        return {}
+
+    def steps(self, dtype) -> tuple[dict, ...]:
+        """The blocks of :meth:`stack` by transition, for products along one
+        word: steps(dtype)[b] maps each b' that may follow b to the block
+        ``stack(dtype)[index[b, b']]``, a view into the stack, so a step is
+        one dict lookup.  Cached under `dtype` as given (a product's
+        ``x.dtype``), which a call looks up without normalising it."""
+        rows = self._steps.get(dtype)
+        if rows is None:
+            stack, rows = self.stack(dtype), tuple({} for _ in self.fibers)
+            for p, (a, b) in enumerate(self.pairs.tolist()):
+                rows[a][b] = stack[p]
+            self._steps[dtype] = rows
+        return rows
+
     def gather(self, v: np.ndarray) -> np.ndarray:
         """The domain vector v restricted to every fiber: a (blocks, F)
         start, one gather through `fiber_index`, zero in the padding."""
@@ -250,9 +268,9 @@ class LastPaths:
     :func:`projected_measure` in `product`, :func:`projected_measure_bruteforce`
     in `oracle`.  A slot is None or a tuple that begins (Perron data, word):
     the product slot goes on with the word's image blocks, its states and
-    the fiber vectors nu and h of the Perron data (:meth:`FactorSystem.gather`
-    rows, read once per Perron data), the oracle slot with its domain-path
-    states; the states list holds the route's state after every level of
+    the fiber vectors nu and h of the Perron data (lists of the rows of
+    :meth:`FactorSystem.gather`, read once per Perron data), the oracle
+    slot with its domain-path states; the states list holds the route's state after every level of
     the word.  A call keeps the states of the longest prefix it shares with
     the slot's word under the same Perron data (compared with ``is``, and
     held, so a recycled id cannot match), extends a new list from there and
@@ -453,19 +471,21 @@ def carry_path(fs: FactorSystem, blocks, states: list) -> list:
     The products are zero-padded to the widest fiber F, as the walker's
     rows: every step is ``x @ stack[index[a, b]]`` through
     :func:`rescale_single`, with the table the start's dtype picks
-    (:meth:`FactorSystem.stack`), so a boolean start carries boolean
+    (:meth:`FactorSystem.stack`, read by transition through
+    :meth:`FactorSystem.steps`), so a boolean start carries boolean
     products through the blocks' 0/1 support.  This is the one loop for the
     product along a single word: :func:`carry_product` and
     :func:`projected_measure` (resuming its last path) read it."""
     if states[-1] is None:
         return states
     x, scale = states[-1]
-    stack, follows, index = fs.stack(x.dtype), fs.follows, fs.index
+    steps = fs.steps(x.dtype)
     for a, b in zip(blocks[len(states) - 1:], blocks[len(states):]):
-        if not follows[a, b]:
+        m = steps[a].get(b)
+        if m is None:
             states.append(None)
             break
-        x, scale, alive = rescale_single(x @ stack[index[a, b]], scale)
+        x, scale, alive = rescale_single(x @ m, scale)
         states.append((x, scale) if alive else None)
         if not alive:
             break
@@ -524,17 +544,18 @@ def projected_measure(fs: FactorSystem, pd: PerronData, yword):
     s shared symbols the first s - k + 1 image blocks are shared (k the
     block length), so it range-checks only the symbols past s, translates
     only the windows past the shared blocks and takes only the steps past
-    them (:func:`carry_path`), and reads nu_b and h_b as rows of the fiber
-    vectors the path gathered once for its Perron data.  The kept path is
-    one padded vector per block of the last word; the steps are the ones a
-    fresh call takes, so the results are bit-identical to it.  A word
-    shorter than k or with an unrealized window leaves the path as it was.
+    them (:func:`carry_path`), and reads nu_b and h_b from the lists of
+    fiber vector rows the path gathered once for its Perron data.  The
+    kept path is one padded vector per block of the last word; the steps
+    are the ones a fresh call takes, so the results are bit-identical to
+    it.  A word shorter than k or with an unrealized window leaves the path
+    as it was.
     """
     paths = fs.last_paths
     w, shared, last = paths.resume(fs, paths.product, pd, yword)
     if len(w) == 0:
         raise ValidationError("projected measure needs a nonempty image word")
-    nu, h = vectors = last[4] if last else tuple(map(fs.gather, pd.vectors))
+    nu, h = vectors = last[4] if last else tuple(list(fs.gather(v)) for v in pd.vectors)
     k = fs.block_length
     if len(w) < k:
         matching = np.flatnonzero((fs.words[:, :len(w)] == w).all(axis=1)).tolist()
@@ -633,9 +654,8 @@ def sum_runs(values: np.ndarray, starts: np.ndarray):
     log-sum-exp with scales[i] the run's largest log."""
     if values.dtype == object:
         return np.add.reduceat(values, starts), np.zeros(len(starts))
-    scales = shift = np.maximum.reduceat(values, starts)  # one run's scale broadcasts
-    if len(starts) > 1:
-        shift = scales.repeat(np.concatenate((starts[1:], [len(values)])) - starts)
+    scales = np.maximum.reduceat(values, starts)
+    shift = scales.repeat(np.diff(starts, append=len(values)))
     return np.add.reduceat(np.exp(values - shift), starts), scales
 
 

@@ -148,8 +148,6 @@ def g_limit(fs: FactorSystem, pd: PerronData, prefix, tail,
         if not (num > 0 and den > 0):
             if not live.any(axis=1).all():
                 raise ValidationError("point is not admissible")
-            if not stages:
-                raise ValidationError("g limit underflowed at its first stage")
             break  # the float stage underflowed: report the stages before it
         ratios.append(Fraction(num, den * pd.int_lam) if pd.exact else num / den / pd.lam)
         stages.append((len(word) + c * (2**j - shift) - 1, float(ratios[-1])))

@@ -105,8 +105,8 @@ class TestBuildFactor:
         assert not BLOCK_TABLES & vars(fs).keys()
 
 
-BLOCK_TABLES = {"_stacks"}
-"""The name under which a factor system caches the block tables it cuts."""
+BLOCK_TABLES = {"_stacks", "_steps"}
+"""The names under which a factor system caches the block tables it cuts."""
 
 
 def grouped_per_block(tm, symbol_map):
@@ -1181,6 +1181,16 @@ def test_stacks_are_shared_by_every_arithmetic():
     *_, blocks, exact = grouped_per_block(pipe.tm, shared.symbol_map)
     for want in (blocks, exact, {key: m > 0 for key, m in blocks.items()}):
         assert_stack_holds(shared, want)
+    # the per-word steps are the stack's blocks by transition, views built once
+    for dtype, stack in zip(dtypes, stacks):
+        if dtype is np.uint8:
+            continue
+        steps = shared.steps(dtype)
+        assert steps is shared.steps(dtype) and len(steps) == len(shared.follows)
+        for a, row in enumerate(steps):
+            assert sorted(row) == np.flatnonzero(shared.follows[a]).tolist()
+            for b, m in row.items():
+                assert m.base is stack and np.array_equal(m, stack[shared.index[a, b]])
 
 
 class TestExactForm:
@@ -1209,14 +1219,11 @@ class TestExactForm:
 
 
 def stub_system(blocks: dict):
-    """A stand-in for a factor system of three image blocks with the three
-    tables carry_path reads, from a dict (b, b') -> block of one dtype."""
-    pairs = sorted(blocks)
-    follows, index = np.zeros((3, 3), dtype=bool), np.zeros((3, 3), dtype=np.intp)
-    for i, (a, b) in enumerate(pairs):
-        follows[a, b], index[a, b] = True, i
-    stack = np.stack([blocks[p] for p in pairs])
-    return types.SimpleNamespace(follows=follows, index=index, stack=lambda dtype: stack)
+    """A stand-in for a factor system of three image blocks with the one
+    table carry_path reads, FactorSystem.steps, from a dict (b, b') -> block
+    of one dtype."""
+    steps = tuple({b: m for (a, b), m in blocks.items() if a == row} for row in range(3))
+    return types.SimpleNamespace(steps=lambda dtype: steps)
 
 
 class TestCarryProduct:
