@@ -655,7 +655,7 @@ def sum_runs(values: np.ndarray, starts: np.ndarray):
     if values.dtype == object:
         return np.add.reduceat(values, starts), np.zeros(len(starts))
     scales = np.maximum.reduceat(values, starts)
-    shift = scales.repeat(np.diff(starts, append=len(values)))
+    shift = scales.repeat(np.concatenate((starts[1:], [len(values)])) - starts)
     return np.add.reduceat(np.exp(values - shift), starts), scales
 
 
