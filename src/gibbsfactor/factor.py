@@ -624,7 +624,7 @@ def projected_measure_bruteforce(fs: FactorSystem, pd: PerronData, yword,
     _, rows, values, _ = states[-1]
     if not len(rows):
         return finish_measure(0, 0.0, 0, pd)
-    totals, scales = sum_runs(domain_end(pd, rows, values, pd.exact), np.zeros(1, int))
+    totals, scales = sum_runs(domain_end(pd, rows, values, pd.exact), ONE_RUN)
     return finish_measure(totals[0], scales[0], max(n - k, 0), pd)
 
 
@@ -646,6 +646,9 @@ def sorted_runs(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return order, np.flatnonzero(new)
 
 
+ONE_RUN = np.zeros(1, dtype=np.intp)  # the starts of a single run
+
+
 def sum_runs(values: np.ndarray, starts: np.ndarray):
     """The sum of every run of a stack of row values, the runs beginning at
     the int array `starts` (for ``reduceat``): (totals, scales), run i
@@ -655,7 +658,9 @@ def sum_runs(values: np.ndarray, starts: np.ndarray):
     if values.dtype == object:
         return np.add.reduceat(values, starts), np.zeros(len(starts))
     scales = np.maximum.reduceat(values, starts)
-    shift = scales.repeat(np.concatenate((starts[1:], [len(values)])) - starts)
+    # one run (the oracle's, per word) broadcasts its scale: the repeat
+    # costs about 8 us a call, 7% of verifying Example 2's words
+    shift = scales if len(starts) == 1 else scales.repeat(np.diff(starts, append=len(values)))
     return np.add.reduceat(np.exp(values - shift), starts), scales
 
 
