@@ -97,7 +97,8 @@ product along one word, which extends a path of products
 walker's padded table, a step ``x @ stack[index[b, b']]`` from a padded
 start (a row of :meth:`FactorSystem.gather` or of
 :meth:`FactorSystem.eye`), so a single word and a walk run the same
-matmul on the same blocks.
+matmul on the same blocks; :meth:`FactorSystem.steps` holds those blocks
+by transition, views into the stack, so a step is one dict lookup.
 Exact blocks are cut from the integer matrix M = D W of the transfer
 matrix, numpy ``object`` arrays of int, so exact and float products share
 the same ``@`` code and exact products carry Python integers from the
