@@ -97,8 +97,7 @@ product along one word, which extends a path of products
 walker's padded table, a step ``x @ stack[index[b, b']]`` from a padded
 start (a row of :meth:`FactorSystem.gather` or of
 :meth:`FactorSystem.eye`), so a single word and a walk run the same
-matmul on the same blocks; :meth:`FactorSystem.steps` holds those blocks
-by transition, views into the stack, so a step is one dict lookup.
+matmul on the same blocks, read by transition (:meth:`FactorSystem.steps`).
 Exact blocks are cut from the integer matrix M = D W of the transfer
 matrix, numpy ``object`` arrays of int, so exact and float products share
 the same ``@`` code and exact products carry Python integers from the
@@ -234,11 +233,9 @@ class FactorSystem:
         return {}
 
     def steps(self, dtype) -> tuple[dict, ...]:
-        """The blocks of :meth:`stack` by transition, for products along one
-        word: steps(dtype)[b] maps each b' that may follow b to the block
-        ``stack(dtype)[index[b, b']]``, a view into the stack, so a step is
-        one dict lookup.  Cached under `dtype` as given (a product's
-        ``x.dtype``), which a call looks up without normalising it."""
+        """The blocks of :meth:`stack` by transition: steps(dtype)[b][b'] is
+        the view ``stack(dtype)[index[b, b']]``, cached under `dtype` as given
+        (a product's ``x.dtype``, not normalised: one dict lookup a call)."""
         rows = self._steps.get(dtype)
         if rows is None:
             stack, rows = self.stack(dtype), tuple({} for _ in self.fibers)
@@ -471,9 +468,8 @@ def carry_path(fs: FactorSystem, blocks, states: list) -> list:
     with at least its first state, is appended to up to len(blocks) states.
     The products are zero-padded to the widest fiber F, as the walker's
     rows: every step is ``x @ stack[index[a, b]]`` through
-    :func:`rescale_single`, with the table the start's dtype picks
-    (:meth:`FactorSystem.stack`, read by transition through
-    :meth:`FactorSystem.steps`), so a boolean start carries boolean
+    :func:`rescale_single`, read from the table the start's dtype picks
+    (:meth:`FactorSystem.steps`), so a boolean start carries boolean
     products through the blocks' 0/1 support.  This is the one loop for the
     product along a single word: :func:`carry_product` and
     :func:`projected_measure` (resuming its last path) read it."""
@@ -546,11 +542,10 @@ def projected_measure(fs: FactorSystem, pd: PerronData, yword):
     block length), so it range-checks only the symbols past s, translates
     only the windows past the shared blocks and takes only the steps past
     them (:func:`carry_path`), and reads nu_b and h_b from the lists of
-    fiber vector rows the path gathered once for its Perron data.  The
-    kept path is one padded vector per block of the last word; the steps
-    are the ones a fresh call takes, so the results are bit-identical to
-    it.  A word shorter than k or with an unrealized window leaves the path
-    as it was.
+    fiber vector rows the path gathered once for its Perron data.  The kept
+    path is one padded vector per block of the last word; the steps are the
+    ones a fresh call takes, so the results are bit-identical to it.  A
+    word shorter than k or with an unrealized window keeps the path.
     """
     paths = fs.last_paths
     w, shared, last = paths.resume(fs, paths.product, pd, yword)
@@ -659,8 +654,7 @@ def sum_runs(values: np.ndarray, starts: np.ndarray):
     if values.dtype == object:
         return np.add.reduceat(values, starts), np.zeros(len(starts))
     scales = np.maximum.reduceat(values, starts)
-    # one run (the oracle's, per word) broadcasts its scale: the repeat
-    # costs about 8 us a call, 7% of verifying Example 2's words
+    # one run (the oracle's per word) broadcasts: repeating costs about 8 us
     shift = scales if len(starts) == 1 else scales.repeat(np.diff(starts, append=len(values)))
     return np.add.reduceat(np.exp(values - shift), starts), scales
 
