@@ -6,15 +6,25 @@
 Runs `perfbench/run.py --workload W --seed S --seconds T` in each checkout,
 once per side per pair, alternating which side goes first (the parent on
 even pairs, the change on odd ones).  Each run is a fresh process started
-in its checkout, which imports the library from that checkout's src/.  The
-record holds, per workload: the commit and machine line of each side (from
-the benchmark's `record` line), the date, the seed, the run length,
-whether Python wrote bytecode, every pair's end-to-end metrics, and per
-side the median and the interquartile range of each metric, with the
-number of pairs the change won (lower is better for every end-to-end
-metric; ties count for neither side).  An existing record is updated in place, one entry per
-workload and seed ("verify_ex2/seed1"), so several invocations build one
-file.  Exits 1 when a run fails an output check.
+in its checkout, which imports the library from that checkout's src/.
+
+`--compile` sets where a run's bytecode comes from.  `cached` (the
+default) gives each side its own PYTHONPYCACHEPREFIX, under the
+checkout's .bench_build/, filled once with `compileall` before the first
+pair (the checkout's src/ and perfbench/, the standard library and
+numpy); runs read it and write no bytecode, so `setup_s` and
+`peak_rss_mb` measure the library, not its compilation.  `each-run` runs
+with PYTHONDONTWRITEBYTECODE=1 and no prefix, so every process compiles
+the library source again, as a checkout without bytecode does.
+
+The record holds, per workload: the commit and machine line of each side
+(from the benchmark's `record` line), the date, the seed, the run length,
+the compile mode, every pair's end-to-end metrics, and per side the median
+and the interquartile range of each metric, with the number of pairs the
+change won (lower is better for every end-to-end metric; ties count for
+neither side).  An existing record is updated in place, one entry per
+workload, seed and compile mode ("verify_ex2/seed1/cached"), so several
+invocations build one file.  Exits 1 when a run fails an output check.
 """
 
 from __future__ import annotations
@@ -23,22 +33,49 @@ import argparse
 import datetime
 import json
 import os
+import shutil
 import statistics
 import subprocess
 import sys
+import sysconfig
 from pathlib import Path
 
+import numpy
+
 END_TO_END = ("run_s", "setup_s", "peak_rss_mb")
+COMPILE_MODES = ("cached", "each-run")
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+def side_env(checkout: Path, mode: str) -> dict:
+    """The environment of one side's runs.  In `cached` mode its bytecode
+    prefix is emptied and filled by `compileall` here, once: the checkout's
+    src/ and perfbench/, the standard library (without its tests) and
+    numpy."""
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    env.pop("PYTHONPYCACHEPREFIX", None)
+    if mode == "cached":
+        prefix = checkout / ".bench_build" / "pycache"
+        shutil.rmtree(prefix, ignore_errors=True)
+        env["PYTHONPYCACHEPREFIX"] = str(prefix)
+        trees = ((None, [checkout / "src", checkout / "perfbench"]),
+                 ("/(test|tests|idlelib|lib2to3|tkinter|site-packages)/",
+                  [sysconfig.get_paths()["stdlib"]]),
+                 ("/tests/", [Path(numpy.__file__).parent]))
+        for skip, paths in trees:
+            subprocess.run([sys.executable, "-m", "compileall", "-q",
+                            *(["-x", skip] if skip else []), *map(str, paths)],
+                           env=env, stdout=subprocess.DEVNULL, check=False)
+    return env
+
+
+def run_once(checkout: Path, workload: str, seed: int, seconds: float, env: dict) -> dict:
     """One benchmark run in `checkout`: its end-to-end metrics, whether every
     op passed its check, and the fields of its `record` line that identify
     the run."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds)],
-        cwd=checkout, capture_output=True, text=True, check=True, timeout=900)
+        cwd=checkout, env=env, capture_output=True, text=True, check=True, timeout=900)
     lines = proc.stdout.splitlines()
     result = json.loads(lines[-1])
     record = json.loads(next(line for line in lines if line.startswith("record "))[7:])
@@ -89,16 +126,19 @@ def main(argv=None) -> int:
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=8.0)
     parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--compile", choices=COMPILE_MODES, default="cached",
+                        help="bytecode from a per-side cache filled once, or compiled every run")
     parser.add_argument("--out", type=Path, required=True, help="BENCH_<n>.json to write")
     args = parser.parse_args(argv)
 
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    envs = {side: side_env(checkout, args.compile) for side, checkout in sides.items()}
     pairs, runs, correct = [], {"parent": [], "change": []}, True
     for i in range(args.pairs):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         pair = {"first": order[0]}
         for side in order:
-            run = run_once(sides[side], args.workload, args.seed, args.seconds)
+            run = run_once(sides[side], args.workload, args.seed, args.seconds, envs[side])
             runs[side].append(run)
             pair[side] = run["metrics"]
             correct = correct and run["correct"]
@@ -107,12 +147,12 @@ def main(argv=None) -> int:
             f"{side} run_s {pair[side]['run_s']:.4f}" for side in ("parent", "change")))
 
     doc = json.loads(args.out.read_text()) if args.out.exists() else {"workloads": {}}
-    key = f"{args.workload}/seed{args.seed}"
+    key = f"{args.workload}/seed{args.seed}/{args.compile}"
     doc["workloads"][key] = {
         "date": datetime.date.today().isoformat(),
         "seed": args.seed,
         "seconds": args.seconds,
-        "bytecode_written": not os.environ.get("PYTHONDONTWRITEBYTECODE"),
+        "compile": args.compile,
         "sides": {side: runs[side][0]["record"] for side in sides},
         "failed_ops": {side: sum(r["failed"] for r in runs[side]) for side in sides},
         "attempted_ops": {side: sum(r["attempted"] for r in runs[side]) for side in sides},

@@ -60,10 +60,10 @@ the padded layout on the :class:`FactorSystem`: the transition table
 ``follows`` with each transition's place in the stack, and a fiber index
 and mask through which a walk's start is one gather.  The blocks are cut on
 first use, each arithmetic's table on its first product
-(:meth:`FactorSystem.stack`: a zero-padded stack, one gather of W, M or
-the 0/1 support through the fiber index, or the byte table of the packed
-0/1 support rows).  A level grows by the step of every level-by-level
-word expansion here
+(:meth:`FactorSystem.stack`: a zero-padded stack, cut from the edge list
+of W, M or the 0/1 support through the fiber index, or the byte table of
+the packed 0/1 support rows).  A level grows by the step of every
+level-by-level word expansion here
 (:func:`~gibbsfactor.potential.domain_path`,
 :func:`~gibbsfactor.sft.word_matrix`),
 ``parent, blocks = np.nonzero(follows[rows.blocks])``, then one batched
@@ -199,24 +199,27 @@ class FactorSystem:
         """The per-transition table a product carrying rows of `dtype` steps
         through, built on its first use; transition (b, b') is entry
         ``index[b, b']``.  Float, ``object`` and boolean rows multiply the
-        (pairs, F, F) zero-padded stack of blocks, one gather through the
-        fiber index of W, of M = D W (ExactModeError without rational
-        weights) or of the 0/1 support ``tm.follows`` (every weight is
-        positive).  ``uint8`` rows are boolean products packed into W bytes
+        (pairs, F, F) zero-padded stack of blocks, cut from the edge list of
+        W, of M = D W (ExactModeError without rational weights) or of the
+        0/1 support (every weight is positive): an entry's block pair (i, j)
+        is its key i d + j among the edges', which ascend in row-major order.
+        ``uint8`` rows are boolean products packed into W bytes
         (:class:`SweepRows`); they step through the (pairs, W, 256, W) table
         whose entry [p, w, v] ORs the packed support rows 8w + b of
         transition p over the bits b set in v, filled in 8 doubling steps:
         W^2 * 256 bytes per transition."""
         kind = np.dtype(dtype).kind
         if kind not in self._stacks:
-            a, b = self.pairs.T
-            rows, cols = self.fiber_index[a][:, :, None], self.fiber_index[b][:, None, :]
-            mask = self.fiber_mask[a][:, :, None] & self.fiber_mask[b][:, None, :]
-            if kind == "O" and self.tm.int_weights is None:
+            tm, (a, b) = self.tm, self.pairs.T
+            if kind == "O" and tm.edge_ints is None:
                 raise ExactModeError("exact blocks need a potential with rational weights")
-            weights = {"f": self.tm.weights, "O": self.tm.int_weights}.get(kind, self.tm.follows)
-            stack = weights[rows, cols]
-            stack[~mask] = 0
+            edges = tm.recoding.sources * tm.dimension + tm.recoding.targets
+            keys = self.fiber_index[a][:, :, None] * tm.dimension + self.fiber_index[b][:, None, :]
+            at = np.searchsorted(edges, keys).clip(max=len(edges) - 1)
+            mask = self.fiber_mask[a][:, :, None] & self.fiber_mask[b][:, None, :]
+            mask &= edges[at] == keys
+            values = {"f": tm.edge_weights, "O": tm.edge_ints}.get(kind)
+            stack = mask if values is None else np.where(mask, values[at], 0)
             if kind == "u":
                 nbytes = -(-mask.shape[1] // 8)
                 support = np.zeros((len(a), 8 * nbytes, nbytes), dtype=np.uint8)  # row 8w + b

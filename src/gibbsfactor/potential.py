@@ -12,9 +12,10 @@ i.e. rows are indexed by source blocks and columns by target blocks.  The
 table, the recoding's block transitions and W share one word order, the
 lexicographic order of the admissible (k+1)-words, which is the row-major
 order of the allowed entries of W.  A :class:`Potential` holds its table in
-that order as arrays, a word matrix and phi and weight vectors, so
-:func:`transfer_matrix` fills W with one assignment, and log W takes the
-log of the allowed entries only.  With W h = lambda h and nu^T W = lambda nu^T, sum(nu) = 1,
+that order as arrays, a word matrix and phi and weight vectors, so its
+weights are the allowed entries of W as they stand: :class:`TransferMatrix`
+stores W as that edge list and builds a dense view only for a reader that
+needs one.  With W h = lambda h and nu^T W = lambda nu^T, sum(nu) = 1,
 <h, nu> = 1, the Gibbs state of phi has cylinder masses
 
     mu[w_0 ... w_n] = lambda^{-m} (prod of W along the block word)
@@ -388,49 +389,52 @@ def birkhoff_sums(potential: Potential, words: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class TransferMatrix:
-    """Weighted adjacency of the block recoding: W[i, j] = weight of the
-    block transition i -> j (source-row orientation)."""
+    """Weighted adjacency of the block recoding, W[i, j] = weight of the
+    block transition i -> j (source-row orientation), kept as its edge list
+    in the recoding's transition order, the row-major order of W:
+    `edge_weights` and `edge_ints`, the entries of M = D W (ints, None
+    without rational weights), read-only.  Dense (d, d) views are built
+    when first read: W by a Noda solve and :func:`log_ln1_sup_norm`, M by
+    :func:`perron_exact` and the exact measures, log W by the float ones."""
 
     sft: Sft
     potential: Potential
     recoding: Recoding
-    weights: np.ndarray            # (d, d) float
-    int_weights: np.ndarray | None  # M = D W, (d, d) int object array, or None
+    edge_weights: np.ndarray
+    edge_ints: np.ndarray | None
     denominator: int | None        # D, lcm of the rational weights' denominators
 
     @property
     def dimension(self) -> int:
-        return self.weights.shape[0]
+        return self.recoding.size
+
+    def _dense(self, values: np.ndarray, fill) -> np.ndarray:
+        """The edge values scattered over a read-only (d, d) array of `fill`."""
+        rec = self.recoding
+        out = np.full((rec.size, rec.size), fill, dtype=values.dtype)
+        out[rec.sources, rec.targets] = values
+        out.setflags(write=False)
+        return out
 
     @cached_property
-    def edge_weights(self) -> np.ndarray:
-        """The allowed entries of W in the recoding's transition order, the
-        row-major order of W, as a read-only array."""
-        rec = self.recoding
-        values = self.weights[rec.sources, rec.targets]
-        values.setflags(write=False)
-        return values
+    def weights(self) -> np.ndarray:
+        return self._dense(self.edge_weights, 0.0)
 
     @cached_property
     def log_weights(self) -> np.ndarray:
-        """log W as a read-only (d, d) array, -inf where a transition is
-        forbidden: the log of the allowed entries only, taken when first read
-        (by the float measures)."""
-        rec = self.recoding
-        logw = np.full(self.weights.shape, -np.inf)
-        logw[rec.sources, rec.targets] = np.log(self.edge_weights)
-        logw.setflags(write=False)
-        return logw
+        """log W, -inf where a transition is forbidden."""
+        return self._dense(np.log(self.edge_weights), -np.inf)
+
+    @cached_property
+    def int_weights(self) -> np.ndarray | None:
+        return None if self.edge_ints is None else self._dense(self.edge_ints, 0)
 
     @cached_property
     def exact_weights(self) -> np.ndarray | None:
-        """W = M / D as a read-only (d, d) object array of Fraction, or None
-        without rational weights."""
-        if self.int_weights is None:
+        """W = M / D as Fractions, or None without rational weights."""
+        if self.edge_ints is None:
             return None
-        w = self.int_weights * Fraction(1, self.denominator)
-        w.setflags(write=False)
-        return w
+        return self._dense(self.edge_ints * Fraction(1, self.denominator), Fraction(0))
 
     @cached_property
     def last_symbols(self) -> np.ndarray:
@@ -458,20 +462,13 @@ def transfer_matrix(sft: Sft, potential: Potential,
     if potential.sft is not sft:
         raise ValidationError("potential was built for a different SFT")
     rec = higher_block_recode(sft, max(potential.depth, 1), max_words)
-    d = rec.size
     pick = rec.transitions[:, 0] if potential.depth == 0 else slice(None)  # depth 0: 1st symbol
-    w = np.zeros((d, d))
-    w[rec.sources, rec.targets] = potential.weights[pick]
-    ints = den = None
+    values, ints, den = take_values(potential.weights, pick), None, None
     if potential.exact_weights is not None:
         numerators, den = _clear_denominators(potential.exact_weights)
-        ints = np.zeros((d, d), dtype=object)
-        ints[rec.sources, rec.targets] = numerators[pick]
-    for m in (w, ints):
-        if m is not None:
-            m.setflags(write=False)
-    return TransferMatrix(sft=sft, potential=potential, recoding=rec, weights=w,
-                          int_weights=ints, denominator=den)
+        ints = take_values(numerators, pick)
+    return TransferMatrix(sft=sft, potential=potential, recoding=rec, edge_weights=values,
+                          edge_ints=ints, denominator=den)
 
 
 @dataclass(frozen=True, eq=False)
@@ -521,10 +518,12 @@ class PerronData:
 
 def _edge_products(tm: TransferMatrix) -> tuple:
     """The products of the runs for h and nu on the edge list of W, the
-    recoding's transitions with :attr:`TransferMatrix.edge_weights`: a pair
-    (x -> W x, log x -> log W x) and a pair (x -> W^T x, log x -> log W^T x),
-    O(edges) each.  A product is one ``np.bincount`` of the edge terms by
-    source (target) block, summing a row's terms in edge order; a log
+    recoding's transitions with :attr:`TransferMatrix.edge_weights`: a
+    triple (x -> W x, log x -> log W x, () -> W) and a triple (x -> W^T x,
+    log x -> log W^T x, () -> W^T), each product O(edges), the last the
+    dense view, which only a Noda solve reads.  A product is one
+    ``np.bincount`` of the edge terms by source (target) block, summing a
+    row's terms in edge order; a log
     product is one log-sum-exp, the edge terms' largest by block from
     ``np.maximum.at`` and the sum of their exponentials below it from one
     ``np.bincount``."""
@@ -540,9 +539,9 @@ def _edge_products(tm: TransferMatrix) -> tuple:
         return product
 
     return ((lambda x: np.bincount(rec.sources, values * x[rec.targets], d),
-             log_product(rec.sources, rec.targets)),
+             log_product(rec.sources, rec.targets), lambda: tm.weights),
             (lambda x: np.bincount(rec.targets, values * x[rec.sources], d),
-             log_product(rec.targets, rec.sources)))
+             log_product(rec.targets, rec.sources), lambda: tm.weights.T))
 
 
 LOG_START_BRACKET = 20.0
@@ -572,7 +571,7 @@ def _log_start(products, d: int, max_steps: int) -> tuple[np.ndarray, int]:
     from the log products.  A step whose
     normalised iterate is not positive (an entry underflowed, or a row of W
     vanished) is refused."""
-    product, log_product = products
+    product, log_product, _ = products
     x, steps = np.ones(d), 0
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         y = product(x)
@@ -595,15 +594,15 @@ def _log_start(products, d: int, max_steps: int) -> tuple[np.ndarray, int]:
     return x, steps
 
 
-def _noda(w: np.ndarray, products, tol: float, max_iter: int,
+def _noda(products, d: int, tol: float, max_iter: int,
           cap: float = np.inf) -> tuple[np.ndarray, int, float]:
     """Right Perron vector of a nonnegative primitive matrix from the
     start of :func:`_log_start`, by power steps while they are the cheaper
     way to the tolerance and Noda's inverse iteration otherwise; returns
     (x, steps, sigma) with x normalised to max 1 and sigma the last upper
-    bound.  `products` takes x to W x and log x to log W x (one pair of
-    :func:`_edge_products`, O(edges)); the dense `w` is read only by the
-    Noda solves.  The start's log-domain power steps count among the steps,
+    bound.  `products`, a triple of :func:`_edge_products`, takes x to W x
+    and log x to log W x in O(edges) and gives W, read (so built) only by
+    a Noda step.  The start's log-domain power steps count among the steps,
     so `max_iter` caps them too; they make the run see D^-1 W D, D a
     positive diagonal, as it sees W, up to its start vector.
 
@@ -636,7 +635,6 @@ def _noda(w: np.ndarray, products, tol: float, max_iter: int,
     or a normalised iterate with an entry that underflowed to zero, raises
     ConvergenceError.
     """
-    d = len(w)
     product = products[0]
     x, start = _log_start(products, d, min(LOG_START_STEPS, max_iter))
     b = None  # B, then I - B / sigma from the first Noda step; C order, so reshape is a view
@@ -666,7 +664,7 @@ def _noda(w: np.ndarray, products, tol: float, max_iter: int,
                 x = y
                 continue
         if b is None:
-            b = np.empty((d, d))
+            w, b = products[2](), np.empty((d, d))
         with np.errstate(over="ignore"):
             np.multiply(w, x, out=b)
             b /= x[:, None]
@@ -720,10 +718,9 @@ def perron(tm: TransferMatrix, tol: float = 1e-14, max_iter: int = 100) -> Perro
         raise NotMixingError("shift is not topologically mixing; Perron data undefined")
     # mixing: every block has a successor and a predecessor, so every row of
     # W and of W^T has an edge, and the edge products keep x positive
-    w = tm.weights
     right, left = _edge_products(tm)
-    h, steps_h, bound = _noda(w, right, tol, max_iter)
-    nu, steps_nu, _ = _noda(w.T, left, tol, max_iter, cap=bound)
+    h, steps_h, bound = _noda(right, tm.dimension, tol, max_iter)
+    nu, steps_nu, _ = _noda(left, tm.dimension, tol, max_iter, cap=bound)
     wh, nuw = right[0](h), left[0](nu)
     lam = float(nuw @ h) / float(nu @ h)
     if not lam > 0:

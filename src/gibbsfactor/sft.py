@@ -204,8 +204,9 @@ def higher_block_recode(sft: Sft, k: int, max_words: int = DEFAULT_MAX_WORDS) ->
     transition u[-1] -> v[-1] is allowed, i.e. iff (w[:-1], w[1:]) = (u, v)
     for an admissible (k+1)-word w; the budget caps the (k+1)-words too.
     No symbol is stranded, so every k-word is a prefix and a suffix of some
-    (k+1)-word, and its rank among either is its block index.  k = 1 yields
-    an isomorphic copy.
+    (k+1)-word, its rank among either is its block index, and the block
+    shift, square, 0/1 and unstranded, skips :func:`build_sft`'s d x d
+    checks.  k = 1 yields an isomorphic copy.
     """
     if k < 1:
         raise ValidationError("block length must be >= 1")
@@ -221,14 +222,13 @@ def higher_block_recode(sft: Sft, k: int, max_words: int = DEFAULT_MAX_WORDS) ->
     long_names = np.array([len(s) > 1 for s in symbols])[blocks].any(axis=1)
     names = tuple(("," if long else "").join(map(symbols.__getitem__, w))
                   for w, long in zip(block_words, long_names.tolist()))
-    block_sft = build_sft(Alphabet(names), adj)
-    for a in (longer, sources, targets, blocks):
+    for a in (longer, sources, targets, blocks, adj):
         a.setflags(write=False)
     return Recoding(
         block_length=k,
         block_words=block_words,
         block_array=blocks,
-        block_sft=block_sft,
+        block_sft=Sft(alphabet=Alphabet(names), adjacency=adj),
         to_block={w: i for i, w in enumerate(block_words)},
         transitions=longer,
         sources=sources,

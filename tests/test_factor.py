@@ -1218,6 +1218,76 @@ class TestExactForm:
         assert_stack_holds(fs, grouped_per_block(tm, fs.symbol_map)[4])
 
 
+@st.composite
+def edge_systems(draw):
+    """(tm, fs): a seeded random_mixing_system of 3-5 symbols at depth 0-3
+    over 2-3 image letters (uneven fibers), with the generator's float
+    weights, those rounded to exact quarters, or, at depth >= 1, exact
+    row-stochastic rationals."""
+    seed, depth = draw(st.integers(0, 2**16)), draw(st.integers(0, 3))
+    desc = fixtures.random_mixing_system(seed, draw(st.integers(3, 5)), depth,
+                                         draw(st.integers(2, 3)))
+    form = draw(st.sampled_from(["float", "quarters", "stochastic"] if depth
+                                else ["float", "quarters"]))
+    if form == "quarters":
+        desc = rational(desc)
+    elif form == "stochastic":
+        desc = row_stochastic(desc, np.random.default_rng(seed))
+    tm = transfer_matrix(*build_system(desc))
+    return tm, build_factor(tm, desc.factor_map, Alphabet(desc.image_alphabet))
+
+
+@given(edge_systems())
+@settings(max_examples=80, deadline=None)
+def test_dense_views_and_stacks_come_from_the_edge_list(system):
+    """The dense views of W, log W and M are the edge arrays scattered over
+    the block pairs, and every stack equals the gather from the dense view
+    that the stacks were once cut from: W, M or the 0/1 block adjacency
+    through the fiber index, zero outside the fibers, and for packed rows
+    the byte table that ORs the packed support rows over a byte's bits."""
+    tm, fs = system
+    rec, d = tm.recoding, tm.dimension
+    assert d == rec.size and len(tm.edge_weights) == len(rec.transitions)
+    for view, values, fill in ((tm.weights, tm.edge_weights, 0.0),
+                               (tm.log_weights, np.log(tm.edge_weights), -np.inf),
+                               (tm.int_weights, tm.edge_ints, 0)):
+        if values is None:
+            assert view is None
+            continue
+        want = np.full((d, d), fill, dtype=values.dtype)
+        want[rec.sources, rec.targets] = values
+        assert view.dtype == want.dtype and not view.flags.writeable
+        assert view.tolist() == want.tolist() and view.tobytes() == want.tobytes()
+    a, b = fs.pairs.T
+    rows, cols = fs.fiber_index[a][:, :, None], fs.fiber_index[b][:, None, :]
+    mask = fs.fiber_mask[a][:, :, None] & fs.fiber_mask[b][:, None, :]
+    for dtype, dense in ((float, tm.weights), (object, tm.int_weights), (bool, tm.follows)):
+        if dense is None:
+            with pytest.raises(ExactModeError):
+                fs.stack(dtype)
+            continue
+        want = dense[rows, cols]
+        want[~mask] = 0
+        got = fs.stack(dtype)
+        assert got.dtype == want.dtype and not got.flags.writeable
+        assert got.tolist() == want.tolist()
+        if dtype == object:
+            assert all(type(v) is int for v in got.flat)
+        else:
+            assert got.tobytes() == want.tobytes()
+    support = np.packbits(fs.stack(bool), axis=-1, bitorder="little")  # (pairs, F, bytes)
+    nbytes = support.shape[-1]
+    support = np.concatenate([support, np.zeros((len(a), 8 * nbytes - support.shape[1], nbytes),
+                                                dtype=np.uint8)], axis=1)
+    bits = (np.arange(256)[:, None] >> np.arange(8) & 1).astype(bool)  # (byte, bit)
+    want = np.stack([np.bitwise_or.reduce(
+        np.where(bits[None, :, :, None], support[:, None, 8 * w:8 * w + 8], 0), axis=2)
+        for w in range(nbytes)], axis=1)
+    got = fs.stack(np.uint8)
+    assert got.dtype == np.uint8 and not got.flags.writeable
+    assert got.tobytes() == want.astype(np.uint8).tobytes() and got.shape == want.shape
+
+
 def stub_system(blocks: dict):
     """A stand-in for a factor system of three image blocks with the one
     table carry_path reads, FactorSystem.steps, from a dict (b, b') -> block

@@ -4,6 +4,7 @@ import math
 import random
 import re
 import time
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -19,6 +20,7 @@ from gibbsfactor import (
     NotMixingError,
     ValidationError,
     birkhoff_sum,
+    build_factor,
     build_pipeline,
     build_potential,
     build_sft,
@@ -760,7 +762,7 @@ class TestNodaIteration:
         with pytest.raises(ValidationError, match="outside the float range"):
             build_potential(sft, 1, "phi", table)
         tm = transfer_matrix(sft, build_potential(sft, 1, "phi", dict.fromkeys(table, 0.0)))
-        vanished = dataclasses.replace(tm, weights=np.zeros_like(tm.weights))
+        vanished = dataclasses.replace(tm, edge_weights=np.zeros_like(tm.edge_weights))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ConvergenceError, match="underflowed"):
@@ -907,7 +909,7 @@ class TestNuSecondRoute:
         tol = 1e-14
         pd = perron(build_pipeline(NU_ROUTE_SYSTEMS[name]).tm, tol=tol)
         w = pd.tm.weights
-        free, _, _ = potential._noda(w.T, potential._edge_products(pd.tm)[1], tol, 100)
+        free, _, _ = potential._noda(potential._edge_products(pd.tm)[1], len(w), tol, 100)
         free = free / free.sum()
         assert (np.abs(pd.nu - free) / free).max() <= 1e-11
         ratios = (pd.nu @ w) / pd.nu  # Collatz-Wielandt bracket under W^T
@@ -917,7 +919,7 @@ class TestNuSecondRoute:
         from gibbsfactor import potential
 
         tm = build_pipeline(fixtures.random_mixing_system(3, 6, 2, 3)).tm
-        steps_h = potential._noda(tm.weights, potential._edge_products(tm)[0], 1e-14, 100)[1]
+        steps_h = potential._noda(potential._edge_products(tm)[0], tm.dimension, 1e-14, 100)[1]
         calls = []
         real = np.linalg.solve
         monkeypatch.setattr(np.linalg, "solve", lambda a, b: calls.append(1) or real(a, b))
@@ -934,10 +936,10 @@ class TestNuSecondRoute:
                  (1, 0): 1.3135982656922154}
         tm = transfer_matrix(sft, build_potential(sft, 1, "weight", table))
         assert perron(tm).residual <= 1e-13
-        w = tm.weights
+        d = tm.dimension
         right, left = potential._edge_products(tm)
-        bound = potential._noda(w, right, 1e-14, 100)[2]
-        free = potential._noda(w.T, left, 1e-14, 100)[0]
+        bound = potential._noda(right, d, 1e-14, 100)[2]
+        free = potential._noda(left, d, 1e-14, 100)[0]
         calls = []
         real = np.linalg.solve
 
@@ -948,7 +950,7 @@ class TestNuSecondRoute:
             return real(a, b)
 
         monkeypatch.setattr(np.linalg, "solve", solve)
-        nu = potential._noda(w.T, left, 1e-14, 100, cap=bound)[0]
+        nu = potential._noda(left, d, 1e-14, 100, cap=bound)[0]
         assert len(calls) >= 2
         assert np.abs(nu / nu.sum() - free / free.sum()).max() <= 1e-14
 
@@ -1122,6 +1124,55 @@ class TestEdgeListPowerSteps:
     @pytest.mark.parametrize("seed", range(50))
     def test_spread_weight_systems(self, seed, monkeypatch):
         self.assert_same_run(spread_weight_system(seed), monkeypatch)
+
+
+DENSE_VIEWS = {"weights", "log_weights", "int_weights"}
+"""The dense (d, d) views of a transfer matrix, each built when first read."""
+
+
+class TestEdgeForm:
+    """A transfer matrix stores W as its edge list; a float build whose
+    Perron runs end in power steps builds no dense view."""
+
+    def test_float_build_allocates_no_dense_matrix(self, monkeypatch):
+        desc = fixtures.random_mixing_system(0, 12, 3, 4)  # 423 blocks
+        sft, pot = build_system(desc)
+        solves = []
+        real = np.linalg.solve
+        monkeypatch.setattr(np.linalg, "solve", lambda a, b: solves.append(1) or real(a, b))
+        tracemalloc.start()
+        tracemalloc.reset_peak()
+        try:
+            tm = transfer_matrix(sft, pot)
+            pd = perron(tm)
+            fs = build_factor(tm, desc.factor_map, Alphabet(desc.image_alphabet))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        d = tm.dimension
+        assert 400 <= d <= 600 and not solves and pd.residual <= 1e-12
+        assert not DENSE_VIEWS & vars(tm).keys()
+        assert peak < d * d * 8 / 2  # half of one dense float W
+        for dtype in (float, bool, np.uint8):  # the walks' tables come from the edges too
+            fs.stack(dtype)
+        assert not DENSE_VIEWS & vars(tm).keys()
+
+    @pytest.mark.parametrize("eps", [1e-2, 3e-3, 1e-3])
+    def test_small_gap_run_builds_w_for_its_solves(self, eps, monkeypatch):
+        solves = []
+        real = np.linalg.solve
+        monkeypatch.setattr(np.linalg, "solve", lambda a, b: solves.append(1) or real(a, b))
+        eager, lazy = (two_state(1.0, eps, eps, 1.0 + eps) for _ in range(2))
+        assert eager.weights is eager.weights  # built before the run, as W once was
+        want = perron(eager)
+        assert solves and "weights" not in vars(lazy)
+        got = perron(lazy)
+        assert "weights" in vars(lazy)
+        for field in ("lam", "residual", "iterations"):
+            assert getattr(got, field) == getattr(want, field)
+        for v, u in ((got.h, want.h), (got.nu, want.nu)):
+            assert v.tobytes() == u.tobytes()
+        assert abs(got.lam - (1 + eps * (1 + math.sqrt(5)) / 2)) <= 1e-12
 
 
 def fraction_kernel(a):

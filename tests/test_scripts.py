@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import sysconfig
 from pathlib import Path
 
 import pytest
@@ -106,3 +107,26 @@ def test_bench_pairs_summary_on_canned_pairs():
     assert rss["change_won"] == 5 and rss["parent"]["iqr"] == 2.0
     assert not rss["gain_beyond_parent_iqr"]  # 0.5 MB apart, parent IQR 2 MB
     assert bench.spread([3.0]) == {"median": 3.0, "iqr": 0.0}
+
+
+def test_bench_pairs_side_env_compiles_once_into_its_own_prefix(tmp_path, monkeypatch):
+    bench = load_script("bench_pairs")
+    calls = []
+    monkeypatch.setattr(bench.subprocess, "run", lambda argv, **kw: calls.append((argv, kw)))
+    monkeypatch.setenv("PYTHONPYCACHEPREFIX", str(tmp_path / "elsewhere"))
+    env = bench.side_env(tmp_path, "each-run")
+    assert env["PYTHONDONTWRITEBYTECODE"] == "1" and "PYTHONPYCACHEPREFIX" not in env
+    assert not calls
+    prefix = tmp_path / ".bench_build" / "pycache"
+    (prefix / "stale").mkdir(parents=True)
+    env = bench.side_env(tmp_path, "cached")
+    assert env["PYTHONDONTWRITEBYTECODE"] == "1" and env["PYTHONPYCACHEPREFIX"] == str(prefix)
+    assert not prefix.exists()  # emptied, then filled by compileall alone
+    assert all(argv[1:3] == ["-m", "compileall"] and kw["env"] == env for argv, kw in calls)
+    compiled = []
+    for argv, _ in calls:
+        rest = argv[argv.index("-q") + 1:]
+        compiled += rest[2:] if rest[0] == "-x" else rest
+    assert compiled == [str(tmp_path / "src"), str(tmp_path / "perfbench"),
+                        sysconfig.get_paths()["stdlib"], str(Path(bench.numpy.__file__).parent)]
+

@@ -344,6 +344,17 @@ class TestProperties:
                 allowed = u[1:] == v[:-1] and is_admissible(sft, u + (v[-1],))
                 assert bool(rec.block_sft.adjacency[i, j]) == allowed
 
+    @given(st.one_of(primitive_sfts(), periodic_sfts()), st.integers(min_value=1, max_value=3))
+    @settings(max_examples=40, deadline=None)
+    def test_block_shift_equals_build_sft(self, sft, k):
+        # the block shift skips build_sft's checks; it is the shift they pass
+        block = higher_block_recode(sft, k).block_sft
+        want = build_sft(block.alphabet, block.adjacency.tolist())
+        assert block.alphabet == want.alphabet
+        assert block.adjacency.dtype == want.adjacency.dtype == np.uint8
+        assert block.adjacency.tobytes() == want.adjacency.tobytes()
+        assert not block.adjacency.flags.writeable
+
     @given(primitive_sfts(), st.integers(min_value=1, max_value=3))
     @settings(max_examples=30, deadline=None)
     def test_transitions_share_the_word_order(self, sft, k):
