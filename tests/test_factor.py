@@ -1241,10 +1241,10 @@ def edge_systems(draw):
 @settings(max_examples=80, deadline=None)
 def test_dense_views_and_stacks_come_from_the_edge_list(system):
     """The dense views of W, log W and M are the edge arrays scattered over
-    the block pairs, and every stack equals the gather from the dense view
-    that the stacks were once cut from: W, M or the 0/1 block adjacency
-    through the fiber index, zero outside the fibers, and for packed rows
-    the byte table that ORs the packed support rows over a byte's bits."""
+    the block pairs, and every stack equals the gather from the matching
+    dense view: W, M or the 0/1 block adjacency through the fiber index,
+    zero outside the fibers, and for packed rows the byte table that ORs
+    the packed support rows over a byte's bits."""
     tm, fs = system
     rec, d = tm.recoding, tm.dimension
     assert d == rec.size and len(tm.edge_weights) == len(rec.transitions)

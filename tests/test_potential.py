@@ -1163,11 +1163,14 @@ class TestEdgeForm:
         real = np.linalg.solve
         monkeypatch.setattr(np.linalg, "solve", lambda a, b: solves.append(1) or real(a, b))
         eager, lazy = (two_state(1.0, eps, eps, 1.0 + eps) for _ in range(2))
-        assert eager.weights is eager.weights  # built before the run, as W once was
+        assert eager.weights is eager.weights  # W built before the run
         want = perron(eager)
         assert solves and "weights" not in vars(lazy)
         got = perron(lazy)
         assert "weights" in vars(lazy)
+        stored = np.zeros((2, 2))  # W as a dense field held it: one assignment of the table
+        stored[lazy.recoding.sources, lazy.recoding.targets] = lazy.potential.weights
+        assert lazy.weights.tobytes() == stored.tobytes()
         for field in ("lam", "residual", "iterations"):
             assert getattr(got, field) == getattr(want, field)
         for v, u in ((got.h, want.h), (got.nu, want.nu)):
