@@ -184,6 +184,13 @@ def cmd_project_verify(args, pipe):
     return results, 0 if check.passed else PROPERTY_VIOLATION
 
 
+def _block_name(pipe, block: int) -> str:
+    """A domain block's symbol names, concatenated, or joined by "," when
+    one of them is longer than one character."""
+    names = [pipe.sft.alphabet.name(s) for s in pipe.tm.recoding.block_array[block]]
+    return ("," if any(len(n) > 1 for n in names) else "").join(names)
+
+
 def cmd_fwm(args, pipe):
     fs = pipe.factor
     result = fwm_search(fs, args.max_N, args.budget)
@@ -192,8 +199,8 @@ def cmd_fwm(args, pipe):
         witnesses = [
             {
                 "word": format_word(w, fs.image_alphabet),
-                "first": fs.tm.recoding.block_sft.alphabet.name(a0),
-                "last": fs.tm.recoding.block_sft.alphabet.name(aN),
+                "first": _block_name(pipe, a0),
+                "last": _block_name(pipe, aN),
             }
             for (w, a0, aN) in rep.witnesses[:10]
         ]

@@ -618,12 +618,12 @@ def projected_measure_bruteforce(fs: FactorSystem, pd: PerronData, yword,
         states = [(None, rows, (pd.int_nu if pd.exact else pd.log_vectors[0])[rows],
                    count_visited(len(rows), max_words))]
     moves = map(fs.image_moves.__getitem__, w[head + len(states) - 1:])
-    states = domain_path(pd, states, moves, max_words, pd.exact)
+    states = domain_path(pd, states, moves, max_words)
     paths.oracle = (pd, w, states)
     _, rows, values, _ = states[-1]
     if not len(rows):
         return finish_measure(0, 0.0, 0, pd)
-    totals, scales = sum_runs(domain_end(pd, rows, values, pd.exact), ONE_RUN)
+    totals, scales = sum_runs(domain_end(pd, rows, values), ONE_RUN)
     return finish_measure(totals[0], scales[0], max(n - k, 0), pd)
 
 

@@ -395,7 +395,8 @@ class TransferMatrix:
     `edge_weights` and `edge_ints`, the entries of M = D W (ints, None
     without rational weights), read-only.  Dense (d, d) views are built
     when first read: W by a Noda solve and :func:`log_ln1_sup_norm`, M by
-    :func:`perron_exact` and the exact measures, log W by the float ones."""
+    :func:`perron_exact` and the exact measures, log W by the float ones,
+    the 0/1 `follows` by the oracles."""
 
     sft: Sft
     potential: Potential
@@ -443,11 +444,10 @@ class TransferMatrix:
 
     @cached_property
     def follows(self) -> np.ndarray:
-        """Read-only boolean block adjacency: follows[i, j] iff block j may
-        follow block i."""
-        adjacency = self.recoding.block_sft.adjacency.astype(bool)
-        adjacency.setflags(write=False)
-        return adjacency
+        """Read-only boolean block adjacency, follows[i, j] iff block j may
+        follow block i: the recoding's edge list scattered over a (d, d)
+        table when first read, by the oracles' move tables."""
+        return self._dense(np.ones(len(self.edge_weights), dtype=bool), False)
 
 
 def transfer_matrix(sft: Sft, potential: Potential,
@@ -910,16 +910,17 @@ def cylinder_measure(pd: PerronData, word):
     return finish_measure(pd.nu[blocks[0]], scale, len(steps), pd)
 
 
-def domain_path(pd: PerronData, states: list, moves, max_words: int, exact: bool) -> list:
+def domain_path(pd: PerronData, states: list, moves, max_words: int) -> list:
     """Extend a path of domain-word levels by one level per (blocks, blocks)
     boolean table in `moves`, and return it.
 
     A state (parent, rows, values, visited) holds a level's rows (their
     last blocks), each row's parent row in the level before (None at the
-    first level) and value from its prefix (an integer in exact mode, a log
-    otherwise), and the count of rows visited so far.  A level grows every
-    row by the blocks its last block may move to under the table, in
-    row-major order, so rows stay lexicographic; a child's value is its
+    first level) and value from its prefix (an integer, in an ``object``
+    array, in exact mode, a log otherwise), and the count of rows visited
+    so far.  A level grows every row by the blocks its last block may move
+    to under the table, in row-major order, so rows stay lexicographic; the
+    last state's values set the arithmetic, and a child's value is its
     parent's times the transition's integer weight of M in exact mode, plus
     its log weight otherwise.  The list, passed with at least its first
     state, is appended to; exceeding the budget raises EnumerationLimitError
@@ -928,6 +929,7 @@ def domain_path(pd: PerronData, states: list, moves, max_words: int, exact: bool
     their paths with it."""
     tm = pd.tm
     _, rows, values, visited = states[-1]
+    exact = values.dtype == object
     for table in moves:
         parent, child = table[rows].nonzero()
         if exact:
@@ -939,10 +941,10 @@ def domain_path(pd: PerronData, states: list, moves, max_words: int, exact: bool
     return states
 
 
-def domain_end(pd: PerronData, rows: np.ndarray, values: np.ndarray, exact: bool):
+def domain_end(pd: PerronData, rows: np.ndarray, values: np.ndarray):
     """The last level's values closed by h on each row's last block: times
-    h~ in exact mode, plus log h otherwise."""
-    if exact:
+    h~ in exact mode (``object`` values), plus log h otherwise."""
+    if values.dtype == object:
         return values * pd.int_h[rows]
     return values + pd.log_vectors[1][rows]
 
@@ -976,12 +978,12 @@ def domain_rows(pd: PerronData, n: int, max_words: int, exact: bool):
     rows = np.arange(tm.dimension)
     states = [(None, rows, (pd.int_nu if exact else pd.log_vectors[0])[rows],
                count_visited(len(rows), max_words))]
-    states = domain_path(pd, states, [tm.follows] * (n - head), max_words, exact)
+    states = domain_path(pd, states, [tm.follows] * (n - head), max_words)
     words = tm.recoding.block_array[rows, :head]
     for parent, rows, _, _ in states[1:]:
         words = np.concatenate([words[parent], tm.last_symbols[rows, None]], axis=1)
     _, rows, values, _ = states[-1]
-    return words, domain_end(pd, rows, values, exact), max(n - k, 0)
+    return words, domain_end(pd, rows, values), max(n - k, 0)
 
 
 def level_log_measures(pd: PerronData, n: int,

@@ -4,7 +4,8 @@ and higher-block recoding.
 Symbols are dense integer indices internally; names appear only at the I/O
 boundary.  A shift of finite type (SFT) is given by a 0/1 adjacency matrix A,
 where the transition i -> j is allowed iff A[i, j] == 1.  Words are tuples of
-symbol indices.
+symbol indices.  A higher-block recoding is its arrays: the block shift is
+the edge list of its transitions, with no adjacency matrix and no names.
 """
 
 from __future__ import annotations
@@ -173,15 +174,16 @@ def enumerate_words(sft: Sft, n: int, max_words: int = DEFAULT_MAX_WORDS) -> lis
 
 @dataclass(frozen=True, eq=False)
 class Recoding:
-    """Higher-block presentation: symbols of `block_sft` are the admissible
-    k-words of the base SFT, with transitions given by (k-1)-overlap.  Block
-    transition t is the (k+1)-word ``transitions[t]``; transitions are in the
-    row-major order of the block adjacency, as blocks and words are sorted."""
+    """Higher-block presentation, kept as arrays: its symbols, the blocks,
+    are the admissible k-words of the base SFT, and block transition t is
+    the (k+1)-word ``transitions[t]``, from block ``sources[t]`` (its
+    k-prefix) to block ``targets[t]`` (its k-suffix).  This edge list is the
+    one form of the block shift; as blocks and words are sorted, it is in
+    the row-major order of the block adjacency."""
 
     block_length: int
     block_words: tuple[Word, ...]  # lexicographic admissible k-words
     block_array: np.ndarray        # the block words as a read-only (d, k) intp array
-    block_sft: Sft
     to_block: dict  # Word -> block symbol index
     transitions: np.ndarray  # (m, k+1) int, the admissible (k+1)-words, lexicographic
     sources: np.ndarray      # (m,) block index of each transition's k-prefix
@@ -204,9 +206,9 @@ def higher_block_recode(sft: Sft, k: int, max_words: int = DEFAULT_MAX_WORDS) ->
     transition u[-1] -> v[-1] is allowed, i.e. iff (w[:-1], w[1:]) = (u, v)
     for an admissible (k+1)-word w; the budget caps the (k+1)-words too.
     No symbol is stranded, so every k-word is a prefix and a suffix of some
-    (k+1)-word, its rank among either is its block index, and the block
-    shift, square, 0/1 and unstranded, skips :func:`build_sft`'s d x d
-    checks.  k = 1 yields an isomorphic copy.
+    (k+1)-word, and its rank among either is its block index.  Only the
+    words and their edge list are built: no d x d array and no block names.
+    k = 1 yields an isomorphic copy.
     """
     if k < 1:
         raise ValidationError("block length must be >= 1")
@@ -216,19 +218,12 @@ def higher_block_recode(sft: Sft, k: int, max_words: int = DEFAULT_MAX_WORDS) ->
     targets[by_suffix] = _dense_ranks(longer[by_suffix, 1:])
     blocks = longer[np.diff(sources, prepend=-1) > 0, :-1]  # each block's first transition
     block_words = tuple(map(tuple, blocks.tolist()))
-    adj = np.zeros((len(block_words), len(block_words)), dtype=np.uint8)
-    adj[sources, targets] = 1
-    symbols = sft.alphabet.symbols  # a block's names are joined by ',' if one is longer than 1
-    long_names = np.array([len(s) > 1 for s in symbols])[blocks].any(axis=1)
-    names = tuple(("," if long else "").join(map(symbols.__getitem__, w))
-                  for w, long in zip(block_words, long_names.tolist()))
-    for a in (longer, sources, targets, blocks, adj):
+    for a in (longer, sources, targets, blocks):
         a.setflags(write=False)
     return Recoding(
         block_length=k,
         block_words=block_words,
         block_array=blocks,
-        block_sft=Sft(alphabet=Alphabet(names), adjacency=adj),
         to_block={w: i for i, w in enumerate(block_words)},
         transitions=longer,
         sources=sources,

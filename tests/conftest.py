@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from gibbsfactor import build_pipeline, factor, fixtures
+from gibbsfactor import Alphabet, build_pipeline, build_sft, factor, fixtures
 
 
 @pytest.fixture(scope="session")
@@ -52,6 +52,20 @@ def spread_phi_system(seed, spread):
 @pytest.fixture(scope="session")
 def spread_phi():
     return spread_phi_system
+
+
+def block_shift_of(recoding):
+    """The block shift of a higher-block recoding as an Sft, its symbols
+    named by their block indices: its edge list (sources, targets) scattered
+    over a 0/1 adjacency and passed through build_sft's checks."""
+    adjacency = np.zeros((recoding.size, recoding.size), dtype=np.uint8)
+    adjacency[recoding.sources, recoding.targets] = 1
+    return build_sft(Alphabet(tuple(map(str, range(recoding.size)))), adjacency)
+
+
+@pytest.fixture(scope="session")
+def block_shift():
+    return block_shift_of
 
 
 @pytest.fixture(scope="session")

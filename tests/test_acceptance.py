@@ -256,7 +256,8 @@ def _exact_consistency(pipe, exhaustive_len, sampled_len, samples, seed):
 
 
 def test_criterion_9_gibbs_consistency(ex2_exact, full2_exact, markov_exact,
-                                       ex2_float, golden_float, rate_demo_float):
+                                       ex2_float, golden_float, rate_demo_float,
+                                       block_shift):
     """Cylinder additivity, shift-consistency, and total mass on all
     fixtures up to word length 12 (1e-12 float, exact equality on the exact
     fixtures); Gibbs ratio bounds stabilize across lengths."""
@@ -272,7 +273,7 @@ def test_criterion_9_gibbs_consistency(ex2_exact, full2_exact, markov_exact,
         # bounds stabilize once every (start, end) pair is reachable, i.e.
         # at block length + mixing index
         k = pipe.tm.recoding.block_length
-        p = gf.mixing_index(pipe.tm.recoding.block_sft)
+        p = gf.mixing_index(block_shift(pipe.tm.recoding))
         b1 = gf.gibbs_ratio_bounds(pipe.pd, pipe.potential, k + p)
         b2 = gf.gibbs_ratio_bounds(pipe.pd, pipe.potential, k + p + 2)
         assert b1 == pytest.approx(b2, abs=1e-12)

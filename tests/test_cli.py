@@ -37,6 +37,22 @@ def rate_demo_file(tmp_path):
     return str(path)
 
 
+def long_name_doc():
+    """Depth 2 over the symbols a, bc and d, every transition allowed but
+    d -> d, each word weighted 1 + the sum of its symbol indices, a and bc
+    mapped to x and d to y."""
+    names = ("a", "bc", "d")
+    words = [w for w in itertools.product(range(3), repeat=3) if (2, 2) not in (w[:2], w[1:])]
+    return {
+        "schema_version": 1,
+        "alphabet": list(names),
+        "adjacency": [[1, 1, 1], [1, 1, 1], [1, 1, 0]],
+        "potential": {"depth": 2, "mode": "weight",
+                      "table": {",".join(names[s] for s in w): str(1 + sum(w)) for w in words}},
+        "factor": {"image_alphabet": ["x", "y"], "map": {"a": "x", "bc": "x", "d": "y"}},
+    }
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
@@ -217,6 +233,17 @@ class TestCommands:
         code, report = run(capsys, "fwm", str(path), "--max-N", "4")
         assert report["results"]["found"] == 1
 
+    def test_fwm_names_witness_blocks_by_their_symbols(self, capsys, tmp_path):
+        # a block's symbol names are concatenated, or joined by "," when one
+        # of them is longer than one character
+        path = tmp_path / "long_name.json"
+        path.write_text(json.dumps(long_name_doc()))
+        code, report = run(capsys, "fwm", str(path), "--max-N", "2")
+        assert code == 0 and report["results"]["found"] == 2
+        witnesses = report["results"]["reports"][0]["witnesses"]
+        assert witnesses[0] == {"first": "aa", "last": "bc,a", "word": "x,x,x"}
+        assert [(w["first"], w["last"]) for w in witnesses[8:]] == [("aa", "bc,d"), ("a,bc", "ad")]
+
     def test_gfun(self, capsys, example2_file):
         code, report = run(capsys, "gfun", example2_file, "--word", "00", "--exact")
         assert code == 0
@@ -323,6 +350,21 @@ class TestCommands:
 
 
 class TestReportDiscipline:
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_ignored_entries_warn_after_the_report(self, capsys, tmp_path, fmt):
+        doc = emit_system(fixtures.example2())
+        doc["potential"]["table"].update({"0,3": "1", "3,0": "1"})  # inadmissible words
+        path = tmp_path / "strays.json"
+        path.write_text(json.dumps(doc))
+        assert main(["validate", str(path), "--format", fmt]) == 0
+        out, err = capsys.readouterr()
+        assert err == ("warning: ignoring entry for inadmissible word (0, 3)\n"
+                       "warning: ignoring entry for inadmissible word (3, 0)\n")
+        if fmt == "json":
+            assert json.loads(out)["results"]["valid"] is True
+        else:
+            assert "results.valid,True" in out.splitlines()
+
     def test_byte_identical_reports(self, capsys, example2_file):
         main(["project", example2_file, "--word", "0,1", "--oracle"])
         first = capsys.readouterr().out

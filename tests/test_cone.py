@@ -208,6 +208,13 @@ class TestContractionCheck:
     def test_equal_arguments(self):
         assert contraction_check([[2, 1], [1, 1]], (1, 1), (2, 2))
 
+    def test_infinite_bound_holds(self):
+        # disjoint supports: Theta(u, v) is infinite, so the bound is too,
+        # while Theta(Mu, Mv) = log 4 is finite
+        m, u, v = [[2, 1], [1, 2]], (1, 0), (0, 1)
+        assert hilbert_distance(u, v) == math.inf and birkhoff_coefficient(m) > 0
+        assert contraction_check(m, u, v)
+
     def test_thousand_random_instances(self):
         rng = np.random.default_rng(123)
         for _ in range(1000):

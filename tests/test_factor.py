@@ -121,7 +121,7 @@ def grouped_per_block(tm, symbol_map):
     fibers = [[] for _ in image_words]
     for dom, img in enumerate(bsm):
         fibers[img].append(dom)
-    rows, cols = np.nonzero(rec.block_sft.adjacency)
+    rows, cols = rec.sources, rec.targets
     keys = dict.fromkeys((bsm[i], bsm[j]) for i, j in zip(rows.tolist(), cols.tolist()))
 
     def sliced(matrix):
@@ -242,6 +242,9 @@ class TestImageAdmissible:
         # the image of this system is the full 2-shift
         for n in range(1, 6):
             assert len(enumerate_image_words(ex2_exact.factor, n)) == 2**n
+
+    def test_length_zero_is_the_empty_word(self, ex2_exact):
+        assert enumerate_image_words(ex2_exact.factor, 0) == [()]
 
 
 class TestBlockProduct:
@@ -455,14 +458,15 @@ class TestOracleExpansion:
 
     @pytest.mark.parametrize("system", ["ex2_exact", "ex2_float", "stochastic_depth2",
                                         "seed202"])
-    def test_tables_are_read_only_and_equal_their_per_call_forms(self, request, system):
+    def test_tables_are_read_only_and_equal_their_per_call_forms(self, request, system,
+                                                                  block_shift):
         pipe = request.getfixturevalue(system)
         fs, pd = (pipe.factor, pipe.pd) if hasattr(pipe, "factor") else pipe
         tm, rec = pd.tm, pd.tm.recoding
         tables = [
             (rec.block_array, np.array(rec.block_words, dtype=np.intp)),
             (tm.last_symbols, np.array(rec.block_words, dtype=np.intp)[:, -1]),
-            (tm.follows, rec.block_sft.adjacency.astype(bool)),
+            (tm.follows, block_shift(rec).adjacency.astype(bool)),
             (fs.fiber_sizes, np.array([len(f) for f in fs.fibers])),
         ]
         tables += zip(pd.log_vectors, (np.log(np.asarray(v, dtype=float))
@@ -1119,18 +1123,18 @@ def test_domain_path_extends_from_any_split(system, data):
     tables = data.draw(st.lists(st.sampled_from([tm.follows, *fs.image_moves]), max_size=k + 3))
     rows = np.arange(tm.dimension)
     head = (None, rows, (pd.int_nu if pd.exact else pd.log_vectors[0])[rows], len(rows))
-    fresh = domain_path(pd, [head], tables, DEFAULT_MAX_WORDS, pd.exact)
+    fresh = domain_path(pd, [head], tables, DEFAULT_MAX_WORDS)
     assert len(fresh) == len(tables) + 1
     split = data.draw(st.integers(0, len(tables)))
     kept = list(map(path_state_bytes, fresh[:split + 1]))
-    extended = domain_path(pd, fresh[:split + 1], tables[split:], DEFAULT_MAX_WORDS, pd.exact)
+    extended = domain_path(pd, fresh[:split + 1], tables[split:], DEFAULT_MAX_WORDS)
     assert list(map(path_state_bytes, extended)) == list(map(path_state_bytes, fresh))
     assert list(map(path_state_bytes, fresh[:split + 1])) == kept
 
     def outcome(states, moves, budget):
         try:
             count_visited(states[-1][3], budget)
-            return domain_path(pd, states, moves, budget, pd.exact)[-1][3]
+            return domain_path(pd, states, moves, budget)[-1][3]
         except EnumerationLimitError as e:
             return str(e)
 

@@ -115,6 +115,15 @@ class TestGLimit:
             res = g_limit(fs, ex2_exact.pd, (0,) * m, (1,), jmax=14, tol=1e-10)
             assert res.value == pytest.approx((m + 1) / (3 * m), abs=1e-8)
 
+    def test_two_stages_give_no_extrapolant(self, ex2_exact):
+        # stages j = 2, 3 only: no Aitken triple, so the last stage is the
+        # value, unconverged, with an infinite error
+        res = g_limit(ex2_exact.factor, ex2_exact.pd, (), (0,), jmax=3)
+        assert res.exact_stages == (Fraction(2, 5), Fraction(10, 27))
+        assert res.stages == ((3, 0.4), (7, 10 / 27))
+        assert res.value == 10 / 27
+        assert not res.converged and res.error_estimate == math.inf
+
     def test_iid_constant_point(self, full2_exact):
         res = g_limit(full2_exact.factor, full2_exact.pd, (), (0,), jmax=8, tol=1e-12)
         assert res.value == pytest.approx(0.5, abs=1e-12)
@@ -286,6 +295,14 @@ class TestDecayFit:
         prof = VariationProfile(m=8, n_values=(1, 2, 3), var_hat=(0.0, 0.0, 0.0),
                                 pair_counts=(1, 1, 1))
         assert decay_fit(prof).classification == "constant"
+
+    def test_increasing_profile_is_inconclusive(self):
+        # log var grows linearly: the exponential fit is exact but rho > 1
+        prof = VariationProfile(m=8, n_values=(1, 2, 3, 4), var_hat=(0.1, 0.2, 0.4, 0.8),
+                                pair_counts=(1,) * 4)
+        fit = decay_fit(prof, n0=1)
+        assert fit.classification == "inconclusive"
+        assert fit.exp_rate == pytest.approx(2.0) and fit.r_squared_exp == pytest.approx(1.0)
 
     def test_insufficient_points(self):
         prof = VariationProfile(m=8, n_values=(1, 2, 3), var_hat=(0.5, 0.2, 0.0),

@@ -345,7 +345,7 @@ def per_entry_transfer(tm):
     w = np.zeros((d, d))
     exact = None if exact_weights is None else np.full((d, d), Fraction(0), dtype=object)
     for i, u in enumerate(rec.block_words):
-        for j in np.flatnonzero(rec.block_sft.adjacency[i]):
+        for j in rec.targets[rec.sources == i]:
             key = (u + (rec.block_words[j][-1],))[:window]
             w[i, j] = weights[key]
             if exact is not None:
@@ -649,9 +649,9 @@ class TestMixingOnBaseShift:
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     @pytest.mark.parametrize("name", list(SFTS))
-    def test_block_shift_verdict_matches(self, name, k):
+    def test_block_shift_verdict_matches(self, name, k, block_shift):
         sft = self.SFTS[name]
-        block_sft = higher_block_recode(sft, k).block_sft
+        block_sft = block_shift(higher_block_recode(sft, k))
         assert (mixing_index(sft) is None) == (mixing_index(block_sft) is None)
 
     @pytest.mark.parametrize("depth", [1, 2])
@@ -1126,7 +1126,7 @@ class TestEdgeListPowerSteps:
         self.assert_same_run(spread_weight_system(seed), monkeypatch)
 
 
-DENSE_VIEWS = {"weights", "log_weights", "int_weights"}
+DENSE_VIEWS = {"weights", "log_weights", "int_weights", "follows"}
 """The dense (d, d) views of a transfer matrix, each built when first read."""
 
 
@@ -1152,7 +1152,7 @@ class TestEdgeForm:
         d = tm.dimension
         assert 400 <= d <= 600 and not solves and pd.residual <= 1e-12
         assert not DENSE_VIEWS & vars(tm).keys()
-        assert peak < d * d * 8 / 2  # half of one dense float W
+        assert peak < 2 * d * d  # one d x d byte array takes d * d of it
         for dtype in (float, bool, np.uint8):  # the walks' tables come from the edges too
             fs.stack(dtype)
         assert not DENSE_VIEWS & vars(tm).keys()
@@ -1534,8 +1534,13 @@ class TestExactCertification:
         assert pd.h == (Fraction(1),) * 4
         assert pd.nu == (Fraction(1, 6), Fraction(1, 3), Fraction(1, 3), Fraction(1, 6))
 
-    def test_wide_bracket_column_stochastic(self, ex2_sft, monkeypatch):
-        # D is about 1e24, so D * lambda is past float precision
+    @staticmethod
+    def wide_bracket_run(ex2_sft, monkeypatch, scale):
+        """perron_exact on Example 2's adjacency with column-stochastic
+        weights over the denominators 1000003, 1000033, 1000037 and 1000039,
+        divided by `scale` (lambda = 1 / scale): D is about 1e24, so D *
+        lambda is past float precision.  Returns the Perron data and the
+        brackets _simplest_between was called on, recursive calls included."""
         from gibbsfactor import potential
 
         dens = (1000003, 1000033, 1000037, 1000039)
@@ -1543,16 +1548,45 @@ class TestExactCertification:
         for j, den in enumerate(dens):
             preds = np.flatnonzero(np.array(EX2_ADJ)[:, j])
             parts = list(range(1, len(preds))) + [den - sum(range(1, len(preds)))]
-            table.update({(int(a), j): Fraction(p, den) for a, p in zip(preds, parts)})
+            table.update({(int(a), j): Fraction(p, scale * den) for a, p in zip(preds, parts)})
         tm = transfer_matrix(ex2_sft, build_potential(ex2_sft, 1, "weight", table))
         calls = []
         real = potential._simplest_between
         monkeypatch.setattr(potential, "_simplest_between",
                             lambda lo, hi: calls.append((lo, hi)) or real(lo, hi))
-        pd = perron_exact(tm)
+        return perron_exact(tm), calls
+
+    def test_wide_bracket_column_stochastic(self, ex2_sft, monkeypatch):
+        pd, calls = self.wide_bracket_run(ex2_sft, monkeypatch, 1)
         assert calls
         assert pd.lam == 1 and pd.nu == (Fraction(1, 4),) * 4
         assert_exact_perron(pd)
+
+    def test_halved_weights_take_the_continued_fraction_step(self, ex2_sft, monkeypatch):
+        # lambda = 1/2 lies in no bracket with an integer in it, so the
+        # least-denominator search recurses on the reciprocal bracket
+        pd, calls = self.wide_bracket_run(ex2_sft, monkeypatch, 2)
+        assert any(math.ceil(lo) > hi for lo, hi in calls) and len(calls) >= 2
+        assert pd.lam == Fraction(1, 2) and pd.nu == (Fraction(1, 4),) * 4
+        assert_exact_perron(pd)
+
+
+def least_denominator_between(lo, hi):
+    """The reference for _simplest_between: the first denominator q with a
+    multiple of 1/q in [lo, hi], and the least such multiple."""
+    q = 1
+    while math.ceil(lo * q) > hi * q:
+        q += 1
+    return Fraction(math.ceil(lo * q), q)
+
+
+@given(st.fractions(min_value=Fraction(1, 50), max_value=10, max_denominator=50),
+       st.fractions(min_value=0, max_value=2, max_denominator=50))
+@settings(max_examples=200, deadline=None)
+def test_simplest_between_has_the_least_denominator(lo, width):
+    from gibbsfactor.potential import _simplest_between
+
+    assert _simplest_between(lo, lo + width) == least_denominator_between(lo, lo + width)
 
 
 def reference_measures(tm, pd, smap):

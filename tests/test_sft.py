@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,10 +20,8 @@ from gibbsfactor.sft import block_word, find_rows, wielandt_cap, word_matrix
 EX2_ADJ = [[1, 1, 1, 0], [0, 1, 1, 1], [1, 1, 1, 0], [0, 1, 1, 1]]
 
 
-def make(adj, names=None):
-    n = len(adj)
-    names = names or tuple(str(i) for i in range(n))
-    return build_sft(Alphabet(tuple(names)), adj)
+def make(adj):
+    return build_sft(Alphabet(tuple(str(i) for i in range(len(adj)))), adj)
 
 
 def full_shift(q):
@@ -212,16 +212,16 @@ class TestEnumerateWords:
 
 
 class TestHigherBlockRecode:
-    def test_k1_is_isomorphic_copy(self):
+    def test_k1_is_isomorphic_copy(self, block_shift):
         sft = make(EX2_ADJ)
         rec = higher_block_recode(sft, 1)
-        assert np.array_equal(rec.block_sft.adjacency, sft.adjacency)
+        assert np.array_equal(block_shift(rec).adjacency, sft.adjacency)
         assert rec.block_words == ((0,), (1,), (2,), (3,))
 
     def test_full_2_shift_k2(self):
         rec = higher_block_recode(full_shift(2), 2)
         assert rec.size == 4
-        assert int(rec.block_sft.adjacency.sum()) == 8
+        assert len(rec.sources) == len(rec.targets) == 8
 
     def test_example_k2_block_count(self):
         rec = higher_block_recode(make(EX2_ADJ), 2)
@@ -235,17 +235,29 @@ class TestHigherBlockRecode:
         with pytest.raises(EnumerationLimitError, match=f"^{message}$"):
             higher_block_recode(sft, k, max_words=count - 1)
         rec = higher_block_recode(sft, k, max_words=count)
-        assert int(rec.block_sft.adjacency.sum()) == count
+        assert len(rec.sources) == len(rec.targets) == count
         with pytest.raises(EnumerationLimitError, match="produce 4 words"):
             higher_block_recode(sft, k, max_words=1)
 
-    def test_block_transition_rule(self):
+    def test_block_transition_rule(self, block_shift):
         sft = make(EX2_ADJ)
         rec = higher_block_recode(sft, 2)
+        adjacency = block_shift(rec).adjacency
         for i, u in enumerate(rec.block_words):
             for j, v in enumerate(rec.block_words):
                 allowed = u[1:] == v[:-1] and is_admissible(sft, u + (v[-1],))
-                assert bool(rec.block_sft.adjacency[i, j]) == allowed
+                assert bool(adjacency[i, j]) == allowed
+
+    def test_recode_allocates_no_dense_matrix(self):
+        # 6,561 blocks: one d x d byte array would take 43 MB
+        tracemalloc.start()
+        try:
+            rec = higher_block_recode(full_shift(3), 8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rec.size == 3**8 and len(rec.sources) == 3**9
+        assert peak < 5_000_000
 
     def test_block_word_translation(self):
         sft = make(EX2_ADJ)
@@ -254,14 +266,12 @@ class TestHigherBlockRecode:
         assert [rec.block_words[b] for b in bw] == [(0, 1), (1, 2)]
 
     @pytest.mark.parametrize("k", [1, 2, 3])
-    def test_word_count_consistency(self, k):
+    def test_word_count_consistency(self, k, block_shift):
         # length-n base words correspond to length-(n-k+1) block words
         sft = make(EX2_ADJ)
-        rec = higher_block_recode(sft, k)
+        block_sft = block_shift(higher_block_recode(sft, k))
         for n in range(k, k + 4):
-            assert len(enumerate_words(sft, n)) == len(
-                enumerate_words(rec.block_sft, n - k + 1)
-            )
+            assert len(enumerate_words(sft, n)) == len(enumerate_words(block_sft, n - k + 1))
 
 
 @st.composite
@@ -332,32 +342,20 @@ class TestProperties:
 
     @given(primitive_sfts(), st.integers(min_value=1, max_value=3))
     @settings(max_examples=30, deadline=None)
-    def test_recode_word_counts(self, sft, k):
+    def test_recode_word_counts(self, block_shift, sft, k):
         rec = higher_block_recode(sft, k)
+        block_sft = block_shift(rec)
         for n in range(k, k + 3):
-            assert len(enumerate_words(sft, n)) == len(
-                enumerate_words(rec.block_sft, n - k + 1)
-            )
+            assert len(enumerate_words(sft, n)) == len(enumerate_words(block_sft, n - k + 1))
         assert rec.block_words == tuple(enumerate_words(sft, k))
         for i, u in enumerate(rec.block_words):
             for j, v in enumerate(rec.block_words):
                 allowed = u[1:] == v[:-1] and is_admissible(sft, u + (v[-1],))
-                assert bool(rec.block_sft.adjacency[i, j]) == allowed
-
-    @given(st.one_of(primitive_sfts(), periodic_sfts()), st.integers(min_value=1, max_value=3))
-    @settings(max_examples=40, deadline=None)
-    def test_block_shift_equals_build_sft(self, sft, k):
-        # the block shift skips build_sft's checks; it is the shift they pass
-        block = higher_block_recode(sft, k).block_sft
-        want = build_sft(block.alphabet, block.adjacency.tolist())
-        assert block.alphabet == want.alphabet
-        assert block.adjacency.dtype == want.adjacency.dtype == np.uint8
-        assert block.adjacency.tobytes() == want.adjacency.tobytes()
-        assert not block.adjacency.flags.writeable
+                assert bool(block_sft.adjacency[i, j]) == allowed
 
     @given(primitive_sfts(), st.integers(min_value=1, max_value=3))
     @settings(max_examples=30, deadline=None)
-    def test_transitions_share_the_word_order(self, sft, k):
+    def test_transitions_share_the_word_order(self, block_shift, sft, k):
         # transition t is the t-th admissible (k+1)-word, from its prefix
         # block to its suffix block, in the row-major order of the adjacency
         rec = higher_block_recode(sft, k)
@@ -365,19 +363,13 @@ class TestProperties:
         assert words == enumerate_words(sft, k + 1)
         assert [rec.block_words[i] for i in rec.sources] == [w[:-1] for w in words]
         assert [rec.block_words[j] for j in rec.targets] == [w[1:] for w in words]
-        rows, cols = np.nonzero(rec.block_sft.adjacency)
+        rows, cols = np.nonzero(block_shift(rec).adjacency)
         assert np.array_equal(rows, rec.sources) and np.array_equal(cols, rec.targets)
         assert rec.block_array.dtype == np.intp
         assert rec.block_array.tolist() == [list(b) for b in rec.block_words]
         for table in (rec.transitions, rec.sources, rec.targets, rec.block_array):
             with pytest.raises(ValueError, match="read-only"):
                 table[0] = table[0]
-
-
-def test_block_names_join_with_commas_only_around_long_names():
-    rec = higher_block_recode(make([[1, 1, 1]] * 3, names=("a", "bc", "d")), 2)
-    assert rec.block_sft.alphabet.symbols == (
-        "aa", "a,bc", "ad", "bc,a", "bc,bc", "bc,d", "da", "d,bc", "dd")
 
 
 @pytest.mark.parametrize("q, n", [(4, 3), (16, 15), (3, 45), (2, 70), (1, 200)])
